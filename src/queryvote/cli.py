@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import election_io
-from .core import hamming, k_borda
+from .core import hamming, k_borda, select_top_k
 from .costs import COST_FUNCTIONS, audit_csv_rows, audit_grid, format_audit_table
 from .cultures import KINDS, CultureSpec, generate
 from .experiments import (
@@ -23,11 +23,12 @@ from .experiments import (
     emit_csv,
     full_resolution_cost,
     load_config,
+    parse_budget,
     run_budget_sweep,
 )
 from .rng import substream
-from .scoring import query_based_committee
-from .strategies import ALL_STRATEGIES, UNLIMITED, strategy_label
+from .scoring import borda_vector, partial_scores
+from .strategies import ALL_STRATEGIES, UNLIMITED, strategy_label, sweep_elicitation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,39 +140,32 @@ def _cmd_audit(args) -> int:
     return 0
 
 
-def _parse_budget_list(text: str) -> list[float]:
-    budgets = []
-    for item in text.split(","):
-        item = item.strip().lower()
-        budgets.append(UNLIMITED if item in ("inf", "unlimited", "infinity") else float(item))
-    return budgets
-
-
 def _cmd_sweep(args) -> int:
     election = election_io.load_election(args.election, k=args.k)
     target = k_borda(election)
+    scoring = borda_vector(election.m)
     if args.budgets is not None:
-        budgets = _parse_budget_list(args.budgets)
+        budgets = [parse_budget(item) for item in args.budgets.split(",")]
     else:
         heaviest = max(
             full_resolution_cost(election, kind, args.cost)
             for kind, _ in ALL_STRATEGIES
         )
         budgets = list(default_budget_grid(heaviest, points=args.points))
+    # One trace per (strategy, repeat) serves every budget, in ascending order.
+    grid = sorted(set(budgets))
     header = "strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)
     print(header)
     for kind, policy in ALL_STRATEGIES:
-        cells = []
-        for budget in budgets:
-            distances = []
-            for repeat in range(args.repeats):
-                order = [int(v) for v in substream(args.seed, repeat).permutation(election.n)]
-                committee, _ = query_based_committee(
-                    election, kind, policy, args.cost, budget,
-                    voter_order=order, record_log=False,
-                )
-                distances.append(hamming(committee, target))
-            cells.append(sum(distances) / len(distances))
+        distances = {budget: [] for budget in grid}
+        for repeat in range(args.repeats):
+            order = [int(v) for v in substream(args.seed, repeat).permutation(election.n)]
+            for budget, profile, _ in sweep_elicitation(
+                election, kind, policy, args.cost, grid, voter_order=order
+            ):
+                committee = select_top_k(partial_scores(profile, scoring), election.k)
+                distances[budget].append(hamming(committee, target))
+        cells = [sum(distances[b]) / len(distances[b]) for b in budgets]
         print(
             strategy_label(kind, policy).ljust(9)
             + "".join(f"{value:10.2f}" for value in cells)

@@ -5,6 +5,14 @@ query-based rule and records the Hamming distance between its committee and
 the full-information Borda committee of the same election. All seeds derive
 from the master seed by cell key, so results are identical whatever the
 worker count or execution order.
+
+A sweep does not re-run elicitation per budget: each (election, strategy,
+voter order) runs one trace, read off at every point of the ascending budget
+grid by :func:`~queryvote.strategies.sweep_elicitation`. Under ``FCFS`` a run
+under budget B is a prefix of the unlimited run; under ``EQ`` it equals the
+unlimited run up to the first question B cannot afford, and a copy finishes
+the round-robin under B from there. Each snapshot is scored like a single
+run, so the rows equal those of one run per budget.
 """
 
 from __future__ import annotations
@@ -16,11 +24,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .core import Committee, Election, hamming, k_borda
+from .core import Committee, Election, hamming, k_borda, select_top_k
 from .costs import get_cost_function
 from .cultures import CultureSpec, generate
 from .rng import derive_seed, substream
-from .scoring import query_based_committee
+from .scoring import borda_vector, partial_scores
 from .strategies import (
     ALL_STRATEGIES,
     UNLIMITED,
@@ -29,6 +37,7 @@ from .strategies import (
     parse_strategy,
     run_elicitation,
     strategy_label,
+    sweep_elicitation,
 )
 
 # Stream tags for deriving per-cell seeds from the master seed.
@@ -144,6 +153,7 @@ def _election_rows(args) -> list[ResultRow]:
     seed = derive_seed(config.master_seed, _ELECTION_TAG, spec.seed, election_index)
     election = generate(spec.with_seed(seed), config.m, config.n, config.k)
     target = k_borda(election)
+    scoring = borda_vector(config.m)
     label = spec.label()
     rows = []
     for strategy_index, (kind, policy) in enumerate(config.strategies):
@@ -153,11 +163,10 @@ def _election_rows(args) -> list[ResultRow]:
                 config.master_seed, _ORDER_TAG, culture_index, election_index, strategy_index, repeat
             )
             order = [int(v) for v in order_rng.permutation(config.n)]
-            for budget in grids[name]:
-                committee, run = query_based_committee(
-                    election, kind, policy, config.cost, budget,
-                    voter_order=order, record_log=False,
-                )
+            for budget, profile, spent in sweep_elicitation(
+                election, kind, policy, config.cost, grids[name], voter_order=order
+            ):
+                committee = select_top_k(partial_scores(profile, scoring), config.k)
                 rows.append(
                     ResultRow(
                         culture=label,
@@ -166,7 +175,7 @@ def _election_rows(args) -> list[ResultRow]:
                         budget=float(budget),
                         repeat=repeat,
                         distance=hamming(committee, target),
-                        spent=float(run.spent),
+                        spent=float(spent),
                     )
                 )
     return rows
@@ -209,6 +218,14 @@ def expected_random_distance(m: int, k: int) -> float:
     return 2.0 * k * (1.0 - k / m)
 
 
+def _grid_sum(rows: list[ResultRow]) -> float:
+    """Distances averaged over repeats at each budget, summed over the grid."""
+    by_budget: dict[float, list[int]] = {}
+    for row in rows:
+        by_budget.setdefault(row.budget, []).append(row.distance)
+    return sum(sum(d) / len(d) for d in by_budget.values())
+
+
 def difficulty_score(rows: Iterable[ResultRow], normalizer: float) -> float:
     """How hard one election was for one strategy, scaled to [0, 1].
 
@@ -220,10 +237,7 @@ def difficulty_score(rows: Iterable[ResultRow], normalizer: float) -> float:
     rows = list(rows)
     if not rows:
         raise ValueError("no rows to score: need the full budget grid for one election")
-    by_budget: dict[float, list[int]] = {}
-    for row in rows:
-        by_budget.setdefault(row.budget, []).append(row.distance)
-    total = sum(sum(d) / len(d) for d in by_budget.values())
+    total = _grid_sum(rows)
     if total == 0:
         return 0.0
     if normalizer <= 0:
@@ -241,18 +255,12 @@ def difficulty_scores(rows: Iterable[ResultRow]) -> dict[tuple[str, str, int], f
     groups: dict[tuple[str, str, int], list[ResultRow]] = {}
     for row in rows:
         groups.setdefault((row.strategy, row.culture, row.election), []).append(row)
-    sums = {}
-    for key, group in groups.items():
-        by_budget: dict[float, list[int]] = {}
-        for row in group:
-            by_budget.setdefault(row.budget, []).append(row.distance)
-        sums[key] = sum(sum(d) / len(d) for d in by_budget.values())
+    sums = {key: _grid_sum(group) for key, group in groups.items()}
     peak_by_strategy: dict[str, float] = {}
     for (strategy, _, _), value in sums.items():
         peak_by_strategy[strategy] = max(peak_by_strategy.get(strategy, 0.0), value)
     return {
-        key: (0.0 if value == 0 else value / peak_by_strategy[key[0]])
-        for key, value in sums.items()
+        key: difficulty_score(group, peak_by_strategy[key[0]]) for key, group in groups.items()
     }
 
 
@@ -324,7 +332,7 @@ def parse_config(data: dict) -> ExperimentConfig:
     strategies = [parse_strategy(s) for s in data.get("strategies", [])] or list(ALL_STRATEGIES)
     grid = data.get("budget_grid")
     if grid is not None:
-        grid = [_parse_budget(b) for b in grid]
+        grid = [parse_budget(b) for b in grid]
     return ExperimentConfig(
         cultures=cultures,
         m=int(data["m"]),
@@ -339,7 +347,8 @@ def parse_config(data: dict) -> ExperimentConfig:
     )
 
 
-def _parse_budget(value) -> float:
+def parse_budget(value) -> float:
+    """A budget from a config or the command line: a number, or inf/unlimited/infinity."""
     if isinstance(value, str):
         if value.strip().lower() in ("inf", "unlimited", "infinity"):
             return UNLIMITED

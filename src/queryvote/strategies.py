@@ -4,6 +4,8 @@ A run keeps one refinement state per voter: an ordered partition of all
 candidates plus a FIFO queue of the classes still worth splitting (size 2 or
 more), seeded best class first. Questions always target the front class, so
 no query ever spans candidates already known to be in different classes.
+:class:`RefinementEngine` is the one implementation of that state machine;
+single runs, budget sweeps and transcript replay all drive it.
 
 Two ways to spend the budget:
 
@@ -13,19 +15,33 @@ Two ways to spend the budget:
 * ``FCFS``: fully resolve the first voter before touching the second, and so
   on; the run ends the moment the current voter's next question does not fit
   in the remaining budget (partial progress on that voter is kept).
+
+A budget sweep (:func:`sweep_elicitation`) runs one trace per (election,
+strategy, voter order) and reads every budget of an ascending grid off it.
+This is exact because a run under budget B asks exactly what the unlimited
+run asks until the first question that B cannot afford:
+
+* under ``FCFS`` that question ends the run, so the run under B is a prefix
+  of the unlimited run;
+* under ``EQUAL`` the voter is skipped and the round goes on, so a copy of
+  the state finishes the round-robin under B from that voter, carrying the
+  round's "asked something" flag, while the unlimited trace continues
+  towards the next, larger budget.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .core import Election
-from .costs import resolve_cost
+from .costs import COST_FUNCTIONS, resolve_cost
 from .queries import (
     OrderedPartition,
     QuestionType,
@@ -71,7 +87,7 @@ class ProtocolError(ValueError):
     """An answer that does not match the query it responds to."""
 
 
-@dataclass
+@dataclass(slots=True)
 class VoterState:
     """Partition of all candidates for one voter, plus the classes still splittable."""
 
@@ -81,31 +97,34 @@ class VoterState:
     def resolved(self) -> bool:
         return not self.pending
 
+    def refine(self, subset: tuple[int, ...], classes: OrderedPartition) -> None:
+        """Replace the class ``subset`` by ``classes``, given best first.
 
-def init_state(election: Election) -> list[VoterState]:
-    """Zero-information start: one all-candidate class per voter."""
-    everyone = tuple(range(election.m))
+        New classes of size 2 or more join the back of the queue, best first.
+        """
+        try:
+            index = self.partition.index(subset)
+        except ValueError:
+            raise ProtocolError(f"query subset {subset} is not a current class of this voter")
+        self.partition[index : index + 1] = classes
+        try:
+            self.pending.remove(subset)
+        except ValueError:
+            pass
+        self.pending.extend(cls for cls in classes if len(cls) >= 2)
+
+
+def _fresh_states(m: int, n: int) -> list[VoterState]:
+    """Zero-information start: one all-candidate class for each of ``n`` voters."""
+    everyone = tuple(range(m))
     return [
-        VoterState(
-            partition=[everyone],
-            pending=deque([everyone]) if election.m >= 2 else deque(),
-        )
-        for _ in range(election.n)
+        VoterState(partition=[everyone], pending=deque([everyone]) if m >= 2 else deque())
+        for _ in range(n)
     ]
 
 
-def next_query(state: VoterState, kind: QuestionType) -> RefinementQuery | None:
-    """The question the strategy would ask this voter next, or None if done."""
-    if not state.pending:
-        return None
-    return make_question(kind, state.pending[0])
-
-
 def apply_answer(state: VoterState, query: RefinementQuery, answer: OrderedPartition) -> VoterState:
-    """Refine the state with an answer: replace the queried class in place.
-
-    New classes of size 2 or more join the back of the queue, best first.
-    """
+    """Refine the state with an answer from outside, after checking it fits the query."""
     subset = tuple(sorted(query.subset))
     classes = tuple(tuple(sorted(cls)) for cls in answer)
     flattened = [c for cls in classes for c in cls]
@@ -113,21 +132,8 @@ def apply_answer(state: VoterState, query: RefinementQuery, answer: OrderedParti
         flattened
     ) != len(set(flattened)):
         raise ProtocolError(f"answer {answer} is not an ordered partition of {subset}")
-    _splice(state, subset, classes)
+    state.refine(subset, classes)
     return state
-
-
-def _splice(state: VoterState, subset: tuple[int, ...], classes: OrderedPartition) -> None:
-    try:
-        index = state.partition.index(subset)
-    except ValueError:
-        raise ProtocolError(f"query subset {subset} is not a current class of this voter")
-    state.partition[index : index + 1] = classes
-    try:
-        state.pending.remove(subset)
-    except ValueError:
-        pass
-    state.pending.extend(cls for cls in classes if len(cls) >= 2)
 
 
 @lru_cache(maxsize=None)
@@ -143,6 +149,207 @@ class LogEntry:
     query: RefinementQuery
     answer: OrderedPartition
     cost: object
+
+
+class RefinementEngine:
+    """One elicitation in progress: every voter's state, the spend, the log.
+
+    Each voter is asked about the front class of its queue; :meth:`ask`
+    answers truthfully from the voter's ranking, refines the state and
+    charges the price. Registry cost functions see a query only through its
+    size and buckets, so their prices are cached per class size; any other
+    callable is priced on the subset actually shown.
+    """
+
+    def __init__(self, election: Election, kind: QuestionType, cost, record_log: bool = False):
+        self.kind = kind
+        self.cost_fn, self.cost_name = resolve_cost(cost)
+        self.by_size = self.cost_fn in COST_FUNCTIONS.values()
+        self.prices: dict = {}
+        self.states = _fresh_states(election.m, election.n)
+        self.positions = []
+        for voter in election.voters:
+            lookup = [0] * election.m
+            for rank, candidate in enumerate(voter):
+                lookup[candidate] = rank
+            self.positions.append(lookup)
+        self.spent = 0
+        self.log: list[LogEntry] | None = [] if record_log else None
+
+    def next_query(self, v: int) -> RefinementQuery | None:
+        """The question voter ``v`` would be asked next, or None if resolved."""
+        pending = self.states[v].pending
+        if not pending:
+            return None
+        ratios, _ = _plan(self.kind, len(pending[0]))
+        return RefinementQuery(subset=pending[0], buckets=ratios)
+
+    def price(self, v: int):
+        """Cost of voter ``v``'s next question; ``v`` must not be resolved."""
+        front = self.states[v].pending[0]
+        key = len(front) if self.by_size else front
+        value = self.prices.get(key)
+        if value is None:
+            value = self.prices[key] = self.cost_fn(self.next_query(v))
+        return value
+
+    def ask(self, v: int, price, spent) -> None:
+        """Ask voter ``v`` its next question, which costs ``price = self.price(v)``.
+
+        ``spent`` is the new total, ``self.spent + price``, which the caller's
+        budget test has already computed.
+        """
+        state = self.states[v]
+        front = state.pending[0]
+        ratios, sizes = _plan(self.kind, len(front))
+        classes = slice_classes(sorted(front, key=self.positions[v].__getitem__), sizes)
+        state.refine(front, classes)
+        self.spent = spent
+        if self.log is not None:
+            query = RefinementQuery(subset=front, buckets=ratios)
+            self.log.append(LogEntry(voter=v, query=query, answer=classes, cost=price))
+
+    def fork(self) -> RefinementEngine:
+        """An independent copy of the run so far (the price cache stays shared)."""
+        twin = copy.copy(self)
+        twin.states = [VoterState(list(s.partition), deque(s.pending)) for s in self.states]
+        if self.log is not None:
+            twin.log = list(self.log)
+        return twin
+
+    def profile(self) -> tuple[OrderedPartition, ...]:
+        return tuple(tuple(state.partition) for state in self.states)
+
+
+def _exact(budget):
+    """The budget to compare rational spends with: a finite float becomes a Fraction.
+
+    Comparing a Fraction with a float converts the float on every test; one
+    exact conversion up front gives the same answers. Drivers compare a
+    Fraction spend with ``_exact(budget)`` and any other spend (int, float)
+    with ``budget`` itself, which Python compares exactly and fast.
+    """
+    if isinstance(budget, float) and math.isfinite(budget):
+        return Fraction(budget)
+    return budget
+
+
+def _equal_rounds(
+    engine: RefinementEngine, order, budget, start: int = 0, progressed: bool = False
+) -> None:
+    """``EQUAL`` under ``budget``: one question per visit until a round asks nothing.
+
+    ``start`` and ``progressed`` resume a round part-way: the first round
+    begins at ``order[start]``, with that round's "asked something" flag.
+    """
+    exact = _exact(budget)
+    states, price_of, ask = engine.states, engine.price, engine.ask
+    while True:
+        for v in order[start:]:
+            if not states[v].pending:
+                continue
+            price = price_of(v)
+            total = engine.spent + price
+            if total > (exact if type(total) is Fraction else budget):
+                continue
+            ask(v, price, total)
+            progressed = True
+        if not progressed:
+            return
+        start, progressed = 0, False
+
+
+def _fcfs(engine: RefinementEngine, order, budget) -> None:
+    """``FCFS`` under ``budget``: stop at the first question that does not fit."""
+    exact = _exact(budget)
+    states, price_of, ask = engine.states, engine.price, engine.ask
+    for v in order:
+        while states[v].pending:
+            price = price_of(v)
+            total = engine.spent + price
+            if total > (exact if type(total) is Fraction else budget):
+                return
+            ask(v, price, total)
+
+
+def _equal_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
+    """``EQUAL`` along the unlimited trace, forking each budget off where it first refuses."""
+    exacts = [_exact(budget) for budget in budgets]
+    states, price_of, ask = engine.states, engine.price, engine.ask
+    served = 0
+    while True:
+        progressed = False
+        for i, v in enumerate(order):
+            if not states[v].pending:
+                continue
+            price = price_of(v)
+            total = engine.spent + price
+            while served < len(budgets) and total > (
+                exacts[served] if type(total) is Fraction else budgets[served]
+            ):
+                run = engine.fork()
+                _equal_rounds(run, order, budgets[served], start=i, progressed=progressed)
+                yield budgets[served], run.profile(), run.spent
+                served += 1
+            if served == len(budgets):
+                return
+            ask(v, price, total)
+            progressed = True
+        if not progressed:
+            break
+    profile = engine.profile()
+    for budget in budgets[served:]:
+        yield budget, profile, engine.spent
+
+
+def _fcfs_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
+    """``FCFS`` along the unlimited trace, read off where each budget first refuses."""
+    exacts = [_exact(budget) for budget in budgets]
+    states, price_of, ask = engine.states, engine.price, engine.ask
+    served = 0
+    for v in order:
+        while states[v].pending:
+            price = price_of(v)
+            total = engine.spent + price
+            while served < len(budgets) and total > (
+                exacts[served] if type(total) is Fraction else budgets[served]
+            ):
+                yield budgets[served], engine.profile(), engine.spent
+                served += 1
+            if served == len(budgets):
+                return
+            ask(v, price, total)
+    profile = engine.profile()
+    for budget in budgets[served:]:
+        yield budget, profile, engine.spent
+
+
+# Per policy: the driver of one run, and the driver of a one-pass budget sweep.
+_DRIVERS = {
+    BudgetPolicy.EQUAL: (_equal_rounds, _equal_sweep),
+    BudgetPolicy.FCFS: (_fcfs, _fcfs_sweep),
+}
+
+
+def _check_budget(budget) -> None:
+    if not budget >= 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+
+
+def _voter_order(n: int, voter_order: Sequence[int] | None) -> list[int]:
+    if voter_order is None:
+        return list(range(n))
+    order = [int(v) for v in voter_order]
+    if sorted(order) != list(range(n)):
+        raise ValueError("voter_order must be a permutation of all voters")
+    return order
+
+
+def _drivers(policy: BudgetPolicy):
+    try:
+        return _DRIVERS[policy]
+    except KeyError:
+        raise ValueError(f"unknown budget policy: {policy!r}") from None
 
 
 @dataclass(frozen=True)
@@ -182,95 +389,43 @@ def run_elicitation(
     The spend test is exact: a question is asked only if its cost fits in
     the remaining budget, so ``spent <= budget`` always holds.
     """
-    cost_fn, cost_name = resolve_cost(cost)
-    if not budget >= 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    n = election.n
-    if voter_order is None:
-        order = list(range(n))
-    else:
-        order = [int(v) for v in voter_order]
-        if sorted(order) != list(range(n)):
-            raise ValueError("voter_order must be a permutation of all voters")
-
-    states = init_state(election)
-    positions = []
-    for voter in election.voters:
-        lookup = [0] * election.m
-        for rank, candidate in enumerate(voter):
-            lookup[candidate] = rank
-        positions.append(lookup)
-
-    price: dict[int, object] = {}
-
-    def price_of(size: int):
-        value = price.get(size)
-        if value is None:
-            ratios, _ = _plan(kind, size)
-            value = cost_fn(RefinementQuery(subset=tuple(range(size)), buckets=ratios))
-            price[size] = value
-        return value
-
-    spent = 0
-    log: list[LogEntry] = []
-
-    def ask(v: int) -> None:
-        nonlocal spent
-        state = states[v]
-        front = state.pending.popleft()
-        ratios, sizes = _plan(kind, len(front))
-        lookup = positions[v]
-        classes = slice_classes(sorted(front, key=lookup.__getitem__), sizes)
-        index = state.partition.index(front)
-        state.partition[index : index + 1] = classes
-        state.pending.extend(cls for cls in classes if len(cls) >= 2)
-        value = price_of(len(front))
-        spent = spent + value
-        if record_log:
-            log.append(
-                LogEntry(
-                    voter=v,
-                    query=RefinementQuery(subset=front, buckets=ratios),
-                    answer=classes,
-                    cost=value,
-                )
-            )
-
-    if policy is BudgetPolicy.EQUAL:
-        while True:
-            progressed = False
-            for v in order:
-                pending = states[v].pending
-                if not pending:
-                    continue
-                if spent + price_of(len(pending[0])) > budget:
-                    continue
-                ask(v)
-                progressed = True
-            if not progressed:
-                break
-    elif policy is BudgetPolicy.FCFS:
-        stopped = False
-        for v in order:
-            while states[v].pending:
-                if spent + price_of(len(states[v].pending[0])) > budget:
-                    stopped = True
-                    break
-                ask(v)
-            if stopped:
-                break
-    else:
-        raise ValueError(f"unknown budget policy: {policy!r}")
-
+    engine = RefinementEngine(election, kind, cost, record_log)
+    _check_budget(budget)
+    order = _voter_order(election.n, voter_order)
+    _drivers(policy)[0](engine, order, budget)
     return ElicitationRun(
         question=kind,
         policy=policy,
-        cost_name=cost_name,
+        cost_name=engine.cost_name,
         budget=budget,
-        spent=spent,
-        profile=tuple(tuple(state.partition) for state in states),
-        log=tuple(log),
+        spent=engine.spent,
+        profile=engine.profile(),
+        log=tuple(engine.log or ()),
     )
+
+
+def sweep_elicitation(
+    election: Election,
+    kind: QuestionType,
+    policy: BudgetPolicy,
+    cost,
+    budgets: Sequence,
+    voter_order: Sequence[int] | None = None,
+) -> Iterator[tuple[object, tuple[OrderedPartition, ...], object]]:
+    """Elicit under every budget of an ascending grid from one trace.
+
+    Yields ``(budget, profile, spent)`` for each entry of ``budgets`` in
+    order, equal to the profile and spend of ``run_elicitation`` under that
+    budget; the module docstring says why one trace suffices.
+    """
+    budgets = list(budgets)
+    for budget in budgets:
+        _check_budget(budget)
+    if any(low > high for low, high in zip(budgets, budgets[1:])):
+        raise ValueError("budgets must be sorted ascending")
+    engine = RefinementEngine(election, kind, cost)
+    order = _voter_order(election.n, voter_order)
+    return _drivers(policy)[1](engine, order, budgets)
 
 
 def write_log(run: ElicitationRun, stream: TextIO) -> None:
@@ -306,11 +461,7 @@ def read_log(stream: TextIO) -> list[LogEntry]:
 
 def replay_log(entries: Sequence[LogEntry], m: int, n: int) -> tuple[OrderedPartition, ...]:
     """Rebuild the per-voter partitions by re-applying a transcript."""
-    everyone = tuple(range(m))
-    states = [
-        VoterState(partition=[everyone], pending=deque([everyone]) if m >= 2 else deque())
-        for _ in range(n)
-    ]
+    states = _fresh_states(m, n)
     for entry in entries:
         apply_answer(states[entry.voter], entry.query, entry.answer)
     return tuple(tuple(state.partition) for state in states)

@@ -1,26 +1,28 @@
 import io
+import math
 from fractions import Fraction as F
 
 import pytest
 
 from queryvote import (
     ALL_STRATEGIES,
+    COST_FUNCTIONS,
     UNLIMITED,
     BudgetPolicy,
     CultureSpec,
     Election,
     ProtocolError,
     QuestionType,
+    RefinementEngine,
     apply_answer,
     generate,
-    init_state,
     make_question,
-    next_query,
     parse_strategy,
     read_log,
     replay_log,
     run_elicitation,
     strategy_label,
+    sweep_elicitation,
     write_log,
 )
 from queryvote.rng import substream
@@ -43,7 +45,7 @@ def test_strategy_labels_round_trip():
 
 
 def test_init_state_one_class_per_voter(worked_election):
-    states = init_state(worked_election)
+    states = RefinementEngine(worked_election, SPLIT, "variance_aware").states
     assert len(states) == 2
     for state in states:
         assert state.partition == [(0, 1, 2, 3)]
@@ -52,47 +54,54 @@ def test_init_state_one_class_per_voter(worked_election):
 
 def test_init_state_single_candidate():
     e = Election(m=1, voters=((0,),), k=1)
-    (state,) = init_state(e)
+    engine = RefinementEngine(e, SPLIT, "variance_aware")
+    (state,) = engine.states
     assert state.partition == [(0,)]
     assert not state.pending
+    assert engine.next_query(0) is None
 
 
 def test_next_query_fresh_split(worked_election):
-    state = init_state(worked_election)[0]
-    q = next_query(state, SPLIT)
+    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
+    q = engine.next_query(0)
     assert q.subset == (0, 1, 2, 3)
     assert q.buckets == (F(1, 2), F(1, 2))
+    assert engine.price(0) == 8
 
 
 def test_next_query_exhausted():
     e = Election(m=2, voters=((0, 1),), k=1)
-    (state,) = init_state(e)
-    apply_answer(state, next_query(state, SPLIT), ((0,), (1,)))
-    assert next_query(state, SPLIT) is None
+    engine = RefinementEngine(e, SPLIT, "variance_aware")
+    apply_answer(engine.states[0], engine.next_query(0), ((0,), (1,)))
+    assert engine.next_query(0) is None
 
 
 def test_next_query_after_peel():
     e = Election(m=4, voters=((0, 1, 2, 3),), k=2)
-    (state,) = init_state(e)
-    apply_answer(state, next_query(state, QuestionType.NEXT), ((0,), (1, 2, 3)))
-    q = next_query(state, QuestionType.NEXT)
+    engine = RefinementEngine(e, QuestionType.NEXT, "variance_aware")
+    price = engine.price(0)
+    engine.ask(0, price, price)
+    assert engine.states[0].partition == [(0,), (1, 2, 3)]
+    q = engine.next_query(0)
     assert q.subset == (1, 2, 3)
     assert q.buckets == (F(1, 3), F(2, 3))
 
 
 def test_apply_answer_updates_partition_and_queue(worked_election):
-    state = init_state(worked_election)[0]
-    apply_answer(state, next_query(state, SPLIT), ((0, 1), (2, 3)))
+    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
+    state = engine.states[0]
+    apply_answer(state, engine.next_query(0), ((0, 1), (2, 3)))
     assert state.partition == [(0, 1), (2, 3)]
     assert list(state.pending) == [(0, 1), (2, 3)]
-    apply_answer(state, next_query(state, SPLIT), ((0,), (1,)))
+    apply_answer(state, engine.next_query(0), ((0,), (1,)))
     assert state.partition == [(0,), (1,), (2, 3)]
     assert list(state.pending) == [(2, 3)]  # singletons never queue
 
 
 def test_apply_answer_rejects_inconsistent(worked_election):
-    state = init_state(worked_election)[0]
-    q = next_query(state, SPLIT)
+    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
+    state = engine.states[0]
+    q = engine.next_query(0)
     with pytest.raises(ProtocolError):
         apply_answer(state, q, ((0, 1), (2,)))  # loses a candidate
     other = make_question(SPLIT, (0, 1))
@@ -213,3 +222,62 @@ def test_class_count_is_monotone_over_log():
         before = counts[entry.voter]
         counts[entry.voter] = before + len(entry.answer) - 1
         assert counts[entry.voter] >= before
+
+
+def charge_for_zero(query):
+    """A cost that depends on which candidates are shown, not only on how many."""
+    return 100 if 0 in query.subset else len(query.subset)
+
+
+def test_custom_cost_is_priced_on_the_subset_shown():
+    e = generate(CultureSpec("IC", seed=21), 6, 3, 2)
+    for kind, policy in ALL_STRATEGIES:
+        run = run_elicitation(e, kind, policy, charge_for_zero, UNLIMITED)
+        assert run.log
+        for entry in run.log:
+            assert (entry.cost == 100) == (0 in entry.query.subset)
+        assert run.spent == sum(entry.cost for entry in run.log)
+
+
+def budget_grid(rng, run):
+    """0, unlimited, a repeated point, random points, and exact spends on the trace."""
+    totals, spent = [], 0
+    for entry in run.log:
+        spent = spent + entry.cost
+        totals.append(spent)
+    points = [0, 0, UNLIMITED, UNLIMITED]
+    for i in rng.integers(len(totals), size=3) if totals else ():
+        total = totals[int(i)]
+        points += [total, float(total), math.nextafter(float(total), 0), total]
+    points += [float(x) for x in rng.uniform(0, 1.2 * float(spent) + 1, size=3)]
+    return sorted(points)
+
+
+def test_sweep_matches_a_fresh_run_at_every_budget():
+    rng = substream(52)
+    costs = [*COST_FUNCTIONS, charge_for_zero]
+    for _ in range(12):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
+        voters = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
+        e = Election(m=m, voters=voters, k=1)
+        order = [int(v) for v in rng.permutation(n)]
+        for cost in costs:
+            for kind, policy in ALL_STRATEGIES:
+                unlimited = run_elicitation(e, kind, policy, cost, UNLIMITED, voter_order=order)
+                grid = budget_grid(rng, unlimited)
+                snapshots = list(sweep_elicitation(e, kind, policy, cost, grid, voter_order=order))
+                assert [budget for budget, _, _ in snapshots] == grid
+                for budget, profile, spent in snapshots:
+                    fresh = run_elicitation(
+                        e, kind, policy, cost, budget, voter_order=order, record_log=False
+                    )
+                    assert profile == fresh.profile
+                    assert spent == fresh.spent and type(spent) is type(fresh.spent)
+                    assert spent <= budget
+
+
+def test_sweep_rejects_bad_grids(worked_election):
+    with pytest.raises(ValueError):
+        sweep_elicitation(worked_election, SPLIT, EQ, "variance_aware", [24, 8])
+    with pytest.raises(ValueError):
+        sweep_elicitation(worked_election, SPLIT, EQ, "variance_aware", [-1, 8])
