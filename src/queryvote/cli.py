@@ -26,6 +26,7 @@ from .experiments import (
     parse_budget,
     run_budget_sweep,
 )
+from .queries import QuestionType
 from .rng import substream
 from .scoring import borda_vector, partial_scores
 from .strategies import ALL_STRATEGIES, UNLIMITED, strategy_label, sweep_elicitation
@@ -141,18 +142,17 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.repeats < 1:
+        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     election = election_io.load_election(args.election, k=args.k)
     target = k_borda(election)
     scoring = borda_vector(election.m)
     if args.budgets is not None:
         budgets = [parse_budget(item) for item in args.budgets.split(",")]
     else:
-        heaviest = max(
-            full_resolution_cost(election, kind, args.cost)
-            for kind, _ in ALL_STRATEGIES
-        )
+        heaviest = max(full_resolution_cost(election, kind, args.cost) for kind in QuestionType)
         budgets = list(default_budget_grid(heaviest, points=args.points))
-    # One trace per (strategy, repeat) serves every budget, in ascending order.
+    # One resumed run per (strategy, repeat) serves every budget, in ascending order.
     grid = sorted(set(budgets))
     header = "strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)
     print(header)

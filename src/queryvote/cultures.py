@@ -120,11 +120,6 @@ def rank_by_distance(point: Sequence[float], candidate_points) -> PreferenceOrde
     return tuple(order)
 
 
-# Kept under the name used elsewhere in the package docs and tests: this is
-# the deterministic oracle the Euclidean culture must agree with.
-euclidean_distance_oracle = rank_by_distance
-
-
 def _generate_ic(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
     return tuple(_permutation(_voter_rng(seed, i), m) for i in range(n))
 

@@ -8,7 +8,8 @@ Two formats are supported:
   candidate count, one ``<id>,<name>`` line per candidate (1-based ids), and
   a ``<voters>,<vote total>,<unique orders>`` line; each remaining line is
   ``<count>,<ranking>`` with a comma-separated 1-based ranking. The format
-  carries no committee size, so ``k`` must be supplied when reading.
+  carries no committee size, so ``k`` must be supplied when reading. Current
+  PrefLib files, which open with ``# KEY: value`` headers, are rejected.
 """
 
 from __future__ import annotations
@@ -91,6 +92,11 @@ def load_election(path, k: int | None = None) -> Election:
         if line.strip():
             first = line.strip()
             break
+    if first.startswith("#"):
+        raise ValueError(
+            f"{path}: PrefLib files with '# KEY: value' headers are not supported; "
+            "use the legacy PrefLib layout or the native format"
+        )
     if len(first.split()) == 3:
         return read_native(path)
     if k is None:

@@ -6,13 +6,13 @@ the full-information Borda committee of the same election. All seeds derive
 from the master seed by cell key, so results are identical whatever the
 worker count or execution order.
 
-A sweep does not re-run elicitation per budget: each (election, strategy,
-voter order) runs one trace, read off at every point of the ascending budget
-grid by :func:`~queryvote.strategies.sweep_elicitation`. Under ``FCFS`` a run
-under budget B is a prefix of the unlimited run; under ``EQ`` it equals the
-unlimited run up to the first question B cannot afford, and a copy finishes
-the round-robin under B from there. Each snapshot is scored like a single
-run, so the rows equal those of one run per budget.
+A sweep does not start a fresh elicitation per budget: each (election,
+strategy, voter order) resumes the single-run driver along the ascending
+budget grid, through :func:`~queryvote.strategies.sweep_elicitation`. Under
+``FCFS`` each budget continues the previous budget's run. Under ``EQ`` the
+shared run stops at each budget's first refused question and a fork finishes
+that budget. Each snapshot is scored like a single run, so the rows equal
+those of one run per budget.
 """
 
 from __future__ import annotations
@@ -111,19 +111,22 @@ def full_resolution_cost(election: Election, kind: QuestionType, cost) -> float:
     return float(run.spent)
 
 
+# Ends of the default budget grid, as fractions of the full-resolution cost.
+_GRID_LOW = 0.01
+_GRID_HIGH = 1.2
+
+
 def default_budget_grid(
     full_cost: float,
     points: int = 12,
-    low_fraction: float = 0.01,
-    high_fraction: float = 1.2,
     include_zero: bool = True,
     include_unlimited: bool = True,
 ) -> tuple[float, ...]:
-    """Geometric budget grid spanning ``[low, high]`` fractions of a full run."""
+    """Geometric budget grid from 1% to 120% of the full-resolution cost."""
     if full_cost <= 0:
         raise ValueError(f"full-resolution cost must be positive, got {full_cost}")
-    low = low_fraction * full_cost
-    high = high_fraction * full_cost
+    low = _GRID_LOW * full_cost
+    high = _GRID_HIGH * full_cost
     ratio = (high / low) ** (1.0 / (points - 1)) if points > 1 else 1.0
     grid = [low * ratio**i for i in range(points)]
     if include_zero:
@@ -139,12 +142,12 @@ def _resolved_grids(config: ExperimentConfig) -> dict[str, tuple[float, ...]]:
         return {strategy_label(k, p): shared for k, p in config.strategies}
     probe_seed = derive_seed(config.master_seed, _ELECTION_TAG, config.cultures[0].seed, 0)
     probe = generate(config.cultures[0].with_seed(probe_seed), config.m, config.n, config.k)
-    grids = {}
-    for kind, policy in config.strategies:
-        label = strategy_label(kind, policy)
-        if label not in grids:
-            grids[label] = default_budget_grid(full_resolution_cost(probe, kind, config.cost))
-    return grids
+    # The full-resolution cost is an unlimited EQ run, the same for both policies.
+    by_kind = {
+        kind: default_budget_grid(full_resolution_cost(probe, kind, config.cost))
+        for kind in {kind for kind, _ in config.strategies}
+    }
+    return {strategy_label(k, p): by_kind[k] for k, p in config.strategies}
 
 
 def _election_rows(args) -> list[ResultRow]:

@@ -16,17 +16,18 @@ Two ways to spend the budget:
   on; the run ends the moment the current voter's next question does not fit
   in the remaining budget (partial progress on that voter is kept).
 
-A budget sweep (:func:`sweep_elicitation`) runs one trace per (election,
-strategy, voter order) and reads every budget of an ascending grid off it.
-This is exact because a run under budget B asks exactly what the unlimited
-run asks until the first question that B cannot afford:
+A budget sweep (:func:`sweep_elicitation`) resumes the single-run drivers
+along an ascending grid instead of starting a fresh run per budget. This is
+exact because a run under budget B asks exactly what the unlimited run asks
+until the first question that B cannot afford:
 
 * under ``FCFS`` that question ends the run, so the run under B is a prefix
-  of the unlimited run;
-* under ``EQUAL`` the voter is skipped and the round goes on, so a copy of
-  the state finishes the round-robin under B from that voter, carrying the
-  round's "asked something" flag, while the unlimited trace continues
-  towards the next, larger budget.
+  of the run under any larger budget, and each budget continues the run of
+  the previous one;
+* under ``EQUAL`` the voter is skipped and the round goes on, so the shared
+  run stops at each budget's first refusal, a fork finishes the round-robin
+  under that budget from the refused voter (carrying the round's "asked
+  something" flag), and the next budget resumes the shared run there.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class VoterState:
 
     partition: list[tuple[int, ...]]
     pending: deque
-
-    def resolved(self) -> bool:
-        return not self.pending
 
     def refine(self, subset: tuple[int, ...], classes: OrderedPartition) -> None:
         """Replace the class ``subset`` by ``classes``, given best first.
@@ -235,12 +233,20 @@ def _exact(budget):
 
 
 def _equal_rounds(
-    engine: RefinementEngine, order, budget, start: int = 0, progressed: bool = False
-) -> None:
+    engine: RefinementEngine,
+    order,
+    budget,
+    start: int = 0,
+    progressed: bool = False,
+    stop: bool = False,
+) -> tuple[int, bool] | None:
     """``EQUAL`` under ``budget``: one question per visit until a round asks nothing.
 
     ``start`` and ``progressed`` resume a round part-way: the first round
     begins at ``order[start]``, with that round's "asked something" flag.
+    With ``stop``, the first unaffordable question ends the walk instead of
+    being skipped, and the ``(start, progressed)`` that resumes at it is
+    returned; None means a round asked nothing.
     """
     exact = _exact(budget)
     states, price_of, ask = engine.states, engine.price, engine.ask
@@ -251,16 +257,22 @@ def _equal_rounds(
             price = price_of(v)
             total = engine.spent + price
             if total > (exact if type(total) is Fraction else budget):
+                if stop:
+                    return order.index(v), progressed
                 continue
             ask(v, price, total)
             progressed = True
         if not progressed:
-            return
+            return None
         start, progressed = 0, False
 
 
 def _fcfs(engine: RefinementEngine, order, budget) -> None:
-    """``FCFS`` under ``budget``: stop at the first question that does not fit."""
+    """``FCFS`` under ``budget``: stop at the first question that does not fit.
+
+    Resolved voters are passed over, so a call under a larger budget resumes
+    where the previous call stopped.
+    """
     exact = _exact(budget)
     states, price_of, ask = engine.states, engine.price, engine.ask
     for v in order:
@@ -273,58 +285,28 @@ def _fcfs(engine: RefinementEngine, order, budget) -> None:
 
 
 def _equal_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
-    """``EQUAL`` along the unlimited trace, forking each budget off where it first refuses."""
-    exacts = [_exact(budget) for budget in budgets]
-    states, price_of, ask = engine.states, engine.price, engine.ask
-    served = 0
-    while True:
-        progressed = False
-        for i, v in enumerate(order):
-            if not states[v].pending:
-                continue
-            price = price_of(v)
-            total = engine.spent + price
-            while served < len(budgets) and total > (
-                exacts[served] if type(total) is Fraction else budgets[served]
-            ):
-                run = engine.fork()
-                _equal_rounds(run, order, budgets[served], start=i, progressed=progressed)
-                yield budgets[served], run.profile(), run.spent
-                served += 1
-            if served == len(budgets):
-                return
-            ask(v, price, total)
-            progressed = True
-        if not progressed:
-            break
-    profile = engine.profile()
-    for budget in budgets[served:]:
-        yield budget, profile, engine.spent
+    """``EQUAL`` per budget: walk the shared run to its first refusal, fork, finish."""
+    at = (0, False)
+    for i, budget in enumerate(budgets):
+        at = _equal_rounds(engine, order, budget, *at, stop=True)
+        if at is None:
+            profile = engine.profile()
+            for rest in budgets[i:]:
+                yield rest, profile, engine.spent
+            return
+        run = engine.fork()
+        _equal_rounds(run, order, budget, *at)
+        yield budget, run.profile(), run.spent
 
 
 def _fcfs_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
-    """``FCFS`` along the unlimited trace, read off where each budget first refuses."""
-    exacts = [_exact(budget) for budget in budgets]
-    states, price_of, ask = engine.states, engine.price, engine.ask
-    served = 0
-    for v in order:
-        while states[v].pending:
-            price = price_of(v)
-            total = engine.spent + price
-            while served < len(budgets) and total > (
-                exacts[served] if type(total) is Fraction else budgets[served]
-            ):
-                yield budgets[served], engine.profile(), engine.spent
-                served += 1
-            if served == len(budgets):
-                return
-            ask(v, price, total)
-    profile = engine.profile()
-    for budget in budgets[served:]:
-        yield budget, profile, engine.spent
+    """``FCFS`` per budget: each budget continues the run of the previous one."""
+    for budget in budgets:
+        _fcfs(engine, order, budget)
+        yield budget, engine.profile(), engine.spent
 
 
-# Per policy: the driver of one run, and the driver of a one-pass budget sweep.
+# Per policy: the driver of one run, and the budget sweep that resumes it.
 _DRIVERS = {
     BudgetPolicy.EQUAL: (_equal_rounds, _equal_sweep),
     BudgetPolicy.FCFS: (_fcfs, _fcfs_sweep),
@@ -412,11 +394,11 @@ def sweep_elicitation(
     budgets: Sequence,
     voter_order: Sequence[int] | None = None,
 ) -> Iterator[tuple[object, tuple[OrderedPartition, ...], object]]:
-    """Elicit under every budget of an ascending grid from one trace.
+    """Elicit under every budget of an ascending grid, resuming one run.
 
     Yields ``(budget, profile, spent)`` for each entry of ``budgets`` in
     order, equal to the profile and spend of ``run_elicitation`` under that
-    budget; the module docstring says why one trace suffices.
+    budget; the module docstring says why resuming is exact.
     """
     budgets = list(budgets)
     for budget in budgets:

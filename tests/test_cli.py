@@ -142,6 +142,14 @@ def test_sweep_auto_grid(tmp_path, capsys):
     assert "strategy" in capsys.readouterr().out
 
 
+def test_sweep_rejects_no_repeats(tmp_path, capsys):
+    elec = tmp_path / "e.elec"
+    run_cli("generate", "IC", "--m", 4, "--n", 3, "--k", 2, "--seed", 5, "--out", elec)
+    capsys.readouterr()
+    assert run_cli("sweep", elec, "--budgets", "0,inf", "--repeats", 0) == 1
+    assert "error: --repeats must be at least 1" in capsys.readouterr().err
+
+
 def test_sweep_preflib_needs_k(tmp_path, capsys):
     elec = tmp_path / "e.soc"
     run_cli(

@@ -6,9 +6,9 @@ from queryvote import (
     KINDS,
     CultureSpec,
     borda_scores,
-    euclidean_distance_oracle,
     generate,
     k_borda,
+    rank_by_distance,
 )
 from queryvote.rng import substream
 
@@ -95,18 +95,18 @@ def test_stratification_needs_even_m():
 
 
 def test_euclidean_oracle_collinear():
-    assert euclidean_distance_oracle((0, 0), [(1, 0), (2, 0)]) == (0, 1)
-    assert euclidean_distance_oracle((0, 0), [(0.1, 0), (0.5, 0), (0.9, 0)]) == (0, 1, 2)
+    assert rank_by_distance((0, 0), [(1, 0), (2, 0)]) == (0, 1)
+    assert rank_by_distance((0, 0), [(0.1, 0), (0.5, 0), (0.9, 0)]) == (0, 1, 2)
 
 
 def test_euclidean_oracle_tie_breaks_by_id():
-    assert euclidean_distance_oracle((0.5, 0.5), [(0, 0), (1, 1), (0.5, 0.6)]) == (2, 0, 1)
-    assert euclidean_distance_oracle((0.5, 0), [(0, 0), (1, 0)]) == (0, 1)
+    assert rank_by_distance((0.5, 0.5), [(0, 0), (1, 1), (0.5, 0.6)]) == (2, 0, 1)
+    assert rank_by_distance((0.5, 0), [(0, 0), (1, 0)]) == (0, 1)
 
 
 def test_euclidean_oracle_rejects_nonfinite():
     with pytest.raises(ValueError):
-        euclidean_distance_oracle((float("nan"), 0), [(0, 0)])
+        rank_by_distance((float("nan"), 0), [(0, 0)])
 
 
 def test_ic_orders_are_roughly_uniform():

@@ -72,3 +72,12 @@ def test_read_preflib_rejects_count_mismatch(tmp_path):
     path.write_text("2\n1,A\n2,B\n3,3,1\n2,1,2\n")
     with pytest.raises(ValueError):
         read_preflib(path, k=1)
+
+
+@pytest.mark.parametrize("header", ["# TITLE: x", "# FILE NAME: x.soc"])
+def test_load_election_rejects_keyed_preflib_headers(tmp_path, header):
+    path = tmp_path / "x.soc"
+    path.write_text(f"\n{header}\n# DATA TYPE: soc\n# NUMBER ALTERNATIVES: 2\n3: 1,2\n")
+    with pytest.raises(ValueError, match="# KEY: value") as err:
+        load_election(path, k=1)
+    assert str(path) in str(err.value)
