@@ -32,6 +32,9 @@ from .scoring import borda_vector, partial_scores
 from .strategies import ALL_STRATEGIES, UNLIMITED, strategy_label, sweep_elicitation
 
 
+_WRITERS = {"native": election_io.write_native, "preflib": election_io.write_preflib}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="queryvote",
@@ -53,7 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="culture parameter, e.g. phi=0.2 or alpha=0.5 (repeatable)",
     )
     gen.add_argument("--out", required=True, help="output file path")
-    gen.add_argument("--format", choices=("native", "preflib"), default="native")
+    gen.add_argument("--format", choices=tuple(_WRITERS), default="native")
+    gen.set_defaults(handler=_cmd_generate)
 
     run = sub.add_parser("run", help="run an experiment config, write results CSV")
     run.add_argument("config", help="JSON experiment config file")
@@ -65,11 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also print per-culture mean difficulty per strategy",
     )
+    run.set_defaults(handler=_cmd_run)
 
     audit = sub.add_parser("audit-costs", help="check cost functions against the axioms")
     audit.add_argument("--trials", type=int, default=10_000, help="sampled pairs per cell")
     audit.add_argument("--seed", type=int, default=0)
     audit.add_argument("--csv", default=None, help="also write the grid as CSV here")
+    audit.set_defaults(handler=_cmd_audit)
 
     sweep = sub.add_parser("sweep", help="all strategies on one election file")
     sweep.add_argument("election", help="election file (native or PrefLib)")
@@ -83,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--points", type=int, default=10, help="derived grid size")
     sweep.add_argument("--repeats", type=int, default=1, help="voter orders per budget")
     sweep.add_argument("--seed", type=int, default=0, help="seed for voter orders")
+    sweep.set_defaults(handler=_cmd_sweep)
     return parser
 
 
@@ -99,10 +106,7 @@ def _parse_params(pairs: list[str]) -> dict:
 def _cmd_generate(args) -> int:
     spec = CultureSpec(kind=args.culture, seed=args.seed, params=_parse_params(args.param))
     election = generate(spec, args.m, args.n, args.k)
-    if args.format == "native":
-        election_io.write_native(election, args.out)
-    else:
-        election_io.write_preflib(election, args.out)
+    _WRITERS[args.format](election, args.out)
     print(f"wrote {spec.label()} election (m={args.m}, n={args.n}, k={args.k}) to {args.out}")
     return 0
 
@@ -131,10 +135,7 @@ def _cmd_audit(args) -> int:
     if args.csv:
         rows = audit_csv_rows(grid)
         with Path(args.csv).open("w", newline="") as handle:
-            writer = csv.DictWriter(
-                handle, fieldnames=("function", "axiom", "holds", "counterexample"),
-                lineterminator="\n",
-            )
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
         print(f"wrote grid to {args.csv}")
@@ -182,14 +183,8 @@ def _fmt_budget(budget: float) -> str:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "generate": _cmd_generate,
-        "run": _cmd_run,
-        "audit-costs": _cmd_audit,
-        "sweep": _cmd_sweep,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

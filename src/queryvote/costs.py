@@ -41,7 +41,13 @@ def variance(buckets) -> CostValue:
     count = len(buckets)
     if count <= 1:
         return 0
-    mean = Fraction(1, count) if all(isinstance(b, (int, Fraction)) for b in buckets) else 1.0 / count
+    if all(isinstance(b, (int, Fraction)) for b in buckets):
+        # Over a common denominator L, b_j - 1/count = (count * a_j - L) / (count * L)
+        # with integer a_j = b_j * L, so the whole sum stays in integers.
+        common = math.lcm(*(b.denominator for b in buckets))
+        spread = sum((count * b.numerator * (common // b.denominator) - common) ** 2 for b in buckets)
+        return Fraction(spread, count**3 * common**2)
+    mean = 1.0 / count
     return sum((b - mean) ** 2 for b in buckets) / count
 
 

@@ -4,6 +4,11 @@ Eight seeded vote-generation models: impartial culture, 2D Euclidean, urn,
 Mallows, and the four reference cultures spanning agreement and conflict
 (identity, uniformity, stratification, antagonism).
 
+Each culture is declared once, in ``_CULTURES``: its generator and the names
+of the keyword parameters it takes. ``KINDS``, the accepted kind names and
+the parameter check of :class:`CultureSpec` derive from that table, and each
+generator holds its own parameter defaults.
+
 Generation is a pure function of ``(spec, m, n, k)``. Voters that are
 statistically independent draw from per-voter substreams, keyed
 ``(seed, 1, voter)``, so an election can be filled in any order or in
@@ -23,38 +28,6 @@ import numpy as np
 from .core import Election, PreferenceOrder
 from .rng import substream
 
-KINDS = ("IC", "Euclidean2D", "Urn", "Mallows", "ID", "UN", "ST", "AN")
-
-_KIND_ALIASES = {
-    "ic": "IC",
-    "impartial": "IC",
-    "euclidean2d": "Euclidean2D",
-    "euclidean": "Euclidean2D",
-    "2d": "Euclidean2D",
-    "urn": "Urn",
-    "mallows": "Mallows",
-    "id": "ID",
-    "identity": "ID",
-    "un": "UN",
-    "uniformity": "UN",
-    "st": "ST",
-    "stratification": "ST",
-    "an": "AN",
-    "antagonism": "AN",
-}
-
-# Parameters accepted per kind, with defaults filled at generation time.
-_KIND_PARAMS = {
-    "IC": (),
-    "Euclidean2D": (),
-    "Urn": ("alpha",),
-    "Mallows": ("phi", "center"),
-    "ID": (),
-    "UN": (),
-    "ST": (),
-    "AN": (),
-}
-
 DEFAULT_URN_ALPHA = 0.5  # copies added per draw, as a multiple of m!
 DEFAULT_MALLOWS_PHI = 0.8
 
@@ -64,6 +37,7 @@ _ENUMERATION_LIMIT = 50_000
 
 
 def canonical_kind(kind: str) -> str:
+    """The kind's name in ``KINDS``, matched without case, ``-`` or ``_``, or an alias."""
     key = str(kind).strip().lower().replace("-", "").replace("_", "")
     if key not in _KIND_ALIASES:
         raise ValueError(f"unknown culture kind {kind!r}; choose one of {KINDS}")
@@ -80,8 +54,7 @@ class CultureSpec:
 
     def __post_init__(self):
         self.kind = canonical_kind(self.kind)
-        allowed = _KIND_PARAMS[self.kind]
-        unknown = sorted(set(self.params) - set(allowed))
+        unknown = sorted(set(self.params) - set(_CULTURES[self.kind][1]))
         if unknown:
             raise ValueError(f"{self.kind} culture does not take parameters {unknown}")
 
@@ -116,8 +89,7 @@ def rank_by_distance(point: Sequence[float], candidate_points) -> PreferenceOrde
     if not (np.isfinite(pts).all() and np.isfinite(here).all()):
         raise ValueError("points must be finite")
     squared = ((pts - here) ** 2).sum(axis=1)
-    order = sorted(range(len(pts)), key=lambda c: (squared[c], c))
-    return tuple(order)
+    return tuple(sorted(range(len(pts)), key=lambda c: (squared[c], c)))
 
 
 def _generate_ic(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
@@ -126,20 +98,19 @@ def _generate_ic(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
 
 def _generate_euclidean(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
     candidate_points = substream(seed, 0).random((m, 2))
-    votes = []
-    for i in range(n):
-        point = _voter_rng(seed, i).random(2)
-        votes.append(rank_by_distance(point, candidate_points))
-    return tuple(votes)
+    return tuple(rank_by_distance(_voter_rng(seed, i).random(2), candidate_points) for i in range(n))
 
 
-def _generate_urn(seed: int, m: int, n: int, alpha: float) -> tuple[PreferenceOrder, ...]:
+def _generate_urn(
+    seed: int, m: int, n: int, alpha: float = DEFAULT_URN_ALPHA
+) -> tuple[PreferenceOrder, ...]:
     """Urn sampling: each drawn order returns with ``alpha * m!`` extra copies.
 
     With probability ``t*alpha / (1 + t*alpha)`` the t-th voter copies a
     uniformly chosen earlier vote, otherwise they draw a fresh uniform order.
     Draws depend on earlier draws, so a single sequential stream is used.
     """
+    alpha = float(alpha)
     if alpha < 0:
         raise ValueError(f"urn contagion must be non-negative, got {alpha}")
     rng = substream(seed, 0)
@@ -163,8 +134,9 @@ def _mallows_vote(rng: np.random.Generator, center: PreferenceOrder, phi: float)
 
 
 def _generate_mallows(
-    seed: int, m: int, n: int, phi: float, center
+    seed: int, m: int, n: int, phi: float = DEFAULT_MALLOWS_PHI, center=None
 ) -> tuple[PreferenceOrder, ...]:
+    phi = float(phi)
     if not 0 < phi <= 1:
         raise ValueError(f"Mallows dispersion must lie in (0, 1], got {phi}")
     if center is None:
@@ -177,8 +149,7 @@ def _generate_mallows(
 
 
 def _generate_id(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
-    shared = _permutation(substream(seed, 0), m)
-    return (shared,) * n
+    return (_permutation(substream(seed, 0), m),) * n
 
 
 def _generate_un(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
@@ -223,9 +194,36 @@ def _generate_st(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
 
 def _generate_an(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
     forward = _permutation(substream(seed, 0), m)
-    backward = forward[::-1]
     first_half = (n + 1) // 2
-    return (forward,) * first_half + (backward,) * (n - first_half)
+    return (forward,) * first_half + (forward[::-1],) * (n - first_half)
+
+
+# Every culture: its generator and the parameters that generator takes as
+# keywords, in the order of ``KINDS``. Each generator is called as
+# ``generator(seed, m, n, **params)`` and fills in its own defaults.
+_CULTURES = {
+    "IC": (_generate_ic, ()),
+    "Euclidean2D": (_generate_euclidean, ()),
+    "Urn": (_generate_urn, ("alpha",)),
+    "Mallows": (_generate_mallows, ("phi", "center")),
+    "ID": (_generate_id, ()),
+    "UN": (_generate_un, ()),
+    "ST": (_generate_st, ()),
+    "AN": (_generate_an, ()),
+}
+
+KINDS = tuple(_CULTURES)
+
+# Lookup keys for ``canonical_kind``: each kind's lowercased name, plus aliases.
+_KIND_ALIASES = {kind.lower(): kind for kind in KINDS} | {
+    "impartial": "IC",
+    "euclidean": "Euclidean2D",
+    "2d": "Euclidean2D",
+    "identity": "ID",
+    "uniformity": "UN",
+    "stratification": "ST",
+    "antagonism": "AN",
+}
 
 
 def generate(spec: CultureSpec, m: int, n: int, k: int) -> Election:
@@ -239,27 +237,5 @@ def generate(spec: CultureSpec, m: int, n: int, k: int) -> Election:
     """
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    kind = spec.kind
-    if kind == "IC":
-        votes = _generate_ic(spec.seed, m, n)
-    elif kind == "Euclidean2D":
-        votes = _generate_euclidean(spec.seed, m, n)
-    elif kind == "Urn":
-        votes = _generate_urn(spec.seed, m, n, float(spec.params.get("alpha", DEFAULT_URN_ALPHA)))
-    elif kind == "Mallows":
-        votes = _generate_mallows(
-            spec.seed,
-            m,
-            n,
-            float(spec.params.get("phi", DEFAULT_MALLOWS_PHI)),
-            spec.params.get("center"),
-        )
-    elif kind == "ID":
-        votes = _generate_id(spec.seed, m, n)
-    elif kind == "UN":
-        votes = _generate_un(spec.seed, m, n)
-    elif kind == "ST":
-        votes = _generate_st(spec.seed, m, n)
-    else:
-        votes = _generate_an(spec.seed, m, n)
-    return Election(m=m, voters=votes, k=k)
+    generator, _ = _CULTURES[spec.kind]
+    return Election(m=m, voters=generator(spec.seed, m, n, **spec.params), k=k)

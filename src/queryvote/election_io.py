@@ -87,17 +87,15 @@ def read_preflib(path, k: int) -> Election:
 
 def load_election(path, k: int | None = None) -> Election:
     """Load an election file, sniffing the format from the first line."""
-    first = ""
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            first = line.strip()
-            break
+    first = next((line.strip() for line in Path(path).read_text().splitlines() if line.strip()), "")
     if first.startswith("#"):
         raise ValueError(
             f"{path}: PrefLib files with '# KEY: value' headers are not supported; "
             "use the legacy PrefLib layout or the native format"
         )
-    if len(first.split()) == 3:
+    # PrefLib opens with the candidate count alone; anything else reads as
+    # native, so a malformed native header gets the native reader's error.
+    if len(first.split()) != 1:
         return read_native(path)
     if k is None:
         raise ValueError(f"{path}: PrefLib files carry no committee size, pass k explicitly")

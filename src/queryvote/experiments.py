@@ -20,9 +20,10 @@ from __future__ import annotations
 import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping, get_type_hints
 
 from .core import Committee, Election, hamming, k_borda, select_top_k
 from .costs import get_cost_function
@@ -44,9 +45,6 @@ from .strategies import (
 _ELECTION_TAG = 0
 _ORDER_TAG = 1
 
-CSV_COLUMNS = ("culture", "election", "strategy", "budget", "repeat", "distance", "spent")
-
-
 @dataclass(frozen=True)
 class ResultRow:
     """One experiment cell: where it ran, what it cost, how far it landed."""
@@ -58,6 +56,12 @@ class ResultRow:
     repeat: int
     distance: int
     spent: float
+
+
+# The results CSV holds one column per ``ResultRow`` field, in field order.
+CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
+_row_values = attrgetter(*CSV_COLUMNS)
+_COLUMN_TYPES = tuple(get_type_hints(ResultRow)[name] for name in CSV_COLUMNS)
 
 
 @dataclass
@@ -105,9 +109,7 @@ class ExperimentConfig:
 
 def full_resolution_cost(election: Election, kind: QuestionType, cost) -> float:
     """Total cost of resolving every voter completely (an unlimited dry run)."""
-    run = run_elicitation(
-        election, kind, BudgetPolicy.EQUAL, cost, UNLIMITED, record_log=False
-    )
+    run = run_elicitation(election, kind, BudgetPolicy.EQUAL, cost, UNLIMITED, record_log=False)
     return float(run.spent)
 
 
@@ -122,13 +124,21 @@ def default_budget_grid(
     include_zero: bool = True,
     include_unlimited: bool = True,
 ) -> tuple[float, ...]:
-    """Geometric budget grid from 1% to 120% of the full-resolution cost."""
-    if full_cost <= 0:
-        raise ValueError(f"full-resolution cost must be positive, got {full_cost}")
-    low = _GRID_LOW * full_cost
-    high = _GRID_HIGH * full_cost
-    ratio = (high / low) ** (1.0 / (points - 1)) if points > 1 else 1.0
-    grid = [low * ratio**i for i in range(points)]
+    """Geometric budget grid from 1% to 120% of the full-resolution cost.
+
+    A zero full cost (an election with one candidate needs no question) has
+    no geometric points: the grid holds only the endpoints asked for.
+    """
+    if not full_cost >= 0:
+        raise ValueError(f"full-resolution cost must be non-negative, got {full_cost}")
+    if points < 1:
+        raise ValueError(f"points must be at least 1, got {points}")
+    grid = []
+    if full_cost > 0:
+        low = _GRID_LOW * full_cost
+        high = _GRID_HIGH * full_cost
+        ratio = (high / low) ** (1.0 / (points - 1)) if points > 1 else 1.0
+        grid = [low * ratio**i for i in range(points)]
     if include_zero:
         grid.insert(0, 0.0)
     if include_unlimited:
@@ -194,15 +204,10 @@ def run_budget_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]
         for culture_index in range(len(config.cultures))
         for election_index in range(config.elections_per_culture)
     ]
-    rows: list[ResultRow] = []
     if jobs == 1:
-        for task in tasks:
-            rows.extend(_election_rows(task))
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for chunk in pool.map(_election_rows, tasks):
-                rows.extend(chunk)
-    return rows
+        return [row for task in tasks for row in _election_rows(task)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [row for chunk in pool.map(_election_rows, tasks) for row in chunk]
 
 
 def random_baseline(election: Election, seed: int) -> Committee:
@@ -262,100 +267,95 @@ def difficulty_scores(rows: Iterable[ResultRow]) -> dict[tuple[str, str, int], f
     peak_by_strategy: dict[str, float] = {}
     for (strategy, _, _), value in sums.items():
         peak_by_strategy[strategy] = max(peak_by_strategy.get(strategy, 0.0), value)
-    return {
-        key: difficulty_score(group, peak_by_strategy[key[0]]) for key, group in groups.items()
-    }
+    return {key: total / peak_by_strategy[key[0]] if total else 0.0 for key, total in sums.items()}
 
 
 def emit_csv(rows: Iterable[ResultRow], path) -> None:
     """Write rows with the stable column set; floats round-trip exactly."""
-    path = Path(path)
     try:
-        with path.open("w", newline="") as handle:
+        with Path(path).open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row.culture,
-                        row.election,
-                        row.strategy,
-                        repr(row.budget),
-                        row.repeat,
-                        row.distance,
-                        repr(row.spent),
-                    ]
-                )
+            writer.writerows(map(_row_values, rows))
     except OSError as err:
         raise OSError(f"cannot write results to {path}: {err}") from err
 
 
 def read_csv_rows(path) -> list[ResultRow]:
-    path = Path(path)
     try:
-        with path.open(newline="") as handle:
+        with Path(path).open(newline="") as handle:
             reader = csv.reader(handle)
             header = next(reader, None)
             if tuple(header or ()) != CSV_COLUMNS:
                 raise ValueError(f"{path}: unexpected CSV header {header}")
             return [
-                ResultRow(
-                    culture=culture,
-                    election=int(election),
-                    strategy=strategy,
-                    budget=float(budget),
-                    repeat=int(repeat),
-                    distance=int(distance),
-                    spent=float(spent),
-                )
-                for culture, election, strategy, budget, repeat, distance, spent in reader
+                ResultRow(*(cast(value) for cast, value in zip(_COLUMN_TYPES, record, strict=True)))
+                for record in reader
             ]
     except OSError as err:
         raise OSError(f"cannot read results from {path}: {err}") from err
 
 
 def parse_config(data: dict) -> ExperimentConfig:
-    """Build a config from parsed JSON, with friendly validation errors."""
-    required = ("m", "n", "k", "elections_per_culture", "cultures")
-    missing = [key for key in required if key not in data]
+    """Build a config from parsed JSON, with friendly validation errors.
+
+    The keys are the fields of :class:`ExperimentConfig`: an omitted key takes
+    its field's default, and an unknown key is an error.
+    """
+    return _from_json(ExperimentConfig, data, "config")
+
+
+def _from_json(schema, data, what: str):
+    """A ``schema`` dataclass from a JSON object, each value parsed by its field's type."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {data!r}")
+    known = {f.name: f for f in fields(schema)}
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys {unknown}; known keys: {list(known)}")
+    missing = [
+        name for name, f in known.items()
+        if name not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
     if missing:
-        raise ValueError(f"config is missing required keys: {missing}")
-    cultures = []
-    for entry in data["cultures"]:
-        if isinstance(entry, str):
-            cultures.append(CultureSpec(kind=entry))
-        else:
-            cultures.append(
-                CultureSpec(
-                    kind=entry["kind"],
-                    seed=int(entry.get("seed", 0)),
-                    params=dict(entry.get("params", {})),
-                )
-            )
-    strategies = [parse_strategy(s) for s in data.get("strategies", [])] or list(ALL_STRATEGIES)
-    grid = data.get("budget_grid")
-    if grid is not None:
-        grid = [parse_budget(b) for b in grid]
-    return ExperimentConfig(
-        cultures=cultures,
-        m=int(data["m"]),
-        n=int(data["n"]),
-        k=int(data["k"]),
-        elections_per_culture=int(data["elections_per_culture"]),
-        strategies=strategies,
-        cost=str(data.get("cost", "variance_aware")),
-        budget_grid=grid,
-        voter_order_repeats=int(data.get("voter_order_repeats", 5)),
-        master_seed=int(data.get("master_seed", 0)),
-    )
+        raise ValueError(f"{what} is missing required keys: {missing}")
+    types = get_type_hints(schema)
+    values = {}
+    for name, value in data.items():
+        try:
+            values[name] = _PARSERS[types[name]](value)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"{what} key {name!r}: {err}") from None
+    return schema(**values)
+
+
+def _parse_int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _parse_culture(entry) -> CultureSpec:
+    if isinstance(entry, str):
+        return CultureSpec(kind=entry)
+    return _from_json(CultureSpec, entry, "culture entry")
+
+
+# How a JSON value is read into a config or culture-entry field, by the field's type.
+_PARSERS = {
+    int: _parse_int,
+    str: str,
+    Mapping[str, object]: dict,
+    list[CultureSpec]: lambda entries: [_parse_culture(entry) for entry in entries],
+    list[tuple[QuestionType, BudgetPolicy]]: lambda labels: [parse_strategy(s) for s in labels],
+    list[float] | None: lambda grid: None if grid is None else [parse_budget(b) for b in grid],
+}
 
 
 def parse_budget(value) -> float:
     """A budget from a config or the command line: a number, or inf/unlimited/infinity."""
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "unlimited", "infinity"):
-            return UNLIMITED
-        return float(value)
+    if isinstance(value, str) and value.strip().lower() in ("inf", "unlimited", "infinity"):
+        return UNLIMITED
     return float(value)
 
 
@@ -366,6 +366,4 @@ def load_config(path) -> ExperimentConfig:
         raise OSError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ValueError(f"{path} is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
     return parse_config(data)

@@ -37,7 +37,8 @@ class QuestionType(Enum):
 
 
 def _is_exact(values: Iterable) -> bool:
-    return all(isinstance(v, Rational) for v in values)
+    # The concrete-type test skips the slower ABC check for the common cases.
+    return all(type(v) in (int, Fraction) or isinstance(v, Rational) for v in values)
 
 
 def validate_buckets(ratios: Sequence) -> BucketVector:
@@ -45,13 +46,20 @@ def validate_buckets(ratios: Sequence) -> BucketVector:
     ratios = tuple(ratios)
     if not ratios:
         raise ValueError("bucket vector must not be empty")
-    if any(b <= 0 for b in ratios):
+    exact = _is_exact(ratios)
+    # A rational's denominator is positive, so its numerator carries the sign.
+    signs = (b.numerator for b in ratios) if exact else ratios
+    if any(s <= 0 for s in signs):
         raise ValueError(f"bucket ratios must be positive, got {ratios}")
+    if exact:
+        # Sum in integers over the least common denominator.
+        common = math.lcm(*(b.denominator for b in ratios))
+        total = sum(b.numerator * (common // b.denominator) for b in ratios)
+        if total != common:
+            raise ValueError(f"bucket ratios must sum to 1, got {Fraction(total, common)}")
+        return ratios
     total = sum(ratios)
-    if _is_exact(ratios):
-        if total != 1:
-            raise ValueError(f"bucket ratios must sum to 1, got {total}")
-    elif not math.isclose(float(total), 1.0, rel_tol=0.0, abs_tol=RATIO_TOLERANCE):
+    if not math.isclose(float(total), 1.0, rel_tol=0.0, abs_tol=RATIO_TOLERANCE):
         raise ValueError(f"bucket ratios must sum to 1, got {float(total)!r}")
     return ratios
 
@@ -64,7 +72,7 @@ class RefinementQuery:
     buckets: BucketVector
 
     def __post_init__(self):
-        subset = tuple(int(c) for c in self.subset)
+        subset = tuple(map(int, self.subset))
         if not subset:
             raise ValueError("query subset must not be empty")
         if len(set(subset)) != len(subset):

@@ -64,8 +64,6 @@ class BudgetPolicy(Enum):
     FCFS = "FCFS"
 
 
-_KIND_CODES = {kind.value: kind for kind in QuestionType}
-
 ALL_STRATEGIES: tuple[tuple[QuestionType, BudgetPolicy], ...] = tuple(
     (kind, policy) for kind in QuestionType for policy in BudgetPolicy
 )
@@ -77,11 +75,13 @@ def strategy_label(kind: QuestionType, policy: BudgetPolicy) -> str:
 
 
 def parse_strategy(label: str) -> tuple[QuestionType, BudgetPolicy]:
-    code, _, policy = label.strip().upper().partition("-")
-    if code in _KIND_CODES and policy in ("EQ", "FCFS"):
-        return _KIND_CODES[code], BudgetPolicy.EQUAL if policy == "EQ" else BudgetPolicy.FCFS
-    known = ", ".join(strategy_label(k, p) for k, p in ALL_STRATEGIES)
-    raise ValueError(f"unknown strategy {label!r}; choose one of: {known}")
+    """The strategy named by a label such as ``S-EQ``, in any case."""
+    code, _, policy = str(label).strip().upper().partition("-")
+    try:
+        return QuestionType(code), BudgetPolicy(policy)
+    except ValueError:
+        known = ", ".join(strategy_label(k, p) for k, p in ALL_STRATEGIES)
+        raise ValueError(f"unknown strategy {label!r}; choose one of: {known}") from None
 
 
 class ProtocolError(ValueError):

@@ -158,3 +158,31 @@ def test_sweep_preflib_needs_k(tmp_path, capsys):
     )
     assert run_cli("sweep", elec, "--budgets", "0") == 1
     assert run_cli("sweep", elec, "--budgets", "0", "--k", 2) == 0
+
+
+def test_sweep_one_candidate_auto_grid(tmp_path, capsys):
+    elec = tmp_path / "one.elec"
+    elec.write_text("1 1 1\n0\n")
+    assert run_cli("sweep", elec) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["strategy", "0.00", "inf"]
+    assert len(lines) == 1 + 8
+
+
+def test_sweep_rejects_non_positive_points(tmp_path, capsys):
+    elec = tmp_path / "e.elec"
+    run_cli("generate", "IC", "--m", 4, "--n", 3, "--k", 2, "--seed", 5, "--out", elec)
+    capsys.readouterr()
+    assert run_cli("sweep", elec, "--points", -3) == 1
+    assert "error: points must be at least 1" in capsys.readouterr().err
+
+
+def test_run_rejects_unknown_config_key(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "m": 4, "n": 3, "k": 2, "elections_per_culture": 1, "cultures": ["IC"],
+        "voter_order_repeat": 9,
+    }))
+    assert run_cli("run", config, "--out", tmp_path / "r.csv") == 1
+    assert "unknown keys ['voter_order_repeat']" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import pytest
@@ -166,3 +167,45 @@ def test_generate_rejects_empty_elections():
         generate(CultureSpec("IC"), 0, 3, 1)
     with pytest.raises(ValueError):
         generate(CultureSpec("IC"), 3, 0, 1)
+
+
+# SHA-256 of repr(generate(spec, 6, 9, 2).voters) with seed 7. Any change to a
+# generator's use of its streams or to its arithmetic changes the elections it
+# makes, and shows up here.
+CULTURE_DIGESTS = [
+    ("IC", {}, "a46d0e2c586c52dc38a99b8ca5b740a3e9669f11caa865ca91265866d2532cbe"),
+    ("Euclidean2D", {}, "1190d9f03fd085e2c85db4ff3a7d7a3cef7e1efe859949c59dc0590cf6c3e868"),
+    ("Urn", {}, "8fa52bb77c26d303b0d5fc53944430ada61473e77e1e34d4c853dbf5e1c0d13b"),
+    ("Mallows", {}, "7f88c122c6eed02d683e6fb0130c4da9866766b50dbac46d50e7560976e167ed"),
+    ("ID", {}, "dab668a89a4603bad59834ebc94074804245be34e52e5eec35e9320c98eebded"),
+    ("UN", {}, "ae8b79f4227988b0bed5cf41013af6ae80634eeb34f31b2e06652eab37482180"),
+    ("ST", {}, "a727e45b3335c0d13c31412dcac8cc998e4c7d1c9c5090a4c4270c141b72361b"),
+    ("AN", {}, "e514d76d41f9a549437dd1b969d1c37986ee7ef0f91732784ebbdd36c6b229b6"),
+    ("Urn", {"alpha": 2}, "5e9e65b0c641a4ecaa9b3f153830839b00c7d717a1ef3d415ecdb92763bfdd4d"),
+    ("Urn", {"alpha": 0.1}, "0a38e42bcc704e8da73bed1837322c21053169da72719523488f8f8a8478b856"),
+    ("Mallows", {"phi": 0.3}, "1328501e7f6cb0e08a0e6ee0aba4e93a4906a1ffb7b17d0e3a4766f31e30ec24"),
+    (
+        "Mallows",
+        {"phi": 0.5, "center": [5, 4, 3, 2, 1, 0]},
+        "d73786b056f38437c3571f19b11c8728068066c7410483d73835f1a91e4e3627",
+    ),
+]
+
+
+def test_culture_digests_cover_every_kind():
+    assert {kind for kind, _, _ in CULTURE_DIGESTS} == set(KINDS)
+
+
+@pytest.mark.parametrize("kind, params, digest", CULTURE_DIGESTS)
+def test_culture_output_is_pinned(kind, params, digest):
+    voters = generate(CultureSpec(kind, seed=7, params=params), 6, 9, 2).voters
+    assert hashlib.sha256(repr(voters).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "name, kind",
+    [("ic", "IC"), ("impartial", "IC"), ("Euclidean-2D", "Euclidean2D"), ("2d", "Euclidean2D"),
+     ("URN", "Urn"), ("identity", "ID"), ("un", "UN"), ("stratification", "ST"), ("an", "AN")],
+)
+def test_kind_names_and_aliases(name, kind):
+    assert CultureSpec(name).kind == kind

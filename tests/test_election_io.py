@@ -81,3 +81,27 @@ def test_load_election_rejects_keyed_preflib_headers(tmp_path, header):
     with pytest.raises(ValueError, match="# KEY: value") as err:
         load_election(path, k=1)
     assert str(path) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty election file"),
+        ("\n\n", "empty election file"),
+        ("2 1 1 5\n0 1\n", "expected 'm n k'"),
+        ("2 1\n0 1\n", "expected 'm n k'"),
+    ],
+)
+def test_load_election_reports_native_errors(tmp_path, text, message):
+    path = tmp_path / "x.elec"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_election(path)
+
+
+def test_load_election_asks_for_k_only_for_preflib(tmp_path):
+    path = tmp_path / "x.soc"
+    path.write_text("2\n1,A\n2,B\n1,1,1\n1,1,2\n")
+    with pytest.raises(ValueError, match="pass k explicitly"):
+        load_election(path)
+    assert load_election(path, k=1).voters == ((0, 1),)

@@ -271,3 +271,69 @@ def test_parse_config_round_trip():
     assert config.budget_grid == [0.0, 10.0, UNLIMITED]
     with pytest.raises(ValueError):
         parse_config({"m": 3})
+
+
+MINIMAL_CONFIG = {"m": 6, "n": 4, "k": 2, "elections_per_culture": 1, "cultures": ["IC"]}
+
+
+def test_parse_config_defaults_are_the_dataclass_defaults():
+    config = parse_config(dict(MINIMAL_CONFIG))
+    assert config == ExperimentConfig(
+        cultures=[CultureSpec("IC")], m=6, n=4, k=2, elections_per_culture=1
+    )
+
+
+def test_parse_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match=r"unknown keys \['voter_order_repeat'\]") as err:
+        parse_config({**MINIMAL_CONFIG, "voter_order_repeat": 9})
+    assert "voter_order_repeats" in str(err.value)  # the known keys are listed
+
+
+def test_parse_config_rejects_unknown_culture_entry_keys():
+    with pytest.raises(ValueError, match=r"culture entry has unknown keys \['sed'\]") as err:
+        parse_config({**MINIMAL_CONFIG, "cultures": [{"kind": "IC", "sed": 3}]})
+    assert "'seed'" in str(err.value)
+    with pytest.raises(ValueError, match="missing required keys"):
+        parse_config({**MINIMAL_CONFIG, "cultures": [{"seed": 3}]})
+    with pytest.raises(ValueError, match="JSON object"):
+        parse_config({**MINIMAL_CONFIG, "cultures": [7]})
+
+
+@pytest.mark.parametrize(
+    "key", ["m", "n", "k", "elections_per_culture", "voter_order_repeats", "master_seed"]
+)
+def test_parse_config_rejects_non_integral_integers(key):
+    with pytest.raises(ValueError, match=f"{key}.*expected an integer, got 4.7"):
+        parse_config({**MINIMAL_CONFIG, key: 4.7})
+    with pytest.raises(ValueError, match="expected an integer"):
+        parse_config({**MINIMAL_CONFIG, key: True})
+    assert getattr(parse_config({**MINIMAL_CONFIG, key: 4.0}), key) == 4
+
+
+def test_parse_config_rejects_non_integral_culture_seed():
+    with pytest.raises(ValueError, match="'seed': expected an integer"):
+        parse_config({**MINIMAL_CONFIG, "cultures": [{"kind": "IC", "seed": 1.5}]})
+
+
+def test_default_budget_grid_of_zero_full_cost_is_its_endpoints():
+    assert default_budget_grid(0.0) == (0.0, UNLIMITED)
+    assert default_budget_grid(0.0, include_zero=False) == (UNLIMITED,)
+    assert default_budget_grid(0.0, include_zero=False, include_unlimited=False) == ()
+
+
+def test_default_budget_grid_rejects_bad_arguments():
+    with pytest.raises(ValueError, match="non-negative"):
+        default_budget_grid(-1.0)
+    for points in (0, -3):
+        with pytest.raises(ValueError, match="points must be at least 1"):
+            default_budget_grid(100.0, points=points)
+    assert len(default_budget_grid(100.0, points=1)) == 3
+
+
+def test_one_candidate_config_derives_the_endpoint_grid():
+    config = small_config(
+        m=1, k=1, budget_grid=None, cultures=[CultureSpec("IC", seed=1)], elections_per_culture=1
+    )
+    rows = run_budget_sweep(config)
+    assert sorted({row.budget for row in rows}) == [0.0, UNLIMITED]
+    assert all(row.distance == 0 and row.spent == 0 for row in rows)
