@@ -6,6 +6,8 @@ and measures how far the chosen committee lands from the full-information
 Borda committee.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Committee,
     Election,
@@ -90,74 +92,9 @@ from .strategies import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL_STRATEGIES",
-    "Axiom",
-    "AxiomVerdict",
-    "BudgetPolicy",
-    "COST_FUNCTIONS",
-    "Committee",
-    "CultureSpec",
-    "Election",
-    "ElicitationRun",
-    "ExperimentConfig",
-    "InfeasibleQueryError",
-    "KINDS",
-    "LogEntry",
-    "OrderedPartition",
-    "PreferenceOrder",
-    "ProtocolError",
-    "QuestionType",
-    "RefinementEngine",
-    "RefinementQuery",
-    "ResultRow",
-    "UNLIMITED",
-    "VoterState",
-    "answer_query",
-    "apply_answer",
-    "audit_axiom",
-    "audit_grid",
-    "bhatia_davis_floor",
-    "borda_scores",
-    "borda_vector",
-    "bucket_sizes",
-    "cost_bucket_count",
-    "cost_candidates",
-    "cost_computational",
-    "cost_last_bucket",
-    "cost_variance_aware",
-    "default_budget_grid",
-    "difficulty_score",
-    "difficulty_scores",
-    "emit_csv",
-    "expected_random_distance",
-    "format_audit_table",
-    "full_resolution_cost",
-    "generate",
-    "get_cost_function",
-    "hamming",
-    "k_borda",
-    "load_config",
-    "load_election",
-    "make_question",
-    "parse_config",
-    "parse_strategy",
-    "partial_scores",
-    "query_based_committee",
-    "random_baseline",
-    "rank_by_distance",
-    "read_csv_rows",
-    "read_log",
-    "read_native",
-    "read_preflib",
-    "replay_log",
-    "run_budget_sweep",
-    "run_elicitation",
-    "select_top_k",
-    "strategy_label",
-    "sweep_elicitation",
-    "variance",
-    "write_log",
-    "write_native",
-    "write_preflib",
-]
+# Every public name imported above, and no submodule.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -154,9 +154,9 @@ def _cmd_sweep(args) -> int:
         heaviest = max(full_resolution_cost(election, kind, args.cost) for kind in QuestionType)
         budgets = list(default_budget_grid(heaviest, points=args.points))
     # One resumed run per (strategy, repeat) serves every budget, in ascending order.
+    # The table is printed whole, so a rejected budget leaves stdout empty.
     grid = sorted(set(budgets))
-    header = "strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)
-    print(header)
+    table = ["strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)]
     for kind, policy in ALL_STRATEGIES:
         distances = {budget: [] for budget in grid}
         for repeat in range(args.repeats):
@@ -167,10 +167,10 @@ def _cmd_sweep(args) -> int:
                 committee = select_top_k(partial_scores(profile, scoring), election.k)
                 distances[budget].append(hamming(committee, target))
         cells = [sum(distances[b]) / len(distances[b]) for b in budgets]
-        print(
-            strategy_label(kind, policy).ljust(9)
-            + "".join(f"{value:10.2f}" for value in cells)
+        table.append(
+            strategy_label(kind, policy).ljust(9) + "".join(f"{value:10.2f}" for value in cells)
         )
+    print("\n".join(table))
     return 0
 
 

@@ -27,10 +27,19 @@ def write_native(election: Election, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_native(path) -> Election:
+def _read_lines(path) -> list[str]:
+    """The file's non-blank lines, stripped; a file without any is an error."""
     lines = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty election file")
+    return lines
+
+
+def read_native(path) -> Election:
+    return _parse_native(path, _read_lines(path))
+
+
+def _parse_native(path, lines: list[str]) -> Election:
     header = lines[0].split()
     if len(header) != 3:
         raise ValueError(f"{path}: expected 'm n k' on the first line, got {lines[0]!r}")
@@ -58,9 +67,10 @@ def write_preflib(election: Election, path, names: Sequence[str] | None = None) 
 
 def read_preflib(path, k: int) -> Election:
     """Parse a PrefLib complete-strict-order file; ``k`` is the committee size."""
-    lines = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty election file")
+    return _parse_preflib(path, _read_lines(path), k)
+
+
+def _parse_preflib(path, lines: list[str], k: int) -> Election:
     try:
         m = int(lines[0])
     except ValueError:
@@ -87,7 +97,8 @@ def read_preflib(path, k: int) -> Election:
 
 def load_election(path, k: int | None = None) -> Election:
     """Load an election file, sniffing the format from the first line."""
-    first = next((line.strip() for line in Path(path).read_text().splitlines() if line.strip()), "")
+    lines = _read_lines(path)
+    first = lines[0]
     if first.startswith("#"):
         raise ValueError(
             f"{path}: PrefLib files with '# KEY: value' headers are not supported; "
@@ -96,7 +107,7 @@ def load_election(path, k: int | None = None) -> Election:
     # PrefLib opens with the candidate count alone; anything else reads as
     # native, so a malformed native header gets the native reader's error.
     if len(first.split()) != 1:
-        return read_native(path)
+        return _parse_native(path, lines)
     if k is None:
         raise ValueError(f"{path}: PrefLib files carry no committee size, pass k explicitly")
-    return read_preflib(path, k)
+    return _parse_preflib(path, lines, k)

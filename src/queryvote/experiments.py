@@ -35,6 +35,7 @@ from .strategies import (
     UNLIMITED,
     BudgetPolicy,
     QuestionType,
+    _check_budget,
     parse_strategy,
     run_elicitation,
     strategy_label,
@@ -98,8 +99,8 @@ class ExperimentConfig:
         get_cost_function(self.cost)
         if self.budget_grid is not None:
             grid = [float(b) for b in self.budget_grid]
-            if any(b < 0 for b in grid):
-                raise ValueError("budgets must be non-negative")
+            for budget in grid:
+                _check_budget(budget)
             if grid != sorted(grid):
                 raise ValueError("budget_grid must be sorted ascending")
             self.budget_grid = grid

@@ -4,8 +4,9 @@ A run keeps one refinement state per voter: an ordered partition of all
 candidates plus a FIFO queue of the classes still worth splitting (size 2 or
 more), seeded best class first. Questions always target the front class, so
 no query ever spans candidates already known to be in different classes.
-:class:`RefinementEngine` is the one implementation of that state machine;
-single runs, budget sweeps and transcript replay all drive it.
+:class:`RefinementEngine` is the one implementation of that state machine and
+holds the budget: its ``ask`` prices, tests, answers and charges each question,
+so the drivers of single runs and budget sweeps only choose whom to ask next.
 
 Two ways to spend the budget:
 
@@ -150,13 +151,14 @@ class LogEntry:
 
 
 class RefinementEngine:
-    """One elicitation in progress: every voter's state, the spend, the log.
+    """One elicitation in progress: every voter's state, the budget, the spend, the log.
 
     Each voter is asked about the front class of its queue; :meth:`ask`
-    answers truthfully from the voter's ranking, refines the state and
-    charges the price. Registry cost functions see a query only through its
-    size and buckets, so their prices are cached per class size; any other
-    callable is priced on the subset actually shown.
+    prices the question, asks it only if it fits in the budget set by
+    :meth:`limit`, answers truthfully from the voter's ranking, refines the
+    state and charges the price. Registry cost functions see a query only
+    through its size and buckets, so their prices are cached per class size;
+    any other callable is priced on the subset actually shown.
     """
 
     def __init__(self, election: Election, kind: QuestionType, cost, record_log: bool = False):
@@ -172,7 +174,18 @@ class RefinementEngine:
                 lookup[candidate] = rank
             self.positions.append(lookup)
         self.spent = 0
+        self.limit(UNLIMITED)
         self.log: list[LogEntry] | None = [] if record_log else None
+
+    def limit(self, budget) -> None:
+        """Cap the total spend at ``budget``, non-negative (``UNLIMITED`` for no cap).
+
+        A Fraction spend is compared with an exact twin of a finite float
+        budget, converted once here rather than on every comparison.
+        """
+        _check_budget(budget)
+        finite_float = isinstance(budget, float) and math.isfinite(budget)
+        self.budget, self.exact = budget, (Fraction(budget) if finite_float else budget)
 
     def next_query(self, v: int) -> RefinementQuery | None:
         """The question voter ``v`` would be asked next, or None if resolved."""
@@ -182,23 +195,21 @@ class RefinementEngine:
         ratios, _ = _plan(self.kind, len(pending[0]))
         return RefinementQuery(subset=pending[0], buckets=ratios)
 
-    def price(self, v: int):
-        """Cost of voter ``v``'s next question; ``v`` must not be resolved."""
-        front = self.states[v].pending[0]
-        key = len(front) if self.by_size else front
-        value = self.prices.get(key)
-        if value is None:
-            value = self.prices[key] = self.cost_fn(self.next_query(v))
-        return value
+    def ask(self, v: int) -> bool:
+        """Ask voter ``v``, who must not be resolved, its next question if it fits.
 
-    def ask(self, v: int, price, spent) -> None:
-        """Ask voter ``v`` its next question, which costs ``price = self.price(v)``.
-
-        ``spent`` is the new total, ``self.spent + price``, which the caller's
-        budget test has already computed.
+        Returns False, changing nothing, if the price would take the spend over
+        the budget; otherwise refines the state, charges the price, returns True.
         """
         state = self.states[v]
         front = state.pending[0]
+        key = len(front) if self.by_size else front
+        price = self.prices.get(key)
+        if price is None:
+            price = self.prices[key] = self.cost_fn(self.next_query(v))
+        spent = self.spent + price
+        if spent > (self.exact if type(spent) is Fraction else self.budget):
+            return False
         ratios, sizes = _plan(self.kind, len(front))
         classes = slice_classes(sorted(front, key=self.positions[v].__getitem__), sizes)
         state.refine(front, classes)
@@ -206,9 +217,10 @@ class RefinementEngine:
         if self.log is not None:
             query = RefinementQuery(subset=front, buckets=ratios)
             self.log.append(LogEntry(voter=v, query=query, answer=classes, cost=price))
+        return True
 
     def fork(self) -> RefinementEngine:
-        """An independent copy of the run so far (the price cache stays shared)."""
+        """An independent copy of the run so far and its budget (sharing the price cache)."""
         twin = copy.copy(self)
         twin.states = [VoterState(list(s.partition), deque(s.pending)) for s in self.states]
         if self.log is not None:
@@ -219,28 +231,10 @@ class RefinementEngine:
         return tuple(tuple(state.partition) for state in self.states)
 
 
-def _exact(budget):
-    """The budget to compare rational spends with: a finite float becomes a Fraction.
-
-    Comparing a Fraction with a float converts the float on every test; one
-    exact conversion up front gives the same answers. Drivers compare a
-    Fraction spend with ``_exact(budget)`` and any other spend (int, float)
-    with ``budget`` itself, which Python compares exactly and fast.
-    """
-    if isinstance(budget, float) and math.isfinite(budget):
-        return Fraction(budget)
-    return budget
-
-
 def _equal_rounds(
-    engine: RefinementEngine,
-    order,
-    budget,
-    start: int = 0,
-    progressed: bool = False,
-    stop: bool = False,
+    engine: RefinementEngine, order, start: int = 0, progressed: bool = False, stop: bool = False
 ) -> tuple[int, bool] | None:
-    """``EQUAL`` under ``budget``: one question per visit until a round asks nothing.
+    """``EQUAL``: one question per visit until a round asks nothing.
 
     ``start`` and ``progressed`` resume a round part-way: the first round
     begins at ``order[start]``, with that round's "asked something" flag.
@@ -248,61 +242,53 @@ def _equal_rounds(
     being skipped, and the ``(start, progressed)`` that resumes at it is
     returned; None means a round asked nothing.
     """
-    exact = _exact(budget)
-    states, price_of, ask = engine.states, engine.price, engine.ask
+    states, ask = engine.states, engine.ask
     while True:
         for v in order[start:]:
             if not states[v].pending:
                 continue
-            price = price_of(v)
-            total = engine.spent + price
-            if total > (exact if type(total) is Fraction else budget):
-                if stop:
-                    return order.index(v), progressed
-                continue
-            ask(v, price, total)
-            progressed = True
+            if ask(v):
+                progressed = True
+            elif stop:
+                return order.index(v), progressed
         if not progressed:
             return None
         start, progressed = 0, False
 
 
-def _fcfs(engine: RefinementEngine, order, budget) -> None:
-    """``FCFS`` under ``budget``: stop at the first question that does not fit.
+def _fcfs(engine: RefinementEngine, order) -> None:
+    """``FCFS``: stop at the first question that does not fit.
 
-    Resolved voters are passed over, so a call under a larger budget resumes
-    where the previous call stopped.
+    Resolved voters are passed over, so a call under a larger budget resumes there.
     """
-    exact = _exact(budget)
-    states, price_of, ask = engine.states, engine.price, engine.ask
+    states, ask = engine.states, engine.ask
     for v in order:
         while states[v].pending:
-            price = price_of(v)
-            total = engine.spent + price
-            if total > (exact if type(total) is Fraction else budget):
+            if not ask(v):
                 return
-            ask(v, price, total)
 
 
 def _equal_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
     """``EQUAL`` per budget: walk the shared run to its first refusal, fork, finish."""
     at = (0, False)
     for i, budget in enumerate(budgets):
-        at = _equal_rounds(engine, order, budget, *at, stop=True)
+        engine.limit(budget)
+        at = _equal_rounds(engine, order, *at, stop=True)
         if at is None:
             profile = engine.profile()
             for rest in budgets[i:]:
                 yield rest, profile, engine.spent
             return
         run = engine.fork()
-        _equal_rounds(run, order, budget, *at)
+        _equal_rounds(run, order, *at)
         yield budget, run.profile(), run.spent
 
 
 def _fcfs_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
     """``FCFS`` per budget: each budget continues the run of the previous one."""
     for budget in budgets:
-        _fcfs(engine, order, budget)
+        engine.limit(budget)
+        _fcfs(engine, order)
         yield budget, engine.profile(), engine.spent
 
 
@@ -372,9 +358,9 @@ def run_elicitation(
     the remaining budget, so ``spent <= budget`` always holds.
     """
     engine = RefinementEngine(election, kind, cost, record_log)
-    _check_budget(budget)
+    engine.limit(budget)
     order = _voter_order(election.n, voter_order)
-    _drivers(policy)[0](engine, order, budget)
+    _drivers(policy)[0](engine, order)
     return ElicitationRun(
         question=kind,
         policy=policy,

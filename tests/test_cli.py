@@ -150,6 +150,17 @@ def test_sweep_rejects_no_repeats(tmp_path, capsys):
     assert "error: --repeats must be at least 1" in capsys.readouterr().err
 
 
+def test_sweep_rejects_bad_budgets_before_printing(tmp_path, capsys):
+    elec = tmp_path / "e.elec"
+    run_cli("generate", "IC", "--m", 4, "--n", 3, "--k", 2, "--seed", 5, "--out", elec)
+    capsys.readouterr()
+    for budgets in ("nan,5", "5,-1"):
+        assert run_cli("sweep", elec, "--budgets", budgets) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: budget must be non-negative" in captured.err
+
+
 def test_sweep_preflib_needs_k(tmp_path, capsys):
     elec = tmp_path / "e.soc"
     run_cli(

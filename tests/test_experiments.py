@@ -242,6 +242,8 @@ def test_config_validation():
         small_config(budget_grid=[5.0, 1.0])
     with pytest.raises(ValueError):
         small_config(budget_grid=[-1.0])
+    with pytest.raises(ValueError, match="budget must be non-negative, got nan"):
+        small_config(budget_grid=[math.nan, 5.0])
     with pytest.raises(ValueError):
         small_config(cultures=[])
     with pytest.raises(ValueError):

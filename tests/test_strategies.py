@@ -66,7 +66,8 @@ def test_next_query_fresh_split(worked_election):
     q = engine.next_query(0)
     assert q.subset == (0, 1, 2, 3)
     assert q.buckets == (F(1, 2), F(1, 2))
-    assert engine.price(0) == 8
+    assert engine.ask(0)
+    assert engine.spent == 8
 
 
 def test_next_query_exhausted():
@@ -79,12 +80,34 @@ def test_next_query_exhausted():
 def test_next_query_after_peel():
     e = Election(m=4, voters=((0, 1, 2, 3),), k=2)
     engine = RefinementEngine(e, QuestionType.NEXT, "variance_aware")
-    price = engine.price(0)
-    engine.ask(0, price, price)
+    assert engine.ask(0)
     assert engine.states[0].partition == [(0,), (1, 2, 3)]
     q = engine.next_query(0)
     assert q.subset == (1, 2, 3)
     assert q.buckets == (F(1, 3), F(2, 3))
+
+
+def test_engine_limit_refuses_unaffordable_questions(worked_election):
+    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
+    for bad in (-1, math.nan):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            engine.limit(bad)
+
+    def snapshot():
+        return engine.spent, engine.profile(), [list(s.pending) for s in engine.states]
+
+    engine.limit(10.0)
+    assert engine.ask(0)  # costs 8
+    before = snapshot()
+    assert not engine.ask(1)  # another 8 would spend 16
+    assert not engine.ask(0)  # another 4 would spend 12
+    assert snapshot() == before
+    twin = engine.fork()
+    assert twin.budget == 10.0
+    assert not twin.ask(1)
+    twin.limit(16)
+    assert twin.ask(1) and twin.spent == 16
+    assert engine.spent == 8  # the fork is independent
 
 
 def test_apply_answer_updates_partition_and_queue(worked_election):
@@ -186,8 +209,9 @@ def test_voter_order_is_respected(worked_election):
 
 
 def test_negative_budget_rejected(worked_election):
-    with pytest.raises(ValueError):
-        run_elicitation(worked_election, SPLIT, EQ, "variance_aware", -1)
+    for budget in (-1, math.nan):
+        with pytest.raises(ValueError):
+            run_elicitation(worked_election, SPLIT, EQ, "variance_aware", budget)
 
 
 def test_rerun_is_identical(worked_election):
