@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import election_io
-from .core import hamming, k_borda, select_top_k
+from .core import k_borda
 from .costs import COST_FUNCTIONS, audit_csv_rows, audit_grid, format_audit_table
 from .cultures import KINDS, CultureSpec, generate
 from .experiments import (
@@ -25,11 +25,11 @@ from .experiments import (
     load_config,
     parse_budget,
     run_budget_sweep,
+    sweep_distances,
 )
 from .queries import QuestionType
 from .rng import substream
-from .scoring import borda_vector, partial_scores
-from .strategies import ALL_STRATEGIES, UNLIMITED, strategy_label, sweep_elicitation
+from .strategies import ALL_STRATEGIES, UNLIMITED, strategy_label
 
 
 _WRITERS = {"native": election_io.write_native, "preflib": election_io.write_preflib}
@@ -147,7 +147,6 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
     election = election_io.load_election(args.election, k=args.k)
     target = k_borda(election)
-    scoring = borda_vector(election.m)
     if args.budgets is not None:
         budgets = [parse_budget(item) for item in args.budgets.split(",")]
     else:
@@ -161,11 +160,10 @@ def _cmd_sweep(args) -> int:
         distances = {budget: [] for budget in grid}
         for repeat in range(args.repeats):
             order = [int(v) for v in substream(args.seed, repeat).permutation(election.n)]
-            for budget, profile, _ in sweep_elicitation(
-                election, kind, policy, args.cost, grid, voter_order=order
+            for budget, distance, _ in sweep_distances(
+                election, kind, policy, args.cost, grid, order, target
             ):
-                committee = select_top_k(partial_scores(profile, scoring), election.k)
-                distances[budget].append(hamming(committee, target))
+                distances[budget].append(distance)
         cells = [sum(distances[b]) / len(distances[b]) for b in budgets]
         table.append(
             strategy_label(kind, policy).ljust(9) + "".join(f"{value:10.2f}" for value in cells)

@@ -7,7 +7,10 @@ bookkeeping never drifts.
 
 The audit machinery samples query pairs satisfying each axiom's hypothesis
 and checks the conclusion, replaying a set of stored counterexamples first so
-known violations are found regardless of the sampling seed.
+known violations are found regardless of the sampling seed. A sampled query
+is drawn as its candidate count and integer class sizes. Registry costs are
+audited in closed form on those integers, and the query pair is built only to
+report a violation; custom callables are priced on real queries.
 """
 
 from __future__ import annotations
@@ -182,40 +185,81 @@ VARIANCE_COUNTEREXAMPLES: dict[str, tuple[RefinementQuery, RefinementQuery]] = {
 }
 
 
-def _strictly_less(a, b) -> bool:
+def _below(a, b, factor=1) -> bool:
+    """Whether cost ``a`` is strictly below ``factor * b``.
+
+    Closed-form exact costs are ``(numerator, denominator)`` pairs with
+    positive denominators and compare by integer cross-multiplication. When
+    either side is a float, the comparison keeps the relative slack.
+    """
+    if isinstance(a, tuple):
+        return a[0] * b[1] < factor * b[0] * a[1]
+    b = factor * b
     if isinstance(a, float) or isinstance(b, float):
         return a < b - _FLOAT_SLACK * max(1.0, abs(b))
     return a < b
+
+
+def _closed_variance_aware(size: int, classes: list[int]) -> tuple[int, int]:
+    # size * parts * (1 - spread / (parts^3 * size^2)) over the denominator parts^2 * size.
+    parts = len(classes)
+    spread = sum((parts * x - size) ** 2 for x in classes)
+    return parts**3 * size**2 - spread, parts**2 * size
+
+
+# Each registry cost of a query that is not degenerate, from its candidate
+# count and integer class sizes: exact costs as (numerator, denominator),
+# ``computational`` as the same float that cost_computational returns.
+_CLOSED_FORMS = {
+    cost_candidates: lambda size, classes: (size, 1),
+    cost_last_bucket: lambda size, classes: (size - classes[-1], 1),
+    cost_bucket_count: lambda size, classes: ((size - classes[-1]) * (len(classes) - 1), 1),
+    cost_variance_aware: _closed_variance_aware,
+    cost_computational: lambda size, classes: size * math.log2(len(classes)),
+}
+
+
+def _closed_cost(fn: CostFunction, size: int, classes: list[int]) -> tuple[int, int] | float:
+    """Registry cost ``fn`` of the query that splits ``size`` candidates into
+    classes of these sizes, computed without building the query."""
+    if len(classes) <= 1 or size <= 1:
+        return 0.0 if fn is cost_computational else (0, 1)
+    return _CLOSED_FORMS[fn](size, classes)
+
+
+def _sized_query(size: int, classes: list[int]) -> RefinementQuery:
+    return _query(size, (Fraction(x, size) for x in classes))
+
+
+# The samplers below draw query pairs as (candidate count, integer class sizes).
 
 
 def _composition(rng: np.random.Generator, total: int, parts: int) -> list[int]:
     """A uniform composition of ``total`` into ``parts`` positive integers."""
     if parts == 1:
         return [total]
-    cuts = sorted(int(c) + 1 for c in rng.choice(total - 1, size=parts - 1, replace=False))
+    cuts = sorted((rng.choice(total - 1, size=parts - 1, replace=False) + 1).tolist())
     bounds = [0, *cuts, total]
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
 def _sample_prefix_pair(rng: np.random.Generator):
-    """A pair where the first query's integer class sizes are a strict prefix
-    of the second's, which is the prefix-monotonicity hypothesis."""
-    head = [int(x) for x in rng.integers(1, 9, size=int(rng.integers(1, 4)))]
-    tail = [int(x) for x in rng.integers(1, 9, size=int(rng.integers(1, 4)))]
+    """A pair where the first query's class sizes are a strict prefix of the
+    second's, which is the prefix-monotonicity hypothesis."""
+    head = rng.integers(1, 9, size=int(rng.integers(1, 4))).tolist()
+    tail = rng.integers(1, 9, size=int(rng.integers(1, 4))).tolist()
     small = sum(head)
-    large = small + sum(tail)
-    short = _query(small, (Fraction(x, small) for x in head))
-    long = _query(large, (Fraction(x, large) for x in head + tail))
-    return short, long
+    return (small, head), (small + sum(tail), head + tail)
 
 
 def _sample_multiple_pair(rng: np.random.Generator):
-    """A query and its subset-size multiple by an integer factor."""
+    """A query and the query with every class scaled by an integer factor:
+    the same ratios over a multiple of the subset size."""
     parts = int(rng.integers(1, 6))
     size = int(rng.integers(parts, parts + 25))
-    ratios = tuple(Fraction(x, size) for x in _composition(rng, size, parts))
+    classes = _composition(rng, size, parts)
     factor = int(rng.integers(2, 9))
-    return _query(size, ratios), _query(factor * size, ratios), factor
+    return (size, classes), (factor * size, [factor * x for x in classes])
 
 
 def _sample_variance_pair(rng: np.random.Generator):
@@ -233,11 +277,15 @@ def _sample_variance_pair(rng: np.random.Generator):
             continue
         if spread_first < spread_second:
             first, second = second, first
-        return (
-            _query(size, (Fraction(x, size) for x in first)),
-            _query(size, (Fraction(x, size) for x in second)),
-        )
+        return (size, first), (size, second)
     raise RuntimeError("could not sample bucket vectors with distinct variance")
+
+
+_SAMPLERS = {
+    Axiom.PREFIX_MONOTONICITY: _sample_prefix_pair,
+    Axiom.MULTIPLE_MONOTONICITY: _sample_multiple_pair,
+    Axiom.VARIANCE_MONOTONICITY: _sample_variance_pair,
+}
 
 
 def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> AxiomVerdict:
@@ -245,37 +293,45 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
 
     Stored counterexamples are replayed first; then ``trials`` random query
     pairs satisfying the axiom's hypothesis are checked. The verdict records
-    the first violating pair, if any, together with both costs.
+    the first violating pair, if any, together with both costs. Registry
+    costs are evaluated in closed form on the sampled class sizes; the
+    query pair is built, and priced by the cost function, only to report a
+    violation. Other callables are priced on the queries of every pair.
     """
+    if isinstance(trials, bool) or not isinstance(trials, int):
+        raise ValueError(f"trials must be an int, got {trials!r}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     fn, name = resolve_cost(cost)
 
-    def violation(q_low, q_high, factor=1):
-        low, high = fn(q_low), fn(q_high)
+    def holds(low, high, factor) -> bool:
         if axiom is Axiom.MULTIPLE_MONOTONICITY:
-            ok = not _strictly_less(high, factor * low)
-        else:
-            ok = _strictly_less(low, high)
-        return None if ok else (q_low, q_high, low, high)
+            return not _below(high, low, factor)
+        return _below(low, high)
+
+    def violation(q_low, q_high, checked) -> AxiomVerdict:
+        found = (q_low, q_high, fn(q_low), fn(q_high))
+        return AxiomVerdict(axiom, holds=False, counterexample=found, trials=checked)
 
     if axiom is Axiom.VARIANCE_MONOTONICITY and name in VARIANCE_COUNTEREXAMPLES:
         high_var, low_var = VARIANCE_COUNTEREXAMPLES[name]
-        found = violation(high_var, low_var)
-        if found is not None:
-            return AxiomVerdict(axiom, holds=False, counterexample=found, trials=0)
+        if not holds(fn(high_var), fn(low_var), 1):
+            return violation(high_var, low_var, 0)
 
+    if fn in _CLOSED_FORMS:
+        def price(pair):
+            return _closed_cost(fn, *pair)
+    else:
+        def price(pair):
+            return fn(_sized_query(*pair))
+
+    sample = _SAMPLERS[axiom]
     rng = substream(seed, 0)
-    for t in range(trials):
-        if axiom is Axiom.PREFIX_MONOTONICITY:
-            found = violation(*_sample_prefix_pair(rng))
-        elif axiom is Axiom.MULTIPLE_MONOTONICITY:
-            base, scaled, factor = _sample_multiple_pair(rng)
-            found = violation(base, scaled, factor)
-        else:
-            found = violation(*_sample_variance_pair(rng))
-        if found is not None:
-            return AxiomVerdict(axiom, holds=False, counterexample=found, trials=t + 1)
+    for t in range(1, trials + 1):
+        low, high = sample(rng)
+        # The subset sizes of a multiple pair differ by its integer factor.
+        if not holds(price(low), price(high), high[0] // low[0]):
+            return violation(_sized_query(*low), _sized_query(*high), t)
     return AxiomVerdict(axiom, holds=True, counterexample=None, trials=trials)
 
 

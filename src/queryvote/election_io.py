@@ -27,26 +27,39 @@ def write_native(election: Election, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_lines(path) -> list[str]:
-    """The file's non-blank lines, stripped; a file without any is an error."""
-    lines = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+def _read_lines(path) -> list[tuple[int, str]]:
+    """The file's non-blank lines, stripped, each with its 1-based line number.
+
+    A file without any is an error.
+    """
+    numbered = enumerate(Path(path).read_text().splitlines(), 1)
+    lines = [(number, line.strip()) for number, line in numbered if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty election file")
     return lines
+
+
+def _ints(path, number: int, text: str, sep: str | None = None) -> list[int]:
+    """The ``sep``-separated fields of line ``number`` as integers; a field
+    that is not one is an error naming the file and the line."""
+    try:
+        return [int(field) for field in text.split(sep)]
+    except ValueError:
+        raise ValueError(f"{path}:{number}: expected integers, got {text!r}") from None
 
 
 def read_native(path) -> Election:
     return _parse_native(path, _read_lines(path))
 
 
-def _parse_native(path, lines: list[str]) -> Election:
-    header = lines[0].split()
-    if len(header) != 3:
-        raise ValueError(f"{path}: expected 'm n k' on the first line, got {lines[0]!r}")
-    m, n, k = (int(x) for x in header)
+def _parse_native(path, lines: list[tuple[int, str]]) -> Election:
+    number, first = lines[0]
+    if len(first.split()) != 3:
+        raise ValueError(f"{path}: expected 'm n k' on the first line, got {first!r}")
+    m, n, k = _ints(path, number, first)
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: header promises {n} voters, found {len(lines) - 1}")
-    voters = tuple(tuple(int(c) for c in line.split()) for line in lines[1:])
+    voters = tuple(tuple(_ints(path, number, line)) for number, line in lines[1:])
     return Election(m=m, voters=voters, k=k)
 
 
@@ -70,26 +83,25 @@ def read_preflib(path, k: int) -> Election:
     return _parse_preflib(path, _read_lines(path), k)
 
 
-def _parse_preflib(path, lines: list[str], k: int) -> Election:
+def _parse_preflib(path, lines: list[tuple[int, str]], k: int) -> Election:
+    number, first = lines[0]
     try:
-        m = int(lines[0])
+        m = int(first)
     except ValueError:
-        raise ValueError(f"{path}: expected the candidate count on line 1, got {lines[0]!r}")
+        raise ValueError(f"{path}:{number}: expected the candidate count, got {first!r}") from None
     if len(lines) < m + 2:
         raise ValueError(f"{path}: truncated header")
-    counts_line = lines[m + 1].split(",")
-    if len(counts_line) != 3:
+    number, counts_line = lines[m + 1]
+    if len(counts_line.split(",")) != 3:
         raise ValueError(f"{path}: expected 'voters,votes,unique' after the names")
-    n, vote_total, unique = (int(x) for x in counts_line)
+    n, vote_total, unique = _ints(path, number, counts_line, sep=",")
     body = lines[m + 2 :]
     if len(body) != unique:
         raise ValueError(f"{path}: header promises {unique} order lines, found {len(body)}")
     voters = []
-    for line in body:
-        parts = line.split(",")
-        count = int(parts[0])
-        ranking = tuple(int(c) - 1 for c in parts[1:])
-        voters.extend([ranking] * count)
+    for number, line in body:
+        count, *ranking = _ints(path, number, line, sep=",")
+        voters.extend([tuple(c - 1 for c in ranking)] * count)
     if len(voters) != n or len(voters) != vote_total:
         raise ValueError(f"{path}: vote counts sum to {len(voters)}, header says {n}")
     return Election(m=m, voters=tuple(voters), k=k)
@@ -98,7 +110,7 @@ def _parse_preflib(path, lines: list[str], k: int) -> Election:
 def load_election(path, k: int | None = None) -> Election:
     """Load an election file, sniffing the format from the first line."""
     lines = _read_lines(path)
-    first = lines[0]
+    _, first = lines[0]
     if first.startswith("#"):
         raise ValueError(
             f"{path}: PrefLib files with '# KEY: value' headers are not supported; "

@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Mapping, get_type_hints
+from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 from .core import Committee, Election, hamming, k_borda, select_top_k
 from .costs import get_cost_function
@@ -161,13 +161,36 @@ def _resolved_grids(config: ExperimentConfig) -> dict[str, tuple[float, ...]]:
     return {strategy_label(k, p): by_kind[k] for k, p in config.strategies}
 
 
+def sweep_distances(
+    election: Election,
+    kind: QuestionType,
+    policy: BudgetPolicy,
+    cost,
+    budgets: Sequence,
+    voter_order: Sequence[int],
+    target: Committee,
+) -> Iterator[tuple[object, int, object]]:
+    """Hamming distance from ``target`` at every budget of an ascending grid.
+
+    Yields ``(budget, distance, spent)`` per entry of ``budgets``: the
+    :func:`~queryvote.strategies.sweep_elicitation` snapshot at that budget
+    is scored by Borda over the partial profile, and the top ``k`` committee
+    is compared with ``target`` (the full-information committee).
+    """
+    scoring = borda_vector(election.m)
+    for budget, profile, spent in sweep_elicitation(
+        election, kind, policy, cost, budgets, voter_order=voter_order
+    ):
+        committee = select_top_k(partial_scores(profile, scoring), election.k)
+        yield budget, hamming(committee, target), spent
+
+
 def _election_rows(args) -> list[ResultRow]:
     config, grids, culture_index, election_index = args
     spec = config.cultures[culture_index]
     seed = derive_seed(config.master_seed, _ELECTION_TAG, spec.seed, election_index)
     election = generate(spec.with_seed(seed), config.m, config.n, config.k)
     target = k_borda(election)
-    scoring = borda_vector(config.m)
     label = spec.label()
     rows = []
     for strategy_index, (kind, policy) in enumerate(config.strategies):
@@ -177,10 +200,9 @@ def _election_rows(args) -> list[ResultRow]:
                 config.master_seed, _ORDER_TAG, culture_index, election_index, strategy_index, repeat
             )
             order = [int(v) for v in order_rng.permutation(config.n)]
-            for budget, profile, spent in sweep_elicitation(
-                election, kind, policy, config.cost, grids[name], voter_order=order
+            for budget, distance, spent in sweep_distances(
+                election, kind, policy, config.cost, grids[name], order, target
             ):
-                committee = select_top_k(partial_scores(profile, scoring), config.k)
                 rows.append(
                     ResultRow(
                         culture=label,
@@ -188,7 +210,7 @@ def _election_rows(args) -> list[ResultRow]:
                         strategy=name,
                         budget=float(budget),
                         repeat=repeat,
-                        distance=hamming(committee, target),
+                        distance=distance,
                         spent=float(spent),
                     )
                 )

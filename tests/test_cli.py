@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from queryvote.cli import main
 from queryvote.election_io import load_election, read_native
@@ -133,6 +136,28 @@ def test_sweep_prints_table(tmp_path, capsys):
     assert lines[0].startswith("strategy")
     for line in lines[1:]:
         assert line.rstrip().endswith("0.00")
+
+
+@pytest.mark.parametrize(
+    "options, digest",
+    [
+        (
+            ["--repeats", 2, "--points", 5],
+            "f2d01fc7bf778e187f864c981e806612c4f9259a8e94e847b1004c35dfa8a783",
+        ),
+        (
+            ["--cost", "computational", "--budgets", "0,9,inf,3"],
+            "9bd54c37f95f489fd8778abc4a23a6cb4f9bd864b6b9f2cdb6fdaa3e9a511261",
+        ),
+    ],
+)
+def test_sweep_table_is_pinned(tmp_path, capsys, options, digest):
+    elec = tmp_path / "e.elec"
+    run_cli("generate", "Mallows", "--m", 7, "--n", 6, "--k", 3, "--seed", 3,
+            "--param", "phi=0.5", "--out", elec)
+    capsys.readouterr()
+    assert run_cli("sweep", elec, *options) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_sweep_auto_grid(tmp_path, capsys):

@@ -105,3 +105,36 @@ def test_load_election_asks_for_k_only_for_preflib(tmp_path):
     with pytest.raises(ValueError, match="pass k explicitly"):
         load_election(path)
     assert load_election(path, k=1).voters == ((0, 1),)
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("3 two 1\n0 1 2\n0 1 2\n", 1),
+        ("3 2 1\n0 1 2\n0 x 2\n", 3),
+        ("\n3 2 1\n\n0 1 2\n2 1 1.5\n", 5),
+    ],
+)
+def test_native_names_file_and_line_of_a_bad_field(tmp_path, text, line):
+    path = tmp_path / "x.elec"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="expected integers") as err:
+        load_election(path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("two\n1,A\n2,B\n1,1,1\n1,1,2\n", 1),
+        ("2\n1,A\n2,B\n1,one,1\n1,1,2\n", 4),
+        ("2\n1,A\n2,B\n2,2,2\n1,1,2\nx,1,2\n", 6),
+        ("2\n1,A\n\n2,B\n2,2,2\n1,1,2\n1,2,b\n", 7),
+    ],
+)
+def test_preflib_names_file_and_line_of_a_bad_field(tmp_path, text, line):
+    path = tmp_path / "x.soc"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="expected") as err:
+        read_preflib(path, k=1)
+    assert str(err.value).startswith(f"{path}:{line}: ")

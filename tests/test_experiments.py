@@ -25,8 +25,10 @@ from queryvote import (
     run_budget_sweep,
     select_top_k,
 )
+from queryvote.experiments import sweep_distances
 from queryvote.rng import substream
-from queryvote.strategies import run_elicitation
+from queryvote.scoring import query_based_committee
+from queryvote.strategies import ALL_STRATEGIES, run_elicitation
 
 
 def small_config(**overrides):
@@ -99,8 +101,6 @@ def test_sweep_identity_culture_fcfs_needs_one_voter():
             "variance_aware", UNLIMITED, record_log=False,
         ).spent
     )
-    from queryvote.scoring import query_based_committee
-
     committee, run = query_based_committee(
         election, QuestionType.SPLIT, BudgetPolicy.FCFS, "variance_aware", one_voter_cost
     )
@@ -339,3 +339,20 @@ def test_one_candidate_config_derives_the_endpoint_grid():
     rows = run_budget_sweep(config)
     assert sorted({row.budget for row in rows}) == [0.0, UNLIMITED]
     assert all(row.distance == 0 and row.spent == 0 for row in rows)
+
+
+def test_sweep_distances_match_one_committee_per_budget():
+    election = generate(CultureSpec("Mallows", seed=3, params={"phi": 0.5}), 7, 6, 3)
+    target = k_borda(election)
+    grid = [0.0, 5.0, 30.0, 30.0, 120.0, UNLIMITED]
+    order = [int(v) for v in substream(8).permutation(election.n)]
+    for kind, policy in ALL_STRATEGIES:
+        swept = sweep_distances(election, kind, policy, "variance_aware", grid, order, target)
+        for budget, (swept_budget, distance, spent) in zip(grid, swept, strict=True):
+            committee, run = query_based_committee(
+                election, kind, policy, "variance_aware", budget, voter_order=order,
+                record_log=False,
+            )
+            assert swept_budget == budget
+            assert distance == hamming(committee, target)
+            assert spent == run.spent and type(spent) is type(run.spent)
