@@ -14,12 +14,24 @@ statistically independent draw from per-voter substreams, keyed
 ``(seed, 1, voter)``, so an election can be filled in any order or in
 parallel and come out identical; shared structure (candidate points,
 reference orders, urn draws) uses the stream keyed ``(seed, 0)``.
+
+Mallows votes come from the repeated insertion model (Doignon et al., 2004;
+Lu & Boutilier, 2014) with one batched draw per voter, and are byte-identical
+to calling ``rng.choice(i, p=...)`` once per insertion:
+
+- for one draw, ``choice`` takes exactly one ``random()`` double, so one
+  ``rng.random(m - 1)`` call yields the same doubles in the same order;
+- each insertion cdf is built once per election with the arithmetic
+  ``choice`` uses (``p.cumsum()``, then divided by its last entry);
+- ``choice`` returns ``cdf.searchsorted(u, side="right")``, which for a
+  non-decreasing cdf is the count of entries ``<= u``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -75,21 +87,22 @@ def _voter_rng(seed: int, voter: int) -> np.random.Generator:
 
 
 def _permutation(rng: np.random.Generator, m: int) -> PreferenceOrder:
-    return tuple(int(c) for c in rng.permutation(m))
+    return tuple(rng.permutation(m).tolist())
 
 
 def rank_by_distance(point: Sequence[float], candidate_points) -> PreferenceOrder:
     """Candidates sorted by increasing distance from ``point``.
 
     Exact distance ties go to the lower candidate id, which keeps generation
-    deterministic even for hand-placed points.
+    deterministic even for hand-placed points: a stable sort of the squared
+    distances is exactly the ``(squared[c], c)`` order.
     """
     pts = np.asarray(candidate_points, dtype=float)
     here = np.asarray(point, dtype=float)
     if not (np.isfinite(pts).all() and np.isfinite(here).all()):
         raise ValueError("points must be finite")
     squared = ((pts - here) ** 2).sum(axis=1)
-    return tuple(sorted(range(len(pts)), key=lambda c: (squared[c], c)))
+    return tuple(np.argsort(squared, kind="stable").tolist())
 
 
 def _generate_ic(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
@@ -111,7 +124,7 @@ def _generate_urn(
     Draws depend on earlier draws, so a single sequential stream is used.
     """
     alpha = float(alpha)
-    if alpha < 0:
+    if not alpha >= 0:  # also rejects NaN, which would give plain IC votes
         raise ValueError(f"urn contagion must be non-negative, got {alpha}")
     rng = substream(seed, 0)
     votes: list[PreferenceOrder] = []
@@ -123,13 +136,40 @@ def _generate_urn(
     return tuple(votes)
 
 
-def _mallows_vote(rng: np.random.Generator, center: PreferenceOrder, phi: float) -> PreferenceOrder:
-    """One repeated-insertion draw around ``center`` with dispersion ``phi``."""
-    vote = [center[0]]
-    for i in range(2, len(center) + 1):
+def _insertion_cdfs(m: int, phi: float) -> np.ndarray:
+    """The cdf of every insertion step, as ``Generator.choice`` builds it.
+
+    Row ``i - 2`` is the cdf for inserting the i-th center candidate into a
+    vote of ``i - 1``: the weights ``phi**(i-1), ..., phi, 1`` normalised,
+    summed and renormalised with the same numpy calls ``choice(i, p=...)``
+    makes, then padded with ``inf`` to length ``m``.
+    """
+    cdfs = np.full((m - 1, m), np.inf)
+    for i in range(2, m + 1):
         weights = phi ** np.arange(i - 1, -1, -1, dtype=float)
-        position = int(rng.choice(i, p=weights / weights.sum()))
-        vote.insert(position, center[i - 1])
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        cdfs[i - 2, :i] = cdf
+    return cdfs
+
+
+def _mallows_vote(
+    rng: np.random.Generator, center: PreferenceOrder, cdfs: np.ndarray
+) -> PreferenceOrder:
+    """One repeated-insertion draw around ``center`` from one batch of uniforms.
+
+    The votes are those of calling ``rng.choice(i, p=...)`` once per
+    insertion, byte for byte. For one draw, ``choice`` takes exactly one
+    ``random()`` double ``u`` and returns ``cdf.searchsorted(u, side="right")``,
+    with the cdf of ``_insertion_cdfs``. So the m - 1 doubles of one
+    ``rng.random(m - 1)`` call are the doubles those calls take, in order,
+    and counting the entries ``<= u`` of a non-decreasing row (``inf``
+    padding never counts) is ``searchsorted`` with ``side="right"``.
+    """
+    positions = (cdfs <= rng.random(len(center) - 1)[:, None]).sum(axis=1).tolist()
+    vote = [center[0]]
+    for candidate, position in zip(center[1:], positions):
+        vote.insert(position, candidate)
     return tuple(vote)
 
 
@@ -142,10 +182,13 @@ def _generate_mallows(
     if center is None:
         center = _permutation(substream(seed, 0), m)
     else:
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Real) or c % 1 for c in center):
+            raise ValueError(f"Mallows center entries must be integers, got {list(center)}")
         center = tuple(int(c) for c in center)
         if tuple(sorted(center)) != tuple(range(m)):
             raise ValueError(f"Mallows center must be a permutation of 0..{m - 1}")
-    return tuple(_mallows_vote(_voter_rng(seed, i), center, phi) for i in range(n))
+    cdfs = _insertion_cdfs(m, phi)
+    return tuple(_mallows_vote(_voter_rng(seed, i), center, cdfs) for i in range(n))
 
 
 def _generate_id(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
@@ -164,7 +207,7 @@ def _generate_un(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
     want = min(n, total)
     if total <= _ENUMERATION_LIMIT:
         universe = list(itertools.permutations(range(m)))
-        picked = [universe[int(i)] for i in rng.permutation(total)[:want]]
+        picked = [universe[i] for i in rng.permutation(total)[:want].tolist()]
     else:
         seen: set[PreferenceOrder] = set()
         picked = []
@@ -179,16 +222,12 @@ def _generate_un(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
 def _generate_st(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
     if m % 2:
         raise ValueError(f"stratification needs an even candidate count, got m={m}")
-    mixed = substream(seed, 0).permutation(m)
-    upper = [int(c) for c in sorted(mixed[: m // 2])]
-    lower = [int(c) for c in sorted(mixed[m // 2 :])]
+    mixed = substream(seed, 0).permutation(m).tolist()
+    upper, lower = sorted(mixed[: m // 2]), sorted(mixed[m // 2 :])
     votes = []
     for i in range(n):
         rng = _voter_rng(seed, i)
-        votes.append(
-            tuple(int(c) for c in rng.permutation(upper))
-            + tuple(int(c) for c in rng.permutation(lower))
-        )
+        votes.append(tuple(rng.permutation(upper).tolist() + rng.permutation(lower).tolist()))
     return tuple(votes)
 
 

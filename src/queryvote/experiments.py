@@ -105,7 +105,8 @@ class ExperimentConfig:
                 raise ValueError("budget_grid must be sorted ascending")
             self.budget_grid = grid
         # Surface bad culture parameters and impossible sizes before any work.
-        generate(self.cultures[0].with_seed(0), self.m, self.n, self.k)
+        for spec in self.cultures:
+            generate(spec.with_seed(0), self.m, self.n, self.k)
 
 
 def full_resolution_cost(election: Election, kind: QuestionType, cost) -> float:

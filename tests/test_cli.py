@@ -55,6 +55,16 @@ def test_generate_rejects_bad_param(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_generate_rejects_nan_contagion(tmp_path, capsys):
+    out = tmp_path / "u.elec"
+    code = run_cli(
+        "generate", "urn", "--m", 4, "--n", 5, "--k", 2, "--param", "alpha=nan", "--out", out
+    )
+    assert code == 1
+    assert "error: urn contagion must be non-negative, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def config_file(tmp_path, **overrides):
     data = {
         "m": 6, "n": 4, "k": 3,
@@ -110,6 +120,22 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     missing = tmp_path / "missing.json"
     assert run_cli("run", missing, "--out", tmp_path / "r.csv") == 1
+
+
+@pytest.mark.parametrize(
+    "culture, message",
+    [
+        ({"kind": "Mallows", "params": {"phi": 1.5}}, "Mallows dispersion must lie in (0, 1]"),
+        ({"kind": "Mallows", "params": {"center": [0.9, 1.7, 2, 3, 4, 5]}},
+         "Mallows center entries must be integers"),
+        ({"kind": "Urn", "params": {"alpha": float("nan")}}, "urn contagion must be non-negative"),
+    ],
+)
+def test_run_rejects_a_bad_later_culture(tmp_path, capsys, culture, message):
+    config = config_file(tmp_path, cultures=[{"kind": "IC", "seed": 1}, culture])
+    assert run_cli("run", config, "--out", tmp_path / "r.csv") == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_audit_costs_prints_grid(tmp_path, capsys):

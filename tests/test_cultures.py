@@ -1,6 +1,8 @@
 import hashlib
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from queryvote import (
@@ -138,6 +140,13 @@ def test_mallows_parameter_validation():
         generate(CultureSpec("Mallows", seed=1, params={"phi": 1.5}), 4, 2, 1)
     with pytest.raises(ValueError):
         generate(CultureSpec("Mallows", seed=1, params={"phi": 0.5, "center": (0, 0, 1, 2)}), 4, 2, 1)
+    # Non-integral entries were truncated by int(): [0.9, 1.7, 2, 3] read as (0, 1, 2, 3).
+    for bad in ([0.9, 1.7, 2, 3], [0, 1, 2, math.nan], [0, 1, True, 3], ["0", "1", "2", "3"]):
+        with pytest.raises(ValueError, match="center entries must be integers"):
+            generate(CultureSpec("Mallows", params={"center": bad}), 4, 2, 1)
+    integral = CultureSpec("Mallows", params={"center": [3.0, 2, np.int64(1), 0]})
+    plain = CultureSpec("Mallows", params={"center": [3, 2, 1, 0]})
+    assert generate(integral, 4, 5, 1) == generate(plain, 4, 5, 1)
 
 
 def test_urn_contagion_concentrates():
@@ -150,6 +159,9 @@ def test_urn_contagion_concentrates():
 def test_urn_rejects_negative_contagion():
     with pytest.raises(ValueError):
         generate(CultureSpec("Urn", seed=2, params={"alpha": -1}), 4, 3, 1)
+    # NaN passed the sign test and gave plain IC votes.
+    with pytest.raises(ValueError, match="urn contagion must be non-negative, got nan"):
+        generate(CultureSpec("Urn", seed=2, params={"alpha": math.nan}), 4, 3, 1)
 
 
 def test_spec_validation():
@@ -209,3 +221,59 @@ def test_culture_output_is_pinned(kind, params, digest):
 )
 def test_kind_names_and_aliases(name, kind):
     assert CultureSpec(name).kind == kind
+
+
+# SHA-256 of repr(generate(spec, 100, 50, 2).voters) with seed 7: cdf rows and
+# distance sorts at the size of the paper's experiments, not only at m=6.
+CULTURE_DIGESTS_100x50 = [
+    ("Mallows", {"phi": 0.8}, "229af2db79adf1792aad2bc254cd116d8cab86866ff4ce04ee3a0bd9b4e5729f"),
+    ("Mallows", {"phi": 0.05}, "0866eaa1cc93fb9f22709dc2f47e00c2283c181b431cdf1da1c8a6db13354c56"),
+    ("Euclidean2D", {}, "f20e440749939922460a989e95ca6e7e544e57e9b0b2307dbc2d37b90861c6ca"),
+]
+
+
+@pytest.mark.parametrize("kind, params, digest", CULTURE_DIGESTS_100x50)
+def test_culture_output_is_pinned_at_100x50(kind, params, digest):
+    voters = generate(CultureSpec(kind, seed=7, params=params), 100, 50, 2).voters
+    assert hashlib.sha256(repr(voters).encode()).hexdigest() == digest
+
+
+def reference_mallows(seed, m, n, phi, center=None):
+    """The plain repeated-insertion sampler: one ``rng.choice`` per insertion."""
+    if center is None:
+        center = tuple(int(c) for c in substream(seed, 0).permutation(m))
+    votes = []
+    for voter in range(n):
+        rng = substream(seed, 1, voter)
+        vote = [center[0]]
+        for i in range(2, m + 1):
+            weights = phi ** np.arange(i - 1, -1, -1, dtype=float)
+            vote.insert(int(rng.choice(i, p=weights / weights.sum())), center[i - 1])
+        votes.append(tuple(vote))
+    return tuple(votes)
+
+
+@pytest.mark.parametrize("phi", [1.0, 1e-6, 1e-300, "random", "random with center"])
+def test_mallows_matches_the_reference_sampler(phi):
+    rng = substream(2024, 7)
+    for _ in range(60):
+        m, n = int(rng.integers(1, 61)), int(rng.integers(1, 9))
+        seed = int(rng.integers(2**63))
+        params = {"phi": float(rng.uniform(1e-9, 1.0)) if isinstance(phi, str) else phi}
+        if phi == "random with center":
+            params["center"] = [int(c) for c in rng.permutation(m)]
+        expected = reference_mallows(seed, m, n, params["phi"], params.get("center"))
+        spec = CultureSpec("Mallows", seed=seed, params=params)
+        assert generate(spec, m, n, 1).voters == expected
+
+
+def test_rank_by_distance_matches_the_reference_sort():
+    rng = substream(2024, 8)
+    for _ in range(200):
+        m = int(rng.integers(1, 40))
+        # A coarse lattice, so many candidates tie exactly with one another.
+        points = rng.integers(0, 4, size=(m, 2)) / 4
+        here = rng.integers(0, 4, size=2) / 4
+        squared = ((points - here) ** 2).sum(axis=1)
+        expected = tuple(sorted(range(m), key=lambda c: (squared[c], c)))
+        assert rank_by_distance(here, points) == expected

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import pytest
@@ -250,6 +251,31 @@ def test_config_validation():
         small_config(cost="bogus")
     with pytest.raises(ValueError):
         small_config(m=7, cultures=[CultureSpec("ST", seed=1)])  # odd m
+    with pytest.raises(ValueError, match="need m >= 1 and n >= 1, got m=6, n=0"):
+        small_config(n=0)
+
+
+@pytest.mark.parametrize(
+    "culture",
+    [
+        CultureSpec("Mallows", params={"phi": 1.5}),
+        CultureSpec("ST"),  # m = 7 is odd
+        CultureSpec("Urn", params={"alpha": math.nan}),
+        CultureSpec("Mallows", params={"center": [0.9, 1.7, 2, 3, 4, 5, 6]}),
+    ],
+)
+def test_config_checks_every_culture(culture):
+    with pytest.raises(ValueError):
+        small_config(m=7, cultures=[CultureSpec("IC", seed=1), culture])
+
+
+def test_parse_config_rejects_nan_contagion():
+    data = json.loads(
+        '{"m": 4, "n": 3, "k": 2, "elections_per_culture": 1,'
+        ' "cultures": ["IC", {"kind": "Urn", "params": {"alpha": NaN}}]}'
+    )
+    with pytest.raises(ValueError, match="urn contagion must be non-negative, got nan"):
+        parse_config(data)
 
 
 def test_parse_config_round_trip():
