@@ -23,7 +23,6 @@ from .costs import (
     AxiomVerdict,
     audit_axiom,
     audit_grid,
-    bhatia_davis_floor,
     cost_bucket_count,
     cost_candidates,
     cost_computational,
@@ -37,12 +36,9 @@ from .cultures import (
     KINDS,
     CultureSpec,
     generate,
-    rank_by_distance,
 )
 from .election_io import (
     load_election,
-    read_native,
-    read_preflib,
     write_native,
     write_preflib,
 )
@@ -50,7 +46,6 @@ from .experiments import (
     ExperimentConfig,
     ResultRow,
     default_budget_grid,
-    difficulty_score,
     difficulty_scores,
     emit_csv,
     expected_random_distance,
@@ -76,11 +71,8 @@ from .strategies import (
     UNLIMITED,
     BudgetPolicy,
     ElicitationRun,
-    LogEntry,
     ProtocolError,
     RefinementEngine,
-    VoterState,
-    apply_answer,
     parse_strategy,
     read_log,
     replay_log,

@@ -124,18 +124,6 @@ def resolve_cost(cost) -> tuple[CostFunction, str]:
     return fn, _NAME_BY_FUNCTION[fn]
 
 
-def bhatia_davis_floor(buckets) -> Fraction:
-    """Lower bound on ``1 - variance(buckets)`` that depends only on the length.
-
-    For ratios that are positive and sum to 1, the variance is at most
-    ``(1 - 1/len) * 1/len``, hence ``1 - Var >= (len^2 - len + 1) / len^2``.
-    """
-    count = len(buckets)
-    if count < 1:
-        raise ValueError("bucket vector must not be empty")
-    return Fraction(count * count - count + 1, count * count)
-
-
 class Axiom(Enum):
     PREFIX_MONOTONICITY = "prefix_monotonicity"
     MULTIPLE_MONOTONICITY = "multiple_monotonicity"

@@ -105,6 +105,19 @@ def rank_by_distance(point: Sequence[float], candidate_points) -> PreferenceOrde
     return tuple(np.argsort(squared, kind="stable").tolist())
 
 
+def _number(value, name: str) -> float:
+    """A culture parameter as a float; a value that is not a number is an error naming it.
+
+    A bool is not taken for 0 or 1.
+    """
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 def _generate_ic(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
     return tuple(_permutation(_voter_rng(seed, i), m) for i in range(n))
 
@@ -123,7 +136,7 @@ def _generate_urn(
     uniformly chosen earlier vote, otherwise they draw a fresh uniform order.
     Draws depend on earlier draws, so a single sequential stream is used.
     """
-    alpha = float(alpha)
+    alpha = _number(alpha, "urn contagion alpha")
     if not alpha >= 0:  # also rejects NaN, which would give plain IC votes
         raise ValueError(f"urn contagion must be non-negative, got {alpha}")
     rng = substream(seed, 0)
@@ -176,14 +189,20 @@ def _mallows_vote(
 def _generate_mallows(
     seed: int, m: int, n: int, phi: float = DEFAULT_MALLOWS_PHI, center=None
 ) -> tuple[PreferenceOrder, ...]:
-    phi = float(phi)
+    phi = _number(phi, "Mallows dispersion phi")
     if not 0 < phi <= 1:
         raise ValueError(f"Mallows dispersion must lie in (0, 1], got {phi}")
     if center is None:
         center = _permutation(substream(seed, 0), m)
     else:
+        try:
+            center = list(center)
+        except TypeError:
+            raise ValueError(
+                f"Mallows center must be a sequence of candidate ids, got {center!r}"
+            ) from None
         if any(isinstance(c, bool) or not isinstance(c, numbers.Real) or c % 1 for c in center):
-            raise ValueError(f"Mallows center entries must be integers, got {list(center)}")
+            raise ValueError(f"Mallows center entries must be integers, got {center}")
         center = tuple(int(c) for c in center)
         if tuple(sorted(center)) != tuple(range(m)):
             raise ValueError(f"Mallows center must be a permutation of 0..{m - 1}")

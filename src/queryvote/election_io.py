@@ -1,5 +1,7 @@
 """Reading and writing election files.
 
+:func:`load_election` is the one reader: it tells the two formats apart by
+the first line. :func:`write_native` and :func:`write_preflib` write them.
 Two formats are supported:
 
 * ``native``: line 1 is ``m n k``, followed by ``n`` lines each holding a
@@ -8,8 +10,9 @@ Two formats are supported:
   candidate count, one ``<id>,<name>`` line per candidate (1-based ids), and
   a ``<voters>,<vote total>,<unique orders>`` line; each remaining line is
   ``<count>,<ranking>`` with a comma-separated 1-based ranking. The format
-  carries no committee size, so ``k`` must be supplied when reading. Current
-  PrefLib files, which open with ``# KEY: value`` headers, are rejected.
+  carries no committee size, so ``k`` must be passed to ``load_election``.
+  Current PrefLib files, which open with ``# KEY: value`` headers, are
+  rejected.
 """
 
 from __future__ import annotations
@@ -48,10 +51,6 @@ def _ints(path, number: int, text: str, sep: str | None = None) -> list[int]:
         raise ValueError(f"{path}:{number}: expected integers, got {text!r}") from None
 
 
-def read_native(path) -> Election:
-    return _parse_native(path, _read_lines(path))
-
-
 def _parse_native(path, lines: list[tuple[int, str]]) -> Election:
     number, first = lines[0]
     if len(first.split()) != 3:
@@ -76,11 +75,6 @@ def write_preflib(election: Election, path, names: Sequence[str] | None = None) 
     for ranking, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         lines.append(f"{count}," + ",".join(str(c + 1) for c in ranking))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_preflib(path, k: int) -> Election:
-    """Parse a PrefLib complete-strict-order file; ``k`` is the committee size."""
-    return _parse_preflib(path, _read_lines(path), k)
 
 
 def _parse_preflib(path, lines: list[tuple[int, str]], k: int) -> Election:

@@ -104,6 +104,15 @@ class ExperimentConfig:
             if grid != sorted(grid):
                 raise ValueError("budget_grid must be sorted ascending")
             self.budget_grid = grid
+        # Rows carry only the label, which leaves out the seed and a Mallows
+        # center; two cultures that share one could not be told apart.
+        labels = [spec.label() for spec in self.cultures]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise ValueError(
+                    f"two cultures share the label {label!r}; give them different "
+                    "kinds or parameters (the label leaves out seed and center)"
+                )
         # Surface bad culture parameters and impossible sizes before any work.
         for spec in self.cultures:
             generate(spec.with_seed(0), self.m, self.n, self.k)
@@ -256,25 +265,6 @@ def _grid_sum(rows: list[ResultRow]) -> float:
     for row in rows:
         by_budget.setdefault(row.budget, []).append(row.distance)
     return sum(sum(d) / len(d) for d in by_budget.values())
-
-
-def difficulty_score(rows: Iterable[ResultRow], normalizer: float) -> float:
-    """How hard one election was for one strategy, scaled to [0, 1].
-
-    Rows must cover one (election, strategy) pair over its whole budget grid.
-    Distances are averaged over repeats at each budget, the averages summed
-    over the grid, and the sum divided by ``normalizer`` (conventionally the
-    largest such sum across elections, making the hardest election score 1).
-    """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to score: need the full budget grid for one election")
-    total = _grid_sum(rows)
-    if total == 0:
-        return 0.0
-    if normalizer <= 0:
-        raise ValueError(f"normalizer must be positive, got {normalizer}")
-    return total / normalizer
 
 
 def difficulty_scores(rows: Iterable[ResultRow]) -> dict[tuple[str, str, int], float]:

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from queryvote.cli import main
-from queryvote.election_io import load_election, read_native
+from queryvote.election_io import load_election
 from queryvote.experiments import read_csv_rows
 
 
@@ -15,7 +15,7 @@ def run_cli(*args):
 def test_generate_native(tmp_path, capsys):
     out = tmp_path / "e.elec"
     assert run_cli("generate", "IC", "--m", 6, "--n", 4, "--k", 2, "--seed", 3, "--out", out) == 0
-    election = read_native(out)
+    election = load_election(out)
     assert (election.m, election.n, election.k) == (6, 4, 2)
     assert "wrote IC election" in capsys.readouterr().out
 
@@ -53,6 +53,17 @@ def test_generate_rejects_bad_param(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_generate_rejects_a_scalar_center(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = run_cli(
+        "generate", "mallows", "--m", 3, "--n", 2, "--k", 1, "--param", "center=1", "--out", out
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: Mallows center must be a sequence of candidate ids, got 1.0" in err
+    assert not out.exists()
 
 
 def test_generate_rejects_nan_contagion(tmp_path, capsys):
@@ -129,6 +140,13 @@ def test_run_rejects_bad_config(tmp_path, capsys):
         ({"kind": "Mallows", "params": {"center": [0.9, 1.7, 2, 3, 4, 5]}},
          "Mallows center entries must be integers"),
         ({"kind": "Urn", "params": {"alpha": float("nan")}}, "urn contagion must be non-negative"),
+        ({"kind": "Mallows", "params": {"phi": None}}, "Mallows dispersion phi must be a number"),
+        ({"kind": "Mallows", "params": {"phi": [0.5]}}, "Mallows dispersion phi must be a number"),
+        ({"kind": "Urn", "params": {"alpha": None}}, "urn contagion alpha must be a number"),
+        ({"kind": "Urn", "params": {"alpha": False}}, "urn contagion alpha must be a number"),
+        ({"kind": "Mallows", "params": {"center": 3}},
+         "Mallows center must be a sequence of candidate ids, got 3"),
+        ({"kind": "IC", "seed": 2}, "two cultures share the label 'IC'"),
     ],
 )
 def test_run_rejects_a_bad_later_culture(tmp_path, capsys, culture, message):

@@ -11,7 +11,6 @@ from queryvote import (
     RefinementQuery,
     audit_axiom,
     audit_grid,
-    bhatia_davis_floor,
     cost_bucket_count,
     cost_candidates,
     cost_computational,
@@ -88,12 +87,6 @@ def test_all_costs_zero_on_degenerate_queries():
         assert fn(q(5, F(1))) == 0
 
 
-def test_bhatia_davis_floor_values():
-    assert bhatia_davis_floor((F(1, 4), F(3, 4))) == F(3, 4)
-    assert bhatia_davis_floor((F(1),)) == 1
-    assert bhatia_davis_floor((F(1, 2), F(3, 10), F(1, 5))) == F(7, 9)
-
-
 def test_bhatia_davis_floor_bounds_variance():
     assert 1 - variance((F(1, 4), F(3, 4))) == F(15, 16) >= F(3, 4)
     assert 1 - variance((F(1, 2), F(3, 10), F(1, 5))) == F(443, 450) >= F(7, 9)
@@ -105,7 +98,6 @@ def test_bhatia_davis_floor_bounds_variance():
         ratios = tuple(F(w, total) for w in weights)
         count = len(ratios)
         assert 0 <= variance(ratios) <= F(count - 1, count) * F(1, count)
-        assert 1 - variance(ratios) >= bhatia_davis_floor(ratios)
 
 
 def test_get_cost_function_accepts_variants():

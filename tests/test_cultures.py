@@ -11,8 +11,8 @@ from queryvote import (
     borda_scores,
     generate,
     k_borda,
-    rank_by_distance,
 )
+from queryvote.cultures import rank_by_distance
 from queryvote.rng import substream
 
 
@@ -144,6 +144,13 @@ def test_mallows_parameter_validation():
     for bad in ([0.9, 1.7, 2, 3], [0, 1, 2, math.nan], [0, 1, True, 3], ["0", "1", "2", "3"]):
         with pytest.raises(ValueError, match="center entries must be integers"):
             generate(CultureSpec("Mallows", params={"center": bad}), 4, 2, 1)
+    # A value of the wrong type gave a TypeError traceback instead of a ValueError.
+    for bad in (None, [0.5], "x", True):
+        with pytest.raises(ValueError, match="Mallows dispersion phi must be a number"):
+            generate(CultureSpec("Mallows", params={"phi": bad}), 4, 2, 1)
+    for bad in (3, 1.0):
+        with pytest.raises(ValueError, match="Mallows center must be a sequence of candidate ids"):
+            generate(CultureSpec("Mallows", params={"center": bad}), 4, 2, 1)
     integral = CultureSpec("Mallows", params={"center": [3.0, 2, np.int64(1), 0]})
     plain = CultureSpec("Mallows", params={"center": [3, 2, 1, 0]})
     assert generate(integral, 4, 5, 1) == generate(plain, 4, 5, 1)
@@ -162,6 +169,9 @@ def test_urn_rejects_negative_contagion():
     # NaN passed the sign test and gave plain IC votes.
     with pytest.raises(ValueError, match="urn contagion must be non-negative, got nan"):
         generate(CultureSpec("Urn", seed=2, params={"alpha": math.nan}), 4, 3, 1)
+    for bad in (None, [0.5], "x", True):
+        with pytest.raises(ValueError, match="urn contagion alpha must be a number"):
+            generate(CultureSpec("Urn", seed=2, params={"alpha": bad}), 4, 3, 1)
 
 
 def test_spec_validation():

@@ -1,13 +1,7 @@
 import pytest
 
 from queryvote import CultureSpec, Election, generate
-from queryvote.election_io import (
-    load_election,
-    read_native,
-    read_preflib,
-    write_native,
-    write_preflib,
-)
+from queryvote.election_io import load_election, write_native, write_preflib
 
 
 @pytest.fixture
@@ -18,7 +12,7 @@ def election():
 def test_native_round_trip(tmp_path, election):
     path = tmp_path / "e.elec"
     write_native(election, path)
-    assert read_native(path) == election
+    assert load_election(path) == election
 
 
 def test_native_layout(tmp_path):
@@ -31,7 +25,7 @@ def test_native_layout(tmp_path):
 def test_preflib_round_trip(tmp_path, election):
     path = tmp_path / "e.soc"
     write_preflib(election, path)
-    back = read_preflib(path, k=election.k)
+    back = load_election(path, k=election.k)
     # PrefLib groups identical rankings, so order may differ but counts match.
     assert back.m == election.m and back.n == election.n
     assert sorted(back.voters) == sorted(election.voters)
@@ -63,15 +57,15 @@ def test_load_election_sniffs_format(tmp_path, election):
 def test_read_native_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.elec"
     path.write_text("3 2\n0 1 2\n")
-    with pytest.raises(ValueError):
-        read_native(path)
+    with pytest.raises(ValueError, match="expected 'm n k' on the first line"):
+        load_election(path)
 
 
 def test_read_preflib_rejects_count_mismatch(tmp_path):
     path = tmp_path / "bad.soc"
     path.write_text("2\n1,A\n2,B\n3,3,1\n2,1,2\n")
-    with pytest.raises(ValueError):
-        read_preflib(path, k=1)
+    with pytest.raises(ValueError, match="vote counts sum to 2, header says 3"):
+        load_election(path, k=1)
 
 
 @pytest.mark.parametrize("header", ["# TITLE: x", "# FILE NAME: x.soc"])
@@ -136,5 +130,5 @@ def test_preflib_names_file_and_line_of_a_bad_field(tmp_path, text, line):
     path = tmp_path / "x.soc"
     path.write_text(text)
     with pytest.raises(ValueError, match="expected") as err:
-        read_preflib(path, k=1)
+        load_election(path, k=1)
     assert str(err.value).startswith(f"{path}:{line}: ")

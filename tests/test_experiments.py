@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import pytest
 
@@ -12,7 +13,6 @@ from queryvote import (
     ResultRow,
     UNLIMITED,
     default_budget_grid,
-    difficulty_score,
     difficulty_scores,
     emit_csv,
     expected_random_distance,
@@ -150,19 +150,18 @@ def rows_for(strategy="S-EQ", culture="IC", election=0, budgets=(1.0, 2.0), repe
 
 
 def test_difficulty_score_zero_for_perfect_rows():
-    assert difficulty_score(rows_for(), normalizer=10) == 0.0
+    # A strategy that solved everything has a peak of 0; it scores 0, not 0 / 0.
+    assert difficulty_scores(rows_for()) == {("S-EQ", "IC", 0): 0.0}
 
 
 def test_difficulty_score_hand_computed():
-    rows = rows_for(distances=[[4, 4], [2, 2]])
-    assert difficulty_score(rows, normalizer=12) == pytest.approx(0.5)
-
-
-def test_difficulty_score_requires_rows():
-    with pytest.raises(ValueError):
-        difficulty_score([], normalizer=1)
-    with pytest.raises(ValueError):
-        difficulty_score(rows_for(distances=[[1, 1], [1, 1]]), normalizer=0)
+    # Grid sums: (4 + 2) for election 0 and (6 + 6) for the hardest, election 1.
+    rows = rows_for(election=0, distances=[[4, 4], [2, 2]]) + rows_for(
+        election=1, distances=[[6, 6], [6, 6]]
+    )
+    scores = difficulty_scores(rows)
+    assert scores[("S-EQ", "IC", 0)] == pytest.approx(0.5)
+    assert scores[("S-EQ", "IC", 1)] == 1.0
 
 
 def test_difficulty_scores_normalize_per_strategy():
@@ -267,6 +266,26 @@ def test_config_validation():
 def test_config_checks_every_culture(culture):
     with pytest.raises(ValueError):
         small_config(m=7, cultures=[CultureSpec("IC", seed=1), culture])
+
+
+@pytest.mark.parametrize(
+    "cultures, label",
+    [
+        ([CultureSpec("IC", seed=1), CultureSpec("IC", seed=2)], "IC"),
+        ([CultureSpec("AN"), CultureSpec("IC"), CultureSpec("AN")], "AN"),
+        (
+            [
+                CultureSpec("Mallows", params={"phi": 0.5, "center": [0, 1, 2, 3, 4, 5]}),
+                CultureSpec("Mallows", params={"phi": 0.5, "center": [5, 4, 3, 2, 1, 0]}),
+            ],
+            "Mallows[phi=0.5]",
+        ),
+    ],
+)
+def test_config_rejects_cultures_that_share_a_label(cultures, label):
+    # Rows name a culture by its label alone, so these would be merged.
+    with pytest.raises(ValueError, match=re.escape(f"two cultures share the label {label!r}")):
+        small_config(cultures=cultures)
 
 
 def test_parse_config_rejects_nan_contagion():

@@ -14,7 +14,6 @@ from queryvote import (
     ProtocolError,
     QuestionType,
     RefinementEngine,
-    apply_answer,
     generate,
     make_question,
     parse_strategy,
@@ -26,6 +25,7 @@ from queryvote import (
     write_log,
 )
 from queryvote.rng import substream
+from queryvote.strategies import apply_answer
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
