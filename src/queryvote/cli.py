@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from pathlib import Path
 
@@ -53,7 +54,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="KEY=VALUE",
-        help="culture parameter, e.g. phi=0.2 or alpha=0.5 (repeatable)",
+        help="culture parameter, e.g. phi=0.2 or center=[3,2,1,0]; a value that is "
+        "not a number is read as JSON (repeatable)",
     )
     gen.add_argument("--out", required=True, help="output file path")
     gen.add_argument("--format", choices=tuple(_WRITERS), default="native")
@@ -99,7 +101,13 @@ def _parse_params(pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ValueError(f"--param expects KEY=VALUE, got {pair!r}")
         key, value = pair.split("=", 1)
-        params[key.strip()] = float(value)
+        try:
+            params[key.strip()] = float(value)
+        except ValueError:
+            try:
+                params[key.strip()] = json.loads(value)
+            except json.JSONDecodeError:
+                raise ValueError(f"--param {pair!r}: the value is not a number or JSON") from None
     return params
 
 

@@ -113,7 +113,10 @@ def load_election(path, k: int | None = None) -> Election:
     # PrefLib opens with the candidate count alone; anything else reads as
     # native, so a malformed native header gets the native reader's error.
     if len(first.split()) != 1:
-        return _parse_native(path, lines)
+        election = _parse_native(path, lines)
+        if k is not None and k != election.k:
+            raise ValueError(f"{path}: the header sets k={election.k}, but k={k} was passed")
+        return election
     if k is None:
         raise ValueError(f"{path}: PrefLib files carry no committee size, pass k explicitly")
     return _parse_preflib(path, lines, k)

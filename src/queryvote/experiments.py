@@ -256,6 +256,8 @@ def expected_random_distance(m: int, k: int) -> float:
     The overlap of a random k-set with a fixed k-set is hypergeometric with
     mean k*k/m, so the distance averages 2k(1 - k/m).
     """
+    if not 1 <= k <= m:
+        raise ValueError(f"committee size k={k} outside [1, {m}]")
     return 2.0 * k * (1.0 - k / m)
 
 

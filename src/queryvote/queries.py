@@ -210,6 +210,9 @@ def format_answer_line(answer: OrderedPartition) -> str:
 
 def parse_query_line(line: str) -> tuple[int, RefinementQuery, object]:
     fields = dict(part.split("=", 1) for part in line.split()[1:])
+    missing = [name for name in ("voter", "subset", "B", "cost") if name not in fields]
+    if missing:
+        raise ValueError(f"query line {line!r} has no {missing[0]}= field")
     voter = int(fields["voter"])
     subset = tuple(int(c) for c in fields["subset"].split(","))
     ratios = tuple(_parse_number(b) for b in fields["B"].split(","))

@@ -1,9 +1,12 @@
 """Budgeted elicitation: question types, budget policies, and the query loop.
 
-A run keeps one refinement state per voter: an ordered partition of all
-candidates plus a FIFO queue of the classes still worth splitting (size 2 or
-more), seeded best class first. Questions always target the front class, so
-no query ever spans candidates already known to be in different classes.
+A truthful voter answers a question by cutting the shown class along their
+own ranking, so every class known about a voter is a run of consecutive
+places in that ranking. A run keeps per voter only its cuts (the indices in
+the ranking where classes start, then ``m``) and a FIFO queue of the ``(start,
+stop)`` ranges still worth splitting (2 or more candidates), best first.
+Questions always target the front range, so no query ever spans candidates
+already known to be in different classes.
 :class:`RefinementEngine` is the one implementation of that state machine and
 holds the budget: its ``ask`` prices, tests, answers and charges each question,
 so the drivers of single runs and budget sweeps only choose whom to ask next.
@@ -35,11 +38,13 @@ from __future__ import annotations
 
 import copy
 import math
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, pairwise
 from typing import Iterator, Sequence, TextIO
 
 from .core import Election
@@ -54,7 +59,6 @@ from .queries import (
     make_question,
     parse_answer_line,
     parse_query_line,
-    slice_classes,
 )
 
 UNLIMITED = math.inf
@@ -89,50 +93,24 @@ class ProtocolError(ValueError):
     """An answer that does not match the query it responds to."""
 
 
-@dataclass(slots=True)
-class VoterState:
-    """Partition of all candidates for one voter, plus the classes still splittable."""
+def apply_answer(partition: list, query: RefinementQuery, answer: OrderedPartition) -> list:
+    """Splice ``answer`` over the class ``query`` shows, after checking it fits the query.
 
-    partition: list[tuple[int, ...]]
-    pending: deque
-
-    def refine(self, subset: tuple[int, ...], classes: OrderedPartition) -> None:
-        """Replace the class ``subset`` by ``classes``, given best first.
-
-        New classes of size 2 or more join the back of the queue, best first.
-        """
-        try:
-            index = self.partition.index(subset)
-        except ValueError:
-            raise ProtocolError(f"query subset {subset} is not a current class of this voter")
-        self.partition[index : index + 1] = classes
-        try:
-            self.pending.remove(subset)
-        except ValueError:
-            pass
-        self.pending.extend(cls for cls in classes if len(cls) >= 2)
-
-
-def _fresh_states(m: int, n: int) -> list[VoterState]:
-    """Zero-information start: one all-candidate class for each of ``n`` voters."""
-    everyone = tuple(range(m))
-    return [
-        VoterState(partition=[everyone], pending=deque([everyone]) if m >= 2 else deque())
-        for _ in range(n)
-    ]
-
-
-def apply_answer(state: VoterState, query: RefinementQuery, answer: OrderedPartition) -> VoterState:
-    """Refine the state with an answer from outside, after checking it fits the query."""
+    ``partition`` lists a voter's classes as sorted id tuples, best first.
+    """
     subset = tuple(sorted(query.subset))
     classes = tuple(tuple(sorted(cls)) for cls in answer)
-    flattened = [c for cls in classes for c in cls]
-    if any(not cls for cls in classes) or sorted(flattened) != list(subset) or len(
-        flattened
-    ) != len(set(flattened)):
+    if sorted(c for cls in classes for c in cls) != list(subset):
         raise ProtocolError(f"answer {answer} is not an ordered partition of {subset}")
-    state.refine(subset, classes)
-    return state
+    sizes = bucket_sizes(query.buckets, len(subset))
+    if tuple(map(len, classes)) != sizes:
+        raise ProtocolError(f"answer {answer} does not have the class sizes {sizes} of its query")
+    try:
+        index = partition.index(subset)
+    except ValueError:
+        raise ProtocolError(f"query subset {subset} is not a current class of this voter") from None
+    partition[index : index + 1] = classes
+    return partition
 
 
 @lru_cache(maxsize=None)
@@ -151,12 +129,12 @@ class LogEntry:
 
 
 class RefinementEngine:
-    """One elicitation in progress: every voter's state, the budget, the spend, the log.
+    """One elicitation in progress: every voter's cuts and queue, the budget, the spend, the log.
 
-    Each voter is asked about the front class of its queue; :meth:`ask`
+    Each voter is asked about the front range of its queue; :meth:`ask`
     prices the question, asks it only if it fits in the budget set by
-    :meth:`limit`, answers truthfully from the voter's ranking, refines the
-    state and charges the price. Registry cost functions see a query only
+    :meth:`limit`, cuts the range by the question's class sizes (the truthful
+    answer) and charges the price. Registry cost functions see a query only
     through its size and buckets, so their prices are cached per class size;
     any other callable is priced on the subset actually shown.
     """
@@ -166,13 +144,10 @@ class RefinementEngine:
         self.cost_fn, self.cost_name = resolve_cost(cost)
         self.by_size = self.cost_fn in COST_FUNCTIONS.values()
         self.prices: dict = {}
-        self.states = _fresh_states(election.m, election.n)
-        self.positions = []
-        for voter in election.voters:
-            lookup = [0] * election.m
-            for rank, candidate in enumerate(voter):
-                lookup[candidate] = rank
-            self.positions.append(lookup)
+        self.voters = election.voters
+        m = election.m
+        self.cuts = [[0, m] for _ in self.voters]
+        self.pending = [deque([(0, m)] if m >= 2 else ()) for _ in self.voters]
         self.spent = 0
         self.limit(UNLIMITED)
         self.log: list[LogEntry] | None = [] if record_log else None
@@ -189,46 +164,60 @@ class RefinementEngine:
 
     def next_query(self, v: int) -> RefinementQuery | None:
         """The question voter ``v`` would be asked next, or None if resolved."""
-        pending = self.states[v].pending
-        if not pending:
+        if not self.pending[v]:
             return None
-        ratios, _ = _plan(self.kind, len(pending[0]))
-        return RefinementQuery(subset=pending[0], buckets=ratios)
+        start, stop = self.pending[v][0]
+        ratios, _ = _plan(self.kind, stop - start)
+        return RefinementQuery(subset=tuple(sorted(self.voters[v][start:stop])), buckets=ratios)
 
     def ask(self, v: int) -> bool:
         """Ask voter ``v``, who must not be resolved, its next question if it fits.
 
         Returns False, changing nothing, if the price would take the spend over
-        the budget; otherwise refines the state, charges the price, returns True.
+        the budget; otherwise cuts the front range, charges the price, returns True.
         """
-        state = self.states[v]
-        front = state.pending[0]
-        key = len(front) if self.by_size else front
+        queue = self.pending[v]
+        start, stop = queue[0]
+        key = stop - start if self.by_size else tuple(sorted(self.voters[v][start:stop]))
         price = self.prices.get(key)
         if price is None:
             price = self.prices[key] = self.cost_fn(self.next_query(v))
         spent = self.spent + price
         if spent > (self.exact if type(spent) is Fraction else self.budget):
             return False
-        ratios, sizes = _plan(self.kind, len(front))
-        classes = slice_classes(sorted(front, key=self.positions[v].__getitem__), sizes)
-        state.refine(front, classes)
+        ratios, sizes = _plan(self.kind, stop - start)
+        bounds = list(accumulate(sizes, initial=start))
+        cuts = self.cuts[v]
+        at = bisect(cuts, start)
+        cuts[at:at] = bounds[1:-1]
+        queue.popleft()
+        queue.extend(pair for pair in pairwise(bounds) if pair[1] - pair[0] >= 2)
         self.spent = spent
         if self.log is not None:
-            query = RefinementQuery(subset=front, buckets=ratios)
+            ranking = self.voters[v]
+            query = RefinementQuery(subset=tuple(sorted(ranking[start:stop])), buckets=ratios)
+            classes = tuple(tuple(sorted(ranking[a:b])) for a, b in pairwise(bounds))
             self.log.append(LogEntry(voter=v, query=query, answer=classes, cost=price))
         return True
 
     def fork(self) -> RefinementEngine:
         """An independent copy of the run so far and its budget (sharing the price cache)."""
         twin = copy.copy(self)
-        twin.states = [VoterState(list(s.partition), deque(s.pending)) for s in self.states]
+        twin.cuts = [list(cuts) for cuts in self.cuts]
+        twin.pending = [deque(queue) for queue in self.pending]
         if self.log is not None:
             twin.log = list(self.log)
         return twin
 
     def profile(self) -> tuple[OrderedPartition, ...]:
-        return tuple(tuple(state.partition) for state in self.states)
+        """Every voter's known classes, best first, each as sorted candidate ids."""
+        return tuple(
+            tuple(
+                ranking[a:b] if b - a == 1 else tuple(sorted(ranking[a:b]))
+                for a, b in pairwise(cuts)
+            )
+            for ranking, cuts in zip(self.voters, self.cuts)
+        )
 
 
 def _equal_rounds(
@@ -242,10 +231,10 @@ def _equal_rounds(
     being skipped, and the ``(start, progressed)`` that resumes at it is
     returned; None means a round asked nothing.
     """
-    states, ask = engine.states, engine.ask
+    pending, ask = engine.pending, engine.ask
     while True:
         for v in order[start:]:
-            if not states[v].pending:
+            if not pending[v]:
                 continue
             if ask(v):
                 progressed = True
@@ -261,9 +250,9 @@ def _fcfs(engine: RefinementEngine, order) -> None:
 
     Resolved voters are passed over, so a call under a larger budget resumes there.
     """
-    states, ask = engine.states, engine.ask
+    pending, ask = engine.pending, engine.ask
     for v in order:
-        while states[v].pending:
+        while pending[v]:
             if not ask(v):
                 return
 
@@ -429,7 +418,9 @@ def read_log(stream: TextIO) -> list[LogEntry]:
 
 def replay_log(entries: Sequence[LogEntry], m: int, n: int) -> tuple[OrderedPartition, ...]:
     """Rebuild the per-voter partitions by re-applying a transcript."""
-    states = _fresh_states(m, n)
+    partitions = [[tuple(range(m))] for _ in range(n)]
     for entry in entries:
-        apply_answer(states[entry.voter], entry.query, entry.answer)
-    return tuple(tuple(state.partition) for state in states)
+        if not 0 <= entry.voter < n:
+            raise ProtocolError(f"voter {entry.voter} is outside 0..{n - 1}")
+        apply_answer(partitions[entry.voter], entry.query, entry.answer)
+    return tuple(map(tuple, partitions))

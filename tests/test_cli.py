@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from queryvote import CultureSpec, generate
 from queryvote.cli import main
-from queryvote.election_io import load_election
+from queryvote.election_io import load_election, write_native
 from queryvote.experiments import read_csv_rows
 
 
@@ -31,6 +32,22 @@ def test_generate_preflib_with_params(tmp_path):
     )
     election = load_election(out, k=2)
     assert election.n == 6
+
+
+def test_generate_reads_a_non_number_param_as_json(tmp_path, capsys):
+    out = tmp_path / "e.elec"
+    assert run_cli(
+        "generate", "Mallows", "--m", 4, "--n", 5, "--k", 2, "--seed", 2,
+        "--param", "phi=0.5", "--param", "center=[3,2,1,0]", "--out", out,
+    ) == 0
+    spec = CultureSpec("Mallows", 2, {"phi": 0.5, "center": [3, 2, 1, 0]})
+    expected = tmp_path / "expected.elec"
+    write_native(generate(spec, 4, 5, 2), expected)
+    assert out.read_bytes() == expected.read_bytes()
+    assert "wrote Mallows[phi=0.5] election" in capsys.readouterr().out
+    assert run_cli("generate", "Mallows", "--m", 4, "--n", 5, "--k", 2,
+                   "--param", "center=[3,2,1", "--out", out) == 1
+    assert "'center=[3,2,1': the value is not a number or JSON" in capsys.readouterr().err
 
 
 def test_generate_is_seed_deterministic(tmp_path):
@@ -228,6 +245,16 @@ def test_sweep_rejects_bad_budgets_before_printing(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: budget must be non-negative" in captured.err
+
+
+def test_sweep_rejects_a_k_other_than_the_native_header(tmp_path, capsys):
+    elec = tmp_path / "e.elec"
+    run_cli("generate", "IC", "--m", 5, "--n", 3, "--k", 2, "--seed", 5, "--out", elec)
+    capsys.readouterr()
+    assert run_cli("sweep", elec, "--budgets", "0", "--k", 3) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(elec) in captured.err
+    assert run_cli("sweep", elec, "--budgets", "0", "--k", 2) == 0
 
 
 def test_sweep_preflib_needs_k(tmp_path, capsys):

@@ -22,6 +22,14 @@ def test_native_layout(tmp_path):
     assert path.read_text() == "3 2 1\n2 0 1\n0 1 2\n"
 
 
+def test_native_load_rejects_a_k_other_than_the_header(tmp_path, election):
+    path = tmp_path / "e.elec"
+    write_native(election, path)
+    assert load_election(path, k=election.k) == election
+    with pytest.raises(ValueError, match=f"{path}: the header sets k=2, but k=3"):
+        load_election(path, k=3)
+
+
 def test_preflib_round_trip(tmp_path, election):
     path = tmp_path / "e.soc"
     write_preflib(election, path)

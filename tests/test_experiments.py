@@ -128,6 +128,12 @@ def test_expected_random_distance_matches_enumeration():
     assert sum(sizes) / len(sizes) == pytest.approx(expected_random_distance(m, k))
 
 
+@pytest.mark.parametrize("m, k", [(3, 5), (0, 0), (4, 0), (4, -1)])
+def test_expected_random_distance_rejects_k_outside_1_to_m(m, k):
+    with pytest.raises(ValueError, match="committee size"):
+        expected_random_distance(m, k)
+
+
 def test_random_baseline_calibration_small():
     e = generate(CultureSpec("IC", seed=5), 12, 3, 5)
     target = k_borda(e)

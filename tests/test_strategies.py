@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from queryvote import (
     ProtocolError,
     QuestionType,
     RefinementEngine,
+    answer_query,
     generate,
     make_question,
     parse_strategy,
@@ -45,19 +47,16 @@ def test_strategy_labels_round_trip():
 
 
 def test_init_state_one_class_per_voter(worked_election):
-    states = RefinementEngine(worked_election, SPLIT, "variance_aware").states
-    assert len(states) == 2
-    for state in states:
-        assert state.partition == [(0, 1, 2, 3)]
-        assert list(state.pending) == [(0, 1, 2, 3)]
+    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
+    assert engine.profile() == (((0, 1, 2, 3),), ((0, 1, 2, 3),))
+    for v in range(2):
+        assert engine.next_query(v).subset == (0, 1, 2, 3)
 
 
 def test_init_state_single_candidate():
     e = Election(m=1, voters=((0,),), k=1)
     engine = RefinementEngine(e, SPLIT, "variance_aware")
-    (state,) = engine.states
-    assert state.partition == [(0,)]
-    assert not state.pending
+    assert engine.profile() == (((0,),),)
     assert engine.next_query(0) is None
 
 
@@ -73,7 +72,9 @@ def test_next_query_fresh_split(worked_election):
 def test_next_query_exhausted():
     e = Election(m=2, voters=((0, 1),), k=1)
     engine = RefinementEngine(e, SPLIT, "variance_aware")
-    apply_answer(engine.states[0], engine.next_query(0), ((0,), (1,)))
+    partition = apply_answer([(0, 1)], engine.next_query(0), ((0,), (1,)))
+    assert engine.ask(0)
+    assert engine.profile() == (tuple(partition),)
     assert engine.next_query(0) is None
 
 
@@ -81,7 +82,7 @@ def test_next_query_after_peel():
     e = Election(m=4, voters=((0, 1, 2, 3),), k=2)
     engine = RefinementEngine(e, QuestionType.NEXT, "variance_aware")
     assert engine.ask(0)
-    assert engine.states[0].partition == [(0,), (1, 2, 3)]
+    assert engine.profile()[0] == ((0,), (1, 2, 3))
     q = engine.next_query(0)
     assert q.subset == (1, 2, 3)
     assert q.buckets == (F(1, 3), F(2, 3))
@@ -94,7 +95,7 @@ def test_engine_limit_refuses_unaffordable_questions(worked_election):
             engine.limit(bad)
 
     def snapshot():
-        return engine.spent, engine.profile(), [list(s.pending) for s in engine.states]
+        return engine.spent, engine.profile(), [engine.next_query(v) for v in range(2)]
 
     engine.limit(10.0)
     assert engine.ask(0)  # costs 8
@@ -108,28 +109,56 @@ def test_engine_limit_refuses_unaffordable_questions(worked_election):
     twin.limit(16)
     assert twin.ask(1) and twin.spent == 16
     assert engine.spent == 8  # the fork is independent
+    assert engine.profile() == before[1]
 
 
 def test_apply_answer_updates_partition_and_queue(worked_election):
     engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
-    state = engine.states[0]
-    apply_answer(state, engine.next_query(0), ((0, 1), (2, 3)))
-    assert state.partition == [(0, 1), (2, 3)]
-    assert list(state.pending) == [(0, 1), (2, 3)]
-    apply_answer(state, engine.next_query(0), ((0,), (1,)))
-    assert state.partition == [(0,), (1,), (2, 3)]
-    assert list(state.pending) == [(2, 3)]  # singletons never queue
+    partition = [(0, 1, 2, 3)]
+    apply_answer(partition, engine.next_query(0), ((0, 1), (2, 3)))
+    assert partition == [(0, 1), (2, 3)]
+    assert engine.ask(0)
+    assert engine.profile()[0] == tuple(partition)
+    assert engine.next_query(0).subset == (0, 1)  # the queue is best first
+    apply_answer(partition, engine.next_query(0), ((0,), (1,)))
+    assert partition == [(0,), (1,), (2, 3)]
+    assert engine.ask(0)
+    assert engine.profile()[0] == tuple(partition)
+    assert engine.next_query(0).subset == (2, 3)  # singletons never queue
+    assert engine.ask(0)
+    assert engine.next_query(0) is None
 
 
 def test_apply_answer_rejects_inconsistent(worked_election):
     engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
-    state = engine.states[0]
+    partition = [(0, 1, 2, 3)]
     q = engine.next_query(0)
     with pytest.raises(ProtocolError):
-        apply_answer(state, q, ((0, 1), (2,)))  # loses a candidate
+        apply_answer(partition, q, ((0, 1), (2,)))  # loses a candidate
     other = make_question(SPLIT, (0, 1))
     with pytest.raises(ProtocolError):
-        apply_answer(state, other, ((0,), (1,)))  # not a current class
+        apply_answer(partition, other, ((0,), (1,)))  # not a current class
+    assert partition == [(0, 1, 2, 3)]
+
+
+def test_apply_answer_rejects_class_sizes_off_the_buckets(worked_election):
+    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
+    q = engine.next_query(0)  # halves: two classes of 2
+    for answer in (((0,), (1,), (2,), (3,)), ((0,), (1, 2, 3)), ((0, 1), (), (2, 3))):
+        partition = [(0, 1, 2, 3)]
+        with pytest.raises(ProtocolError):
+            apply_answer(partition, q, answer)
+        assert partition == [(0, 1, 2, 3)]
+    log = "Q voter=0 subset=0,1,2,3 B=1/2,1/2 cost=8\nA classes=0|1|2|3\n"
+    with pytest.raises(ProtocolError):
+        replay_log(read_log(io.StringIO(log)), 4, 1)
+
+
+@pytest.mark.parametrize("voter", [-1, 2])
+def test_replay_rejects_a_voter_out_of_range(voter):
+    log = f"Q voter={voter} subset=0,1 B=1/2,1/2 cost=4\nA classes=0|1\n"
+    with pytest.raises(ProtocolError, match="outside"):
+        replay_log(read_log(io.StringIO(log)), 2, 2)
 
 
 def test_worked_trace_split_equally(worked_election):
@@ -238,6 +267,14 @@ def test_replay_rejects_corrupted_log():
         read_log(io.StringIO("Q voter=0 subset=0,1 B=1/2,1/2 cost=4\n"))
 
 
+@pytest.mark.parametrize("field", ["voter", "subset", "B", "cost"])
+def test_read_log_names_a_query_line_missing_a_field(field):
+    query = "Q voter=0 subset=0,1 B=1/2,1/2 cost=4"
+    line = " ".join(part for part in query.split() if not part.startswith(field + "="))
+    with pytest.raises(ValueError, match=f"query line .*{line}.* no {field}= field"):
+        read_log(io.StringIO(line + "\nA classes=0|1\n"))
+
+
 def test_class_count_is_monotone_over_log():
     e = generate(CultureSpec("IC", seed=20), 8, 3, 2)
     run = run_elicitation(e, SPLIT, EQ, "variance_aware", 150)
@@ -305,3 +342,38 @@ def test_sweep_rejects_bad_grids(worked_election):
         sweep_elicitation(worked_election, SPLIT, EQ, "variance_aware", [24, 8])
     with pytest.raises(ValueError):
         sweep_elicitation(worked_election, SPLIT, EQ, "variance_aware", [-1, 8])
+
+
+# SHA-256 of the snapshots below, pinned so that any change in what a sweep
+# learns or spends at any budget shows.
+SNAPSHOT_DIGEST = "f615031eed13867349fd8543f9093d7fedf6931440ea64e4caaecfa024e78242"
+
+
+def test_sweep_snapshots_match_the_pinned_digest():
+    """Every sweep snapshot over fixed random cases hashes to a pinned value.
+
+    The cases cover m = 1..9, the registry costs plus a subset-dependent
+    callable, all eight strategies, and grids with 0, repeated points and
+    ``UNLIMITED``. Each unlimited run's answers must be the truthful ones and
+    its transcript must replay to its profile.
+    """
+    rng = substream(53)
+    digest = hashlib.sha256()
+    for m in range(1, 10):
+        for _ in range(2):
+            n = int(rng.integers(1, 5))
+            voters = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
+            e = Election(m=m, voters=voters, k=1)
+            order = [int(v) for v in rng.permutation(n)]
+            for cost in [*COST_FUNCTIONS, charge_for_zero]:
+                for kind, policy in ALL_STRATEGIES:
+                    run = run_elicitation(e, kind, policy, cost, UNLIMITED, voter_order=order)
+                    for entry in run.log:
+                        assert entry.answer == answer_query(e.voters[entry.voter], entry.query)
+                    assert replay_log(run.log, m, n) == run.profile
+                    grid = budget_grid(rng, run)
+                    for snapshot in sweep_elicitation(e, kind, policy, cost, grid, order):
+                        budget, profile, spent = snapshot
+                        line = repr((budget, profile, spent, type(spent).__name__))
+                        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == SNAPSHOT_DIGEST
