@@ -21,6 +21,7 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import pairwise
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
@@ -29,17 +30,17 @@ from .core import Committee, Election, hamming, k_borda, select_top_k
 from .costs import get_cost_function
 from .cultures import CultureSpec, generate
 from .rng import derive_seed, substream
-from .scoring import borda_vector, partial_scores
 from .strategies import (
     ALL_STRATEGIES,
     UNLIMITED,
     BudgetPolicy,
     QuestionType,
+    RefinementEngine,
     _check_budget,
     parse_strategy,
     run_elicitation,
     strategy_label,
-    sweep_elicitation,
+    sweep_engines,
 )
 
 # Stream tags for deriving per-cell seeds from the master seed.
@@ -171,6 +172,21 @@ def _resolved_grids(config: ExperimentConfig) -> dict[str, tuple[float, ...]]:
     return {strategy_label(k, p): by_kind[k] for k, p in config.strategies}
 
 
+def _doubled_borda(election: Election, run: RefinementEngine) -> list[int]:
+    """Twice each candidate's Borda total over the classes ``run`` knows.
+
+    A class at 0-based places ``a..b-1`` adds ``2m - 1 - a - b`` to each member.
+    """
+    top = 2 * election.m - 1
+    totals = [0] * election.m
+    for ranking, cuts in zip(election.voters, run.cuts):
+        for a, b in pairwise(cuts):
+            share = top - a - b
+            for c in ranking[a:b]:
+                totals[c] += share
+    return totals
+
+
 def sweep_distances(
     election: Election,
     kind: QuestionType,
@@ -186,13 +202,18 @@ def sweep_distances(
     :func:`~queryvote.strategies.sweep_elicitation` snapshot at that budget
     is scored by Borda over the partial profile, and the top ``k`` committee
     is compared with ``target`` (the full-information committee).
+
+    Each snapshot is scored from the engine's cuts in ints, twice the Borda
+    totals :func:`~queryvote.scoring.partial_scores` gives on its profile.
+    Those float totals are exact: a class gets the mean Borda score of its
+    places, ``(2m - 1 - a - b) / 2``, a half-integer that one division gives
+    exactly, and every partial sum stays below ``n * m``, far under 2**52.
+    Doubling keeps the order of the scores and their ties, so
+    :func:`~queryvote.core.select_top_k` picks the same committee.
     """
-    scoring = borda_vector(election.m)
-    for budget, profile, spent in sweep_elicitation(
-        election, kind, policy, cost, budgets, voter_order=voter_order
-    ):
-        committee = select_top_k(partial_scores(profile, scoring), election.k)
-        yield budget, hamming(committee, target), spent
+    for budget, run in sweep_engines(election, kind, policy, cost, budgets, voter_order):
+        committee = select_top_k(_doubled_borda(election, run), election.k)
+        yield budget, hamming(committee, target), run.spent
 
 
 def _election_rows(args) -> list[ResultRow]:

@@ -208,17 +208,45 @@ def format_answer_line(answer: OrderedPartition) -> str:
     return "A classes=" + "|".join(",".join(str(c) for c in cls) for cls in answer)
 
 
+def _parse_field(what: str, line: str, name: str, text: str, parse):
+    """``parse(text)``, or a ValueError naming the line and its bad field."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{what} line {line!r} has a bad {name}= field {text!r}") from None
+
+
+def _ids(text: str) -> tuple[int, ...]:
+    return tuple(int(item) for item in text.split(","))
+
+
+def _ratios(text: str) -> tuple:
+    return tuple(_parse_number(item) for item in text.split(","))
+
+
+def _classes(text: str) -> OrderedPartition:
+    return tuple(_ids(cls) for cls in text.split("|"))
+
+
 def parse_query_line(line: str) -> tuple[int, RefinementQuery, object]:
-    fields = dict(part.split("=", 1) for part in line.split()[1:])
+    fields = {}
+    for part in line.split()[1:]:
+        name, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"query line {line!r} has a field {part!r} with no '='")
+        fields[name] = value
     missing = [name for name in ("voter", "subset", "B", "cost") if name not in fields]
     if missing:
         raise ValueError(f"query line {line!r} has no {missing[0]}= field")
-    voter = int(fields["voter"])
-    subset = tuple(int(c) for c in fields["subset"].split(","))
-    ratios = tuple(_parse_number(b) for b in fields["B"].split(","))
-    return voter, RefinementQuery(subset=subset, buckets=ratios), _parse_number(fields["cost"])
+    voter = _parse_field("query", line, "voter", fields["voter"], int)
+    subset = _parse_field("query", line, "subset", fields["subset"], _ids)
+    ratios = _parse_field("query", line, "B", fields["B"], _ratios)
+    cost = _parse_field("query", line, "cost", fields["cost"], _parse_number)
+    return voter, RefinementQuery(subset=subset, buckets=ratios), cost
 
 
 def parse_answer_line(line: str) -> OrderedPartition:
-    body = line.split("=", 1)[1]
-    return tuple(tuple(int(c) for c in cls.split(",")) for cls in body.split("|"))
+    _, eq, body = line.partition("=")
+    if not eq:
+        raise ValueError(f"answer line {line!r} has no classes= field")
+    return _parse_field("answer", line, "classes", body, _classes)

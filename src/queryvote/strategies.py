@@ -32,6 +32,19 @@ until the first question that B cannot afford:
   run stops at each budget's first refusal, a fork finishes the round-robin
   under that budget from the refused voter (carrying the round's "asked
   something" flag), and the next budget resumes the shared run there.
+
+The spend is exact and cheap to keep. For a registry cost a price depends
+only on the question type, the cost and the class size, so one table per
+(question type, cost, m) holds every price a run can be charged. When those
+prices are Fractions, the spend is kept as an int count of ``1/D`` units, D
+their least common denominator: every price is a whole number of units, so
+the sum is exact, and ``units <= floor(budget * D)``, over the exact value of
+the budget (a finite float is a dyadic rational), holds exactly when
+``units / D <= budget``. Int prices (``candidates``) and float prices
+(``computational``) are added as they are, in the order charged, and compared
+with the budget itself: a float spend is a sum of rounded additions that no
+int count reproduces, and Python compares int, float and Fraction exactly. A
+custom callable is priced on the subset shown and charged the same way.
 """
 
 from __future__ import annotations
@@ -120,6 +133,33 @@ def _plan(kind: QuestionType, size: int):
     return template.buckets, bucket_sizes(template.buckets, size)
 
 
+@lru_cache(maxsize=None)
+def _price_table(kind: QuestionType, cost_fn, m: int):
+    """Every question of a run under a registry cost, indexed by class size.
+
+    Returns ``(table, scale)``. ``table[size]`` for sizes 2..m is ``(units,
+    sizes, ratios, price)``: the price in spend units, the class sizes of the
+    truthful answer, the bucket ratios and the price as the cost function
+    gives it. When every price is a Fraction, ``scale`` is their least common
+    denominator D and ``units`` is ``price * D``, an int; otherwise ``scale``
+    is None and ``units`` is the price itself.
+    """
+    plans = {size: _plan(kind, size) for size in range(2, m + 1)}
+    prices = {
+        size: cost_fn(RefinementQuery(subset=range(size), buckets=ratios))
+        for size, (ratios, _) in plans.items()
+    }
+    scale = None
+    if prices and all(type(price) is Fraction for price in prices.values()):
+        scale = math.lcm(*(price.denominator for price in prices.values()))
+    table: list = [None, None]
+    for size, (ratios, sizes) in plans.items():
+        price = prices[size]
+        units = price if scale is None else price.numerator * (scale // price.denominator)
+        table.append((units, sizes, ratios, price))
+    return table, scale
+
+
 @dataclass(frozen=True)
 class LogEntry:
     voter: int
@@ -134,33 +174,47 @@ class RefinementEngine:
     Each voter is asked about the front range of its queue; :meth:`ask`
     prices the question, asks it only if it fits in the budget set by
     :meth:`limit`, cuts the range by the question's class sizes (the truthful
-    answer) and charges the price. Registry cost functions see a query only
-    through its size and buckets, so their prices are cached per class size;
-    any other callable is priced on the subset actually shown.
+    answer) and charges the price. Registry cost functions are priced from a
+    per-size table built once per (question type, cost, m), and Fraction
+    prices are charged as integer units (see the module docstring); any other
+    callable is priced on the subset actually shown.
     """
 
     def __init__(self, election: Election, kind: QuestionType, cost, record_log: bool = False):
         self.kind = kind
         self.cost_fn, self.cost_name = resolve_cost(cost)
-        self.by_size = self.cost_fn in COST_FUNCTIONS.values()
+        self.table, self.scale = (
+            _price_table(kind, self.cost_fn, election.m)
+            if self.cost_fn in COST_FUNCTIONS.values()
+            else (None, None)
+        )
         self.prices: dict = {}
         self.voters = election.voters
         m = election.m
         self.cuts = [[0, m] for _ in self.voters]
         self.pending = [deque([(0, m)] if m >= 2 else ()) for _ in self.voters]
-        self.spent = 0
+        self.units = 0
         self.limit(UNLIMITED)
         self.log: list[LogEntry] | None = [] if record_log else None
+
+    @property
+    def spent(self):
+        """Total price charged so far: the int 0 before any charge, then the sum in the prices' type."""
+        # Every registry price is positive, so no units means no charge yet.
+        if self.scale is None or not self.units:
+            return self.units
+        return Fraction(self.units, self.scale)
 
     def limit(self, budget) -> None:
         """Cap the total spend at ``budget``, non-negative (``UNLIMITED`` for no cap).
 
-        A Fraction spend is compared with an exact twin of a finite float
-        budget, converted once here rather than on every comparison.
+        With a scale D the cap is ``floor(budget * D)`` units, from the exact
+        value of the budget; otherwise it is the budget itself.
         """
         _check_budget(budget)
-        finite_float = isinstance(budget, float) and math.isfinite(budget)
-        self.budget, self.exact = budget, (Fraction(budget) if finite_float else budget)
+        self.budget = self.cap = budget
+        if self.scale is not None and budget != UNLIMITED:
+            self.cap = math.floor(Fraction(budget) * self.scale)
 
     def next_query(self, v: int) -> RefinementQuery | None:
         """The question voter ``v`` would be asked next, or None if resolved."""
@@ -170,6 +224,16 @@ class RefinementEngine:
         ratios, _ = _plan(self.kind, stop - start)
         return RefinementQuery(subset=tuple(sorted(self.voters[v][start:stop])), buckets=ratios)
 
+    def _priced_on_subset(self, v: int, start: int, stop: int):
+        """The ``(units, sizes, ratios, price)`` of voter ``v``'s question, priced on its subset."""
+        subset = tuple(sorted(self.voters[v][start:stop]))
+        entry = self.prices.get(subset)
+        if entry is None:
+            ratios, sizes = _plan(self.kind, stop - start)
+            price = self.cost_fn(RefinementQuery(subset=subset, buckets=ratios))
+            entry = self.prices[subset] = (price, sizes, ratios, price)
+        return entry
+
     def ask(self, v: int) -> bool:
         """Ask voter ``v``, who must not be resolved, its next question if it fits.
 
@@ -178,26 +242,23 @@ class RefinementEngine:
         """
         queue = self.pending[v]
         start, stop = queue[0]
-        key = stop - start if self.by_size else tuple(sorted(self.voters[v][start:stop]))
-        price = self.prices.get(key)
-        if price is None:
-            price = self.prices[key] = self.cost_fn(self.next_query(v))
-        spent = self.spent + price
-        if spent > (self.exact if type(spent) is Fraction else self.budget):
+        table = self.table
+        entry = table[stop - start] if table is not None else self._priced_on_subset(v, start, stop)
+        units = self.units + entry[0]
+        if units > self.cap:
             return False
-        ratios, sizes = _plan(self.kind, stop - start)
-        bounds = list(accumulate(sizes, initial=start))
+        bounds = list(accumulate(entry[1], initial=start))
         cuts = self.cuts[v]
         at = bisect(cuts, start)
         cuts[at:at] = bounds[1:-1]
         queue.popleft()
         queue.extend(pair for pair in pairwise(bounds) if pair[1] - pair[0] >= 2)
-        self.spent = spent
+        self.units = units
         if self.log is not None:
             ranking = self.voters[v]
-            query = RefinementQuery(subset=tuple(sorted(ranking[start:stop])), buckets=ratios)
+            query = RefinementQuery(subset=tuple(sorted(ranking[start:stop])), buckets=entry[2])
             classes = tuple(tuple(sorted(ranking[a:b])) for a, b in pairwise(bounds))
-            self.log.append(LogEntry(voter=v, query=query, answer=classes, cost=price))
+            self.log.append(LogEntry(voter=v, query=query, answer=classes, cost=entry[3]))
         return True
 
     def fork(self) -> RefinementEngine:
@@ -264,13 +325,12 @@ def _equal_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
         engine.limit(budget)
         at = _equal_rounds(engine, order, *at, stop=True)
         if at is None:
-            profile = engine.profile()
             for rest in budgets[i:]:
-                yield rest, profile, engine.spent
+                yield rest, engine
             return
         run = engine.fork()
         _equal_rounds(run, order, *at)
-        yield budget, run.profile(), run.spent
+        yield budget, run
 
 
 def _fcfs_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
@@ -278,7 +338,7 @@ def _fcfs_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
     for budget in budgets:
         engine.limit(budget)
         _fcfs(engine, order)
-        yield budget, engine.profile(), engine.spent
+        yield budget, engine
 
 
 # Per policy: the driver of one run, and the budget sweep that resumes it.
@@ -374,6 +434,23 @@ def sweep_elicitation(
     Yields ``(budget, profile, spent)`` for each entry of ``budgets`` in
     order, equal to the profile and spend of ``run_elicitation`` under that
     budget; the module docstring says why resuming is exact.
+    """
+    runs = sweep_engines(election, kind, policy, cost, budgets, voter_order)
+    return ((budget, run.profile(), run.spent) for budget, run in runs)
+
+
+def sweep_engines(
+    election: Election,
+    kind: QuestionType,
+    policy: BudgetPolicy,
+    cost,
+    budgets: Sequence,
+    voter_order: Sequence[int] | None = None,
+) -> Iterator[tuple[object, RefinementEngine]]:
+    """:func:`sweep_elicitation` as ``(budget, engine)`` pairs, checked before any is made.
+
+    Each engine holds the run under its budget only until the next pair is
+    drawn, since the next budget may resume it.
     """
     budgets = list(budgets)
     for budget in budgets:

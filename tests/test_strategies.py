@@ -1,7 +1,10 @@
 import hashlib
 import io
 import math
+import re
+from collections import deque
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 
@@ -275,6 +278,21 @@ def test_read_log_names_a_query_line_missing_a_field(field):
         read_log(io.StringIO(line + "\nA classes=0|1\n"))
 
 
+@pytest.mark.parametrize(
+    "query, answer, field",
+    [
+        ("Q voter=0 subset B=1/2,1/2 cost=4", "A classes=0|1", "subset"),
+        ("Q voter=x subset=0,1 B=1/2,1/2 cost=4", "A classes=0|1", "voter"),
+        ("Q voter=0 subset=0,1 B=1/2,1/2 cost=4", "A classes=0,|1", "classes"),
+    ],
+    ids=["field-without-value", "voter-not-an-int", "empty-candidate-id"],
+)
+def test_read_log_names_a_malformed_line_and_its_field(query, answer, field):
+    bad = answer if field == "classes" else query
+    with pytest.raises(ValueError, match=re.escape(repr(bad)) + f".*{field}"):
+        read_log(io.StringIO(f"{query}\n{answer}\n"))
+
+
 def test_class_count_is_monotone_over_log():
     e = generate(CultureSpec("IC", seed=20), 8, 3, 2)
     run = run_elicitation(e, SPLIT, EQ, "variance_aware", 150)
@@ -377,3 +395,106 @@ def test_sweep_snapshots_match_the_pinned_digest():
                         line = repr((budget, profile, spent, type(spent).__name__))
                         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == SNAPSHOT_DIGEST
+
+
+def reference_run(e, kind, policy, cost, budget, order):
+    """``(spent, profile)`` of a plain run: one question at a time, prices summed as given.
+
+    The spend is the running sum of the cost function's own values (Fractions
+    for the exact costs), and each question is tested with ``spent + price >
+    budget``, which Python decides exactly for int, Fraction and float.
+    """
+    price_of = COST_FUNCTIONS[cost]
+    partitions = [[tuple(range(e.m))] for _ in e.voters]
+    queues = [deque(partition if e.m >= 2 else ()) for partition in partitions]
+    spent = 0
+
+    def ask(v):
+        nonlocal spent
+        query = make_question(kind, queues[v][0])
+        price = price_of(query)
+        if spent + price > budget:
+            return False
+        answer = answer_query(e.voters[v], query)
+        apply_answer(partitions[v], query, answer)
+        queues[v].popleft()
+        queues[v].extend(cls for cls in answer if len(cls) >= 2)
+        spent = spent + price
+        return True
+
+    if policy is FCFS:
+        for v in order:
+            while queues[v] and ask(v):
+                pass
+            if queues[v]:
+                break
+    else:
+        progressed = True
+        while progressed:
+            progressed = False
+            for v in order:
+                if queues[v] and ask(v):
+                    progressed = True
+    return spent, tuple(map(tuple, partitions))
+
+
+def random_election(rng):
+    """An election with 2..9 candidates and 1..5 voters, and a voter order."""
+    m, n = int(rng.integers(2, 10)), int(rng.integers(1, 6))
+    voters = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
+    return Election(m=m, voters=voters, k=1), [int(v) for v in rng.permutation(n)]
+
+
+def check_against_reference(e, kind, policy, cost, grid, order):
+    """Sweep and single runs over ``grid`` equal the reference run, and stay in budget."""
+    swept = sweep_elicitation(e, kind, policy, cost, grid, voter_order=order)
+    for budget, profile, spent in swept:
+        run = run_elicitation(e, kind, policy, cost, budget, voter_order=order, record_log=False)
+        reference = reference_run(e, kind, policy, cost, budget, order)
+        assert (spent, profile) == (run.spent, run.profile) == reference
+        assert type(spent) is type(run.spent) is type(reference[0])
+        assert spent <= budget
+
+
+@pytest.mark.parametrize("cost", ["candidates", "last_bucket", "bucket_count", "variance_aware"])
+def test_integer_cap_at_float_budgets_next_to_an_exact_spend(cost):
+    """A float budget at, just under and just over ``float`` of a spend on the trace."""
+    rng = substream(55)
+    for _ in range(4):
+        e, order = random_election(rng)
+        for kind, policy in ALL_STRATEGIES:
+            full = run_elicitation(e, kind, policy, cost, UNLIMITED, voter_order=order)
+            spends = list(accumulate(entry.cost for entry in full.log))
+            budgets = set()
+            for i in rng.integers(len(spends), size=3):
+                near = float(spends[int(i)])
+                budgets |= {math.nextafter(near, 0), near, math.nextafter(near, math.inf)}
+            check_against_reference(e, kind, policy, cost, sorted(budgets), order)
+
+
+def test_spend_in_units_of_a_large_denominator_stays_exact():
+    e = generate(CultureSpec("IC", seed=23), 60, 3, 5)
+    assert RefinementEngine(e, SPLIT, "variance_aware").scale > 2**64
+    for kind, policy in ALL_STRATEGIES:
+        full = run_elicitation(e, kind, policy, "variance_aware", UNLIMITED)
+        for budget in (UNLIMITED, full.spent / 2, float(full.spent) / 3):
+            run = run_elicitation(e, kind, policy, "variance_aware", budget)
+            total = sum(entry.cost for entry in run.log)
+            assert run.spent == total and type(run.spent) is type(total) is F
+            assert run.spent <= budget
+
+
+def test_float_cap_between_two_float_spends():
+    """``computational`` budgets strictly between consecutive spends of the trace."""
+    rng = substream(56)
+    for _ in range(4):
+        e, order = random_election(rng)
+        for kind, policy in ALL_STRATEGIES:
+            full = run_elicitation(e, kind, policy, "computational", UNLIMITED, voter_order=order)
+            spends = list(accumulate(entry.cost for entry in full.log))
+            assert spends[-1] == full.spent
+            budgets = set()
+            for i in rng.integers(len(spends) - 1, size=3) if len(spends) > 1 else ():
+                low, high = spends[int(i)], spends[int(i) + 1]
+                budgets |= {math.nextafter(low, math.inf), (low + high) / 2, math.nextafter(high, 0)}
+            check_against_reference(e, kind, policy, "computational", sorted(budgets), order)
