@@ -160,7 +160,7 @@ def _cmd_sweep(args) -> int:
     else:
         heaviest = max(full_resolution_cost(election, kind, args.cost) for kind in QuestionType)
         budgets = list(default_budget_grid(heaviest, points=args.points))
-    # One resumed run per (strategy, repeat) serves every budget, in ascending order.
+    # One sweep per (strategy, repeat) serves every budget; it takes them in ascending order.
     # The table is printed whole, so a rejected budget leaves stdout empty.
     grid = sorted(set(budgets))
     table = ["strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)]

@@ -6,13 +6,12 @@ the full-information Borda committee of the same election. All seeds derive
 from the master seed by cell key, so results are identical whatever the
 worker count or execution order.
 
-A sweep does not start a fresh elicitation per budget: each (election,
-strategy, voter order) resumes the single-run driver along the ascending
-budget grid, through :func:`~queryvote.strategies.sweep_elicitation`. Under
-``FCFS`` each budget continues the previous budget's run. Under ``EQ`` the
-shared run stops at each budget's first refused question and a fork finishes
-that budget. Each snapshot is scored like a single run, so the rows equal
-those of one run per budget.
+Under a registry cost every voter is asked the same schedule of questions,
+so a run under one budget is one level per voter: the number of questions it
+answered, in closed form (see :mod:`queryvote.strategies`). Each budget of a
+grid is computed on its own, and each snapshot is scored by one gather from
+the schedule's table of Borda shares by level and place, so the rows equal
+those of one single run per budget.
 """
 
 from __future__ import annotations
@@ -21,10 +20,12 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import pairwise
+from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
+
+import numpy as np
 
 from .core import Committee, Election, hamming, k_borda, select_top_k
 from .costs import get_cost_function
@@ -172,19 +173,29 @@ def _resolved_grids(config: ExperimentConfig) -> dict[str, tuple[float, ...]]:
     return {strategy_label(k, p): by_kind[k] for k, p in config.strategies}
 
 
-def _doubled_borda(election: Election, run: RefinementEngine) -> list[int]:
-    """Twice each candidate's Borda total over the classes ``run`` knows.
+@lru_cache(maxsize=1)
+def _places(election: Election) -> np.ndarray:
+    """``places[v, c]``: the place of candidate c in voter v's ranking, read-only."""
+    rankings = np.array(election.voters)
+    places = np.empty_like(rankings)
+    places[np.arange(election.n)[:, None], rankings] = np.arange(election.m)
+    places.flags.writeable = False
+    return places
 
-    A class at 0-based places ``a..b-1`` adds ``2m - 1 - a - b`` to each member.
+
+def _twice_borda(run: RefinementEngine, places: np.ndarray) -> np.ndarray:
+    """Twice each candidate's Borda total over the classes ``run`` knows, in int64.
+
+    One gather from the schedule's ``shares`` by each voter's level and each
+    candidate's place. This is twice the float totals
+    :func:`~queryvote.scoring.partial_scores` gives on the run's profile, and
+    those are exact: a class at 0-based places ``a..b-1`` gets the mean Borda
+    score of its places, ``(2m - 1 - a - b) / 2``, a half-integer that one
+    division gives exactly, and every partial sum stays below ``n * m``, far
+    under 2**52. Doubling keeps the order of the scores and their ties, so
+    :func:`~queryvote.core.select_top_k` picks the same committee.
     """
-    top = 2 * election.m - 1
-    totals = [0] * election.m
-    for ranking, cuts in zip(election.voters, run.cuts):
-        for a, b in pairwise(cuts):
-            share = top - a - b
-            for c in ranking[a:b]:
-                totals[c] += share
-    return totals
+    return run.schedule.shares[np.array(run.levels)[:, None], places].sum(axis=0)
 
 
 def sweep_distances(
@@ -200,19 +211,12 @@ def sweep_distances(
 
     Yields ``(budget, distance, spent)`` per entry of ``budgets``: the
     :func:`~queryvote.strategies.sweep_elicitation` snapshot at that budget
-    is scored by Borda over the partial profile, and the top ``k`` committee
-    is compared with ``target`` (the full-information committee).
-
-    Each snapshot is scored from the engine's cuts in ints, twice the Borda
-    totals :func:`~queryvote.scoring.partial_scores` gives on its profile.
-    Those float totals are exact: a class gets the mean Borda score of its
-    places, ``(2m - 1 - a - b) / 2``, a half-integer that one division gives
-    exactly, and every partial sum stays below ``n * m``, far under 2**52.
-    Doubling keeps the order of the scores and their ties, so
-    :func:`~queryvote.core.select_top_k` picks the same committee.
+    is scored by Borda over the partial profile (:func:`_twice_borda`), and
+    the top ``k`` committee is compared with ``target``.
     """
+    places = _places(election)
     for budget, run in sweep_engines(election, kind, policy, cost, budgets, voter_order):
-        committee = select_top_k(_doubled_borda(election, run), election.k)
+        committee = select_top_k(_twice_borda(run, places).tolist(), election.k)
         yield budget, hamming(committee, target), run.spent
 
 

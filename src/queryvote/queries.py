@@ -242,7 +242,10 @@ def parse_query_line(line: str) -> tuple[int, RefinementQuery, object]:
     subset = _parse_field("query", line, "subset", fields["subset"], _ids)
     ratios = _parse_field("query", line, "B", fields["B"], _ratios)
     cost = _parse_field("query", line, "cost", fields["cost"], _parse_number)
-    return voter, RefinementQuery(subset=subset, buckets=ratios), cost
+    try:
+        return voter, RefinementQuery(subset=subset, buckets=ratios), cost
+    except ValueError as err:  # InfeasibleQueryError included, and kept as such
+        raise type(err)(f"query line {line!r} is not a valid query: {err}") from None
 
 
 def parse_answer_line(line: str) -> OrderedPartition:

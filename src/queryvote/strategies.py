@@ -2,63 +2,60 @@
 
 A truthful voter answers a question by cutting the shown class along their
 own ranking, so every class known about a voter is a run of consecutive
-places in that ranking. A run keeps per voter only its cuts (the indices in
-the ranking where classes start, then ``m``) and a FIFO queue of the ``(start,
-stop)`` ranges still worth splitting (2 or more candidates), best first.
-Questions always target the front range, so no query ever spans candidates
-already known to be in different classes.
-:class:`RefinementEngine` is the one implementation of that state machine and
-holds the budget: its ``ask`` prices, tests, answers and charges each question,
-so the drivers of single runs and budget sweeps only choose whom to ask next.
+places in that ranking. Questions always target the oldest range still worth
+splitting (2 or more candidates), first in first out from ``(0, m)``.
 
-Two ways to spend the budget:
+Under a registry cost that walk never reads a ranking: the class sizes of an
+answer and the price of a question depend only on the size of the range
+shown. So one :class:`Schedule` per (question type, cost, m) holds, for every
+voter alike, the range asked at each step, its price and the cuts after q
+questions, and a voter's whole state is its level: the number of questions
+it has answered. :class:`RefinementEngine` is that schedule plus one level
+per voter, the budget and the spend.
+
+Two ways to spend the budget, each with a closed form in the levels, so that
+each budget is computed on its own in time linear in schedule and voters:
 
 * ``EQUAL``: round-robin over the voters, one question per visit, skipping a
   voter whose next question is unaffordable or who has nothing left to
-  answer; the run ends after a full round in which nothing was asked.
+  answer; the run ends after a full round in which nothing was asked. A
+  voter refused at level r stays refused, since the spend only grows and
+  the price of question r is fixed, and so is every later voter at level r.
+  So round r asks the first ``j_r = min(j_{r-1}, (cap - spent) // price_r)``
+  voters of the order, all at level r.
 * ``FCFS``: fully resolve the first voter before touching the second, and so
   on; the run ends the moment the current voter's next question does not fit
-  in the remaining budget (partial progress on that voter is kept).
+  in the remaining budget (partial progress on that voter is kept). So the
+  first ``cap // full`` voters are resolved, and the next one stops at the
+  last level whose running price fits in what is left.
 
-A budget sweep (:func:`sweep_elicitation`) resumes the single-run drivers
-along an ascending grid instead of starting a fresh run per budget. This is
-exact because a run under budget B asks exactly what the unlimited run asks
-until the first question that B cannot afford:
+The spend is exact. When the prices are Fractions, it is kept as an int
+count of ``1/D`` units, D their least common denominator: every price is a
+whole number of units, so the sum is exact, and ``units <= floor(budget *
+D)``, over the exact value of the budget (a finite float is a dyadic
+rational), holds exactly when ``units / D <= budget``. Int prices
+(``candidates``) are whole units with D = 1. Float prices (``computational``)
+are added one at a time in the order charged and compared with the budget
+itself: no int count reproduces a sum of rounded additions.
 
-* under ``FCFS`` that question ends the run, so the run under B is a prefix
-  of the run under any larger budget, and each budget continues the run of
-  the previous one;
-* under ``EQUAL`` the voter is skipped and the round goes on, so the shared
-  run stops at each budget's first refusal, a fork finishes the round-robin
-  under that budget from the refused voter (carrying the round's "asked
-  something" flag), and the next budget resumes the shared run there.
-
-The spend is exact and cheap to keep. For a registry cost a price depends
-only on the question type, the cost and the class size, so one table per
-(question type, cost, m) holds every price a run can be charged. When those
-prices are Fractions, the spend is kept as an int count of ``1/D`` units, D
-their least common denominator: every price is a whole number of units, so
-the sum is exact, and ``units <= floor(budget * D)``, over the exact value of
-the budget (a finite float is a dyadic rational), holds exactly when
-``units / D <= budget``. Int prices (``candidates``) and float prices
-(``computational``) are added as they are, in the order charged, and compared
-with the budget itself: a float spend is a sum of rounded additions that no
-int count reproduces, and Python compares int, float and Fraction exactly. A
-custom callable is priced on the subset shown and charged the same way.
+A custom cost callable may price a question by the candidates shown, which
+no schedule can hold, so elicitation takes registry costs only; the axiom
+audit (:func:`~queryvote.costs.audit_axiom`) still takes a callable.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from bisect import bisect
+from bisect import bisect, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise
 from typing import Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .core import Election
 from .costs import COST_FUNCTIONS, resolve_cost
@@ -126,38 +123,68 @@ def apply_answer(partition: list, query: RefinementQuery, answer: OrderedPartiti
     return partition
 
 
-@lru_cache(maxsize=None)
-def _plan(kind: QuestionType, size: int):
-    """Bucket ratios and class sizes for a question, which depend only on size."""
-    template = make_question(kind, range(size))
-    return template.buckets, bucket_sizes(template.buckets, size)
+class Schedule:
+    """The questions every voter is asked, in order, under one (question type, registry cost, m).
 
-
-@lru_cache(maxsize=None)
-def _price_table(kind: QuestionType, cost_fn, m: int):
-    """Every question of a run under a registry cost, indexed by class size.
-
-    Returns ``(table, scale)``. ``table[size]`` for sizes 2..m is ``(units,
-    sizes, ratios, price)``: the price in spend units, the class sizes of the
-    truthful answer, the bucket ratios and the price as the cost function
-    gives it. When every price is a Fraction, ``scale`` is their least common
-    denominator D and ``units`` is ``price * D``, an int; otherwise ``scale``
-    is None and ``units`` is the price itself.
+    Question q shows places ``bounds[q][0]..bounds[q][-1]-1`` of a ranking
+    with ratios ``ratios[q]``, costs ``prices[q]`` and is answered by cuts at
+    ``bounds[q]``; ``cuts[q]`` are the class bounds after q questions. When
+    every price of a size 2..m is a Fraction, ``scale`` is their least common
+    denominator D and ``units[q] = prices[q] * D``, else ``units`` are the
+    prices. ``cum[q]`` is the units of the first q questions.
     """
-    plans = {size: _plan(kind, size) for size in range(2, m + 1)}
-    prices = {
-        size: cost_fn(RefinementQuery(subset=range(size), buckets=ratios))
-        for size, (ratios, _) in plans.items()
-    }
-    scale = None
-    if prices and all(type(price) is Fraction for price in prices.values()):
-        scale = math.lcm(*(price.denominator for price in prices.values()))
-    table: list = [None, None]
-    for size, (ratios, sizes) in plans.items():
-        price = prices[size]
-        units = price if scale is None else price.numerator * (scale // price.denominator)
-        table.append((units, sizes, ratios, price))
-    return table, scale
+
+    def __init__(self, kind: QuestionType, cost_fn, m: int):
+        plans, price_of = {}, {}
+        for size in range(2, m + 1):
+            ratios = make_question(kind, range(size)).buckets
+            plans[size] = ratios, bucket_sizes(ratios, size)
+            price_of[size] = cost_fn(RefinementQuery(subset=range(size), buckets=ratios))
+        self.scale = None
+        if price_of and all(type(price) is Fraction for price in price_of.values()):
+            self.scale = math.lcm(*(price.denominator for price in price_of.values()))
+        self.m = m
+        self.ratios, self.prices, self.bounds = [], [], []
+        cuts = [0, m]
+        self.cuts = [tuple(cuts)]
+        queue = deque([(0, m)] if m >= 2 else ())
+        while queue:
+            start, stop = queue.popleft()
+            ratios, sizes = plans[stop - start]
+            bounds = tuple(accumulate(sizes, initial=start))
+            at = bisect(cuts, start)
+            cuts[at:at] = bounds[1:-1]
+            queue.extend(pair for pair in pairwise(bounds) if pair[1] - pair[0] >= 2)
+            self.ratios.append(ratios)
+            self.prices.append(price_of[stop - start])
+            self.bounds.append(bounds)
+            self.cuts.append(tuple(cuts))
+        self.units = self.prices
+        if self.scale is not None:
+            self.units = [p.numerator * (self.scale // p.denominator) for p in self.prices]
+        self.exact = not any(type(unit) is float for unit in self.units)
+        self.cum = list(accumulate(self.units, initial=0))
+
+    @cached_property
+    def shares(self) -> np.ndarray:
+        """``shares[q, p]``: ``2m - 1 - a - b``, a..b-1 the places of p's class after q questions."""
+        top = 2 * self.m - 1
+        table = np.empty((len(self.cuts), self.m), dtype=np.int64)
+        table[0] = self.m - 1
+        for q, bounds in enumerate(self.bounds):
+            table[q + 1] = table[q]
+            for a, b in pairwise(bounds):
+                table[q + 1, a:b] = top - a - b
+        return table
+
+
+_schedule = lru_cache(maxsize=None)(Schedule)
+
+
+@lru_cache(maxsize=1024)
+def _units_cap(budget, scale: int) -> int:
+    """``floor(budget * scale)`` over the exact value of ``budget``."""
+    return math.floor(Fraction(budget) * scale)
 
 
 @dataclass(frozen=True)
@@ -169,30 +196,23 @@ class LogEntry:
 
 
 class RefinementEngine:
-    """One elicitation in progress: every voter's cuts and queue, the budget, the spend, the log.
+    """One elicitation: the schedule, each voter's level in it, the budget, the spend, the log.
 
-    Each voter is asked about the front range of its queue; :meth:`ask`
-    prices the question, asks it only if it fits in the budget set by
-    :meth:`limit`, cuts the range by the question's class sizes (the truthful
-    answer) and charges the price. Registry cost functions are priced from a
-    per-size table built once per (question type, cost, m), and Fraction
-    prices are charged as integer units (see the module docstring); any other
-    callable is priced on the subset actually shown.
+    Voter ``v`` has answered the first ``levels[v]`` questions of the
+    schedule. :meth:`ask` moves one voter one level up if the price fits in
+    the budget set by :meth:`limit`; a run sets every level at once for a
+    budget policy, in closed form (see the module docstring).
     """
 
     def __init__(self, election: Election, kind: QuestionType, cost, record_log: bool = False):
-        self.kind = kind
-        self.cost_fn, self.cost_name = resolve_cost(cost)
-        self.table, self.scale = (
-            _price_table(kind, self.cost_fn, election.m)
-            if self.cost_fn in COST_FUNCTIONS.values()
-            else (None, None)
-        )
-        self.prices: dict = {}
+        cost_fn, self.cost_name = resolve_cost(cost)
+        if cost_fn not in COST_FUNCTIONS.values():
+            known = ", ".join(COST_FUNCTIONS)
+            raise ValueError(f"elicitation needs a registry cost ({known}), got {self.cost_name!r}")
+        self.schedule = _schedule(kind, cost_fn, election.m)
+        self.scale = self.schedule.scale
         self.voters = election.voters
-        m = election.m
-        self.cuts = [[0, m] for _ in self.voters]
-        self.pending = [deque([(0, m)] if m >= 2 else ()) for _ in self.voters]
+        self.levels = [0] * election.n
         self.units = 0
         self.limit(UNLIMITED)
         self.log: list[LogEntry] | None = [] if record_log else None
@@ -208,144 +228,127 @@ class RefinementEngine:
     def limit(self, budget) -> None:
         """Cap the total spend at ``budget``, non-negative (``UNLIMITED`` for no cap).
 
-        With a scale D the cap is ``floor(budget * D)`` units, from the exact
-        value of the budget; otherwise it is the budget itself.
+        With int units the cap is ``floor(budget * D)`` units; else the budget.
         """
         _check_budget(budget)
         self.budget = self.cap = budget
-        if self.scale is not None and budget != UNLIMITED:
-            self.cap = math.floor(Fraction(budget) * self.scale)
+        if self.schedule.exact and budget != UNLIMITED:
+            self.cap = _units_cap(budget, self.scale or 1)
+
+    def _query(self, v: int, q: int) -> RefinementQuery:
+        bounds = self.schedule.bounds[q]
+        subset = sorted(self.voters[v][bounds[0] : bounds[-1]])
+        return RefinementQuery(subset=subset, buckets=self.schedule.ratios[q])
+
+    def _entry(self, v: int, q: int) -> LogEntry:
+        """The log entry of voter ``v``'s answer to question ``q``."""
+        ranking = self.voters[v]
+        answer = tuple(tuple(sorted(ranking[a:b])) for a, b in pairwise(self.schedule.bounds[q]))
+        return LogEntry(voter=v, query=self._query(v, q), answer=answer, cost=self.schedule.prices[q])
 
     def next_query(self, v: int) -> RefinementQuery | None:
         """The question voter ``v`` would be asked next, or None if resolved."""
-        if not self.pending[v]:
-            return None
-        start, stop = self.pending[v][0]
-        ratios, _ = _plan(self.kind, stop - start)
-        return RefinementQuery(subset=tuple(sorted(self.voters[v][start:stop])), buckets=ratios)
-
-    def _priced_on_subset(self, v: int, start: int, stop: int):
-        """The ``(units, sizes, ratios, price)`` of voter ``v``'s question, priced on its subset."""
-        subset = tuple(sorted(self.voters[v][start:stop]))
-        entry = self.prices.get(subset)
-        if entry is None:
-            ratios, sizes = _plan(self.kind, stop - start)
-            price = self.cost_fn(RefinementQuery(subset=subset, buckets=ratios))
-            entry = self.prices[subset] = (price, sizes, ratios, price)
-        return entry
+        q = self.levels[v]
+        return self._query(v, q) if q < len(self.schedule.bounds) else None
 
     def ask(self, v: int) -> bool:
         """Ask voter ``v``, who must not be resolved, its next question if it fits.
 
         Returns False, changing nothing, if the price would take the spend over
-        the budget; otherwise cuts the front range, charges the price, returns True.
+        the budget; otherwise moves the voter one level up, charges the price,
+        returns True.
         """
-        queue = self.pending[v]
-        start, stop = queue[0]
-        table = self.table
-        entry = table[stop - start] if table is not None else self._priced_on_subset(v, start, stop)
-        units = self.units + entry[0]
+        q = self.levels[v]
+        units = self.units + self.schedule.units[q]
         if units > self.cap:
             return False
-        bounds = list(accumulate(entry[1], initial=start))
-        cuts = self.cuts[v]
-        at = bisect(cuts, start)
-        cuts[at:at] = bounds[1:-1]
-        queue.popleft()
-        queue.extend(pair for pair in pairwise(bounds) if pair[1] - pair[0] >= 2)
+        self.levels[v] = q + 1
         self.units = units
         if self.log is not None:
-            ranking = self.voters[v]
-            query = RefinementQuery(subset=tuple(sorted(ranking[start:stop])), buckets=entry[2])
-            classes = tuple(tuple(sorted(ranking[a:b])) for a, b in pairwise(bounds))
-            self.log.append(LogEntry(voter=v, query=query, answer=classes, cost=entry[3]))
+            self.log.append(self._entry(v, q))
         return True
 
-    def fork(self) -> RefinementEngine:
-        """An independent copy of the run so far and its budget (sharing the price cache)."""
-        twin = copy.copy(self)
-        twin.cuts = [list(cuts) for cuts in self.cuts]
-        twin.pending = [deque(queue) for queue in self.pending]
+    def _run(self, policy: BudgetPolicy, order: list[int], budget) -> RefinementEngine:
+        """Elicit from scratch under ``budget``, as ``policy`` walks ``order``; returns the engine.
+
+        ``order`` is a checked permutation of the voters. A recorded log is
+        rebuilt in the order the questions are charged.
+        """
+        self.limit(budget)
+        policy = BudgetPolicy(policy)
+        levels, self.units = _DRIVERS[policy](self.schedule, len(order), self.cap)
+        for v, q in zip(order, levels):
+            self.levels[v] = q
         if self.log is not None:
-            twin.log = list(self.log)
-        return twin
+            self.log = [self._entry(v, q) for v, q in _charges(policy, order, levels)]
+        return self
 
     def profile(self) -> tuple[OrderedPartition, ...]:
         """Every voter's known classes, best first, each as sorted candidate ids."""
+        cuts_after = self.schedule.cuts
         return tuple(
             tuple(
                 ranking[a:b] if b - a == 1 else tuple(sorted(ranking[a:b]))
-                for a, b in pairwise(cuts)
+                for a, b in pairwise(cuts_after[q])
             )
-            for ranking, cuts in zip(self.voters, self.cuts)
+            for ranking, q in zip(self.voters, self.levels)
         )
 
 
-def _equal_rounds(
-    engine: RefinementEngine, order, start: int = 0, progressed: bool = False, stop: bool = False
-) -> tuple[int, bool] | None:
-    """``EQUAL``: one question per visit until a round asks nothing.
-
-    ``start`` and ``progressed`` resume a round part-way: the first round
-    begins at ``order[start]``, with that round's "asked something" flag.
-    With ``stop``, the first unaffordable question ends the walk instead of
-    being skipped, and the ``(start, progressed)`` that resumes at it is
-    returned; None means a round asked nothing.
-    """
-    pending, ask = engine.pending, engine.ask
-    while True:
-        for v in order[start:]:
-            if not pending[v]:
-                continue
-            if ask(v):
-                progressed = True
-            elif stop:
-                return order.index(v), progressed
-        if not progressed:
-            return None
-        start, progressed = 0, False
+def _equal(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
+    """``EQUAL``: the level of each place in the voter order, and the spend in units."""
+    counts, units, asking = [], 0, n
+    for price in schedule.units:
+        if not schedule.exact:
+            asked = 0
+            while asked < asking and units + price <= cap:
+                units += price
+                asked += 1
+            asking = asked
+        elif cap != UNLIMITED:
+            asking = min(asking, (cap - units) // price)
+        if not asking:
+            break
+        if schedule.exact:
+            units += asking * price
+        counts.append(asking)
+    # The voter at place i asked in every round that asked more than i voters.
+    ascending = counts[::-1]
+    return [len(counts) - bisect_right(ascending, i) for i in range(n)], units
 
 
-def _fcfs(engine: RefinementEngine, order) -> None:
-    """``FCFS``: stop at the first question that does not fit.
-
-    Resolved voters are passed over, so a call under a larger budget resumes there.
-    """
-    pending, ask = engine.pending, engine.ask
-    for v in order:
-        while pending[v]:
-            if not ask(v):
-                return
-
-
-def _equal_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
-    """``EQUAL`` per budget: walk the shared run to its first refusal, fork, finish."""
-    at = (0, False)
-    for i, budget in enumerate(budgets):
-        engine.limit(budget)
-        at = _equal_rounds(engine, order, *at, stop=True)
-        if at is None:
-            for rest in budgets[i:]:
-                yield rest, engine
-            return
-        run = engine.fork()
-        _equal_rounds(run, order, *at)
-        yield budget, run
+def _fcfs(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
+    """``FCFS``: the level of each place in the voter order, and the spend in units."""
+    last = len(schedule.units)
+    if schedule.exact:
+        full = schedule.cum[-1]
+        done = n if cap == UNLIMITED or not last else min(n, cap // full)
+        levels, units = [last] * done, done * full
+        if done < n:
+            q = bisect_right(schedule.cum, cap - units) - 1
+            levels.append(q)
+            units += schedule.cum[q]
+    else:
+        levels, units = [], 0
+        while len(levels) < n:
+            q = 0
+            while q < last and units + schedule.units[q] <= cap:
+                units += schedule.units[q]
+                q += 1
+            levels.append(q)
+            if q < last:
+                break
+    return levels + [0] * (n - len(levels)), units
 
 
-def _fcfs_sweep(engine: RefinementEngine, order, budgets) -> Iterator:
-    """``FCFS`` per budget: each budget continues the run of the previous one."""
-    for budget in budgets:
-        engine.limit(budget)
-        _fcfs(engine, order)
-        yield budget, engine
+def _charges(policy: BudgetPolicy, order: Sequence[int], levels: list[int]) -> list[tuple[int, int]]:
+    """``(voter, question)`` of every question a run asked, in the order charged."""
+    if policy is BudgetPolicy.FCFS:
+        return [(v, q) for v, level in zip(order, levels) for q in range(level)]
+    return [(v, q) for q in range(max(levels)) for v, level in zip(order, levels) if level > q]
 
 
-# Per policy: the driver of one run, and the budget sweep that resumes it.
-_DRIVERS = {
-    BudgetPolicy.EQUAL: (_equal_rounds, _equal_sweep),
-    BudgetPolicy.FCFS: (_fcfs, _fcfs_sweep),
-}
+_DRIVERS = {BudgetPolicy.EQUAL: _equal, BudgetPolicy.FCFS: _fcfs}
 
 
 def _check_budget(budget) -> None:
@@ -360,13 +363,6 @@ def _voter_order(n: int, voter_order: Sequence[int] | None) -> list[int]:
     if sorted(order) != list(range(n)):
         raise ValueError("voter_order must be a permutation of all voters")
     return order
-
-
-def _drivers(policy: BudgetPolicy):
-    try:
-        return _DRIVERS[policy]
-    except KeyError:
-        raise ValueError(f"unknown budget policy: {policy!r}") from None
 
 
 @dataclass(frozen=True)
@@ -397,7 +393,7 @@ def run_elicitation(
         election: the election whose voters are queried.
         kind: question type asked throughout the run.
         policy: how the budget is distributed over voters.
-        cost: cost function, by registry name or as a callable.
+        cost: registry cost function, by name (see ``COST_FUNCTIONS``).
         budget: non-negative spending cap; pass ``UNLIMITED`` for no cap.
         voter_order: permutation of the voters, identity by default.
         record_log: set False to skip the per-question transcript (faster
@@ -407,12 +403,10 @@ def run_elicitation(
     the remaining budget, so ``spent <= budget`` always holds.
     """
     engine = RefinementEngine(election, kind, cost, record_log)
-    engine.limit(budget)
-    order = _voter_order(election.n, voter_order)
-    _drivers(policy)[0](engine, order)
+    engine._run(policy, _voter_order(election.n, voter_order), budget)
     return ElicitationRun(
         question=kind,
-        policy=policy,
+        policy=BudgetPolicy(policy),
         cost_name=engine.cost_name,
         budget=budget,
         spent=engine.spent,
@@ -429,11 +423,10 @@ def sweep_elicitation(
     budgets: Sequence,
     voter_order: Sequence[int] | None = None,
 ) -> Iterator[tuple[object, tuple[OrderedPartition, ...], object]]:
-    """Elicit under every budget of an ascending grid, resuming one run.
+    """Elicit under every budget of an ascending grid.
 
     Yields ``(budget, profile, spent)`` for each entry of ``budgets`` in
-    order, equal to the profile and spend of ``run_elicitation`` under that
-    budget; the module docstring says why resuming is exact.
+    order, the profile and spend of ``run_elicitation`` under that budget.
     """
     runs = sweep_engines(election, kind, policy, cost, budgets, voter_order)
     return ((budget, run.profile(), run.spent) for budget, run in runs)
@@ -447,10 +440,9 @@ def sweep_engines(
     budgets: Sequence,
     voter_order: Sequence[int] | None = None,
 ) -> Iterator[tuple[object, RefinementEngine]]:
-    """:func:`sweep_elicitation` as ``(budget, engine)`` pairs, checked before any is made.
+    """:func:`sweep_elicitation` as ``(budget, engine)`` pairs, checked before any is run.
 
-    Each engine holds the run under its budget only until the next pair is
-    drawn, since the next budget may resume it.
+    One engine is run again per budget: each pair holds until the next is drawn.
     """
     budgets = list(budgets)
     for budget in budgets:
@@ -459,7 +451,8 @@ def sweep_engines(
         raise ValueError("budgets must be sorted ascending")
     engine = RefinementEngine(election, kind, cost)
     order = _voter_order(election.n, voter_order)
-    return _drivers(policy)[1](engine, order, budgets)
+    BudgetPolicy(policy)  # an unknown policy fails here, before any run
+    return ((budget, engine._run(policy, order, budget)) for budget in budgets)
 
 
 def write_log(run: ElicitationRun, stream: TextIO) -> None:

@@ -3,6 +3,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from queryvote import (
@@ -28,7 +29,7 @@ from queryvote import (
     run_budget_sweep,
     select_top_k,
 )
-from queryvote.experiments import _doubled_borda, sweep_distances
+from queryvote.experiments import _places, _twice_borda, sweep_distances
 from queryvote.rng import substream
 from queryvote.scoring import borda_vector, partial_scores, query_based_committee
 from queryvote.strategies import ALL_STRATEGIES, run_elicitation, sweep_engines
@@ -411,26 +412,23 @@ def test_sweep_distances_match_one_committee_per_budget():
             assert spent == run.spent and type(spent) is type(run.spent)
 
 
-def charge_for_zero(query):
-    """A cost that depends on which candidates are shown, not only on how many."""
-    return 100 if 0 in query.subset else len(query.subset)
-
-
 def test_doubled_borda_from_the_cuts_is_twice_partial_scores():
-    """At every sweep snapshot the int scorer is exactly twice the float one."""
+    """At every sweep snapshot the int gather is exactly twice the float scorer."""
     rng = substream(57)
     for m in range(1, 10):
         for n in range(1, 8):
             voters = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
             e = Election(m=m, voters=voters, k=int(rng.integers(1, m + 1)))
             order = [int(v) for v in rng.permutation(n)]
-            for cost in [*COST_FUNCTIONS, charge_for_zero]:
+            places = np.argsort(voters, axis=1)
+            assert (places == _places(e)).all()
+            for cost in COST_FUNCTIONS:
                 for kind, policy in ALL_STRATEGIES:
                     full = run_elicitation(e, kind, policy, cost, UNLIMITED, order, record_log=False)
                     points = rng.uniform(0, 1.2 * float(full.spent) + 1, size=2)
                     grid = sorted([0, 0, UNLIMITED, UNLIMITED, *map(float, points), float(points[0])])
                     for _, run in sweep_engines(e, kind, policy, cost, grid, order):
-                        doubled = _doubled_borda(e, run)
+                        doubled = _twice_borda(run, places).tolist()
                         halves = partial_scores(run.profile(), borda_vector(m))
                         assert all(type(total) is int for total in doubled)
                         assert doubled == [2 * total for total in halves]

@@ -15,22 +15,28 @@ from queryvote import (
     BudgetPolicy,
     CultureSpec,
     Election,
+    InfeasibleQueryError,
     ProtocolError,
     QuestionType,
     RefinementEngine,
     answer_query,
     generate,
+    hamming,
+    k_borda,
     make_question,
     parse_strategy,
     read_log,
     replay_log,
     run_elicitation,
+    select_top_k,
     strategy_label,
     sweep_elicitation,
     write_log,
 )
+from queryvote.experiments import sweep_distances
 from queryvote.rng import substream
-from queryvote.strategies import apply_answer
+from queryvote.scoring import borda_vector, partial_scores, query_based_committee
+from queryvote.strategies import apply_answer, sweep_engines
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
@@ -106,13 +112,11 @@ def test_engine_limit_refuses_unaffordable_questions(worked_election):
     assert not engine.ask(1)  # another 8 would spend 16
     assert not engine.ask(0)  # another 4 would spend 12
     assert snapshot() == before
-    twin = engine.fork()
-    assert twin.budget == 10.0
-    assert not twin.ask(1)
-    twin.limit(16)
-    assert twin.ask(1) and twin.spent == 16
-    assert engine.spent == 8  # the fork is independent
-    assert engine.profile() == before[1]
+    assert engine.budget == 10.0
+    engine.limit(16)
+    assert engine.ask(1) and engine.spent == 16
+    assert engine.profile()[0] == before[1][0]  # voter 0 is where it was
+    assert not engine.ask(0)  # another 4 would spend 20
 
 
 def test_apply_answer_updates_partition_and_queue(worked_election):
@@ -293,6 +297,21 @@ def test_read_log_names_a_malformed_line_and_its_field(query, answer, field):
         read_log(io.StringIO(f"{query}\n{answer}\n"))
 
 
+@pytest.mark.parametrize(
+    "query, error",
+    [
+        ("Q voter=0 subset=0,0 B=1/2,1/2 cost=4", "repeated candidates"),
+        ("Q voter=0 subset=0,1 B=1/2,1/3 cost=4", "must sum to 1"),
+        ("Q voter=0 subset=0 B=1/2,1/2 cost=4", "cannot partition"),
+    ],
+    ids=["repeated-candidate", "ratios-off-one", "more-buckets-than-candidates"],
+)
+def test_read_log_names_a_line_whose_fields_form_no_query(query, error):
+    with pytest.raises(ValueError, match=re.escape(repr(query)) + f".*{error}") as raised:
+        read_log(io.StringIO(f"{query}\nA classes=0|1\n"))
+    assert isinstance(raised.value, InfeasibleQueryError) == (error == "cannot partition")
+
+
 def test_class_count_is_monotone_over_log():
     e = generate(CultureSpec("IC", seed=20), 8, 3, 2)
     run = run_elicitation(e, SPLIT, EQ, "variance_aware", 150)
@@ -308,21 +327,26 @@ def charge_for_zero(query):
     return 100 if 0 in query.subset else len(query.subset)
 
 
-def test_custom_cost_is_priced_on_the_subset_shown():
-    e = generate(CultureSpec("IC", seed=21), 6, 3, 2)
-    for kind, policy in ALL_STRATEGIES:
-        run = run_elicitation(e, kind, policy, charge_for_zero, UNLIMITED)
-        assert run.log
-        for entry in run.log:
-            assert (entry.cost == 100) == (0 in entry.query.subset)
-        assert run.spent == sum(entry.cost for entry in run.log)
+def test_elicitation_rejects_a_custom_cost(worked_election):
+    """A callable outside the registry may price by the candidates shown, which no schedule holds."""
+    calls = [
+        lambda: run_elicitation(worked_election, SPLIT, EQ, charge_for_zero, UNLIMITED),
+        lambda: sweep_elicitation(worked_election, SPLIT, FCFS, charge_for_zero, [0, 8]),
+        lambda: query_based_committee(worked_election, SPLIT, EQ, charge_for_zero, 24),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="registry cost.*variance_aware.*charge_for_zero"):
+            call()
+    # The registry functions themselves are accepted, like their names.
+    run = run_elicitation(worked_election, SPLIT, EQ, COST_FUNCTIONS["variance_aware"], 24)
+    assert run.spent == 24 and run.cost_name == "variance_aware"
 
 
-def budget_grid(rng, run):
-    """0, unlimited, a repeated point, random points, and exact spends on the trace."""
+def budget_grid(rng, costs):
+    """0, unlimited, a repeated point, random points, and exact spends on the trace of ``costs``."""
     totals, spent = [], 0
-    for entry in run.log:
-        spent = spent + entry.cost
+    for cost in costs:
+        spent = spent + cost
         totals.append(spent)
     points = [0, 0, UNLIMITED, UNLIMITED]
     for i in rng.integers(len(totals), size=3) if totals else ():
@@ -334,16 +358,15 @@ def budget_grid(rng, run):
 
 def test_sweep_matches_a_fresh_run_at_every_budget():
     rng = substream(52)
-    costs = [*COST_FUNCTIONS, charge_for_zero]
     for _ in range(12):
         m, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
         voters = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
         e = Election(m=m, voters=voters, k=1)
         order = [int(v) for v in rng.permutation(n)]
-        for cost in costs:
+        for cost in COST_FUNCTIONS:
             for kind, policy in ALL_STRATEGIES:
                 unlimited = run_elicitation(e, kind, policy, cost, UNLIMITED, voter_order=order)
-                grid = budget_grid(rng, unlimited)
+                grid = budget_grid(rng, [entry.cost for entry in unlimited.log])
                 snapshots = list(sweep_elicitation(e, kind, policy, cost, grid, voter_order=order))
                 assert [budget for budget, _, _ in snapshots] == grid
                 for budget, profile, spent in snapshots:
@@ -373,7 +396,8 @@ def test_sweep_snapshots_match_the_pinned_digest():
     The cases cover m = 1..9, the registry costs plus a subset-dependent
     callable, all eight strategies, and grids with 0, repeated points and
     ``UNLIMITED``. Each unlimited run's answers must be the truthful ones and
-    its transcript must replay to its profile.
+    its transcript must replay to its profile. Elicitation takes registry
+    costs only, so the callable's snapshots come from :func:`reference_run`.
     """
     rng = substream(53)
     digest = hashlib.sha256()
@@ -385,26 +409,37 @@ def test_sweep_snapshots_match_the_pinned_digest():
             order = [int(v) for v in rng.permutation(n)]
             for cost in [*COST_FUNCTIONS, charge_for_zero]:
                 for kind, policy in ALL_STRATEGIES:
-                    run = run_elicitation(e, kind, policy, cost, UNLIMITED, voter_order=order)
-                    for entry in run.log:
-                        assert entry.answer == answer_query(e.voters[entry.voter], entry.query)
-                    assert replay_log(run.log, m, n) == run.profile
-                    grid = budget_grid(rng, run)
-                    for snapshot in sweep_elicitation(e, kind, policy, cost, grid, order):
-                        budget, profile, spent = snapshot
+                    if cost is charge_for_zero:
+                        charged = []
+                        reference_run(e, kind, policy, cost, UNLIMITED, order, charged)
+                        grid = budget_grid(rng, charged)
+                        snapshots = [
+                            (budget, *reversed(reference_run(e, kind, policy, cost, budget, order)))
+                            for budget in grid
+                        ]
+                    else:
+                        run = run_elicitation(e, kind, policy, cost, UNLIMITED, voter_order=order)
+                        for entry in run.log:
+                            assert entry.answer == answer_query(e.voters[entry.voter], entry.query)
+                        assert replay_log(run.log, m, n) == run.profile
+                        grid = budget_grid(rng, [entry.cost for entry in run.log])
+                        snapshots = sweep_elicitation(e, kind, policy, cost, grid, order)
+                    for budget, profile, spent in snapshots:
                         line = repr((budget, profile, spent, type(spent).__name__))
                         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == SNAPSHOT_DIGEST
 
 
-def reference_run(e, kind, policy, cost, budget, order):
+def reference_run(e, kind, policy, cost, budget, order, charged=None):
     """``(spent, profile)`` of a plain run: one question at a time, prices summed as given.
 
     The spend is the running sum of the cost function's own values (Fractions
     for the exact costs), and each question is tested with ``spent + price >
     budget``, which Python decides exactly for int, Fraction and float.
+    ``cost`` is a registry name or any callable, priced on the subset shown;
+    ``charged``, if given, gets the price of every question asked, in order.
     """
-    price_of = COST_FUNCTIONS[cost]
+    price_of = cost if callable(cost) else COST_FUNCTIONS[cost]
     partitions = [[tuple(range(e.m))] for _ in e.voters]
     queues = [deque(partition if e.m >= 2 else ()) for partition in partitions]
     spent = 0
@@ -420,6 +455,8 @@ def reference_run(e, kind, policy, cost, budget, order):
         queues[v].popleft()
         queues[v].extend(cls for cls in answer if len(cls) >= 2)
         spent = spent + price
+        if charged is not None:
+            charged.append(price)
         return True
 
     if policy is FCFS:
@@ -498,3 +535,53 @@ def test_float_cap_between_two_float_spends():
                 low, high = spends[int(i)], spends[int(i) + 1]
                 budgets |= {math.nextafter(low, math.inf), (low + high) / 2, math.nextafter(high, 0)}
             check_against_reference(e, kind, policy, "computational", sorted(budgets), order)
+
+
+@pytest.mark.parametrize("cost", list(COST_FUNCTIONS))
+def test_levels_and_spend_do_not_depend_on_the_rankings(cost):
+    """Permuting each voter's ranking, in the same voter order, moves no level and no spend.
+
+    This is what lets one schedule serve every voter: the plain reference run
+    learns classes of the same sizes at the same price, and the engine puts
+    every voter at the same level.
+    """
+    rng = substream(58)
+    for _ in range(6):
+        e, order = random_election(rng)
+        voters = tuple(tuple(int(c) for c in rng.permutation(e.m)) for _ in e.voters)
+        shuffled = Election(m=e.m, voters=voters, k=1)
+        for kind, policy in ALL_STRATEGIES:
+            full = float(reference_run(e, kind, policy, cost, UNLIMITED, order)[0])
+            for budget in (0, UNLIMITED, *map(float, rng.uniform(0, 1.2 * full + 1, size=3))):
+                runs = [
+                    next(sweep_engines(x, kind, policy, cost, [budget], order))[1]
+                    for x in (e, shuffled)
+                ]
+                assert runs[0].levels == runs[1].levels
+                assert runs[0].spent == runs[1].spent and type(runs[0].spent) is type(runs[1].spent)
+                plain = [reference_run(x, kind, policy, cost, budget, order) for x in (e, shuffled)]
+                sizes = [[tuple(map(len, classes)) for classes in profile] for _, profile in plain]
+                assert sizes[0] == sizes[1] and plain[0][0] == plain[1][0]
+
+
+@pytest.mark.parametrize("cost", list(COST_FUNCTIONS))
+def test_desk_size_runs_and_sweeps_match_the_reference(cost):
+    """20 x 20, every strategy: 0, ``UNLIMITED`` and float budgets at, under and over exact spends."""
+    e = generate(CultureSpec("IC", seed=24), 20, 20, 10)
+    target = k_borda(e)
+    rng = substream(59)
+    order = [int(v) for v in rng.permutation(e.n)]
+    for kind, policy in ALL_STRATEGIES:
+        charged = []
+        reference_run(e, kind, policy, cost, UNLIMITED, order, charged)
+        near = float(sum(charged[: int(rng.integers(1, len(charged)))]))
+        grid = [0, math.nextafter(near, 0), near, math.nextafter(near, math.inf), UNLIMITED]
+        swept = sweep_distances(e, kind, policy, cost, grid, order, target)
+        for budget, (swept_budget, distance, spent) in zip(grid, swept, strict=True):
+            run = run_elicitation(e, kind, policy, cost, budget, voter_order=order, record_log=False)
+            reference = reference_run(e, kind, policy, cost, budget, order)
+            assert swept_budget == budget
+            assert (spent, run.profile) == (run.spent, run.profile) == reference
+            assert type(spent) is type(run.spent) is type(reference[0])
+            committee = select_top_k(partial_scores(reference[1], borda_vector(e.m)), e.k)
+            assert distance == hamming(committee, target)
