@@ -72,13 +72,11 @@ from .strategies import (
     BudgetPolicy,
     ElicitationRun,
     ProtocolError,
-    RefinementEngine,
     parse_strategy,
     read_log,
     replay_log,
     run_elicitation,
     strategy_label,
-    sweep_elicitation,
     write_log,
 )
 

@@ -160,19 +160,15 @@ def _cmd_sweep(args) -> int:
     else:
         heaviest = max(full_resolution_cost(election, kind, args.cost) for kind in QuestionType)
         budgets = list(default_budget_grid(heaviest, points=args.points))
-    # One sweep per (strategy, repeat) serves every budget; it takes them in ascending order.
     # The table is printed whole, so a rejected budget leaves stdout empty.
-    grid = sorted(set(budgets))
     table = ["strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)]
     for kind, policy in ALL_STRATEGIES:
-        distances = {budget: [] for budget in grid}
+        by_repeat = []
         for repeat in range(args.repeats):
             order = [int(v) for v in substream(args.seed, repeat).permutation(election.n)]
-            for budget, distance, _ in sweep_distances(
-                election, kind, policy, args.cost, grid, order, target
-            ):
-                distances[budget].append(distance)
-        cells = [sum(distances[b]) / len(distances[b]) for b in budgets]
+            swept = sweep_distances(election, kind, policy, args.cost, budgets, order, target)
+            by_repeat.append([distance for _, distance, _ in swept])
+        cells = [sum(distances) / args.repeats for distances in zip(*by_repeat)]
         table.append(
             strategy_label(kind, policy).ljust(9) + "".join(f"{value:10.2f}" for value in cells)
         )

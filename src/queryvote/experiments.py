@@ -9,9 +9,9 @@ worker count or execution order.
 Under a registry cost every voter is asked the same schedule of questions,
 so a run under one budget is one level per voter: the number of questions it
 answered, in closed form (see :mod:`queryvote.strategies`). Each budget of a
-grid is computed on its own, and each snapshot is scored by one gather from
-the schedule's table of Borda shares by level and place, so the rows equal
-those of one single run per budget.
+grid is its own run, scored by one gather from the schedule's table of Borda
+shares by level and place, so the rows equal those of
+:func:`~queryvote.strategies.run_elicitation` under each budget.
 """
 
 from __future__ import annotations
@@ -36,12 +36,12 @@ from .strategies import (
     UNLIMITED,
     BudgetPolicy,
     QuestionType,
-    RefinementEngine,
     _check_budget,
+    _elicit,
+    _schedule_of,
+    _voter_order,
     parse_strategy,
-    run_elicitation,
     strategy_label,
-    sweep_engines,
 )
 
 # Stream tags for deriving per-cell seeds from the master seed.
@@ -121,9 +121,9 @@ class ExperimentConfig:
 
 
 def full_resolution_cost(election: Election, kind: QuestionType, cost) -> float:
-    """Total cost of resolving every voter completely (an unlimited dry run)."""
-    run = run_elicitation(election, kind, BudgetPolicy.EQUAL, cost, UNLIMITED, record_log=False)
-    return float(run.spent)
+    """Total cost of resolving every voter completely: the spend of an unlimited EQ run."""
+    schedule = _schedule_of(kind, cost, election.m)
+    return float(_elicit(schedule, BudgetPolicy.EQUAL, election.n, UNLIMITED)[1])
 
 
 # Ends of the default budget grid, as fractions of the full-resolution cost.
@@ -183,19 +183,20 @@ def _places(election: Election) -> np.ndarray:
     return places
 
 
-def _twice_borda(run: RefinementEngine, places: np.ndarray) -> np.ndarray:
-    """Twice each candidate's Borda total over the classes ``run`` knows, in int64.
+def _twice_borda(shares: np.ndarray, levels: list[int], places: np.ndarray) -> np.ndarray:
+    """Twice each candidate's Borda total over the classes known at ``levels``, in int64.
 
-    One gather from the schedule's ``shares`` by each voter's level and each
-    candidate's place. This is twice the float totals
-    :func:`~queryvote.scoring.partial_scores` gives on the run's profile, and
-    those are exact: a class at 0-based places ``a..b-1`` gets the mean Borda
-    score of its places, ``(2m - 1 - a - b) / 2``, a half-integer that one
-    division gives exactly, and every partial sum stays below ``n * m``, far
-    under 2**52. Doubling keeps the order of the scores and their ties, so
+    ``levels[i]`` is the level of the voter whose row of candidate places is
+    ``places[i]``, and ``shares`` is the schedule's table by level and place.
+    This is twice the float totals :func:`~queryvote.scoring.partial_scores`
+    gives on the run's profile, and those are exact: a class at 0-based
+    places ``a..b-1`` gets the mean Borda score of its places,
+    ``(2m - 1 - a - b) / 2``, a half-integer that one division gives exactly,
+    and every partial sum stays below ``n * m``, far under 2**52. Doubling
+    keeps the order of the scores and their ties, so
     :func:`~queryvote.core.select_top_k` picks the same committee.
     """
-    return run.schedule.shares[np.array(run.levels)[:, None], places].sum(axis=0)
+    return shares[np.array(levels)[:, None], places].sum(axis=0)
 
 
 def sweep_distances(
@@ -207,17 +208,22 @@ def sweep_distances(
     voter_order: Sequence[int],
     target: Committee,
 ) -> Iterator[tuple[object, int, object]]:
-    """Hamming distance from ``target`` at every budget of an ascending grid.
+    """Hamming distance from ``target`` at every budget of a grid, in grid order.
 
-    Yields ``(budget, distance, spent)`` per entry of ``budgets``: the
-    :func:`~queryvote.strategies.sweep_elicitation` snapshot at that budget
-    is scored by Borda over the partial profile (:func:`_twice_borda`), and
-    the top ``k`` committee is compared with ``target``.
+    Yields ``(budget, distance, spent)`` per entry of ``budgets``: each budget
+    is its own run, with the spend of
+    :func:`~queryvote.strategies.run_elicitation` under it, scored by Borda
+    over the partial profile (:func:`_twice_borda`); the top ``k`` committee
+    is compared with ``target``.
     """
-    places = _places(election)
-    for budget, run in sweep_engines(election, kind, policy, cost, budgets, voter_order):
-        committee = select_top_k(_twice_borda(run, places).tolist(), election.k)
-        yield budget, hamming(committee, target), run.spent
+    schedule = _schedule_of(kind, cost, election.m)
+    policy = BudgetPolicy(policy)
+    places = _places(election)[_voter_order(election.n, voter_order)]
+    for budget in budgets:
+        levels, spent = _elicit(schedule, policy, election.n, budget)
+        totals = _twice_borda(schedule.shares, levels, places)
+        committee = select_top_k(totals.tolist(), election.k)
+        yield budget, hamming(committee, target), spent
 
 
 def _election_rows(args) -> list[ResultRow]:

@@ -68,12 +68,14 @@ def query_based_committee(
     """Elicit under the budget, score the partial profile, pick the top k.
 
     Returns the committee together with the full elicitation record. The
-    scoring vector defaults to Borda; ties go to the smaller candidate id.
+    scoring vector, one entry per candidate, defaults to Borda; ties go to
+    the smaller candidate id.
     """
+    scoring = borda_vector(election.m) if scoring is None else validate_scoring_vector(scoring)
+    if len(scoring) != election.m:
+        raise ValueError(f"scoring vector has {len(scoring)} entries for {election.m} candidates")
     run = run_elicitation(
         election, kind, policy, cost, budget, voter_order=voter_order, record_log=record_log
     )
-    if scoring is None:
-        scoring = borda_vector(election.m)
     totals = partial_scores(run.profile, scoring)
     return select_top_k(totals, election.k), run

@@ -1,4 +1,4 @@
-"""Budgeted elicitation: question types, budget policies, and the query loop.
+"""Budgeted elicitation: question types, budget policies, and one run in closed form.
 
 A truthful voter answers a question by cutting the shown class along their
 own ranking, so every class known about a voter is a run of consecutive
@@ -10,8 +10,10 @@ answer and the price of a question depend only on the size of the range
 shown. So one :class:`Schedule` per (question type, cost, m) holds, for every
 voter alike, the range asked at each step, its price and the cuts after q
 questions, and a voter's whole state is its level: the number of questions
-it has answered. :class:`RefinementEngine` is that schedule plus one level
-per voter, the budget and the spend.
+it has answered. A run is one function of (schedule, budget policy, voter
+order, budget), :func:`_elicit`, which gives the level of each place in the
+voter order and the spend; :func:`run_elicitation` reads the voters' classes
+and the transcript off the schedule at those levels.
 
 Two ways to spend the budget, each with a closed form in the levels, so that
 each budget is computed on its own in time linear in schedule and voters:
@@ -46,6 +48,7 @@ audit (:func:`~queryvote.costs.audit_axiom`) still takes a callable.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -53,7 +56,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -134,7 +137,9 @@ class Schedule:
     prices. ``cum[q]`` is the units of the first q questions.
     """
 
-    def __init__(self, kind: QuestionType, cost_fn, m: int):
+    def __init__(self, kind: QuestionType, cost_name: str, m: int):
+        self.kind, self.cost_name = kind, cost_name
+        cost_fn = COST_FUNCTIONS[cost_name]
         plans, price_of = {}, {}
         for size in range(2, m + 1):
             ratios = make_question(kind, range(size)).buckets
@@ -181,10 +186,37 @@ class Schedule:
 _schedule = lru_cache(maxsize=None)(Schedule)
 
 
+def _schedule_of(kind, cost, m: int) -> Schedule:
+    """The schedule of question type ``kind`` at ``m`` candidates under a registry ``cost``."""
+    cost_fn, cost_name = resolve_cost(cost)
+    if cost_fn not in COST_FUNCTIONS.values():
+        known = ", ".join(COST_FUNCTIONS)
+        raise ValueError(f"elicitation needs a registry cost ({known}), got {cost_name!r}")
+    return _schedule(QuestionType(kind), cost_name, m)
+
+
 @lru_cache(maxsize=1024)
 def _units_cap(budget, scale: int) -> int:
     """``floor(budget * scale)`` over the exact value of ``budget``."""
     return math.floor(Fraction(budget) * scale)
+
+
+def _elicit(schedule: Schedule, policy: BudgetPolicy, n: int, budget) -> tuple[list[int], object]:
+    """The level of each place in an order of ``n`` voters under ``budget``, and the spend.
+
+    The spend is the int 0 before any charge, then the sum in the prices'
+    type. With int units the cap is ``floor(budget * D)`` units; else the
+    budget itself.
+    """
+    _check_budget(budget)
+    cap = budget
+    if schedule.exact and budget != UNLIMITED:
+        cap = _units_cap(budget, schedule.scale or 1)
+    levels, units = _DRIVERS[policy](schedule, n, cap)
+    # Every registry price is positive, so no units means no charge yet.
+    if schedule.scale is None or not units:
+        return levels, units
+    return levels, Fraction(units, schedule.scale)
 
 
 @dataclass(frozen=True)
@@ -195,104 +227,13 @@ class LogEntry:
     cost: object
 
 
-class RefinementEngine:
-    """One elicitation: the schedule, each voter's level in it, the budget, the spend, the log.
-
-    Voter ``v`` has answered the first ``levels[v]`` questions of the
-    schedule. :meth:`ask` moves one voter one level up if the price fits in
-    the budget set by :meth:`limit`; a run sets every level at once for a
-    budget policy, in closed form (see the module docstring).
-    """
-
-    def __init__(self, election: Election, kind: QuestionType, cost, record_log: bool = False):
-        cost_fn, self.cost_name = resolve_cost(cost)
-        if cost_fn not in COST_FUNCTIONS.values():
-            known = ", ".join(COST_FUNCTIONS)
-            raise ValueError(f"elicitation needs a registry cost ({known}), got {self.cost_name!r}")
-        self.schedule = _schedule(kind, cost_fn, election.m)
-        self.scale = self.schedule.scale
-        self.voters = election.voters
-        self.levels = [0] * election.n
-        self.units = 0
-        self.limit(UNLIMITED)
-        self.log: list[LogEntry] | None = [] if record_log else None
-
-    @property
-    def spent(self):
-        """Total price charged so far: the int 0 before any charge, then the sum in the prices' type."""
-        # Every registry price is positive, so no units means no charge yet.
-        if self.scale is None or not self.units:
-            return self.units
-        return Fraction(self.units, self.scale)
-
-    def limit(self, budget) -> None:
-        """Cap the total spend at ``budget``, non-negative (``UNLIMITED`` for no cap).
-
-        With int units the cap is ``floor(budget * D)`` units; else the budget.
-        """
-        _check_budget(budget)
-        self.budget = self.cap = budget
-        if self.schedule.exact and budget != UNLIMITED:
-            self.cap = _units_cap(budget, self.scale or 1)
-
-    def _query(self, v: int, q: int) -> RefinementQuery:
-        bounds = self.schedule.bounds[q]
-        subset = sorted(self.voters[v][bounds[0] : bounds[-1]])
-        return RefinementQuery(subset=subset, buckets=self.schedule.ratios[q])
-
-    def _entry(self, v: int, q: int) -> LogEntry:
-        """The log entry of voter ``v``'s answer to question ``q``."""
-        ranking = self.voters[v]
-        answer = tuple(tuple(sorted(ranking[a:b])) for a, b in pairwise(self.schedule.bounds[q]))
-        return LogEntry(voter=v, query=self._query(v, q), answer=answer, cost=self.schedule.prices[q])
-
-    def next_query(self, v: int) -> RefinementQuery | None:
-        """The question voter ``v`` would be asked next, or None if resolved."""
-        q = self.levels[v]
-        return self._query(v, q) if q < len(self.schedule.bounds) else None
-
-    def ask(self, v: int) -> bool:
-        """Ask voter ``v``, who must not be resolved, its next question if it fits.
-
-        Returns False, changing nothing, if the price would take the spend over
-        the budget; otherwise moves the voter one level up, charges the price,
-        returns True.
-        """
-        q = self.levels[v]
-        units = self.units + self.schedule.units[q]
-        if units > self.cap:
-            return False
-        self.levels[v] = q + 1
-        self.units = units
-        if self.log is not None:
-            self.log.append(self._entry(v, q))
-        return True
-
-    def _run(self, policy: BudgetPolicy, order: list[int], budget) -> RefinementEngine:
-        """Elicit from scratch under ``budget``, as ``policy`` walks ``order``; returns the engine.
-
-        ``order`` is a checked permutation of the voters. A recorded log is
-        rebuilt in the order the questions are charged.
-        """
-        self.limit(budget)
-        policy = BudgetPolicy(policy)
-        levels, self.units = _DRIVERS[policy](self.schedule, len(order), self.cap)
-        for v, q in zip(order, levels):
-            self.levels[v] = q
-        if self.log is not None:
-            self.log = [self._entry(v, q) for v, q in _charges(policy, order, levels)]
-        return self
-
-    def profile(self) -> tuple[OrderedPartition, ...]:
-        """Every voter's known classes, best first, each as sorted candidate ids."""
-        cuts_after = self.schedule.cuts
-        return tuple(
-            tuple(
-                ranking[a:b] if b - a == 1 else tuple(sorted(ranking[a:b]))
-                for a, b in pairwise(cuts_after[q])
-            )
-            for ranking, q in zip(self.voters, self.levels)
-        )
+def _entry(schedule: Schedule, v: int, ranking: Sequence[int], q: int) -> LogEntry:
+    """The log entry of voter ``v``, who ranks ``ranking``, answering question ``q``."""
+    bounds = schedule.bounds[q]
+    subset = sorted(ranking[bounds[0] : bounds[-1]])
+    query = RefinementQuery(subset=subset, buckets=schedule.ratios[q])
+    answer = tuple(tuple(sorted(ranking[a:b])) for a, b in pairwise(bounds))
+    return LogEntry(voter=v, query=query, answer=answer, cost=schedule.prices[q])
 
 
 def _equal(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
@@ -359,7 +300,11 @@ def _check_budget(budget) -> None:
 def _voter_order(n: int, voter_order: Sequence[int] | None) -> list[int]:
     if voter_order is None:
         return list(range(n))
-    order = [int(v) for v in voter_order]
+    order = []
+    for v in voter_order:
+        if isinstance(v, bool) or not hasattr(v, "__index__"):
+            raise ValueError(f"voter_order entries must be voter ids (ints), got {v!r}")
+        order.append(operator.index(v))
     if sorted(order) != list(range(n)):
         raise ValueError("voter_order must be a permutation of all voters")
     return order
@@ -402,57 +347,29 @@ def run_elicitation(
     The spend test is exact: a question is asked only if its cost fits in
     the remaining budget, so ``spent <= budget`` always holds.
     """
-    engine = RefinementEngine(election, kind, cost, record_log)
-    engine._run(policy, _voter_order(election.n, voter_order), budget)
-    return ElicitationRun(
-        question=kind,
-        policy=BudgetPolicy(policy),
-        cost_name=engine.cost_name,
-        budget=budget,
-        spent=engine.spent,
-        profile=engine.profile(),
-        log=tuple(engine.log or ()),
-    )
-
-
-def sweep_elicitation(
-    election: Election,
-    kind: QuestionType,
-    policy: BudgetPolicy,
-    cost,
-    budgets: Sequence,
-    voter_order: Sequence[int] | None = None,
-) -> Iterator[tuple[object, tuple[OrderedPartition, ...], object]]:
-    """Elicit under every budget of an ascending grid.
-
-    Yields ``(budget, profile, spent)`` for each entry of ``budgets`` in
-    order, the profile and spend of ``run_elicitation`` under that budget.
-    """
-    runs = sweep_engines(election, kind, policy, cost, budgets, voter_order)
-    return ((budget, run.profile(), run.spent) for budget, run in runs)
-
-
-def sweep_engines(
-    election: Election,
-    kind: QuestionType,
-    policy: BudgetPolicy,
-    cost,
-    budgets: Sequence,
-    voter_order: Sequence[int] | None = None,
-) -> Iterator[tuple[object, RefinementEngine]]:
-    """:func:`sweep_elicitation` as ``(budget, engine)`` pairs, checked before any is run.
-
-    One engine is run again per budget: each pair holds until the next is drawn.
-    """
-    budgets = list(budgets)
-    for budget in budgets:
-        _check_budget(budget)
-    if any(low > high for low, high in zip(budgets, budgets[1:])):
-        raise ValueError("budgets must be sorted ascending")
-    engine = RefinementEngine(election, kind, cost)
+    schedule = _schedule_of(kind, cost, election.m)
+    policy = BudgetPolicy(policy)
     order = _voter_order(election.n, voter_order)
-    BudgetPolicy(policy)  # an unknown policy fails here, before any run
-    return ((budget, engine._run(policy, order, budget)) for budget in budgets)
+    levels, spent = _elicit(schedule, policy, election.n, budget)
+    voters = election.voters
+    level_of = dict(zip(order, levels))
+    profile = tuple(
+        tuple(
+            ranking[a:b] if b - a == 1 else tuple(sorted(ranking[a:b]))
+            for a, b in pairwise(schedule.cuts[level_of[v]])
+        )
+        for v, ranking in enumerate(voters)
+    )
+    charges = _charges(policy, order, levels) if record_log else ()
+    return ElicitationRun(
+        question=schedule.kind,
+        policy=policy,
+        cost_name=schedule.cost_name,
+        budget=budget,
+        spent=spent,
+        profile=profile,
+        log=tuple(_entry(schedule, v, voters[v], q) for v, q in charges),
+    )
 
 
 def write_log(run: ElicitationRun, stream: TextIO) -> None:

@@ -22,7 +22,6 @@ PUBLIC_API = [
     "PreferenceOrder",
     "ProtocolError",
     "QuestionType",
-    "RefinementEngine",
     "RefinementQuery",
     "ResultRow",
     "UNLIMITED",
@@ -62,7 +61,6 @@ PUBLIC_API = [
     "run_elicitation",
     "select_top_k",
     "strategy_label",
-    "sweep_elicitation",
     "variance",
     "write_log",
     "write_native",

@@ -32,7 +32,7 @@ from queryvote import (
 from queryvote.experiments import _places, _twice_borda, sweep_distances
 from queryvote.rng import substream
 from queryvote.scoring import borda_vector, partial_scores, query_based_committee
-from queryvote.strategies import ALL_STRATEGIES, run_elicitation, sweep_engines
+from queryvote.strategies import ALL_STRATEGIES, _elicit, _schedule_of, run_elicitation
 
 
 def small_config(**overrides):
@@ -413,7 +413,7 @@ def test_sweep_distances_match_one_committee_per_budget():
 
 
 def test_doubled_borda_from_the_cuts_is_twice_partial_scores():
-    """At every sweep snapshot the int gather is exactly twice the float scorer."""
+    """At every budget the int gather is exactly twice the float scorer on the run's profile."""
     rng = substream(57)
     for m in range(1, 10):
         for n in range(1, 8):
@@ -426,10 +426,13 @@ def test_doubled_borda_from_the_cuts_is_twice_partial_scores():
                 for kind, policy in ALL_STRATEGIES:
                     full = run_elicitation(e, kind, policy, cost, UNLIMITED, order, record_log=False)
                     points = rng.uniform(0, 1.2 * float(full.spent) + 1, size=2)
-                    grid = sorted([0, 0, UNLIMITED, UNLIMITED, *map(float, points), float(points[0])])
-                    for _, run in sweep_engines(e, kind, policy, cost, grid, order):
-                        doubled = _twice_borda(run, places).tolist()
-                        halves = partial_scores(run.profile(), borda_vector(m))
+                    grid = [0, 0, UNLIMITED, UNLIMITED, *map(float, points), float(points[0])]
+                    schedule = _schedule_of(kind, cost, m)
+                    for budget in grid:
+                        levels, _ = _elicit(schedule, policy, n, budget)
+                        doubled = _twice_borda(schedule.shares, levels, places[order]).tolist()
+                        run = run_elicitation(e, kind, policy, cost, budget, order, record_log=False)
+                        halves = partial_scores(run.profile, borda_vector(m))
                         assert all(type(total) is int for total in doubled)
                         assert doubled == [2 * total for total in halves]
                         assert select_top_k(doubled, e.k) == select_top_k(halves, e.k)

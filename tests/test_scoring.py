@@ -104,6 +104,19 @@ def test_pipeline_worked_example():
     assert run.spent == 24
 
 
+def test_pipeline_rejects_a_scoring_vector_of_the_wrong_length():
+    e = Election(m=3, voters=((0, 1, 2),), k=1)
+    for scoring in ((5, 1), (3, 2, 1, 0)):
+        with pytest.raises(ValueError, match=f"{len(scoring)} entries for 3 candidates"):
+            query_based_committee(
+                e, QuestionType.SPLIT, BudgetPolicy.EQUAL, "variance_aware", 8, scoring=scoring
+            )
+    committee, _ = query_based_committee(
+        e, QuestionType.SPLIT, BudgetPolicy.EQUAL, "variance_aware", UNLIMITED, scoring=(5, 1, 0)
+    )
+    assert committee == {0}
+
+
 def test_pipeline_zero_budget_falls_back_to_tie_break():
     e = generate(CultureSpec("IC", seed=33), 7, 4, 3)
     committee, run = query_based_committee(

@@ -2,7 +2,7 @@ import hashlib
 import io
 import math
 import re
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction as F
 from itertools import accumulate
 
@@ -18,7 +18,6 @@ from queryvote import (
     InfeasibleQueryError,
     ProtocolError,
     QuestionType,
-    RefinementEngine,
     answer_query,
     generate,
     hamming,
@@ -30,13 +29,12 @@ from queryvote import (
     run_elicitation,
     select_top_k,
     strategy_label,
-    sweep_elicitation,
     write_log,
 )
-from queryvote.experiments import sweep_distances
+from queryvote.experiments import full_resolution_cost, sweep_distances
 from queryvote.rng import substream
 from queryvote.scoring import borda_vector, partial_scores, query_based_committee
-from queryvote.strategies import apply_answer, sweep_engines
+from queryvote.strategies import _schedule_of, apply_answer
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
@@ -54,92 +52,104 @@ def test_strategy_labels_round_trip():
     with pytest.raises(ValueError):
         parse_strategy("X-EQ")
 
+    # A question type or policy is also taken by its code, at every m and every entry.
+    for m in (1, 3):
+        e = Election(m=m, voters=(tuple(range(m)),), k=1)
+        run = run_elicitation(e, "S", "EQ", "variance_aware", UNLIMITED)
+        assert run.question is SPLIT and run.policy is EQ
+        assert run == run_elicitation(e, SPLIT, EQ, "variance_aware", UNLIMITED)
+        assert full_resolution_cost(e, "S", "variance_aware") == float(run.spent)
+        swept = sweep_distances(e, "S", "FCFS", "variance_aware", [UNLIMITED], [0], {0})
+        assert [distance for _, distance, _ in swept] == [0]
+        calls = [
+            lambda: run_elicitation(e, "bogus", EQ, "variance_aware", UNLIMITED),
+            lambda: full_resolution_cost(e, "bogus", "variance_aware"),
+            lambda: list(sweep_distances(e, "bogus", EQ, "variance_aware", [0], [0], {0})),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="bogus"):
+                call()
+
 
 def test_init_state_one_class_per_voter(worked_election):
-    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
-    assert engine.profile() == (((0, 1, 2, 3),), ((0, 1, 2, 3),))
-    for v in range(2):
-        assert engine.next_query(v).subset == (0, 1, 2, 3)
+    nothing = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 0)
+    assert nothing.profile == (((0, 1, 2, 3),), ((0, 1, 2, 3),))
+    run = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 16)
+    asked = [(entry.voter, entry.query.subset) for entry in run.log]
+    assert asked == [(0, (0, 1, 2, 3)), (1, (0, 1, 2, 3))]
 
 
 def test_init_state_single_candidate():
     e = Election(m=1, voters=((0,),), k=1)
-    engine = RefinementEngine(e, SPLIT, "variance_aware")
-    assert engine.profile() == (((0,),),)
-    assert engine.next_query(0) is None
+    for policy in BudgetPolicy:
+        run = run_elicitation(e, SPLIT, policy, "variance_aware", UNLIMITED)
+        assert run.profile == (((0,),),)
+        assert run.log == () and run.spent == 0  # nothing to ask, even with no cap
 
 
-def test_next_query_fresh_split(worked_election):
-    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
-    q = engine.next_query(0)
-    assert q.subset == (0, 1, 2, 3)
-    assert q.buckets == (F(1, 2), F(1, 2))
-    assert engine.ask(0)
-    assert engine.spent == 8
+def test_next_question_fresh_split(worked_election):
+    run = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 8)
+    (entry,) = run.log
+    assert entry.voter == 0 and entry.query.subset == (0, 1, 2, 3)
+    assert entry.query.buckets == (F(1, 2), F(1, 2))
+    assert entry.cost == 8 and run.spent == 8
 
 
-def test_next_query_exhausted():
+def test_next_question_exhausted():
     e = Election(m=2, voters=((0, 1),), k=1)
-    engine = RefinementEngine(e, SPLIT, "variance_aware")
-    partition = apply_answer([(0, 1)], engine.next_query(0), ((0,), (1,)))
-    assert engine.ask(0)
-    assert engine.profile() == (tuple(partition),)
-    assert engine.next_query(0) is None
+    run = run_elicitation(e, SPLIT, EQ, "variance_aware", UNLIMITED)
+    (entry,) = run.log  # one answer resolves the voter, even with no cap
+    assert entry.query == make_question(SPLIT, (0, 1))
+    partition = apply_answer([(0, 1)], entry.query, ((0,), (1,)))
+    assert run.profile == (tuple(partition),)
 
 
-def test_next_query_after_peel():
+def test_next_question_after_peel():
     e = Election(m=4, voters=((0, 1, 2, 3),), k=2)
-    engine = RefinementEngine(e, QuestionType.NEXT, "variance_aware")
-    assert engine.ask(0)
-    assert engine.profile()[0] == ((0,), (1, 2, 3))
-    q = engine.next_query(0)
+    full = run_elicitation(e, QuestionType.NEXT, EQ, "variance_aware", UNLIMITED)
+    run = run_elicitation(e, QuestionType.NEXT, EQ, "variance_aware", full.log[0].cost)
+    assert run.profile[0] == ((0,), (1, 2, 3))
+    q = full.log[1].query
     assert q.subset == (1, 2, 3)
     assert q.buckets == (F(1, 3), F(2, 3))
 
 
 def test_engine_limit_refuses_unaffordable_questions(worked_election):
-    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
     for bad in (-1, math.nan):
         with pytest.raises(ValueError, match="budget must be non-negative"):
-            engine.limit(bad)
-
-    def snapshot():
-        return engine.spent, engine.profile(), [engine.next_query(v) for v in range(2)]
-
-    engine.limit(10.0)
-    assert engine.ask(0)  # costs 8
-    before = snapshot()
-    assert not engine.ask(1)  # another 8 would spend 16
-    assert not engine.ask(0)  # another 4 would spend 12
-    assert snapshot() == before
-    assert engine.budget == 10.0
-    engine.limit(16)
-    assert engine.ask(1) and engine.spent == 16
-    assert engine.profile()[0] == before[1][0]  # voter 0 is where it was
-    assert not engine.ask(0)  # another 4 would spend 20
+            run_elicitation(worked_election, SPLIT, EQ, "variance_aware", bad)
+    # 8 for voter 0; another 8 for voter 1 would spend 16, another 4 for voter 0 12.
+    tight = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 10.0)
+    assert tight.spent == 8 and tight.budget == 10.0
+    assert [entry.voter for entry in tight.log] == [0]
+    assert tight.profile[1] == ((0, 1, 2, 3),)  # a refused voter learns nothing
+    # Voter 1 fits now; another 4 for voter 0 would spend 20.
+    wider = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 16)
+    assert wider.spent == 16
+    assert [entry.voter for entry in wider.log] == [0, 1]
+    assert wider.profile[0] == tight.profile[0]  # voter 0 is where it was
 
 
 def test_apply_answer_updates_partition_and_queue(worked_election):
-    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
+    def first_voter_after(budget):
+        return run_elicitation(worked_election, SPLIT, FCFS, "variance_aware", budget).profile[0]
+
     partition = [(0, 1, 2, 3)]
-    apply_answer(partition, engine.next_query(0), ((0, 1), (2, 3)))
+    apply_answer(partition, make_question(SPLIT, (0, 1, 2, 3)), ((0, 1), (2, 3)))
     assert partition == [(0, 1), (2, 3)]
-    assert engine.ask(0)
-    assert engine.profile()[0] == tuple(partition)
-    assert engine.next_query(0).subset == (0, 1)  # the queue is best first
-    apply_answer(partition, engine.next_query(0), ((0,), (1,)))
+    assert first_voter_after(8) == tuple(partition)
+    apply_answer(partition, make_question(SPLIT, (0, 1)), ((0,), (1,)))
     assert partition == [(0,), (1,), (2, 3)]
-    assert engine.ask(0)
-    assert engine.profile()[0] == tuple(partition)
-    assert engine.next_query(0).subset == (2, 3)  # singletons never queue
-    assert engine.ask(0)
-    assert engine.next_query(0) is None
+    assert first_voter_after(12) == tuple(partition)
+    full = run_elicitation(worked_election, SPLIT, FCFS, "variance_aware", UNLIMITED)
+    asked = [entry.query.subset for entry in full.log if entry.voter == 0]
+    # The queue is best first, and singletons never queue.
+    assert asked == [(0, 1, 2, 3), (0, 1), (2, 3)]
 
 
 def test_apply_answer_rejects_inconsistent(worked_election):
-    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
     partition = [(0, 1, 2, 3)]
-    q = engine.next_query(0)
+    q = make_question(SPLIT, (0, 1, 2, 3))
     with pytest.raises(ProtocolError):
         apply_answer(partition, q, ((0, 1), (2,)))  # loses a candidate
     other = make_question(SPLIT, (0, 1))
@@ -149,8 +159,7 @@ def test_apply_answer_rejects_inconsistent(worked_election):
 
 
 def test_apply_answer_rejects_class_sizes_off_the_buckets(worked_election):
-    engine = RefinementEngine(worked_election, SPLIT, "variance_aware")
-    q = engine.next_query(0)  # halves: two classes of 2
+    q = make_question(SPLIT, (0, 1, 2, 3))  # halves: two classes of 2
     for answer in (((0,), (1,), (2,), (3,)), ((0,), (1, 2, 3)), ((0, 1), (), (2, 3))):
         partition = [(0, 1, 2, 3)]
         with pytest.raises(ProtocolError):
@@ -240,8 +249,9 @@ def test_equal_skips_unaffordable_voters():
 def test_voter_order_is_respected(worked_election):
     run = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=[1, 0])
     assert [entry.voter for entry in run.log] == [1, 0, 1, 0]
-    with pytest.raises(ValueError):
-        run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=[0, 0])
+    for bad in ([0, 0], [1.7, 0.2], [True, False], ["1", "0"]):
+        with pytest.raises(ValueError, match="voter_order"):
+            run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=bad)
 
 
 def test_negative_budget_rejected(worked_election):
@@ -331,7 +341,10 @@ def test_elicitation_rejects_a_custom_cost(worked_election):
     """A callable outside the registry may price by the candidates shown, which no schedule holds."""
     calls = [
         lambda: run_elicitation(worked_election, SPLIT, EQ, charge_for_zero, UNLIMITED),
-        lambda: sweep_elicitation(worked_election, SPLIT, FCFS, charge_for_zero, [0, 8]),
+        lambda: list(
+            sweep_distances(worked_election, SPLIT, FCFS, charge_for_zero, [0, 8], [0, 1], {0})
+        ),
+        lambda: full_resolution_cost(worked_election, SPLIT, charge_for_zero),
         lambda: query_based_committee(worked_election, SPLIT, EQ, charge_for_zero, 24),
     ]
     for call in calls:
@@ -362,36 +375,46 @@ def test_sweep_matches_a_fresh_run_at_every_budget():
         m, n = int(rng.integers(1, 9)), int(rng.integers(1, 7))
         voters = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
         e = Election(m=m, voters=voters, k=1)
+        target = k_borda(e)
         order = [int(v) for v in rng.permutation(n)]
         for cost in COST_FUNCTIONS:
             for kind, policy in ALL_STRATEGIES:
                 unlimited = run_elicitation(e, kind, policy, cost, UNLIMITED, voter_order=order)
                 grid = budget_grid(rng, [entry.cost for entry in unlimited.log])
-                snapshots = list(sweep_elicitation(e, kind, policy, cost, grid, voter_order=order))
-                assert [budget for budget, _, _ in snapshots] == grid
-                for budget, profile, spent in snapshots:
-                    fresh = run_elicitation(
+                swept = list(sweep_distances(e, kind, policy, cost, grid, order, target))
+                assert [budget for budget, _, _ in swept] == grid
+                for budget, distance, spent in swept:
+                    committee, fresh = query_based_committee(
                         e, kind, policy, cost, budget, voter_order=order, record_log=False
                     )
-                    assert profile == fresh.profile
+                    assert distance == hamming(committee, target)
                     assert spent == fresh.spent and type(spent) is type(fresh.spent)
                     assert spent <= budget
 
 
 def test_sweep_rejects_bad_grids(worked_election):
-    with pytest.raises(ValueError):
-        sweep_elicitation(worked_election, SPLIT, EQ, "variance_aware", [24, 8])
-    with pytest.raises(ValueError):
-        sweep_elicitation(worked_election, SPLIT, EQ, "variance_aware", [-1, 8])
+    target = k_borda(worked_election)
+    for bad in ([-1, 8], [8, math.nan]):
+        with pytest.raises(ValueError, match="budget must be non-negative"):
+            list(sweep_distances(worked_election, SPLIT, EQ, "variance_aware", bad, [0, 1], target))
+    # An unsorted grid with a repeated budget is no bad grid: each budget is its own run.
+    grid = [24, 8, 24, 0, 8.5]
+    swept = sweep_distances(worked_election, SPLIT, EQ, "variance_aware", grid, [1, 0], target)
+    for budget, (swept_budget, distance, spent) in zip(grid, swept, strict=True):
+        committee, run = query_based_committee(
+            worked_election, SPLIT, EQ, "variance_aware", budget, voter_order=[1, 0]
+        )
+        assert swept_budget == budget and spent == run.spent
+        assert distance == hamming(committee, target)
 
 
-# SHA-256 of the snapshots below, pinned so that any change in what a sweep
+# SHA-256 of the snapshots below, pinned so that any change in what a run
 # learns or spends at any budget shows.
 SNAPSHOT_DIGEST = "f615031eed13867349fd8543f9093d7fedf6931440ea64e4caaecfa024e78242"
 
 
 def test_sweep_snapshots_match_the_pinned_digest():
-    """Every sweep snapshot over fixed random cases hashes to a pinned value.
+    """Every run over fixed random cases and budget grids hashes to a pinned value.
 
     The cases cover m = 1..9, the registry costs plus a subset-dependent
     callable, all eight strategies, and grids with 0, repeated points and
@@ -423,7 +446,11 @@ def test_sweep_snapshots_match_the_pinned_digest():
                             assert entry.answer == answer_query(e.voters[entry.voter], entry.query)
                         assert replay_log(run.log, m, n) == run.profile
                         grid = budget_grid(rng, [entry.cost for entry in run.log])
-                        snapshots = sweep_elicitation(e, kind, policy, cost, grid, order)
+                        runs = [
+                            run_elicitation(e, kind, policy, cost, budget, order, record_log=False)
+                            for budget in grid
+                        ]
+                        snapshots = [(run.budget, run.profile, run.spent) for run in runs]
                     for budget, profile, spent in snapshots:
                         line = repr((budget, profile, spent, type(spent).__name__))
                         digest.update(line.encode() + b"\n")
@@ -483,14 +510,18 @@ def random_election(rng):
 
 
 def check_against_reference(e, kind, policy, cost, grid, order):
-    """Sweep and single runs over ``grid`` equal the reference run, and stay in budget."""
-    swept = sweep_elicitation(e, kind, policy, cost, grid, voter_order=order)
-    for budget, profile, spent in swept:
+    """Single runs and the sweep's distances over ``grid`` equal the reference run's, in budget."""
+    target = k_borda(e)
+    swept = sweep_distances(e, kind, policy, cost, grid, order, target)
+    for budget, (swept_budget, distance, spent) in zip(grid, swept, strict=True):
         run = run_elicitation(e, kind, policy, cost, budget, voter_order=order, record_log=False)
         reference = reference_run(e, kind, policy, cost, budget, order)
-        assert (spent, profile) == (run.spent, run.profile) == reference
+        assert swept_budget == budget
+        assert (spent, run.profile) == (run.spent, run.profile) == reference
         assert type(spent) is type(run.spent) is type(reference[0])
         assert spent <= budget
+        committee = select_top_k(partial_scores(reference[1], borda_vector(e.m)), e.k)
+        assert distance == hamming(committee, target)
 
 
 @pytest.mark.parametrize("cost", ["candidates", "last_bucket", "bucket_count", "variance_aware"])
@@ -511,7 +542,7 @@ def test_integer_cap_at_float_budgets_next_to_an_exact_spend(cost):
 
 def test_spend_in_units_of_a_large_denominator_stays_exact():
     e = generate(CultureSpec("IC", seed=23), 60, 3, 5)
-    assert RefinementEngine(e, SPLIT, "variance_aware").scale > 2**64
+    assert _schedule_of(SPLIT, "variance_aware", e.m).scale > 2**64
     for kind, policy in ALL_STRATEGIES:
         full = run_elicitation(e, kind, policy, "variance_aware", UNLIMITED)
         for budget in (UNLIMITED, full.spent / 2, float(full.spent) / 3):
@@ -542,8 +573,8 @@ def test_levels_and_spend_do_not_depend_on_the_rankings(cost):
     """Permuting each voter's ranking, in the same voter order, moves no level and no spend.
 
     This is what lets one schedule serve every voter: the plain reference run
-    learns classes of the same sizes at the same price, and the engine puts
-    every voter at the same level.
+    learns classes of the same sizes at the same price, and
+    :func:`run_elicitation` asks every voter the same number of questions.
     """
     rng = substream(58)
     for _ in range(6):
@@ -553,11 +584,9 @@ def test_levels_and_spend_do_not_depend_on_the_rankings(cost):
         for kind, policy in ALL_STRATEGIES:
             full = float(reference_run(e, kind, policy, cost, UNLIMITED, order)[0])
             for budget in (0, UNLIMITED, *map(float, rng.uniform(0, 1.2 * full + 1, size=3))):
-                runs = [
-                    next(sweep_engines(x, kind, policy, cost, [budget], order))[1]
-                    for x in (e, shuffled)
-                ]
-                assert runs[0].levels == runs[1].levels
+                runs = [run_elicitation(x, kind, policy, cost, budget, order) for x in (e, shuffled)]
+                levels = [Counter(entry.voter for entry in run.log) for run in runs]
+                assert levels[0] == levels[1]
                 assert runs[0].spent == runs[1].spent and type(runs[0].spent) is type(runs[1].spent)
                 plain = [reference_run(x, kind, policy, cost, budget, order) for x in (e, shuffled)]
                 sizes = [[tuple(map(len, classes)) for classes in profile] for _, profile in plain]
@@ -568,7 +597,6 @@ def test_levels_and_spend_do_not_depend_on_the_rankings(cost):
 def test_desk_size_runs_and_sweeps_match_the_reference(cost):
     """20 x 20, every strategy: 0, ``UNLIMITED`` and float budgets at, under and over exact spends."""
     e = generate(CultureSpec("IC", seed=24), 20, 20, 10)
-    target = k_borda(e)
     rng = substream(59)
     order = [int(v) for v in rng.permutation(e.n)]
     for kind, policy in ALL_STRATEGIES:
@@ -576,12 +604,4 @@ def test_desk_size_runs_and_sweeps_match_the_reference(cost):
         reference_run(e, kind, policy, cost, UNLIMITED, order, charged)
         near = float(sum(charged[: int(rng.integers(1, len(charged)))]))
         grid = [0, math.nextafter(near, 0), near, math.nextafter(near, math.inf), UNLIMITED]
-        swept = sweep_distances(e, kind, policy, cost, grid, order, target)
-        for budget, (swept_budget, distance, spent) in zip(grid, swept, strict=True):
-            run = run_elicitation(e, kind, policy, cost, budget, voter_order=order, record_log=False)
-            reference = reference_run(e, kind, policy, cost, budget, order)
-            assert swept_budget == budget
-            assert (spent, run.profile) == (run.spent, run.profile) == reference
-            assert type(spent) is type(run.spent) is type(reference[0])
-            committee = select_top_k(partial_scores(reference[1], borda_vector(e.m)), e.k)
-            assert distance == hamming(committee, target)
+        check_against_reference(e, kind, policy, cost, grid, order)
