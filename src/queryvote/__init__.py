@@ -71,13 +71,9 @@ from .strategies import (
     UNLIMITED,
     BudgetPolicy,
     ElicitationRun,
-    ProtocolError,
     parse_strategy,
-    read_log,
-    replay_log,
     run_elicitation,
     strategy_label,
-    write_log,
 )
 
 __version__ = "0.1.0"

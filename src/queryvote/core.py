@@ -7,6 +7,7 @@ candidate ids of the election's committee size ``k``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,15 +28,20 @@ class Election:
             raise ValueError(f"need at least one candidate, got m={self.m}")
         if not 1 <= self.k <= self.m:
             raise ValueError(f"committee size k={self.k} outside [1, {self.m}]")
-        object.__setattr__(
-            self, "voters", tuple(tuple(int(c) for c in voter) for voter in self.voters)
-        )
-        if not self.voters:
+        # operator.index refuses floats and strings but takes bools, so those are refused by type.
+        reference = list(range(self.m))
+        voters = []
+        for i, voter in enumerate(map(tuple, self.voters)):
+            try:
+                ranking = tuple(map(operator.index, voter))
+            except TypeError:
+                ranking = ()
+            if bool in map(type, voter) or sorted(ranking) != reference:
+                raise ValueError(f"voter {i} ranking is not a permutation of ints 0..{self.m - 1}")
+            voters.append(ranking)
+        if not voters:
             raise ValueError("election needs at least one voter")
-        reference = tuple(range(self.m))
-        for i, voter in enumerate(self.voters):
-            if tuple(sorted(voter)) != reference:
-                raise ValueError(f"voter {i} ranking is not a permutation of 0..{self.m - 1}")
+        object.__setattr__(self, "voters", tuple(voters))
 
     @property
     def n(self) -> int:

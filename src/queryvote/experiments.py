@@ -395,15 +395,26 @@ _PARSERS = {
     Mapping[str, object]: dict,
     list[CultureSpec]: lambda entries: [_parse_culture(entry) for entry in entries],
     list[tuple[QuestionType, BudgetPolicy]]: lambda labels: [parse_strategy(s) for s in labels],
-    list[float] | None: lambda grid: None if grid is None else [parse_budget(b) for b in grid],
+    list[float] | None: lambda grid: None if grid is None else [_json_budget(b) for b in grid],
 }
+
+_UNLIMITED_WORDS = ("inf", "unlimited", "infinity")
 
 
 def parse_budget(value) -> float:
-    """A budget from a config or the command line: a number, or inf/unlimited/infinity."""
-    if isinstance(value, str) and value.strip().lower() in ("inf", "unlimited", "infinity"):
+    """A budget from the command line: a number or number string, or inf/unlimited/infinity."""
+    if isinstance(value, str) and value.strip().lower() in _UNLIMITED_WORDS:
         return UNLIMITED
     return float(value)
+
+
+def _json_budget(value) -> float:
+    """A budget from a config: a JSON number that is not a bool, or inf/unlimited/infinity."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    is_word = isinstance(value, str) and value.strip().lower() in _UNLIMITED_WORDS
+    if not (is_number or is_word):
+        raise ValueError(f"expected a number or one of {list(_UNLIMITED_WORDS)}, got {value!r}")
+    return parse_budget(value)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -4,6 +4,10 @@ A query shows a voter a subset of candidates together with a vector of bucket
 ratios, and asks for an ordered partition of the subset into indifference
 classes whose sizes follow the ratios. The answer never contradicts the
 voter's underlying ranking; within a class nothing is revealed.
+
+:func:`make_question` builds each question type's query. A run's transcript
+is ``ElicitationRun.log``, kept in memory only: one ``LogEntry(voter, query,
+answer, cost)`` per question asked, in the order charged.
 """
 
 from __future__ import annotations
@@ -176,80 +180,3 @@ def make_question(kind: QuestionType, subset: Iterable[int]) -> RefinementQuery 
     else:
         raise ValueError(f"unknown question type: {kind!r}")
     return RefinementQuery(subset=ids, buckets=ratios)
-
-
-# --- line-based log serialization, for replayable elicitation transcripts ---
-
-
-def _format_number(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
-
-
-def _parse_number(text: str):
-    if "/" in text:
-        return Fraction(text)
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
-def format_query_line(voter: int, query: RefinementQuery, cost) -> str:
-    subset = ",".join(str(c) for c in query.subset)
-    ratios = ",".join(_format_number(b) for b in query.buckets)
-    return f"Q voter={voter} subset={subset} B={ratios} cost={_format_number(cost)}"
-
-
-def format_answer_line(answer: OrderedPartition) -> str:
-    return "A classes=" + "|".join(",".join(str(c) for c in cls) for cls in answer)
-
-
-def _parse_field(what: str, line: str, name: str, text: str, parse):
-    """``parse(text)``, or a ValueError naming the line and its bad field."""
-    try:
-        return parse(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{what} line {line!r} has a bad {name}= field {text!r}") from None
-
-
-def _ids(text: str) -> tuple[int, ...]:
-    return tuple(int(item) for item in text.split(","))
-
-
-def _ratios(text: str) -> tuple:
-    return tuple(_parse_number(item) for item in text.split(","))
-
-
-def _classes(text: str) -> OrderedPartition:
-    return tuple(_ids(cls) for cls in text.split("|"))
-
-
-def parse_query_line(line: str) -> tuple[int, RefinementQuery, object]:
-    fields = {}
-    for part in line.split()[1:]:
-        name, eq, value = part.partition("=")
-        if not eq:
-            raise ValueError(f"query line {line!r} has a field {part!r} with no '='")
-        fields[name] = value
-    missing = [name for name in ("voter", "subset", "B", "cost") if name not in fields]
-    if missing:
-        raise ValueError(f"query line {line!r} has no {missing[0]}= field")
-    voter = _parse_field("query", line, "voter", fields["voter"], int)
-    subset = _parse_field("query", line, "subset", fields["subset"], _ids)
-    ratios = _parse_field("query", line, "B", fields["B"], _ratios)
-    cost = _parse_field("query", line, "cost", fields["cost"], _parse_number)
-    try:
-        return voter, RefinementQuery(subset=subset, buckets=ratios), cost
-    except ValueError as err:  # InfeasibleQueryError included, and kept as such
-        raise type(err)(f"query line {line!r} is not a valid query: {err}") from None
-
-
-def parse_answer_line(line: str) -> OrderedPartition:
-    _, eq, body = line.partition("=")
-    if not eq:
-        raise ValueError(f"answer line {line!r} has no classes= field")
-    return _parse_field("answer", line, "classes", body, _classes)

@@ -8,6 +8,7 @@ scoring.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .core import Committee, Election, select_top_k
@@ -26,6 +27,13 @@ def validate_scoring_vector(scoring: Sequence) -> ScoringVector:
     scoring = tuple(scoring)
     if not scoring:
         raise ValueError("scoring vector must not be empty")
+    for index, entry in enumerate(scoring):
+        try:
+            finite = math.isfinite(entry)
+        except TypeError:
+            finite = False
+        if not finite:
+            raise ValueError(f"scoring vector entry {index} is {entry!r}, not a finite number")
     if any(a < b for a, b in zip(scoring, scoring[1:])):
         raise ValueError("scoring vector must be non-increasing")
     return scoring

@@ -56,7 +56,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise
-from typing import Sequence, TextIO
+from typing import Sequence
 
 import numpy as np
 
@@ -67,11 +67,7 @@ from .queries import (
     QuestionType,
     RefinementQuery,
     bucket_sizes,
-    format_answer_line,
-    format_query_line,
     make_question,
-    parse_answer_line,
-    parse_query_line,
 )
 
 UNLIMITED = math.inf
@@ -370,44 +366,3 @@ def run_elicitation(
         profile=profile,
         log=tuple(_entry(schedule, v, voters[v], q) for v, q in charges),
     )
-
-
-def write_log(run: ElicitationRun, stream: TextIO) -> None:
-    """Write the question/answer transcript as two lines per exchange."""
-    for entry in run.log:
-        stream.write(format_query_line(entry.voter, entry.query, entry.cost) + "\n")
-        stream.write(format_answer_line(entry.answer) + "\n")
-
-
-def read_log(stream: TextIO) -> list[LogEntry]:
-    entries = []
-    pending_query = None
-    for raw in stream:
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("Q "):
-            if pending_query is not None:
-                raise ValueError("question line without an answer")
-            pending_query = parse_query_line(line)
-        elif line.startswith("A "):
-            if pending_query is None:
-                raise ValueError("answer line without a question")
-            voter, query, cost = pending_query
-            entries.append(LogEntry(voter=voter, query=query, answer=parse_answer_line(line), cost=cost))
-            pending_query = None
-        else:
-            raise ValueError(f"unrecognized log line: {line!r}")
-    if pending_query is not None:
-        raise ValueError("question line without an answer")
-    return entries
-
-
-def replay_log(entries: Sequence[LogEntry], m: int, n: int) -> tuple[OrderedPartition, ...]:
-    """Rebuild the per-voter partitions by re-applying a transcript."""
-    partitions = [[tuple(range(m))] for _ in range(n)]
-    for entry in entries:
-        if not 0 <= entry.voter < n:
-            raise ProtocolError(f"voter {entry.voter} is outside 0..{n - 1}")
-        apply_answer(partitions[entry.voter], entry.query, entry.answer)
-    return tuple(map(tuple, partitions))

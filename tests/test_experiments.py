@@ -261,6 +261,13 @@ def test_config_validation():
         small_config(m=7, cultures=[CultureSpec("ST", seed=1)])  # odd m
     with pytest.raises(ValueError, match="need m >= 1 and n >= 1, got m=6, n=0"):
         small_config(n=0)
+    # A JSON budget is a number that is not a bool, or a word for unlimited.
+    base = {"m": 4, "n": 3, "k": 2, "elections_per_culture": 1, "cultures": ["IC"]}
+    grid = [0, 2.5, "inf", " Unlimited", "infinity"]
+    assert parse_config({**base, "budget_grid": grid}).budget_grid == [0, 2.5, *[UNLIMITED] * 3]
+    for bad in ([True, 5], ["5"], [1, "nan"], [None], [[3]]):
+        with pytest.raises(ValueError, match="config key 'budget_grid': expected a number"):
+            parse_config({**base, "budget_grid": bad})
 
 
 @pytest.mark.parametrize(

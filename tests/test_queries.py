@@ -10,14 +10,7 @@ from queryvote import (
     bucket_sizes,
     make_question,
 )
-from queryvote.queries import (
-    format_answer_line,
-    format_query_line,
-    parse_answer_line,
-    parse_query_line,
-    slice_classes,
-    validate_buckets,
-)
+from queryvote.queries import slice_classes, validate_buckets
 from queryvote.rng import substream
 
 
@@ -167,15 +160,6 @@ def test_repeated_split_reconstructs_secret():
 
 def test_slice_classes_canonicalizes():
     assert slice_classes([3, 1, 2, 0], (2, 2)) == ((1, 3), (0, 2))
-
-
-def test_log_line_round_trip():
-    q = RefinementQuery((0, 2, 5), (F(1, 3), F(2, 3)))
-    line = format_query_line(7, q, F(15, 2))
-    voter, parsed, cost = parse_query_line(line)
-    assert (voter, parsed, cost) == (7, q, F(15, 2))
-    answer = ((2,), (0, 5))
-    assert parse_answer_line(format_answer_line(answer)) == answer
 
 
 def test_query_validation():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from queryvote import (
@@ -28,6 +30,9 @@ def test_scoring_vector_must_be_non_increasing():
         validate_scoring_vector((1, 2))
     with pytest.raises(ValueError):
         validate_scoring_vector(())
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"entry 0 is {bad}, not a finite number"):
+            validate_scoring_vector((bad, 1, 0))
 
 
 def test_partial_scores_half_split():

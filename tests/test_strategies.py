@@ -1,7 +1,5 @@
 import hashlib
-import io
 import math
-import re
 from collections import Counter, deque
 from fractions import Fraction as F
 from itertools import accumulate
@@ -15,8 +13,6 @@ from queryvote import (
     BudgetPolicy,
     CultureSpec,
     Election,
-    InfeasibleQueryError,
-    ProtocolError,
     QuestionType,
     answer_query,
     generate,
@@ -24,17 +20,14 @@ from queryvote import (
     k_borda,
     make_question,
     parse_strategy,
-    read_log,
-    replay_log,
     run_elicitation,
     select_top_k,
     strategy_label,
-    write_log,
 )
 from queryvote.experiments import full_resolution_cost, sweep_distances
 from queryvote.rng import substream
 from queryvote.scoring import borda_vector, partial_scores, query_based_committee
-from queryvote.strategies import _schedule_of, apply_answer
+from queryvote.strategies import ProtocolError, _schedule_of, apply_answer
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
@@ -165,16 +158,6 @@ def test_apply_answer_rejects_class_sizes_off_the_buckets(worked_election):
         with pytest.raises(ProtocolError):
             apply_answer(partition, q, answer)
         assert partition == [(0, 1, 2, 3)]
-    log = "Q voter=0 subset=0,1,2,3 B=1/2,1/2 cost=8\nA classes=0|1|2|3\n"
-    with pytest.raises(ProtocolError):
-        replay_log(read_log(io.StringIO(log)), 4, 1)
-
-
-@pytest.mark.parametrize("voter", [-1, 2])
-def test_replay_rejects_a_voter_out_of_range(voter):
-    log = f"Q voter={voter} subset=0,1 B=1/2,1/2 cost=4\nA classes=0|1\n"
-    with pytest.raises(ProtocolError, match="outside"):
-        replay_log(read_log(io.StringIO(log)), 2, 2)
 
 
 def test_worked_trace_split_equally(worked_election):
@@ -264,62 +247,6 @@ def test_rerun_is_identical(worked_election):
     first = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24)
     second = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24)
     assert first == second
-
-
-def test_log_round_trip_and_replay():
-    e = generate(CultureSpec("IC", seed=19), 7, 4, 3)
-    run = run_elicitation(e, QuestionType.NEXT_AND_LAST, EQ, "variance_aware", 90)
-    buffer = io.StringIO()
-    write_log(run, buffer)
-    buffer.seek(0)
-    entries = read_log(buffer)
-    assert list(entries) == list(run.log)
-    assert replay_log(entries, e.m, e.n) == run.profile
-
-
-def test_replay_rejects_corrupted_log():
-    with pytest.raises(ValueError):
-        read_log(io.StringIO("A classes=0|1\n"))
-    with pytest.raises(ValueError):
-        read_log(io.StringIO("Q voter=0 subset=0,1 B=1/2,1/2 cost=4\n"))
-
-
-@pytest.mark.parametrize("field", ["voter", "subset", "B", "cost"])
-def test_read_log_names_a_query_line_missing_a_field(field):
-    query = "Q voter=0 subset=0,1 B=1/2,1/2 cost=4"
-    line = " ".join(part for part in query.split() if not part.startswith(field + "="))
-    with pytest.raises(ValueError, match=f"query line .*{line}.* no {field}= field"):
-        read_log(io.StringIO(line + "\nA classes=0|1\n"))
-
-
-@pytest.mark.parametrize(
-    "query, answer, field",
-    [
-        ("Q voter=0 subset B=1/2,1/2 cost=4", "A classes=0|1", "subset"),
-        ("Q voter=x subset=0,1 B=1/2,1/2 cost=4", "A classes=0|1", "voter"),
-        ("Q voter=0 subset=0,1 B=1/2,1/2 cost=4", "A classes=0,|1", "classes"),
-    ],
-    ids=["field-without-value", "voter-not-an-int", "empty-candidate-id"],
-)
-def test_read_log_names_a_malformed_line_and_its_field(query, answer, field):
-    bad = answer if field == "classes" else query
-    with pytest.raises(ValueError, match=re.escape(repr(bad)) + f".*{field}"):
-        read_log(io.StringIO(f"{query}\n{answer}\n"))
-
-
-@pytest.mark.parametrize(
-    "query, error",
-    [
-        ("Q voter=0 subset=0,0 B=1/2,1/2 cost=4", "repeated candidates"),
-        ("Q voter=0 subset=0,1 B=1/2,1/3 cost=4", "must sum to 1"),
-        ("Q voter=0 subset=0 B=1/2,1/2 cost=4", "cannot partition"),
-    ],
-    ids=["repeated-candidate", "ratios-off-one", "more-buckets-than-candidates"],
-)
-def test_read_log_names_a_line_whose_fields_form_no_query(query, error):
-    with pytest.raises(ValueError, match=re.escape(repr(query)) + f".*{error}") as raised:
-        read_log(io.StringIO(f"{query}\nA classes=0|1\n"))
-    assert isinstance(raised.value, InfeasibleQueryError) == (error == "cannot partition")
 
 
 def test_class_count_is_monotone_over_log():
@@ -418,9 +345,10 @@ def test_sweep_snapshots_match_the_pinned_digest():
 
     The cases cover m = 1..9, the registry costs plus a subset-dependent
     callable, all eight strategies, and grids with 0, repeated points and
-    ``UNLIMITED``. Each unlimited run's answers must be the truthful ones and
-    its transcript must replay to its profile. Elicitation takes registry
-    costs only, so the callable's snapshots come from :func:`reference_run`.
+    ``UNLIMITED``. Each unlimited run's answers must be the truthful ones, and
+    its log, folded through :func:`apply_answer`, must give its profile.
+    Elicitation takes registry costs only, so the callable's snapshots come
+    from :func:`reference_run`.
     """
     rng = substream(53)
     digest = hashlib.sha256()
@@ -444,7 +372,10 @@ def test_sweep_snapshots_match_the_pinned_digest():
                         run = run_elicitation(e, kind, policy, cost, UNLIMITED, voter_order=order)
                         for entry in run.log:
                             assert entry.answer == answer_query(e.voters[entry.voter], entry.query)
-                        assert replay_log(run.log, m, n) == run.profile
+                        partitions = [[tuple(range(m))] for _ in range(n)]
+                        for entry in run.log:
+                            apply_answer(partitions[entry.voter], entry.query, entry.answer)
+                        assert tuple(map(tuple, partitions)) == run.profile
                         grid = budget_grid(rng, [entry.cost for entry in run.log])
                         runs = [
                             run_elicitation(e, kind, policy, cost, budget, order, record_log=False)
