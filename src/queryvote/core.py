@@ -7,41 +7,78 @@ candidate ids of the election's committee size ``k``.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
+
+import numpy as np
 
 PreferenceOrder = tuple[int, ...]
 Committee = frozenset[int]
 
 
+def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None, bool]:
+    """``rows`` as an n x m int32 array, the index of the first row that is
+    not a permutation of the ints ``0..m-1`` (None when every row is one),
+    and whether every id is a plain ``int``.
+
+    An id is an int by type: its type has ``__index__``, which floats and
+    strings lack, and is not bool. A row that holds anything else, or not
+    ``m`` entries, is all -1 in the array.
+    """
+    kinds = set(map(type, chain.from_iterable(rows)))
+    ints = {kind for kind in kinds if kind is not bool and hasattr(kind, "__index__")}
+    blank = (-1,) * m
+    filled = [
+        row if len(row) == m and (ints == kinds or ints.issuperset(map(type, row))) else blank
+        for row in rows
+    ]
+    try:
+        table = np.fromiter(chain.from_iterable(filled), np.int32, len(rows) * m)
+    except OverflowError:
+        # An id beyond int32 is no candidate.
+        filled = [row if 0 <= min(row) and max(row) < m else blank for row in filled]
+        table = np.fromiter(chain.from_iterable(filled), np.int32, len(rows) * m)
+    table = table.reshape(len(rows), m)
+    bad = (np.sort(table, axis=1) != np.arange(m)).any(axis=1)
+    return table, int(bad.argmax()) if bad.any() else None, kinds <= {int}
+
+
+def _places_of(rankings: np.ndarray) -> np.ndarray:
+    """``places[v, c]``: the place of candidate c in row v of ``rankings``."""
+    places = np.empty_like(rankings)
+    np.put_along_axis(places, rankings, np.arange(rankings.shape[1]), axis=1)
+    return places
+
+
 @dataclass(frozen=True)
 class Election:
-    """An ordinal election with ``m`` candidates and a target committee size ``k``."""
+    """An ordinal election with ``m`` candidates and a target committee size ``k``.
+
+    The rankings are checked once, as one n x m int array, which is kept,
+    read-only, in the private ``_rankings``; it takes no part in ``==``,
+    ``hash`` or ``repr``.
+    """
 
     m: int
     voters: tuple[PreferenceOrder, ...]
     k: int
+    _rankings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
             raise ValueError(f"need at least one candidate, got m={self.m}")
         if not 1 <= self.k <= self.m:
             raise ValueError(f"committee size k={self.k} outside [1, {self.m}]")
-        # operator.index refuses floats and strings but takes bools, so those are refused by type.
-        reference = list(range(self.m))
-        voters = []
-        for i, voter in enumerate(map(tuple, self.voters)):
-            try:
-                ranking = tuple(map(operator.index, voter))
-            except TypeError:
-                ranking = ()
-            if bool in map(type, voter) or sorted(ranking) != reference:
-                raise ValueError(f"voter {i} ranking is not a permutation of ints 0..{self.m - 1}")
-            voters.append(ranking)
+        voters = tuple(map(tuple, self.voters))
         if not voters:
             raise ValueError("election needs at least one voter")
-        object.__setattr__(self, "voters", tuple(voters))
+        rankings, bad, plain = _id_table(voters, self.m)
+        if bad is not None:
+            raise ValueError(f"voter {bad} ranking is not a permutation of ints 0..{self.m - 1}")
+        rankings.flags.writeable = False
+        object.__setattr__(self, "voters", voters if plain else tuple(map(tuple, rankings.tolist())))
+        object.__setattr__(self, "_rankings", rankings)
 
     @property
     def n(self) -> int:
@@ -55,12 +92,8 @@ def borda_scores(election: Election) -> list[int]:
     A candidate ranked at 1-based position ``i`` earns ``m - i`` points from
     that voter; totals are summed over all voters.
     """
-    scores = [0] * election.m
-    top = election.m - 1
-    for voter in election.voters:
-        for position, candidate in enumerate(voter):
-            scores[candidate] += top - position
-    return scores
+    places = _places_of(election._rankings)
+    return (election.n * (election.m - 1) - places.sum(axis=0)).tolist()
 
 
 def select_top_k(scores: Sequence[float], k: int) -> Committee:

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import Committee, Election, hamming, k_borda, select_top_k
+from .core import Committee, Election, _places_of, hamming, k_borda, select_top_k
 from .costs import get_cost_function
 from .cultures import CultureSpec, generate
 from .rng import derive_seed, substream
@@ -100,7 +100,10 @@ class ExperimentConfig:
             raise ValueError("config needs at least one strategy")
         get_cost_function(self.cost)
         if self.budget_grid is not None:
-            grid = [float(b) for b in self.budget_grid]
+            try:
+                grid = [_json_budget(b) for b in self.budget_grid]
+            except ValueError as err:
+                raise ValueError(f"budget_grid: {err}") from None
             for budget in grid:
                 _check_budget(budget)
             if grid != sorted(grid):
@@ -176,9 +179,7 @@ def _resolved_grids(config: ExperimentConfig) -> dict[str, tuple[float, ...]]:
 @lru_cache(maxsize=1)
 def _places(election: Election) -> np.ndarray:
     """``places[v, c]``: the place of candidate c in voter v's ranking, read-only."""
-    rankings = np.array(election.voters)
-    places = np.empty_like(rankings)
-    places[np.arange(election.n)[:, None], rankings] = np.arange(election.m)
+    places = _places_of(election._rankings)
     places.flags.writeable = False
     return places
 

@@ -13,6 +13,7 @@ answer, cost)`` per question asked, in the order charged.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -68,6 +69,19 @@ def validate_buckets(ratios: Sequence) -> BucketVector:
     return ratios
 
 
+def _candidate_ids(values: Iterable) -> tuple[int, ...]:
+    """Candidate ids read with ``operator.index``, which refuses floats and
+    strings; it takes bools, so those are refused by type."""
+    ids = tuple(values)
+    try:
+        if bool not in map(type, ids):
+            return tuple(map(operator.index, ids))
+    except TypeError:
+        pass
+    bad = next(c for c in ids if type(c) is bool or not hasattr(c, "__index__"))
+    raise ValueError(f"candidate ids must be ints, got {bad!r}")
+
+
 @dataclass(frozen=True)
 class RefinementQuery:
     """A candidate subset plus the bucket ratios it should be partitioned by."""
@@ -76,7 +90,7 @@ class RefinementQuery:
     buckets: BucketVector
 
     def __post_init__(self):
-        subset = tuple(map(int, self.subset))
+        subset = _candidate_ids(self.subset)
         if not subset:
             raise ValueError("query subset must not be empty")
         if len(set(subset)) != len(subset):
@@ -162,7 +176,7 @@ def make_question(kind: QuestionType, subset: Iterable[int]) -> RefinementQuery 
     Returns None when the subset has at most one candidate: there is nothing
     left to ask, and a no-op question must not charge the budget.
     """
-    ids = tuple(sorted(int(c) for c in subset))
+    ids = tuple(sorted(_candidate_ids(subset)))
     s = len(ids)
     if s <= 1:
         return None

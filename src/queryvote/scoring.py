@@ -9,9 +9,12 @@ scoring.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
-from .core import Committee, Election, select_top_k
+import numpy as np
+
+from .core import Committee, Election, _id_table, _places_of, select_top_k
 from .queries import OrderedPartition
 from .strategies import BudgetPolicy, ElicitationRun, QuestionType, run_elicitation
 
@@ -44,23 +47,32 @@ def partial_scores(profile: Sequence[OrderedPartition], scoring: Sequence) -> li
 
     Candidates in a class spanning positions ``L..L+size-1`` (1-based) each
     get the mean of ``scoring[L-1 .. L+size-2]`` from that voter. Class sums
-    are taken before dividing, so Borda scores come out exact.
+    are taken before dividing, so Borda scores come out exact. Totals are
+    summed voter by voter in profile order, so a float scoring vector gives
+    the bits of adding one share at a time.
     """
     scoring = validate_scoring_vector(scoring)
     m = len(scoring)
-    totals = [0.0] * m
-    for index, partition in enumerate(profile):
-        flattened = [c for cls in partition for c in cls]
-        if sorted(flattened) != list(range(m)):
-            raise ValueError(f"voter {index} partition does not cover candidates 0..{m - 1}")
+    profile = tuple(profile)
+    ids, bad, _ = _id_table([tuple(chain.from_iterable(partition)) for partition in profile], m)
+    if bad is not None:
+        raise ValueError(f"voter {bad} partition does not cover candidates 0..{m - 1}")
+    # One row of shares by place per distinct pattern of class sizes.
+    patterns = [tuple(map(len, partition)) for partition in profile]
+    rows = {sizes: row for row, sizes in enumerate(dict.fromkeys(patterns))}
+    by_place = np.empty((len(rows), m))
+    for sizes, row in rows.items():
         start = 0
-        for cls in partition:
-            size = len(cls)
-            share = sum(scoring[start : start + size]) / size
-            for c in cls:
-                totals[c] += share
+        for size in sizes:
+            by_place[row, start : start + size] = sum(scoring[start : start + size]) / size
             start += size
-    return totals
+    pattern_rows = np.array([rows[sizes] for sizes in patterns], dtype=np.intp)
+    # shares[v, c]: voter v's share for candidate c, read at c's place.
+    shares = by_place[pattern_rows[:, None], _places_of(ids)]
+    totals = np.zeros(m)
+    for voter_shares in shares:
+        totals += voter_shares
+    return totals.tolist()
 
 
 def query_based_committee(

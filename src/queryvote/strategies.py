@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, starmap
 from typing import Sequence
 
 import numpy as np
@@ -177,6 +177,12 @@ class Schedule:
             for a, b in pairwise(bounds):
                 table[q + 1, a:b] = top - a - b
         return table
+
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """``classes[q, p]``: the index, best first, of place p's class after q questions."""
+        places = np.arange(self.m)
+        return np.array([np.searchsorted(cuts, places, side="right") - 1 for cuts in self.cuts])
 
 
 _schedule = lru_cache(maxsize=None)(Schedule)
@@ -347,14 +353,20 @@ def run_elicitation(
     policy = BudgetPolicy(policy)
     order = _voter_order(election.n, voter_order)
     levels, spent = _elicit(schedule, policy, election.n, budget)
-    voters = election.voters
-    level_of = dict(zip(order, levels))
+    level_of = np.empty(election.n, dtype=np.intp)
+    level_of[order] = levels
+    # Each class index times m, plus the candidate, sorts every voter's
+    # candidates by class, best first, and by id within a class; the
+    # remainder mod m gives the candidate back.
+    keys = schedule.classes[level_of] * election.m
+    keys += election._rankings
+    keys.sort(axis=1)
+    keys %= election.m
+    level_of = level_of.tolist()
+    slices = {q: list(starmap(slice, pairwise(schedule.cuts[q]))) for q in set(level_of)}
     profile = tuple(
-        tuple(
-            ranking[a:b] if b - a == 1 else tuple(sorted(ranking[a:b]))
-            for a, b in pairwise(schedule.cuts[level_of[v]])
-        )
-        for v, ranking in enumerate(voters)
+        tuple(map(row.__getitem__, slices[level]))
+        for row, level in zip(map(tuple, keys.tolist()), level_of)
     )
     charges = _charges(policy, order, levels) if record_log else ()
     return ElicitationRun(
@@ -364,5 +376,5 @@ def run_elicitation(
         budget=budget,
         spent=spent,
         profile=profile,
-        log=tuple(_entry(schedule, v, voters[v], q) for v, q in charges),
+        log=tuple(_entry(schedule, v, election.voters[v], q) for v, q in charges),
     )

@@ -1,6 +1,20 @@
+import operator
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
-from queryvote import Election, borda_scores, hamming, k_borda, select_top_k
+from queryvote import (
+    CultureSpec,
+    Election,
+    borda_scores,
+    generate,
+    hamming,
+    k_borda,
+    load_election,
+    select_top_k,
+    write_native,
+)
 from queryvote.rng import substream
 
 
@@ -97,3 +111,100 @@ def test_hamming_metric_axioms():
 def test_election_validation(m, voters, k):
     with pytest.raises(ValueError):
         Election(m=m, voters=voters, k=k)
+
+
+def reference_voters(m, voters):
+    """The per-voter check of an election: its voters as int tuples, or the
+    index of the first voter that is not a permutation of ints 0..m-1."""
+    reference = list(range(m))
+    checked = []
+    for i, voter in enumerate(map(tuple, voters)):
+        try:
+            ranking = tuple(map(operator.index, voter))
+        except TypeError:
+            ranking = ()
+        if bool in map(type, voter) or sorted(ranking) != reference:
+            return i
+        checked.append(ranking)
+    return tuple(checked)
+
+
+def reference_borda(m, voters):
+    scores = [0] * m
+    for voter in voters:
+        for position, candidate in enumerate(voter):
+            scores[candidate] += m - 1 - position
+    return scores
+
+
+def spoil(rng, voter, m):
+    """``voter`` with one entry changed in one of the ways a ranking can be wrong or odd."""
+    if not voter:
+        return (0,)
+    voter = list(voter)
+    at = int(rng.integers(len(voter)))
+    how = int(rng.integers(11))
+    if how == 0:
+        voter[at] = voter[at - 1]  # a repeated id, or an unchanged ranking when m = 1
+    elif how == 1:
+        del voter[at]
+    elif how == 2:
+        voter.append(voter[at])
+    elif how == 3:
+        voter[at] = float(voter[at])
+    elif how == 4:
+        voter[at] += 0.5
+    elif how == 5:
+        voter[at] = bool(voter[at]) if voter[at] < 2 else str(voter[at])
+    elif how == 6:
+        voter[at] = np.bool_(voter[at] % 2)
+    elif how == 7:
+        voter[at] = [-1, m, 2**70, -(2**70)][int(rng.integers(4))]
+    elif how == 8:
+        voter[at] = np.int64(m + 2**33)
+    else:  # numpy ints are ids as good as ints
+        kind = np.int64 if how == 9 else np.int8
+        voter = [kind(c) if type(c) is int and 0 <= c < 100 else c for c in voter]
+    return tuple(voter)
+
+
+def test_election_check_matches_the_per_voter_reference():
+    rng = substream(14)
+    for trial in range(3000):
+        m = 1 if trial % 10 == 0 else int(rng.integers(1, 9))
+        n = int(rng.integers(1, 7))
+        voters = [tuple(int(c) for c in rng.permutation(m)) for _ in range(n)]
+        for _ in range(int(rng.integers(0, 3))):
+            v = int(rng.integers(n))
+            voters[v] = spoil(rng, voters[v], m)
+        expected = reference_voters(m, voters)
+        if isinstance(expected, int):
+            message = f"^voter {expected} ranking is not a permutation of ints 0..{m - 1}$"
+            with pytest.raises(ValueError, match=message):
+                Election(m=m, voters=voters, k=1)
+            continue
+        e = Election(m=m, voters=voters, k=1)
+        assert e.voters == expected
+        assert all(type(c) is int for voter in e.voters for c in voter)
+        assert e._rankings.tolist() == [list(voter) for voter in expected]
+        assert borda_scores(e) == reference_borda(m, expected)
+        assert all(type(score) is int for score in borda_scores(e))
+
+
+def test_the_rankings_array_is_invisible(tmp_path):
+    e = Election(m=3, voters=((2, 0, 1), (0, 1, 2)), k=1)
+    assert repr(e) == "Election(m=3, voters=((2, 0, 1), (0, 1, 2)), k=1)"
+    assert hash(e) == hash((3, ((2, 0, 1), (0, 1, 2)), 1))
+    assert [f.name for f in fields(e) if f.compare or f.repr] == ["m", "voters", "k"]
+    same = Election(m=3, voters=[[np.int64(2), 0, 1], range(3)], k=1)
+    assert same == e and hash(same) == hash(e) and repr(same) == repr(e)
+    assert e != Election(m=3, voters=((0, 1, 2), (2, 0, 1)), k=1)
+    assert not e._rankings.flags.writeable
+    with pytest.raises(ValueError):
+        e._rankings[0, 0] = 1
+    for election in (e, generate(CultureSpec("Urn", seed=5), 30, 40, 4)):
+        path = tmp_path / "e.elec"
+        write_native(election, path)
+        loaded = load_election(path)
+        assert loaded == election and hash(loaded) == hash(election)
+        assert (loaded._rankings == election._rankings).all()

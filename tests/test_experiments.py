@@ -268,6 +268,11 @@ def test_config_validation():
     for bad in ([True, 5], ["5"], [1, "nan"], [None], [[3]]):
         with pytest.raises(ValueError, match="config key 'budget_grid': expected a number"):
             parse_config({**base, "budget_grid": bad})
+    # A grid built in Python is read by the same rule.
+    for bad in ([True, "5"], ["5"], [1, "nan"], [None]):
+        with pytest.raises(ValueError, match="^budget_grid: expected a number"):
+            small_config(budget_grid=bad)
+    assert small_config(budget_grid=[0, 2.5, " Unlimited"]).budget_grid == [0.0, 2.5, UNLIMITED]
 
 
 @pytest.mark.parametrize(

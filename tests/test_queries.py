@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from queryvote import (
@@ -169,3 +170,16 @@ def test_query_validation():
         RefinementQuery((1, 1), (F(1),))
     with pytest.raises(InfeasibleQueryError):
         RefinementQuery((1,), (F(1, 2), F(1, 2)))
+    # Candidate ids are ints by type, as in an Election.
+    with pytest.raises(ValueError, match="candidate ids must be ints, got 2.7"):
+        RefinementQuery((2.7, 0.2, True), (F(1, 3), F(2, 3)))
+    for subset in ((0, True), (1, False), ("1", 0), (1.0, 0), (np.bool_(1), 0)):
+        with pytest.raises(ValueError, match="candidate ids must be ints"):
+            RefinementQuery(subset, (F(1, 2), F(1, 2)))
+        with pytest.raises(ValueError, match="candidate ids must be ints"):
+            make_question(QuestionType.SPLIT, subset)
+    with pytest.raises(ValueError, match="candidate ids must be ints, got 2.9"):
+        make_question(QuestionType.SPLIT, (2.9, True))
+    query = RefinementQuery((np.int64(2), np.int8(0)), (F(1, 2), F(1, 2)))
+    assert query.subset == (2, 0) and all(type(c) is int for c in query.subset)
+    assert make_question(QuestionType.SPLIT, (np.int64(3), 1)).subset == (1, 3)

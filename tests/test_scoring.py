@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from queryvote import (
+    ALL_STRATEGIES,
     BudgetPolicy,
     CultureSpec,
     Election,
@@ -98,6 +100,72 @@ def test_partial_scores_rejects_bad_profile():
         partial_scores([((0, 1),)], borda_vector(3))
     with pytest.raises(ValueError):
         partial_scores([((0, 1), (1, 2))], borda_vector(3))
+    # A candidate id must be an int: not a float, a string or a bool.
+    for bad in (((1.0, 0),), (("1", 0),), ((True, 0),), ((1.7, 0),), ((1,), (np.bool_(0),))):
+        with pytest.raises(ValueError, match="^voter 0 partition does not cover candidates 0..1$"):
+            partial_scores([bad], borda_vector(2))
+        with pytest.raises(ValueError, match="^voter 1 partition"):
+            partial_scores([((0, 1),), bad, (("x",),)], borda_vector(2))
+    numpy_ids = partial_scores([((np.int64(1),), (np.int8(0),))], borda_vector(2))
+    assert numpy_ids == partial_scores([((1,), (0,))], borda_vector(2)) == [0.0, 1.0]
+
+
+def reference_partial_scores(profile, scoring):
+    """The per-voter, per-class float loop over a checked profile."""
+    m = len(scoring)
+    totals = [0.0] * m
+    for index, partition in enumerate(profile):
+        flattened = [c for cls in partition for c in cls]
+        assert sorted(flattened) == list(range(m)), index
+        start = 0
+        for cls in partition:
+            size = len(cls)
+            share = sum(scoring[start : start + size]) / size
+            for c in cls:
+                totals[c] += share
+            start += size
+    return totals
+
+
+def random_profile(rng, m, n):
+    """``n`` random ordered partitions of 0..m-1, ids inside a class in any order."""
+    profile = []
+    for _ in range(n):
+        ranking = [int(c) for c in rng.permutation(m)]
+        cuts = sorted({0, m, *(int(c) for c in rng.integers(0, m + 1, int(rng.integers(0, m + 1))))})
+        profile.append(tuple(tuple(ranking[a:b]) for a, b in zip(cuts, cuts[1:])))
+    return profile
+
+
+def test_partial_scores_match_the_per_voter_reference_bit_for_bit():
+    rng = substream(64)
+    for trial in range(600):
+        m = 1 if trial % 20 == 0 else int(rng.integers(1, 30))
+        n = 0 if trial % 25 == 0 else int(rng.integers(1, 40))
+        vectors = [
+            borda_vector(m),
+            tuple(sorted(rng.uniform(-5, 5, m).tolist(), reverse=True)),
+            tuple(sorted(rng.standard_normal(m).cumsum().tolist(), reverse=True)),
+            (1,) * (j := int(rng.integers(0, m + 1))) + (0,) * (m - j),
+        ]
+        profile = random_profile(rng, m, n)
+        for scoring in vectors:
+            totals = partial_scores(profile, scoring)
+            expected = reference_partial_scores(profile, scoring)
+            assert [x.hex() for x in totals] == [x.hex() for x in expected]
+
+
+def test_partial_scores_of_elicited_profiles_match_the_reference_bit_for_bit():
+    rng = substream(65)
+    e = generate(CultureSpec("Mallows", seed=9, params={"phi": 0.7}), 40, 60, 5)
+    scoring = tuple(sorted(rng.uniform(0, 1, 40).tolist(), reverse=True))
+    for kind, policy in ALL_STRATEGIES:
+        for budget in (0, 400.0, UNLIMITED):
+            run = query_based_committee(e, kind, policy, "computational", budget)[1]
+            for vector in (scoring, borda_vector(40)):
+                totals = partial_scores(run.profile, vector)
+                expected = reference_partial_scores(run.profile, vector)
+                assert [x.hex() for x in totals] == [x.hex() for x in expected]
 
 
 def test_pipeline_worked_example():

@@ -2,7 +2,7 @@ import hashlib
 import math
 from collections import Counter, deque
 from fractions import Fraction as F
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 import pytest
 
@@ -27,7 +27,7 @@ from queryvote import (
 from queryvote.experiments import full_resolution_cost, sweep_distances
 from queryvote.rng import substream
 from queryvote.scoring import borda_vector, partial_scores, query_based_committee
-from queryvote.strategies import ProtocolError, _schedule_of, apply_answer
+from queryvote.strategies import ProtocolError, _elicit, _schedule_of, apply_answer
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
@@ -536,3 +536,31 @@ def test_desk_size_runs_and_sweeps_match_the_reference(cost):
         near = float(sum(charged[: int(rng.integers(1, len(charged)))]))
         grid = [0, math.nextafter(near, 0), near, math.nextafter(near, math.inf), UNLIMITED]
         check_against_reference(e, kind, policy, cost, grid, order)
+
+
+def reference_profile(e, kind, policy, cost, budget, order):
+    """Each voter's classes at its level, each sorted on its own from the ranking."""
+    schedule = _schedule_of(kind, cost, e.m)
+    levels, _ = _elicit(schedule, policy, e.n, budget)
+    level_of = dict(zip(order, levels))
+    return tuple(
+        tuple(
+            ranking[a:b] if b - a == 1 else tuple(sorted(ranking[a:b]))
+            for a, b in pairwise(schedule.cuts[level_of[v]])
+        )
+        for v, ranking in enumerate(e.voters)
+    )
+
+
+@pytest.mark.parametrize("m, n", [(20, 20), (100, 250)])
+def test_profiles_from_one_sort_match_the_per_class_sort(m, n):
+    e = generate(CultureSpec("Mallows", seed=m, params={"phi": 0.8}), m, n, 5)
+    order = [int(v) for v in substream(m, n).permutation(n)]
+    for cost in COST_FUNCTIONS:
+        for kind, policy in ALL_STRATEGIES:
+            mid = full_resolution_cost(e, kind, cost) / 2
+            for budget in (0, mid, UNLIMITED):
+                run = run_elicitation(e, kind, policy, cost, budget, order, record_log=False)
+                expected = reference_profile(e, kind, policy, cost, budget, order)
+                assert run.profile == expected
+                assert all(type(c) is int for partition in run.profile for cls in partition for c in cls)
