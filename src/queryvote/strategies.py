@@ -13,7 +13,12 @@ questions, and a voter's whole state is its level: the number of questions
 it has answered. A run is one function of (schedule, budget policy, voter
 order, budget), :func:`_elicit`, which gives the level of each place in the
 voter order and the spend; :func:`run_elicitation` reads the voters' classes
-and the transcript off the schedule at those levels.
+and the transcript off the schedule at those levels. The profile it returns
+is a tuple that also keeps the arrays it was read from (each voter's
+candidates in class order, and each voter's level), so
+:func:`~queryvote.scoring.partial_scores` scores it from them; any other
+profile is checked candidate by candidate. The schedule's cached tables and
+the kept arrays are read-only.
 
 Two ways to spend the budget, each with a closed form in the levels, so that
 each budget is computed on its own in time linear in schedule and voters:
@@ -166,6 +171,7 @@ class Schedule:
         self.exact = not any(type(unit) is float for unit in self.units)
         self.cum = list(accumulate(self.units, initial=0))
 
+    # A schedule is cached for the whole process, so its tables are read-only.
     @cached_property
     def shares(self) -> np.ndarray:
         """``shares[q, p]``: ``2m - 1 - a - b``, a..b-1 the places of p's class after q questions."""
@@ -176,13 +182,16 @@ class Schedule:
             table[q + 1] = table[q]
             for a, b in pairwise(bounds):
                 table[q + 1, a:b] = top - a - b
+        table.flags.writeable = False
         return table
 
     @cached_property
     def classes(self) -> np.ndarray:
         """``classes[q, p]``: the index, best first, of place p's class after q questions."""
         places = np.arange(self.m)
-        return np.array([np.searchsorted(cuts, places, side="right") - 1 for cuts in self.cuts])
+        table = np.array([np.searchsorted(cuts, places, side="right") - 1 for cuts in self.cuts])
+        table.flags.writeable = False
+        return table
 
 
 _schedule = lru_cache(maxsize=None)(Schedule)
@@ -312,6 +321,21 @@ def _voter_order(n: int, voter_order: Sequence[int] | None) -> list[int]:
     return order
 
 
+class _Profile(tuple):
+    """An elicited profile: the tuple of ordered partitions, plus the arrays it was read from.
+
+    ``_ids[v]`` lists voter v's candidates class by class, best first, and by
+    id within a class; ``_levels[v]`` is voter v's level, and ``_cuts`` the
+    schedule's class bounds by level, so voter v's classes are the slices of
+    ``_ids[v]`` at ``_cuts[_levels[v]]``. Both arrays are read-only. As a
+    tuple it compares, hashes and prints like any other; slices, copies and
+    pickles are plain tuples.
+    """
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 @dataclass(frozen=True)
 class ElicitationRun:
     """Record of one elicitation: what was asked, what it cost, what is known."""
@@ -362,12 +386,14 @@ def run_elicitation(
     keys += election._rankings
     keys.sort(axis=1)
     keys %= election.m
-    level_of = level_of.tolist()
-    slices = {q: list(starmap(slice, pairwise(schedule.cuts[q]))) for q in set(level_of)}
-    profile = tuple(
+    keys.flags.writeable = level_of.flags.writeable = False
+    levels_list = level_of.tolist()
+    slices = {q: list(starmap(slice, pairwise(schedule.cuts[q]))) for q in set(levels_list)}
+    profile = _Profile(
         tuple(map(row.__getitem__, slices[level]))
-        for row, level in zip(map(tuple, keys.tolist()), level_of)
+        for row, level in zip(map(tuple, keys.tolist()), levels_list)
     )
+    profile._ids, profile._levels, profile._cuts = keys, level_of, schedule.cuts
     charges = _charges(policy, order, levels) if record_log else ()
     return ElicitationRun(
         question=schedule.kind,

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import queryvote.scoring
 from queryvote import (
     ALL_STRATEGIES,
+    COST_FUNCTIONS,
     BudgetPolicy,
     CultureSpec,
     Election,
@@ -16,7 +18,9 @@ from queryvote import (
     k_borda,
     partial_scores,
     query_based_committee,
+    run_elicitation,
 )
+from queryvote.experiments import full_resolution_cost
 from queryvote.rng import substream
 from queryvote.scoring import validate_scoring_vector
 
@@ -166,6 +170,62 @@ def test_partial_scores_of_elicited_profiles_match_the_reference_bit_for_bit():
                 totals = partial_scores(run.profile, vector)
                 expected = reference_partial_scores(run.profile, vector)
                 assert [x.hex() for x in totals] == [x.hex() for x in expected]
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 20, 100])
+def test_elicited_profiles_score_as_their_plain_tuples_bit_for_bit(m):
+    """An elicited profile is scored from its kept arrays; its plain tuple is checked."""
+    rng = substream(66, m)
+    n = 6
+    e = generate(CultureSpec("Mallows", seed=m, params={"phi": 0.8}), m, n, 1)
+    order = [int(v) for v in rng.permutation(n)]
+    j = int(rng.integers(0, m + 1))
+    vectors = [
+        borda_vector(m),
+        tuple(sorted(rng.uniform(-3, 3, m).tolist(), reverse=True)),
+        (1,) * j + (0,) * (m - j),
+    ]
+    for cost in COST_FUNCTIONS:
+        for kind, policy in ALL_STRATEGIES:
+            full = full_resolution_cost(e, kind, cost)
+            for budget in (0, full / (3 * n), full / 2, UNLIMITED):
+                run = run_elicitation(e, kind, policy, cost, budget, order, record_log=False)
+                plain = tuple(run.profile)
+                assert type(plain) is tuple and plain == run.profile
+                for vector in vectors:
+                    fast = partial_scores(run.profile, vector)
+                    checked = partial_scores(plain, vector)
+                    assert [x.hex() for x in fast] == [x.hex() for x in checked]
+
+
+def test_elicited_profiles_skip_the_check(monkeypatch):
+    e = generate(CultureSpec("Urn", seed=4), 12, 30, 3)
+    scoring = borda_vector(12)
+    runs = [run_elicitation(e, kind, policy, "computational", 300) for kind, policy in ALL_STRATEGIES]
+    expected = [partial_scores(tuple(run.profile), scoring) for run in runs]
+
+    def no_check(rows, m):
+        raise AssertionError("an elicited profile was checked again")
+
+    monkeypatch.setattr(queryvote.scoring, "_id_table", no_check)
+    assert [partial_scores(run.profile, scoring) for run in runs] == expected
+    # Anything else, an elicited profile's own tuple or slice included, is checked.
+    for other in (tuple(runs[0].profile), runs[0].profile[:5], list(runs[0].profile)):
+        with pytest.raises(AssertionError, match="checked again"):
+            partial_scores(other, scoring)
+
+
+def test_an_elicited_profile_scored_at_the_wrong_length_fails_like_its_tuple():
+    e = generate(CultureSpec("IC", seed=8), 3, 4, 1)
+    for kind, policy in ALL_STRATEGIES:
+        run = run_elicitation(e, kind, policy, "candidates", UNLIMITED)
+        for vector in ((1, 0), (3, 2, 1, 0)):
+            with pytest.raises(ValueError) as checked:
+                partial_scores(tuple(run.profile), vector)
+            message = f"voter 0 partition does not cover candidates 0..{len(vector) - 1}"
+            assert str(checked.value) == message
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                partial_scores(run.profile, vector)
 
 
 def test_pipeline_worked_example():

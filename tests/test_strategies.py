@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 from collections import Counter, deque
 from fractions import Fraction as F
 from itertools import accumulate, pairwise
@@ -564,3 +565,32 @@ def test_profiles_from_one_sort_match_the_per_class_sort(m, n):
                 expected = reference_profile(e, kind, policy, cost, budget, order)
                 assert run.profile == expected
                 assert all(type(c) is int for partition in run.profile for cls in partition for c in cls)
+
+
+def test_an_elicited_profile_is_a_plain_tuple_to_its_readers():
+    e = generate(CultureSpec("Urn", seed=3), 6, 9, 2)
+    for kind, policy in ALL_STRATEGIES:
+        for budget in (0, 40, UNLIMITED):
+            run = run_elicitation(e, kind, policy, "variance_aware", budget)
+            plain = tuple(run.profile)
+            assert isinstance(run.profile, tuple) and type(plain) is tuple
+            assert run.profile == plain and plain == run.profile
+            assert hash(run.profile) == hash(plain) and repr(run.profile) == repr(plain)
+            assert len(run.profile) == e.n and list(run.profile) == list(plain)
+            assert hash(run) == hash(run_elicitation(e, kind, policy, "variance_aware", budget))
+            copy = pickle.loads(pickle.dumps(run))
+            assert copy == run and type(copy.profile) is tuple
+
+
+def test_cached_schedule_tables_and_kept_profile_arrays_are_read_only():
+    e = generate(CultureSpec("IC", seed=0), 5, 4, 2)
+    before = run_elicitation(e, SPLIT, EQ, "computational", UNLIMITED)
+    schedule = _schedule_of(SPLIT, "computational", 5)
+    for table in (schedule.shares, schedule.classes, before.profile._ids, before.profile._levels):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0
+        with pytest.raises(ValueError):
+            table[:] = 0
+    assert run_elicitation(e, SPLIT, EQ, "computational", UNLIMITED) == before
+    assert before.profile[0] == tuple((c,) for c in e.voters[0])
