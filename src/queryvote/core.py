@@ -17,31 +17,52 @@ PreferenceOrder = tuple[int, ...]
 Committee = frozenset[int]
 
 
+def _is_id_array(rows, m: int) -> bool:
+    """Whether ``rows`` is an n x m integer-dtype ndarray, read by :func:`_id_table` as it is."""
+    return (
+        isinstance(rows, np.ndarray)
+        and rows.dtype.kind in "iu"
+        and rows.ndim == 2
+        and rows.shape[1] == m
+    )
+
+
 def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None, bool]:
     """``rows`` as an n x m int32 array, the index of the first row that is
     not a permutation of the ints ``0..m-1`` (None when every row is one),
     and whether every id is a plain ``int``.
 
-    An id is an int by type: its type has ``__index__``, which floats and
-    strings lack, and is not bool. A row that holds anything else, or not
-    ``m`` entries, is all -1 in the array.
+    An n x m integer-dtype ndarray is range-checked row by row and copied;
+    a row with an entry outside ``0..m-1`` is all -1 in the copy. Any other
+    ``rows`` are read id by id: an id is an int by type, so its type has
+    ``__index__``, which floats and strings lack, and is not bool. A row that
+    holds anything else, or not ``m`` entries, is all -1 in the array.
     """
-    kinds = set(map(type, chain.from_iterable(rows)))
-    ints = {kind for kind in kinds if kind is not bool and hasattr(kind, "__index__")}
-    blank = (-1,) * m
-    filled = [
-        row if len(row) == m and (ints == kinds or ints.issuperset(map(type, row))) else blank
-        for row in rows
-    ]
-    try:
-        table = np.fromiter(chain.from_iterable(filled), np.int32, len(rows) * m)
-    except OverflowError:
-        # An id beyond int32 is no candidate.
-        filled = [row if 0 <= min(row) and max(row) < m else blank for row in filled]
-        table = np.fromiter(chain.from_iterable(filled), np.int32, len(rows) * m)
-    table = table.reshape(len(rows), m)
+    if _is_id_array(rows, m):
+        inside = rows.min(axis=1) >= 0
+        if m <= np.iinfo(rows.dtype).max:
+            inside &= rows.max(axis=1) < m
+        table = rows.astype(np.int32)
+        table[~inside] = -1
+        plain = False
+    else:
+        kinds = set(map(type, chain.from_iterable(rows)))
+        ints = {kind for kind in kinds if kind is not bool and hasattr(kind, "__index__")}
+        blank = (-1,) * m
+        filled = [
+            row if len(row) == m and (ints == kinds or ints.issuperset(map(type, row))) else blank
+            for row in rows
+        ]
+        try:
+            table = np.fromiter(chain.from_iterable(filled), np.int32, len(rows) * m)
+        except OverflowError:
+            # An id beyond int32 is no candidate.
+            filled = [row if 0 <= min(row) and max(row) < m else blank for row in filled]
+            table = np.fromiter(chain.from_iterable(filled), np.int32, len(rows) * m)
+        table = table.reshape(len(rows), m)
+        plain = kinds <= {int}
     bad = (np.sort(table, axis=1) != np.arange(m)).any(axis=1)
-    return table, int(bad.argmax()) if bad.any() else None, kinds <= {int}
+    return table, int(bad.argmax()) if bad.any() else None, plain
 
 
 def _places_of(rankings: np.ndarray) -> np.ndarray:
@@ -55,9 +76,12 @@ def _places_of(rankings: np.ndarray) -> np.ndarray:
 class Election:
     """An ordinal election with ``m`` candidates and a target committee size ``k``.
 
-    The rankings are checked once, as one n x m int array, which is kept,
-    read-only, in the private ``_rankings``; it takes no part in ``==``,
-    ``hash`` or ``repr``.
+    ``voters`` may be given as any rows of candidate ids, or as an n x m
+    integer-dtype ndarray, which is read as it is; either way they are
+    stored as a tuple of tuples of ints. The rankings are checked once, as
+    one n x m int array, which is kept, read-only, in the private
+    ``_rankings``; it takes no part in ``==``, ``hash`` or ``repr``. An
+    array passed in is copied, never kept or frozen.
     """
 
     m: int
@@ -70,8 +94,10 @@ class Election:
             raise ValueError(f"need at least one candidate, got m={self.m}")
         if not 1 <= self.k <= self.m:
             raise ValueError(f"committee size k={self.k} outside [1, {self.m}]")
-        voters = tuple(map(tuple, self.voters))
-        if not voters:
+        voters = self.voters
+        if not _is_id_array(voters, self.m):
+            voters = tuple(map(tuple, voters))
+        if not len(voters):
             raise ValueError("election needs at least one voter")
         rankings, bad, plain = _id_table(voters, self.m)
         if bad is not None:

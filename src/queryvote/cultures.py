@@ -15,6 +15,13 @@ statistically independent draw from per-voter substreams, keyed
 parallel and come out identical; shared structure (candidate points,
 reference orders, urn draws) uses the stream keyed ``(seed, 0)``.
 
+The IC and Euclidean2D generators return their votes as one n x m int
+array, which :class:`~queryvote.core.Election` reads as it is: IC stacks
+the per-voter permutations, and Euclidean2D ranks every voter with one
+stable sort of the n x m squared distances, the sort that
+:func:`rank_by_distance` runs on one point. The other generators return
+tuples of candidate ids.
+
 Mallows votes come from the repeated insertion model (Doignon et al., 2004;
 Lu & Boutilier, 2014) with one batched draw per voter, and are byte-identical
 to calling ``rng.choice(i, p=...)`` once per insertion:
@@ -90,19 +97,27 @@ def _permutation(rng: np.random.Generator, m: int) -> PreferenceOrder:
     return tuple(rng.permutation(m).tolist())
 
 
+def _rank_by_distance(points, candidate_points) -> np.ndarray:
+    """Row i: the candidates sorted by increasing distance from ``points[i]``.
+
+    Exact distance ties go to the lower candidate id: a stable sort of the
+    squared distances is exactly the ``(squared[c], c)`` order.
+    """
+    pts = np.asarray(candidate_points, dtype=float)
+    here = np.asarray(points, dtype=float)
+    if not (np.isfinite(pts).all() and np.isfinite(here).all()):
+        raise ValueError("points must be finite")
+    squared = ((pts - here[:, None, :]) ** 2).sum(axis=2)
+    return np.argsort(squared, axis=1, kind="stable")
+
+
 def rank_by_distance(point: Sequence[float], candidate_points) -> PreferenceOrder:
     """Candidates sorted by increasing distance from ``point``.
 
     Exact distance ties go to the lower candidate id, which keeps generation
-    deterministic even for hand-placed points: a stable sort of the squared
-    distances is exactly the ``(squared[c], c)`` order.
+    deterministic even for hand-placed points.
     """
-    pts = np.asarray(candidate_points, dtype=float)
-    here = np.asarray(point, dtype=float)
-    if not (np.isfinite(pts).all() and np.isfinite(here).all()):
-        raise ValueError("points must be finite")
-    squared = ((pts - here) ** 2).sum(axis=1)
-    return tuple(np.argsort(squared, kind="stable").tolist())
+    return tuple(_rank_by_distance([point], candidate_points)[0].tolist())
 
 
 def _number(value, name: str) -> float:
@@ -118,13 +133,14 @@ def _number(value, name: str) -> float:
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def _generate_ic(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
-    return tuple(_permutation(_voter_rng(seed, i), m) for i in range(n))
+def _generate_ic(seed: int, m: int, n: int) -> np.ndarray:
+    return np.stack([_voter_rng(seed, i).permutation(m) for i in range(n)])
 
 
-def _generate_euclidean(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
+def _generate_euclidean(seed: int, m: int, n: int) -> np.ndarray:
     candidate_points = substream(seed, 0).random((m, 2))
-    return tuple(rank_by_distance(_voter_rng(seed, i).random(2), candidate_points) for i in range(n))
+    points = np.stack([_voter_rng(seed, i).random(2) for i in range(n)])
+    return _rank_by_distance(points, candidate_points)
 
 
 def _generate_urn(

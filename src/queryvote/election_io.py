@@ -13,20 +13,30 @@ Two formats are supported:
   carries no committee size, so ``k`` must be passed to ``load_election``.
   Current PrefLib files, which open with ``# KEY: value`` headers, are
   rejected.
+
+A native body is parsed in one pass, by ``numpy.loadtxt``, into the n x m
+int array that :class:`~queryvote.core.Election` reads as it is. Where that
+pass fails, warns or gives another shape, the body is read again line by
+line with ``int()``, so the line parser gives every error message and
+accepts all that ``int()`` does.
 """
 
 from __future__ import annotations
 
+import warnings
 from collections import Counter
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .core import Election
 
 
 def write_native(election: Election, path) -> None:
     lines = [f"{election.m} {election.n} {election.k}"]
-    lines.extend(" ".join(str(c) for c in voter) for voter in election.voters)
+    names = [str(c) for c in range(election.m)]
+    lines.extend(" ".join([names[c] for c in voter]) for voter in election.voters)
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -58,8 +68,27 @@ def _parse_native(path, lines: list[tuple[int, str]]) -> Election:
     m, n, k = _ints(path, number, first)
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: header promises {n} voters, found {len(lines) - 1}")
-    voters = tuple(tuple(_ints(path, number, line)) for number, line in lines[1:])
-    return Election(m=m, voters=voters, k=k)
+    return Election(m=m, voters=_native_body(path, lines[1:], m), k=k)
+
+
+def _native_body(path, lines: list[tuple[int, str]], m: int):
+    """The voter lines as one n x m int64 array, or, where numpy's reader fails,
+    warns or gives another shape, as tuples read line by line.
+
+    ``int()`` accepts more than numpy does (``1_0``, non-ASCII digits) and
+    gives every error message, so anything numpy does not read cleanly is
+    read again by :func:`_ints`.
+    """
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.0" as an int with only a DeprecationWarning.
+            warnings.simplefilter("error")
+            table = np.loadtxt([line for _, line in lines], dtype=np.int64, comments=None, ndmin=2)
+        if table.shape == (len(lines), m):
+            return table
+    except Exception:
+        pass
+    return tuple(tuple(_ints(path, number, line)) for number, line in lines)
 
 
 def write_preflib(election: Election, path, names: Sequence[str] | None = None) -> None:

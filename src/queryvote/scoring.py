@@ -95,10 +95,10 @@ def partial_scores(profile: Sequence[OrderedPartition], scoring: Sequence) -> li
             start += size
     # shares[v, c]: voter v's share for candidate c, read at c's place.
     shares = by_place[pattern_of[:, None], _places_of(ids)]
-    totals = np.zeros(m)
-    for voter_shares in shares:
-        totals += voter_shares
-    return totals.tolist()
+    if not len(shares):
+        return [0.0] * m
+    # An accumulate adds row after row, so each total is the sum in voter order.
+    return np.add.accumulate(shares, axis=0)[-1].tolist()
 
 
 def query_based_committee(

@@ -42,8 +42,9 @@ whole number of units, so the sum is exact, and ``units <= floor(budget *
 D)``, over the exact value of the budget (a finite float is a dyadic
 rational), holds exactly when ``units / D <= budget``. Int prices
 (``candidates``) are whole units with D = 1. Float prices (``computational``)
-are added one at a time in the order charged and compared with the budget
-itself: no int count reproduces a sum of rounded additions.
+are summed one at a time in the order charged, as a running sum searched
+once for the budget itself: no int count reproduces a sum of rounded
+additions.
 
 A custom cost callable may price a question by the candidates shown, which
 no schedule can hold, so elicitation takes registry costs only; the axiom
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, pairwise, starmap
+from itertools import accumulate, pairwise, repeat, starmap
 from typing import Sequence
 
 import numpy as np
@@ -247,16 +248,25 @@ def _entry(schedule: Schedule, v: int, ranking: Sequence[int], q: int) -> LogEnt
     return LogEntry(voter=v, query=query, answer=answer, cost=schedule.prices[q])
 
 
+def _afford(prices, units, cap) -> tuple[int, object]:
+    """How many of the float ``prices``, charged in order from a spend of
+    ``units``, fit under ``cap``, and the spend after them.
+
+    The running sums are the floats of adding one price at a time, and
+    never decrease, since every price is positive; so one search finds the
+    first charge that does not fit.
+    """
+    sums = list(accumulate(prices, initial=units))
+    asked = bisect_right(sums, cap) - 1
+    return asked, sums[asked]
+
+
 def _equal(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
     """``EQUAL``: the level of each place in the voter order, and the spend in units."""
     counts, units, asking = [], 0, n
     for price in schedule.units:
         if not schedule.exact:
-            asked = 0
-            while asked < asking and units + price <= cap:
-                units += price
-                asked += 1
-            asking = asked
+            asking, units = _afford(repeat(price, asking), units, cap)
         elif cap != UNLIMITED:
             asking = min(asking, (cap - units) // price)
         if not asking:
@@ -283,10 +293,7 @@ def _fcfs(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
     else:
         levels, units = [], 0
         while len(levels) < n:
-            q = 0
-            while q < last and units + schedule.units[q] <= cap:
-                units += schedule.units[q]
-                q += 1
+            q, units = _afford(schedule.units, units, cap)
             levels.append(q)
             if q < last:
                 break

@@ -208,3 +208,60 @@ def test_the_rankings_array_is_invisible(tmp_path):
         loaded = load_election(path)
         assert loaded == election and hash(loaded) == hash(election)
         assert (loaded._rankings == election._rankings).all()
+
+
+def outcome(m, voters):
+    """The election's voters and rankings, or its error message."""
+    try:
+        e = Election(m=m, voters=voters, k=1)
+    except ValueError as err:
+        return str(err)
+    assert all(type(c) is int for voter in e.voters for c in voter)
+    assert not e._rankings.flags.writeable and e._rankings.dtype == np.int32
+    return e.voters, e._rankings.tolist()
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64, np.uint64])
+def test_an_id_array_makes_the_election_its_rows_make(dtype):
+    """An n x m integer array, bad rows and huge ids included, against the same rows as tuples."""
+    info = np.iinfo(dtype)
+    odd = [info.max, info.max - 1, info.min, 2**31, 2**32, 2**32 + 1, -1, 127, 128, 255, 256]
+    odd = [x for x in odd if info.min <= x <= info.max]
+    rng = substream(15)
+    for trial in range(600):
+        m = 1 if trial % 10 == 0 else int(rng.integers(1, 9))
+        n = 0 if trial % 50 == 0 else int(rng.integers(1, 7))
+        rows = [[int(c) for c in rng.permutation(m)] for _ in range(n)]
+        for _ in range(int(rng.integers(0, 3)) if n else 0):
+            v, at = int(rng.integers(n)), int(rng.integers(m))
+            if rng.integers(2):
+                rows[v][at] = rows[v][at - 1]
+            else:
+                rows[v][at] = odd[int(rng.integers(len(odd)))]
+        array = np.array(rows, dtype=dtype).reshape(n, m)
+        before = array.copy()
+        expected = outcome(m, tuple(tuple(int(c) for c in row) for row in array))
+        assert outcome(m, array) == expected
+        assert array.flags.writeable and (array == before).all()
+        e = None if isinstance(expected, str) else Election(m=m, voters=array, k=1)
+        assert e is None or not np.shares_memory(e._rankings, array)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([[1, 0, 2]], dtype=bool),
+        np.array([[2.0, 0.0, 1.0]]),
+        np.array([[2, 0, 1]], dtype=np.float32),
+        np.array([[2, 0, 1, 3]]),
+        np.array([[2, 0], [1, 0]]),
+    ],
+)
+def test_other_arrays_are_refused_as_their_rows_are(array):
+    """Bool and float arrays and arrays of the wrong width take the row-by-row check."""
+    message = "^voter 0 ranking is not a permutation of ints 0..2$"
+    with pytest.raises(ValueError, match=message):
+        Election(m=3, voters=array, k=1)
+    with pytest.raises(ValueError, match=message):
+        Election(m=3, voters=tuple(map(tuple, array)), k=1)
+    assert array.flags.writeable

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
-from queryvote import CultureSpec, Election, generate
+from queryvote import KINDS, CultureSpec, Election, generate
 from queryvote.election_io import load_election, write_native, write_preflib
+from queryvote.rng import substream
 
 
 @pytest.fixture
@@ -140,3 +143,110 @@ def test_preflib_names_file_and_line_of_a_bad_field(tmp_path, text, line):
     with pytest.raises(ValueError, match="expected") as err:
         load_election(path, k=1)
     assert str(err.value).startswith(f"{path}:{line}: ")
+
+
+def line_parser_load(path):
+    """A native file read line by line with ``int()``, as the reference for ``load_election``."""
+    numbered = enumerate(Path(path).read_text().splitlines(), 1)
+    lines = [(number, line.strip()) for number, line in numbered if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty election file")
+
+    def ints(number, text):
+        try:
+            return [int(field) for field in text.split()]
+        except ValueError:
+            raise ValueError(f"{path}:{number}: expected integers, got {text!r}") from None
+
+    number, first = lines[0]
+    if len(first.split()) != 3:
+        raise ValueError(f"{path}: expected 'm n k' on the first line, got {first!r}")
+    m, n, k = ints(number, first)
+    if len(lines) - 1 != n:
+        raise ValueError(f"{path}: header promises {n} voters, found {len(lines) - 1}")
+    voters = tuple(tuple(ints(number, line)) for number, line in lines[1:])
+    return Election(m=m, voters=voters, k=k)
+
+
+def loaded(load, path):
+    """The election ``load`` reads from ``path`` with its rankings, or its error message."""
+    try:
+        e = load(path)
+    except ValueError as err:
+        return str(err)
+    assert all(type(c) is int for voter in e.voters for c in voter)
+    return e, e._rankings.tolist()
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def mutate(rng, rows, m):
+    """One token or separator of the voter lines changed in one of the ways a file can be odd."""
+    v = int(rng.integers(len(rows)))
+    row = rows[v]
+    if not row:  # a deleted one-field line, which leaves a blank line
+        return
+    at = int(rng.integers(len(row)))
+    token = row[at]
+    how = int(rng.integers(16))
+    if how == 0:
+        row[at] = "+" + token
+    elif how == 1:
+        row[at] = "0_" + token
+    elif how == 2:
+        row[at] = token.translate(ARABIC_INDIC)
+    elif how == 3:
+        row[at] = token + ".0"
+    elif how == 4:
+        row[at] = "0x" + token
+    elif how == 5:
+        row[at] = "#"
+    elif how == 6:
+        row[at] = "\t" + token
+    elif how == 7:
+        row[at] = "\xa0" + token
+    elif how == 8:
+        del row[at]
+    elif how == 9:
+        row.append(token)
+    elif how == 10:
+        row[at] = ["-1", str(m), str(2**32), "00" + token][int(rng.integers(4))]
+    elif how == 11:
+        row[at] = str([2**63, 2**64, -(2**63) - 1][int(rng.integers(3))])
+    elif how == 12:
+        rows[v] = [" ".join(row)]
+    elif how == 13:
+        other = int(rng.integers(len(row)))
+        row[at], row[other] = row[other], token
+    else:
+        row[at] = "-0" if token == "0" else token
+
+
+def test_load_election_matches_the_line_parser(tmp_path):
+    """Random native files with odd tokens: the same election, or the same error message."""
+    rng = substream(16)
+    path = tmp_path / "x.elec"
+    sizes = [(1, 1), (1, 4), (2, 1), (3, 2), (5, 7), (20, 30)]
+    for trial in range(1200):
+        m, n = sizes[trial % len(sizes)]
+        e = generate(CultureSpec("IC", seed=trial), m, n, 1)
+        rows = [[str(c) for c in voter] for voter in e.voters]
+        for _ in range(int(rng.integers(0, 3))):
+            mutate(rng, rows, m)
+        body = [" ".join(row) for row in rows]
+        newline = "\r\n" if trial % 3 == 0 else "\n"
+        path.write_text(newline.join([f"{m} {n} 1", *body]) + newline, newline="")
+        expected = loaded(line_parser_load, path)
+        assert loaded(load_election, path) == expected
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_native_round_trip_at_100x250(tmp_path, kind):
+    e = generate(CultureSpec(kind, seed=1), 100, 250, 10)
+    path = tmp_path / "e.elec"
+    write_native(e, path)
+    lines = [f"{e.m} {e.n} {e.k}", *(" ".join(str(c) for c in voter) for voter in e.voters)]
+    assert path.read_text() == "\n".join(lines) + "\n"
+    back = load_election(path)
+    assert back == e and (back._rankings == e._rankings).all()

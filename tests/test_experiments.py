@@ -424,7 +424,7 @@ def test_sweep_distances_match_one_committee_per_budget():
             assert spent == run.spent and type(spent) is type(run.spent)
 
 
-def test_doubled_borda_from_the_cuts_is_twice_partial_scores():
+def test_doubled_borda_from_the_share_table_is_twice_partial_scores():
     """At every budget the int gather is exactly twice the float scorer on the run's profile."""
     rng = substream(57)
     for m in range(1, 10):

@@ -594,3 +594,52 @@ def test_cached_schedule_tables_and_kept_profile_arrays_are_read_only():
             table[:] = 0
     assert run_elicitation(e, SPLIT, EQ, "computational", UNLIMITED) == before
     assert before.profile[0] == tuple((c,) for c in e.voters[0])
+
+
+def equal_loop(schedule, n, cap):
+    """``EQUAL`` under float prices, one price added per question asked."""
+    counts, units, asking = [], 0, n
+    for price in schedule.units:
+        asked = 0
+        while asked < asking and units + price <= cap:
+            units += price
+            asked += 1
+        asking = asked
+        if not asking:
+            break
+        counts.append(asking)
+    return [sum(count > i for count in counts) for i in range(n)], units
+
+
+def fcfs_loop(schedule, n, cap):
+    """``FCFS`` under float prices, one price added per question asked."""
+    last = len(schedule.units)
+    levels, units = [], 0
+    while len(levels) < n:
+        q = 0
+        while q < last and units + schedule.units[q] <= cap:
+            units += schedule.units[q]
+            q += 1
+        levels.append(q)
+        if q < last:
+            break
+    return levels + [0] * (n - len(levels)), units
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 20, 100])
+def test_float_spend_in_closed_form_matches_the_loop(m):
+    """``computational`` at 0, one price, mid, just under and at the full cost, and unlimited."""
+    loops = {EQ: equal_loop, FCFS: fcfs_loop}
+    for n in (1, 3, 25):
+        for kind, policy in ALL_STRATEGIES:
+            schedule = _schedule_of(kind, "computational", m)
+            # One candidate is asked nothing, so no float price is charged.
+            assert schedule.exact == (m == 1)
+            _, full = loops[policy](schedule, n, UNLIMITED)
+            one = schedule.prices[0] if schedule.prices else 0
+            for budget in (0, one, full / 2, math.nextafter(full, 0), full, UNLIMITED):
+                levels, spent = _elicit(schedule, policy, n, budget)
+                expected_levels, expected_spent = loops[policy](schedule, n, budget)
+                assert levels == expected_levels
+                assert type(spent) is type(expected_spent)
+                assert float(spent).hex() == float(expected_spent).hex()
