@@ -165,7 +165,7 @@ def _cmd_sweep(args) -> int:
     for kind, policy in ALL_STRATEGIES:
         by_repeat = []
         for repeat in range(args.repeats):
-            order = [int(v) for v in substream(args.seed, repeat).permutation(election.n)]
+            order = substream(args.seed, repeat).permutation(election.n)
             swept = sweep_distances(election, kind, policy, args.cost, budgets, order, target)
             by_repeat.append([distance for _, distance, _ in swept])
         cells = [sum(distances) / args.repeats for distances in zip(*by_repeat)]

@@ -8,6 +8,7 @@ candidate ids of the election's committee size ``k``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from typing import Sequence
 
@@ -80,8 +81,9 @@ class Election:
     integer-dtype ndarray, which is read as it is; either way they are
     stored as a tuple of tuples of ints. The rankings are checked once, as
     one n x m int array, which is kept, read-only, in the private
-    ``_rankings``; it takes no part in ``==``, ``hash`` or ``repr``. An
-    array passed in is copied, never kept or frozen.
+    ``_rankings``; it takes no part in ``==``, ``hash`` or ``repr``, and
+    neither does its inverse, ``_places``, built on first read. An array
+    passed in is copied, never kept or frozen.
     """
 
     m: int
@@ -111,6 +113,13 @@ class Election:
         """Number of voters."""
         return len(self.voters)
 
+    @cached_property
+    def _places(self) -> np.ndarray:
+        """``_places[v, c]``: the place of candidate c in voter v's ranking, read-only."""
+        places = _places_of(self._rankings)
+        places.flags.writeable = False
+        return places
+
 
 def borda_scores(election: Election) -> list[int]:
     """Total Borda score per candidate.
@@ -118,8 +127,7 @@ def borda_scores(election: Election) -> list[int]:
     A candidate ranked at 1-based position ``i`` earns ``m - i`` points from
     that voter; totals are summed over all voters.
     """
-    places = _places_of(election._rankings)
-    return (election.n * (election.m - 1) - places.sum(axis=0)).tolist()
+    return (election.n * (election.m - 1) - election._places.sum(axis=0)).tolist()
 
 
 def select_top_k(scores: Sequence[float], k: int) -> Committee:

@@ -9,9 +9,10 @@ worker count or execution order.
 Under a registry cost every voter is asked the same schedule of questions,
 so a run under one budget is one level per voter: the number of questions it
 answered, in closed form (see :mod:`queryvote.strategies`). Each budget of a
-grid is its own run, scored by one gather from the schedule's table of Borda
+grid is its own run, scored by the one scorer of
+:func:`~queryvote.scoring.partial_scores` over the schedule's table of Borda
 shares by level and place, so the rows equal those of
-:func:`~queryvote.strategies.run_elicitation` under each budget.
+:func:`~queryvote.scoring.query_based_committee` under each budget.
 """
 
 from __future__ import annotations
@@ -20,17 +21,15 @@ import csv
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
-from functools import lru_cache
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
 
-import numpy as np
-
-from .core import Committee, Election, _places_of, hamming, k_borda, select_top_k
+from .core import Committee, Election, hamming, k_borda, select_top_k
 from .costs import get_cost_function
 from .cultures import CultureSpec, generate
 from .rng import derive_seed, substream
+from .scoring import _share_table, _totals, borda_vector
 from .strategies import (
     ALL_STRATEGIES,
     UNLIMITED,
@@ -176,30 +175,6 @@ def _resolved_grids(config: ExperimentConfig) -> dict[str, tuple[float, ...]]:
     return {strategy_label(k, p): by_kind[k] for k, p in config.strategies}
 
 
-@lru_cache(maxsize=1)
-def _places(election: Election) -> np.ndarray:
-    """``places[v, c]``: the place of candidate c in voter v's ranking, read-only."""
-    places = _places_of(election._rankings)
-    places.flags.writeable = False
-    return places
-
-
-def _twice_borda(shares: np.ndarray, levels: list[int], places: np.ndarray) -> np.ndarray:
-    """Twice each candidate's Borda total over the classes known at ``levels``, in int64.
-
-    ``levels[i]`` is the level of the voter whose row of candidate places is
-    ``places[i]``, and ``shares`` is the schedule's table by level and place.
-    This is twice the float totals :func:`~queryvote.scoring.partial_scores`
-    gives on the run's profile, and those are exact: a class at 0-based
-    places ``a..b-1`` gets the mean Borda score of its places,
-    ``(2m - 1 - a - b) / 2``, a half-integer that one division gives exactly,
-    and every partial sum stays below ``n * m``, far under 2**52. Doubling
-    keeps the order of the scores and their ties, so
-    :func:`~queryvote.core.select_top_k` picks the same committee.
-    """
-    return shares[np.array(levels)[:, None], places].sum(axis=0)
-
-
 def sweep_distances(
     election: Election,
     kind: QuestionType,
@@ -214,16 +189,19 @@ def sweep_distances(
     Yields ``(budget, distance, spent)`` per entry of ``budgets``: each budget
     is its own run, with the spend of
     :func:`~queryvote.strategies.run_elicitation` under it, scored by Borda
-    over the partial profile (:func:`_twice_borda`); the top ``k`` committee
-    is compared with ``target``.
+    over the partial profile; the top ``k`` committee is compared with
+    ``target``.
     """
     schedule = _schedule_of(kind, cost, election.m)
     policy = BudgetPolicy(policy)
-    places = _places(election)[_voter_order(election.n, voter_order)]
+    table = _share_table(schedule, borda_vector(election.m))
+    places = election._places[_voter_order(election.n, voter_order)]
     for budget in budgets:
         levels, spent = _elicit(schedule, policy, election.n, budget)
-        totals = _twice_borda(schedule.shares, levels, places)
-        committee = select_top_k(totals.tolist(), election.k)
+        # The rows are added in run order, not voter order. That gives the
+        # totals of partial_scores: every Borda share is a half-integer and
+        # every partial sum is far below 2**52, so each addition is exact.
+        committee = select_top_k(_totals(table, levels, places), election.k)
         yield budget, hamming(committee, target), spent
 
 
@@ -241,7 +219,7 @@ def _election_rows(args) -> list[ResultRow]:
             order_rng = substream(
                 config.master_seed, _ORDER_TAG, culture_index, election_index, strategy_index, repeat
             )
-            order = [int(v) for v in order_rng.permutation(config.n)]
+            order = order_rng.permutation(config.n)
             for budget, distance, spent in sweep_distances(
                 election, kind, policy, config.cost, grids[name], order, target
             ):

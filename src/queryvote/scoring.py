@@ -5,17 +5,21 @@ a class, the average of the positional scores over the positions the class
 spans. On a fully resolved profile this reduces to ordinary positional
 scoring.
 
-A profile returned by :func:`~queryvote.strategies.run_elicitation` is scored
-from the arrays it was read from: each voter's candidates in class order and
-each voter's level. Any other profile is checked first, one candidate id at a
-time; both are then scored by the same steps, so their totals are the same
-bits.
+Every total is added by one scorer, :func:`_totals`, from a table of shares
+by row and place whose classes are filled by :func:`_fill`. A profile
+returned by :func:`~queryvote.strategies.run_elicitation` reads the cached
+:func:`_share_table` of its schedule at each voter's level, as a budget sweep
+does. Any other profile is checked first, one candidate id at a time, and
+reads one row per pattern of class sizes. So an elicited profile scores
+exactly like its plain tuple.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, pairwise
+from functools import lru_cache, reduce
+from itertools import accumulate, chain, pairwise
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -48,26 +52,44 @@ def validate_scoring_vector(scoring: Sequence) -> ScoringVector:
     return scoring
 
 
-def _read_profile(profile, m: int) -> tuple[np.ndarray, list[tuple[int, ...]], np.ndarray]:
-    """``(ids, patterns, pattern_of)`` of a profile over candidates ``0..m-1``.
+def _fill(row: np.ndarray, scoring: ScoringVector, bounds: Sequence[int]) -> None:
+    """Give each place of every class between consecutive ``bounds`` the mean
+    of ``scoring`` over the class's places; class sums come before dividing,
+    so Borda shares are exact."""
+    for a, b in pairwise(bounds):
+        row[a:b] = sum(scoring[a:b]) / (b - a)
 
-    ``ids[v]`` lists voter v's candidates class by class, best first;
-    ``patterns`` are the distinct lists of class sizes and ``pattern_of[v]``
-    is the index of voter v's. An elicited profile over m candidates gives
-    the arrays it keeps; any other is checked.
+
+def _share_table(schedule, scoring: ScoringVector) -> np.ndarray:
+    """``table[q, p]``: the share of place p after q questions of ``schedule``, read-only.
+
+    Vectors that compare equal can add to different bits, as ``(2**53, 1, 1)``
+    and ``(2.0**53, 1.0, 1.0)`` do, so the cache also keys on each entry's repr.
     """
-    if type(profile) is _Profile and profile._ids.shape[1] == m:
-        levels, pattern_of = np.unique(profile._levels, return_inverse=True)
-        cuts = profile._cuts
-        patterns = [tuple(b - a for a, b in pairwise(cuts[q])) for q in levels.tolist()]
-        return profile._ids, patterns, pattern_of
-    profile = tuple(profile)
-    ids, bad, _ = _id_table([tuple(chain.from_iterable(partition)) for partition in profile], m)
-    if bad is not None:
-        raise ValueError(f"voter {bad} partition does not cover candidates 0..{m - 1}")
-    by_voter = [tuple(map(len, partition)) for partition in profile]
-    rows = {sizes: row for row, sizes in enumerate(dict.fromkeys(by_voter))}
-    return ids, list(rows), np.array([rows[sizes] for sizes in by_voter], dtype=np.intp)
+    return _cached_share_table(schedule, scoring, tuple(map(repr, scoring)))
+
+
+@lru_cache(maxsize=32)
+def _cached_share_table(schedule, scoring: ScoringVector, spelling) -> np.ndarray:
+    table = np.empty((len(schedule.cuts), schedule.m))
+    _fill(table[0], scoring, (0, schedule.m))
+    # Question q cuts one class, places bounds[q][0]..bounds[q][-1]-1, at bounds[q].
+    for q, bounds in enumerate(schedule.bounds):
+        table[q + 1] = table[q]
+        _fill(table[q + 1], scoring, bounds)
+    table.flags.writeable = False
+    return table
+
+
+def _totals(table: np.ndarray, rows: Sequence[int], places: np.ndarray) -> list[float]:
+    """Each candidate c's total of ``table[rows[v], places[v, c]]`` over the
+    voters v, added from 0.0 one row at a time, in row order."""
+    shares = table[np.asarray(rows, dtype=np.intp)[:, None], places]
+    if places.shape[1] == 1:
+        # numpy adds a lone column pairwise, so that one is added in Python.
+        return [reduce(add, shares[:, 0].tolist(), 0.0)]
+    # With two or more columns, a reduce adds row after row.
+    return np.add.reduce(shares, axis=0).tolist()
 
 
 def partial_scores(profile: Sequence[OrderedPartition], scoring: Sequence) -> list[float]:
@@ -79,26 +101,25 @@ def partial_scores(profile: Sequence[OrderedPartition], scoring: Sequence) -> li
     summed voter by voter in profile order, so a float scoring vector gives
     the bits of adding one share at a time.
 
-    A profile returned by ``run_elicitation`` is read from the arrays it
-    keeps. Any other profile is first checked: each voter's classes must
-    hold every int ``0..len(scoring)-1`` exactly once.
+    A profile returned by ``run_elicitation`` is read from its schedule,
+    levels and places. Any other profile is first checked: each voter's
+    classes must hold every int ``0..len(scoring)-1`` exactly once.
     """
     scoring = validate_scoring_vector(scoring)
     m = len(scoring)
-    ids, patterns, pattern_of = _read_profile(profile, m)
-    # One row of shares by place per distinct pattern of class sizes.
-    by_place = np.empty((len(patterns), m))
-    for row, sizes in enumerate(patterns):
-        start = 0
-        for size in sizes:
-            by_place[row, start : start + size] = sum(scoring[start : start + size]) / size
-            start += size
-    # shares[v, c]: voter v's share for candidate c, read at c's place.
-    shares = by_place[pattern_of[:, None], _places_of(ids)]
-    if not len(shares):
-        return [0.0] * m
-    # An accumulate adds row after row, so each total is the sum in voter order.
-    return np.add.accumulate(shares, axis=0)[-1].tolist()
+    if type(profile) is _Profile and profile._schedule.m == m:
+        return _totals(_share_table(profile._schedule, scoring), profile._levels, profile._places)
+    profile = tuple(profile)
+    ids, bad, _ = _id_table([tuple(chain.from_iterable(partition)) for partition in profile], m)
+    if bad is not None:
+        raise ValueError(f"voter {bad} partition does not cover candidates 0..{m - 1}")
+    by_voter = [tuple(accumulate(map(len, partition), initial=0)) for partition in profile]
+    # One row of shares by place per distinct pattern of class bounds.
+    rows = {bounds: row for row, bounds in enumerate(dict.fromkeys(by_voter))}
+    table = np.empty((len(rows), m))
+    for row, bounds in zip(table, rows):
+        _fill(row, scoring, bounds)
+    return _totals(table, [rows[bounds] for bounds in by_voter], _places_of(ids))
 
 
 def query_based_committee(

@@ -14,11 +14,11 @@ it has answered. A run is one function of (schedule, budget policy, voter
 order, budget), :func:`_elicit`, which gives the level of each place in the
 voter order and the spend; :func:`run_elicitation` reads the voters' classes
 and the transcript off the schedule at those levels. The profile it returns
-is a tuple that also keeps the arrays it was read from (each voter's
-candidates in class order, and each voter's level), so
-:func:`~queryvote.scoring.partial_scores` scores it from them; any other
-profile is checked candidate by candidate. The schedule's cached tables and
-the kept arrays are read-only.
+is a tuple that also keeps its schedule, each voter's level and the
+election's places, so :func:`~queryvote.scoring.partial_scores` scores it
+from one table of shares by level and place, as a sweep does; any other
+profile is checked candidate by candidate. The cached tables and the kept
+arrays are read-only.
 
 Two ways to spend the budget, each with a closed form in the levels, so that
 each budget is computed on its own in time linear in schedule and voters:
@@ -54,7 +54,6 @@ audit (:func:`~queryvote.costs.audit_axiom`) still takes a callable.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect, bisect_right
 from collections import deque
 from dataclasses import dataclass
@@ -66,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Election
+from .core import Election, _id_table
 from .costs import COST_FUNCTIONS, resolve_cost
 from .queries import (
     OrderedPartition,
@@ -172,20 +171,7 @@ class Schedule:
         self.exact = not any(type(unit) is float for unit in self.units)
         self.cum = list(accumulate(self.units, initial=0))
 
-    # A schedule is cached for the whole process, so its tables are read-only.
-    @cached_property
-    def shares(self) -> np.ndarray:
-        """``shares[q, p]``: ``2m - 1 - a - b``, a..b-1 the places of p's class after q questions."""
-        top = 2 * self.m - 1
-        table = np.empty((len(self.cuts), self.m), dtype=np.int64)
-        table[0] = self.m - 1
-        for q, bounds in enumerate(self.bounds):
-            table[q + 1] = table[q]
-            for a, b in pairwise(bounds):
-                table[q + 1, a:b] = top - a - b
-        table.flags.writeable = False
-        return table
-
+    # A schedule is cached for the whole process, so its table is read-only.
     @cached_property
     def classes(self) -> np.ndarray:
         """``classes[q, p]``: the index, best first, of place p's class after q questions."""
@@ -315,28 +301,25 @@ def _check_budget(budget) -> None:
         raise ValueError(f"budget must be non-negative, got {budget}")
 
 
-def _voter_order(n: int, voter_order: Sequence[int] | None) -> list[int]:
+def _voter_order(n: int, voter_order: Sequence[int] | None) -> np.ndarray:
+    """``voter_order`` as an int array, checked to be a permutation of the voter ids."""
     if voter_order is None:
-        return list(range(n))
-    order = []
-    for v in voter_order:
-        if isinstance(v, bool) or not hasattr(v, "__index__"):
-            raise ValueError(f"voter_order entries must be voter ids (ints), got {v!r}")
-        order.append(operator.index(v))
-    if sorted(order) != list(range(n)):
-        raise ValueError("voter_order must be a permutation of all voters")
-    return order
+        return np.arange(n)
+    rows = voter_order[None] if isinstance(voter_order, np.ndarray) else [voter_order]
+    order, bad, _ = _id_table(rows, n)
+    if bad is not None:
+        raise ValueError(f"voter_order must be a permutation of the voter ids (ints) 0..{n - 1}")
+    return order[0]
 
 
 class _Profile(tuple):
-    """An elicited profile: the tuple of ordered partitions, plus the arrays it was read from.
+    """An elicited profile: the tuple of ordered partitions, plus what it was read from.
 
-    ``_ids[v]`` lists voter v's candidates class by class, best first, and by
-    id within a class; ``_levels[v]`` is voter v's level, and ``_cuts`` the
-    schedule's class bounds by level, so voter v's classes are the slices of
-    ``_ids[v]`` at ``_cuts[_levels[v]]``. Both arrays are read-only. As a
-    tuple it compares, hashes and prints like any other; slices, copies and
-    pickles are plain tuples.
+    ``_schedule`` is the run's schedule, ``_levels[v]`` voter v's level and
+    ``_places[v, c]`` the place of candidate c in voter v's ranking, whose
+    classes are the places cut at ``_schedule.cuts[_levels[v]]``. The arrays
+    are read-only. As a tuple it compares, hashes and prints like any other;
+    slices, copies and pickles are plain tuples.
     """
 
     def __reduce__(self):
@@ -393,15 +376,15 @@ def run_elicitation(
     keys += election._rankings
     keys.sort(axis=1)
     keys %= election.m
-    keys.flags.writeable = level_of.flags.writeable = False
+    level_of.flags.writeable = False
     levels_list = level_of.tolist()
     slices = {q: list(starmap(slice, pairwise(schedule.cuts[q]))) for q in set(levels_list)}
     profile = _Profile(
         tuple(map(row.__getitem__, slices[level]))
         for row, level in zip(map(tuple, keys.tolist()), levels_list)
     )
-    profile._ids, profile._levels, profile._cuts = keys, level_of, schedule.cuts
-    charges = _charges(policy, order, levels) if record_log else ()
+    profile._schedule, profile._levels, profile._places = schedule, level_of, election._places
+    charges = _charges(policy, order.tolist(), levels) if record_log else ()
     return ElicitationRun(
         question=schedule.kind,
         policy=policy,

@@ -29,9 +29,15 @@ from queryvote import (
     run_budget_sweep,
     select_top_k,
 )
-from queryvote.experiments import _places, _twice_borda, sweep_distances
+from queryvote.experiments import sweep_distances
 from queryvote.rng import substream
-from queryvote.scoring import borda_vector, partial_scores, query_based_committee
+from queryvote.scoring import (
+    _share_table,
+    _totals,
+    borda_vector,
+    partial_scores,
+    query_based_committee,
+)
 from queryvote.strategies import ALL_STRATEGIES, _elicit, _schedule_of, run_elicitation
 
 
@@ -424,27 +430,31 @@ def test_sweep_distances_match_one_committee_per_budget():
             assert spent == run.spent and type(spent) is type(run.spent)
 
 
-def test_doubled_borda_from_the_share_table_is_twice_partial_scores():
-    """At every budget the int gather is exactly twice the float scorer on the run's profile."""
+def test_sweep_totals_are_partial_scores_of_the_plain_profile():
+    """At every budget the sweep's totals, added in run order, are exactly the
+    checked scores of the run's plain profile, and pick the same committee."""
     rng = substream(57)
     for m in range(1, 10):
         for n in range(1, 8):
             voters = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
             e = Election(m=m, voters=voters, k=int(rng.integers(1, m + 1)))
             order = [int(v) for v in rng.permutation(n)]
-            places = np.argsort(voters, axis=1)
-            assert (places == _places(e)).all()
+            assert (np.argsort(voters, axis=1) == e._places).all()
+            target = k_borda(e)
             for cost in COST_FUNCTIONS:
                 for kind, policy in ALL_STRATEGIES:
                     full = run_elicitation(e, kind, policy, cost, UNLIMITED, order, record_log=False)
                     points = rng.uniform(0, 1.2 * float(full.spent) + 1, size=2)
                     grid = [0, 0, UNLIMITED, UNLIMITED, *map(float, points), float(points[0])]
                     schedule = _schedule_of(kind, cost, m)
-                    for budget in grid:
+                    table = _share_table(schedule, borda_vector(m))
+                    swept = sweep_distances(e, kind, policy, cost, grid, order, target)
+                    for budget, (_, distance, _) in zip(grid, swept, strict=True):
                         levels, _ = _elicit(schedule, policy, n, budget)
-                        doubled = _twice_borda(schedule.shares, levels, places[order]).tolist()
+                        totals = _totals(table, levels, e._places[order])
                         run = run_elicitation(e, kind, policy, cost, budget, order, record_log=False)
-                        halves = partial_scores(run.profile, borda_vector(m))
-                        assert all(type(total) is int for total in doubled)
-                        assert doubled == [2 * total for total in halves]
-                        assert select_top_k(doubled, e.k) == select_top_k(halves, e.k)
+                        checked = partial_scores(tuple(run.profile), borda_vector(m))
+                        assert [x.hex() for x in totals] == [x.hex() for x in checked]
+                        committee = select_top_k(checked, e.k)
+                        assert select_top_k(totals, e.k) == committee
+                        assert distance == hamming(committee, target)

@@ -160,16 +160,38 @@ def test_partial_scores_match_the_per_voter_reference_bit_for_bit():
 
 
 def test_partial_scores_of_elicited_profiles_match_the_reference_bit_for_bit():
+    """60 voters: numpy's pairwise sum of one column, at m = 1, would show."""
     rng = substream(65)
-    e = generate(CultureSpec("Mallows", seed=9, params={"phi": 0.7}), 40, 60, 5)
-    scoring = tuple(sorted(rng.uniform(0, 1, 40).tolist(), reverse=True))
-    for kind, policy in ALL_STRATEGIES:
-        for budget in (0, 400.0, UNLIMITED):
-            run = query_based_committee(e, kind, policy, "computational", budget)[1]
-            for vector in (scoring, borda_vector(40)):
-                totals = partial_scores(run.profile, vector)
-                expected = reference_partial_scores(run.profile, vector)
-                assert [x.hex() for x in totals] == [x.hex() for x in expected]
+    for m in (40, 1, 2):
+        e = generate(CultureSpec("Mallows", seed=9, params={"phi": 0.7}), m, 60, min(m, 5))
+        scoring = tuple(sorted(rng.uniform(0, 1, m).tolist(), reverse=True))
+        for kind, policy in ALL_STRATEGIES:
+            half = full_resolution_cost(e, kind, "computational") / 2
+            for budget in (0, 400.0, half, UNLIMITED):
+                run = query_based_committee(e, kind, policy, "computational", budget)[1]
+                for vector in (scoring, borda_vector(m)):
+                    totals = partial_scores(run.profile, vector)
+                    expected = reference_partial_scores(run.profile, vector)
+                    assert [x.hex() for x in totals] == [x.hex() for x in expected]
+
+
+def test_equal_comparing_scoring_vectors_keep_their_own_bits():
+    """Vectors that compare equal but add to different bits do not share a table."""
+    e = generate(CultureSpec("Mallows", seed=5, params={"phi": 0.6}), 4, 30, 2)
+    int_top, float_top = (2**53, 1, 1, 0), (2.0**53, 1.0, 1.0, 0.0)
+    pairs = [(int_top, float_top), ((3.5, 1.0, 0.0, 0.0), (3.5, 1.0, -0.0, -0.0))]
+    # Each call order starts on a schedule that has scored neither vector.
+    kinds = iter(QuestionType)
+    for pair in pairs:
+        for vectors in (pair, pair[::-1]):
+            run = run_elicitation(e, next(kinds), BudgetPolicy.FCFS, "candidates", 40)
+            plain = tuple(run.profile)
+            for vector in vectors:
+                fast = partial_scores(run.profile, vector)
+                checked = partial_scores(plain, vector)
+                assert [x.hex() for x in fast] == [x.hex() for x in checked]
+    # 2**53 + 1 + 1 is exact in ints and 2**53 in floats.
+    assert partial_scores(plain, int_top) != partial_scores(plain, float_top)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 20, 100])

@@ -5,6 +5,7 @@ from collections import Counter, deque
 from fractions import Fraction as F
 from itertools import accumulate, pairwise
 
+import numpy as np
 import pytest
 
 from queryvote import (
@@ -27,7 +28,7 @@ from queryvote import (
 )
 from queryvote.experiments import full_resolution_cost, sweep_distances
 from queryvote.rng import substream
-from queryvote.scoring import borda_vector, partial_scores, query_based_committee
+from queryvote.scoring import _share_table, borda_vector, partial_scores, query_based_committee
 from queryvote.strategies import ProtocolError, _elicit, _schedule_of, apply_answer
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
@@ -233,9 +234,14 @@ def test_equal_skips_unaffordable_voters():
 def test_voter_order_is_respected(worked_election):
     run = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=[1, 0])
     assert [entry.voter for entry in run.log] == [1, 0, 1, 0]
-    for bad in ([0, 0], [1.7, 0.2], [True, False], ["1", "0"]):
-        with pytest.raises(ValueError, match="voter_order"):
-            run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=bad)
+    for dtype in (np.int64, np.int32, np.uint8):
+        order = np.array([1, 0], dtype=dtype)
+        as_array = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=order)
+        assert as_array == run and all(type(entry.voter) is int for entry in as_array.log)
+    for bad in ([0, 0], [1.7, 0.2], [True, False], ["1", "0"], [-1, 0], [[1, 0]], [1, 0, 2]):
+        for order in (bad, np.array(bad)):
+            with pytest.raises(ValueError, match="^voter_order must be a permutation"):
+                run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=order)
 
 
 def test_negative_budget_rejected(worked_election):
@@ -586,7 +592,8 @@ def test_cached_schedule_tables_and_kept_profile_arrays_are_read_only():
     e = generate(CultureSpec("IC", seed=0), 5, 4, 2)
     before = run_elicitation(e, SPLIT, EQ, "computational", UNLIMITED)
     schedule = _schedule_of(SPLIT, "computational", 5)
-    for table in (schedule.shares, schedule.classes, before.profile._ids, before.profile._levels):
+    shares = _share_table(schedule, borda_vector(5))
+    for table in (shares, schedule.classes, before.profile._levels, e._places):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[...] = 0
