@@ -36,7 +36,8 @@ def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None,
     An n x m integer-dtype ndarray is range-checked row by row and copied;
     a row with an entry outside ``0..m-1`` is all -1 in the copy. Any other
     ``rows`` are read id by id: an id is an int by type, so its type has
-    ``__index__``, which floats and strings lack, and is not bool. A row that
+    ``__index__``, which floats and strings lack, and is neither bool nor
+    an ndarray (whose ``__index__`` holds for 0-d arrays only). A row that
     holds anything else, or not ``m`` entries, is all -1 in the array.
     """
     if _is_id_array(rows, m):
@@ -48,7 +49,11 @@ def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None,
         plain = False
     else:
         kinds = set(map(type, chain.from_iterable(rows)))
-        ints = {kind for kind in kinds if kind is not bool and hasattr(kind, "__index__")}
+        ints = {
+            kind
+            for kind in kinds
+            if kind is not bool and not issubclass(kind, np.ndarray) and hasattr(kind, "__index__")
+        }
         blank = (-1,) * m
         filled = [
             row if len(row) == m and (ints == kinds or ints.issuperset(map(type, row))) else blank

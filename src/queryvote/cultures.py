@@ -13,25 +13,29 @@ Generation is a pure function of ``(spec, m, n, k)``. Voters that are
 statistically independent draw from per-voter substreams, keyed
 ``(seed, 1, voter)``, so an election can be filled in any order or in
 parallel and come out identical; shared structure (candidate points,
-reference orders, urn draws) uses the stream keyed ``(seed, 0)``.
+reference orders, urn draws) uses the stream keyed ``(seed, 0)``. The
+per-voter streams of an election are seeded in one pass by
+:func:`~queryvote.rng._streams`, each bit-identical to its
+``substream(seed, 1, voter)``.
 
-The IC and Euclidean2D generators return their votes as one n x m int
-array, which :class:`~queryvote.core.Election` reads as it is: IC stacks
-the per-voter permutations, and Euclidean2D ranks every voter with one
-stable sort of the n x m squared distances, the sort that
-:func:`rank_by_distance` runs on one point. The other generators return
-tuples of candidate ids.
+Every generator returns its votes as one n x m int array, which
+:class:`~queryvote.core.Election` reads as it is: IC, Urn and ST stack the
+drawn permutations, Mallows its inserted votes, ID, UN and AN repeat their
+few orders, and Euclidean2D ranks every voter with one stable sort of the
+n x m squared distances, the sort that :func:`rank_by_distance` runs on one
+point.
 
 Mallows votes come from the repeated insertion model (Doignon et al., 2004;
-Lu & Boutilier, 2014) with one batched draw per voter, and are byte-identical
-to calling ``rng.choice(i, p=...)`` once per insertion:
+Lu & Boutilier, 2014) with one batch of uniforms per voter, and are
+byte-identical to calling ``rng.choice(i, p=...)`` once per insertion:
 
 - for one draw, ``choice`` takes exactly one ``random()`` double, so one
   ``rng.random(m - 1)`` call yields the same doubles in the same order;
-- each insertion cdf is built once per election with the arithmetic
+- each insertion cdf is built once per ``(m, phi)`` with the arithmetic
   ``choice`` uses (``p.cumsum()``, then divided by its last entry);
-- ``choice`` returns ``cdf.searchsorted(u, side="right")``, which for a
-  non-decreasing cdf is the count of entries ``<= u``.
+- ``choice`` returns ``cdf.searchsorted(u, side="right")``, which is run
+  once per insertion step over every voter's double for that step; the
+  positions are then applied with ``list.insert``, voter by voter.
 """
 
 from __future__ import annotations
@@ -40,12 +44,13 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import Election, PreferenceOrder
-from .rng import substream
+from .rng import _streams, substream
 
 DEFAULT_URN_ALPHA = 0.5  # copies added per draw, as a multiple of m!
 DEFAULT_MALLOWS_PHI = 0.8
@@ -89,10 +94,6 @@ class CultureSpec:
         return f"{self.kind}[{inner}]"
 
 
-def _voter_rng(seed: int, voter: int) -> np.random.Generator:
-    return substream(seed, 1, voter)
-
-
 def _permutation(rng: np.random.Generator, m: int) -> PreferenceOrder:
     return tuple(rng.permutation(m).tolist())
 
@@ -134,18 +135,16 @@ def _number(value, name: str) -> float:
 
 
 def _generate_ic(seed: int, m: int, n: int) -> np.ndarray:
-    return np.stack([_voter_rng(seed, i).permutation(m) for i in range(n)])
+    return np.stack([rng.permutation(m) for rng in _streams(seed, 1, n)])
 
 
 def _generate_euclidean(seed: int, m: int, n: int) -> np.ndarray:
     candidate_points = substream(seed, 0).random((m, 2))
-    points = np.stack([_voter_rng(seed, i).random(2) for i in range(n)])
+    points = np.stack([rng.random(2) for rng in _streams(seed, 1, n)])
     return _rank_by_distance(points, candidate_points)
 
 
-def _generate_urn(
-    seed: int, m: int, n: int, alpha: float = DEFAULT_URN_ALPHA
-) -> tuple[PreferenceOrder, ...]:
+def _generate_urn(seed: int, m: int, n: int, alpha: float = DEFAULT_URN_ALPHA) -> np.ndarray:
     """Urn sampling: each drawn order returns with ``alpha * m!`` extra copies.
 
     With probability ``t*alpha / (1 + t*alpha)`` the t-th voter copies a
@@ -156,55 +155,37 @@ def _generate_urn(
     if not alpha >= 0:  # also rejects NaN, which would give plain IC votes
         raise ValueError(f"urn contagion must be non-negative, got {alpha}")
     rng = substream(seed, 0)
-    votes: list[PreferenceOrder] = []
+    votes: list[np.ndarray] = []
     for t in range(n):
         if t > 0 and rng.random() * (1.0 + t * alpha) >= 1.0:
             votes.append(votes[int(rng.integers(t))])
         else:
-            votes.append(_permutation(rng, m))
-    return tuple(votes)
+            votes.append(rng.permutation(m))
+    return np.stack(votes)
 
 
-def _insertion_cdfs(m: int, phi: float) -> np.ndarray:
+@lru_cache(maxsize=16)
+def _insertion_cdfs(m: int, phi: float) -> tuple[np.ndarray, ...]:
     """The cdf of every insertion step, as ``Generator.choice`` builds it.
 
-    Row ``i - 2`` is the cdf for inserting the i-th center candidate into a
-    vote of ``i - 1``: the weights ``phi**(i-1), ..., phi, 1`` normalised,
+    Entry ``i - 2`` is the cdf for inserting the i-th center candidate into
+    a vote of ``i - 1``: the weights ``phi**(i-1), ..., phi, 1`` normalised,
     summed and renormalised with the same numpy calls ``choice(i, p=...)``
-    makes, then padded with ``inf`` to length ``m``.
+    makes. Cached per ``(m, phi)``, so the arrays are read-only.
     """
-    cdfs = np.full((m - 1, m), np.inf)
+    cdfs = []
     for i in range(2, m + 1):
         weights = phi ** np.arange(i - 1, -1, -1, dtype=float)
         cdf = (weights / weights.sum()).cumsum()
         cdf /= cdf[-1]
-        cdfs[i - 2, :i] = cdf
-    return cdfs
-
-
-def _mallows_vote(
-    rng: np.random.Generator, center: PreferenceOrder, cdfs: np.ndarray
-) -> PreferenceOrder:
-    """One repeated-insertion draw around ``center`` from one batch of uniforms.
-
-    The votes are those of calling ``rng.choice(i, p=...)`` once per
-    insertion, byte for byte. For one draw, ``choice`` takes exactly one
-    ``random()`` double ``u`` and returns ``cdf.searchsorted(u, side="right")``,
-    with the cdf of ``_insertion_cdfs``. So the m - 1 doubles of one
-    ``rng.random(m - 1)`` call are the doubles those calls take, in order,
-    and counting the entries ``<= u`` of a non-decreasing row (``inf``
-    padding never counts) is ``searchsorted`` with ``side="right"``.
-    """
-    positions = (cdfs <= rng.random(len(center) - 1)[:, None]).sum(axis=1).tolist()
-    vote = [center[0]]
-    for candidate, position in zip(center[1:], positions):
-        vote.insert(position, candidate)
-    return tuple(vote)
+        cdf.flags.writeable = False
+        cdfs.append(cdf)
+    return tuple(cdfs)
 
 
 def _generate_mallows(
     seed: int, m: int, n: int, phi: float = DEFAULT_MALLOWS_PHI, center=None
-) -> tuple[PreferenceOrder, ...]:
+) -> np.ndarray:
     phi = _number(phi, "Mallows dispersion phi")
     if not 0 < phi <= 1:
         raise ValueError(f"Mallows dispersion must lie in (0, 1], got {phi}")
@@ -222,15 +203,26 @@ def _generate_mallows(
         center = tuple(int(c) for c in center)
         if tuple(sorted(center)) != tuple(range(m)):
             raise ValueError(f"Mallows center must be a permutation of 0..{m - 1}")
-    cdfs = _insertion_cdfs(m, phi)
-    return tuple(_mallows_vote(_voter_rng(seed, i), center, cdfs) for i in range(n))
+    # One batch of m - 1 uniforms per voter; column i - 2 places the i-th
+    # center candidate of every voter at once.
+    draws = np.stack([rng.random(m - 1) for rng in _streams(seed, 1, n)])
+    positions = np.empty((n, m - 1), dtype=np.intp)
+    for step, cdf in enumerate(_insertion_cdfs(m, phi)):
+        positions[:, step] = cdf.searchsorted(draws[:, step], side="right")
+    votes = []
+    for row in positions.tolist():
+        vote = [center[0]]
+        for candidate, position in zip(center[1:], row):
+            vote.insert(position, candidate)
+        votes.append(vote)
+    return np.array(votes)
 
 
-def _generate_id(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
-    return (_permutation(substream(seed, 0), m),) * n
+def _generate_id(seed: int, m: int, n: int) -> np.ndarray:
+    return np.tile(substream(seed, 0).permutation(m), (n, 1))
 
 
-def _generate_un(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
+def _generate_un(seed: int, m: int, n: int) -> np.ndarray:
     """Distinct orders sampled without replacement, cycled across voters.
 
     Perfectly balanced disagreement is only possible when m! divides n; this
@@ -251,25 +243,25 @@ def _generate_un(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
             if candidate not in seen:
                 seen.add(candidate)
                 picked.append(candidate)
-    return tuple(picked[i % want] for i in range(n))
+    return np.array(picked)[np.arange(n) % want]
 
 
-def _generate_st(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
+def _generate_st(seed: int, m: int, n: int) -> np.ndarray:
     if m % 2:
         raise ValueError(f"stratification needs an even candidate count, got m={m}")
     mixed = substream(seed, 0).permutation(m).tolist()
     upper, lower = sorted(mixed[: m // 2]), sorted(mixed[m // 2 :])
-    votes = []
-    for i in range(n):
-        rng = _voter_rng(seed, i)
-        votes.append(tuple(rng.permutation(upper).tolist() + rng.permutation(lower).tolist()))
-    return tuple(votes)
+    votes = [
+        np.concatenate([rng.permutation(upper), rng.permutation(lower)])
+        for rng in _streams(seed, 1, n)
+    ]
+    return np.stack(votes)
 
 
-def _generate_an(seed: int, m: int, n: int) -> tuple[PreferenceOrder, ...]:
-    forward = _permutation(substream(seed, 0), m)
+def _generate_an(seed: int, m: int, n: int) -> np.ndarray:
+    forward = substream(seed, 0).permutation(m)
     first_half = (n + 1) // 2
-    return (forward,) * first_half + (forward[::-1],) * (n - first_half)
+    return np.stack([forward] * first_half + [forward[::-1]] * (n - first_half))
 
 
 # Every culture: its generator and the parameters that generator takes as

@@ -61,6 +61,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise, repeat, starmap
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -260,9 +261,22 @@ def _equal(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
         if schedule.exact:
             units += asking * price
         counts.append(asking)
-    # The voter at place i asked in every round that asked more than i voters.
-    ascending = counts[::-1]
-    return [len(counts) - bisect_right(ascending, i) for i in range(n)], units
+    return _levels_of(counts, n), units
+
+
+def _levels_of(counts: list[int], n: int) -> list[int]:
+    """The level of each of ``n`` places when round r asked the first
+    ``counts[r]`` places, for non-increasing ``counts``.
+
+    The place i was asked in every round that asked more than i places, so
+    the levels are runs: ``len(counts)`` for the first ``counts[-1]`` places,
+    one less up to ``counts[-2]``, and so on down to 0.
+    """
+    levels, placed = [], 0
+    for level in range(len(counts), 0, -1):
+        levels += [level] * (counts[level - 1] - placed)
+        placed = counts[level - 1]
+    return levels + [0] * (n - placed)
 
 
 def _fcfs(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
@@ -302,10 +316,16 @@ def _check_budget(budget) -> None:
 
 
 def _voter_order(n: int, voter_order: Sequence[int] | None) -> np.ndarray:
-    """``voter_order`` as an int array, checked to be a permutation of the voter ids."""
+    """``voter_order`` as an int array, checked to be a permutation of the voter ids.
+
+    An array is read as one row only when it is 1-D of length n; any other
+    shape is refused as an empty order would be.
+    """
     if voter_order is None:
         return np.arange(n)
-    rows = voter_order[None] if isinstance(voter_order, np.ndarray) else [voter_order]
+    rows = [voter_order]
+    if isinstance(voter_order, np.ndarray):
+        rows = voter_order[None] if voter_order.shape == (n,) else [()]
     order, bad, _ = _id_table(rows, n)
     if bad is not None:
         raise ValueError(f"voter_order must be a permutation of the voter ids (ints) 0..{n - 1}")
@@ -378,10 +398,15 @@ def run_elicitation(
     keys %= election.m
     level_of.flags.writeable = False
     levels_list = level_of.tolist()
-    slices = {q: list(starmap(slice, pairwise(schedule.cuts[q]))) for q in set(levels_list)}
+    # Every question cuts at least two classes, so each level above 0 has an
+    # itemgetter of two or more slices, which returns a tuple of classes.
+    getters = {
+        q: itemgetter(*starmap(slice, pairwise(schedule.cuts[q]))) for q in set(levels_list) if q
+    }
+    unsplit = (tuple(range(election.m)),)
     profile = _Profile(
-        tuple(map(row.__getitem__, slices[level]))
-        for row, level in zip(map(tuple, keys.tolist()), levels_list)
+        getters[level](tuple(row)) if level else unsplit
+        for row, level in zip(keys.tolist(), levels_list)
     )
     profile._schedule, profile._levels, profile._places = schedule, level_of, election._places
     charges = _charges(policy, order.tolist(), levels) if record_log else ()

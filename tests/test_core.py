@@ -106,6 +106,8 @@ def test_hamming_metric_axioms():
         (3, ((0, 1),), 1),
         (2, ((1.7, 0.2),), 1),
         (2, ((True, False),), 1),
+        (2, ((np.array([0]), np.array([1])),), 1),
+        (2, ((np.array(0), np.array(1)),), 1),
     ],
 )
 def test_election_validation(m, voters, k):

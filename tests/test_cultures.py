@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from collections import Counter
 
@@ -287,3 +288,68 @@ def test_rank_by_distance_matches_the_reference_sort():
         squared = ((points - here) ** 2).sum(axis=1)
         expected = tuple(sorted(range(m), key=lambda c: (squared[c], c)))
         assert rank_by_distance(here, points) == expected
+
+
+def reference_votes(kind, seed, m, n):
+    """Each culture's votes as tuples of ints, drawn with a fresh
+    ``substream(seed, 1, voter)`` per voter and no batching."""
+    shared = substream(seed, 0)
+    if kind == "IC":
+        return tuple(tuple(substream(seed, 1, v).permutation(m).tolist()) for v in range(n))
+    if kind == "Euclidean2D":
+        points = shared.random((m, 2))
+        votes = []
+        for v in range(n):
+            squared = ((points - substream(seed, 1, v).random(2)) ** 2).sum(axis=1)
+            votes.append(tuple(sorted(range(m), key=lambda c: (squared[c], c))))
+        return tuple(votes)
+    if kind == "Urn":
+        votes = []
+        for t in range(n):
+            if t > 0 and shared.random() * (1.0 + t * 0.5) >= 1.0:
+                votes.append(votes[int(shared.integers(t))])
+            else:
+                votes.append(tuple(shared.permutation(m).tolist()))
+        return tuple(votes)
+    if kind == "Mallows":
+        return reference_mallows(seed, m, n, 0.8)
+    if kind == "ID":
+        return (tuple(shared.permutation(m).tolist()),) * n
+    if kind == "UN":
+        total = math.factorial(m)
+        want = min(n, total)
+        if total <= 50_000:
+            universe = list(itertools.permutations(range(m)))
+            picked = [universe[i] for i in shared.permutation(total)[:want].tolist()]
+        else:
+            picked = []
+            while len(picked) < want:
+                candidate = tuple(shared.permutation(m).tolist())
+                if candidate not in picked:
+                    picked.append(candidate)
+        return tuple(picked[i % want] for i in range(n))
+    if kind == "ST":
+        mixed = shared.permutation(m).tolist()
+        upper, lower = sorted(mixed[: m // 2]), sorted(mixed[m // 2 :])
+        votes = []
+        for v in range(n):
+            rng = substream(seed, 1, v)
+            votes.append(tuple(rng.permutation(upper).tolist() + rng.permutation(lower).tolist()))
+        return tuple(votes)
+    forward = tuple(shared.permutation(m).tolist())
+    return (forward,) * ((n + 1) // 2) + (forward[::-1],) * (n // 2)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (20, 20), (100, 250)])
+def test_cultures_match_the_per_voter_reference(kind, m, n):
+    """Every culture, seeded in one pass, makes the per-voter reference's election."""
+    for seed in (11, 2**40 + 11):
+        spec = CultureSpec(kind, seed=seed)
+        if kind == "ST" and m % 2:
+            with pytest.raises(ValueError, match="even candidate count"):
+                generate(spec, m, n, 1)
+            continue
+        voters = generate(spec, m, n, 1).voters
+        assert voters == reference_votes(kind, seed, m, n)
+        assert all(type(c) is int for vote in voters for c in vote)

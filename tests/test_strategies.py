@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction as F
 from itertools import accumulate, pairwise
@@ -29,7 +30,7 @@ from queryvote import (
 from queryvote.experiments import full_resolution_cost, sweep_distances
 from queryvote.rng import substream
 from queryvote.scoring import _share_table, borda_vector, partial_scores, query_based_committee
-from queryvote.strategies import ProtocolError, _elicit, _schedule_of, apply_answer
+from queryvote.strategies import ProtocolError, _elicit, _levels_of, _schedule_of, apply_answer
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
@@ -238,10 +239,37 @@ def test_voter_order_is_respected(worked_election):
         order = np.array([1, 0], dtype=dtype)
         as_array = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=order)
         assert as_array == run and all(type(entry.voter) is int for entry in as_array.log)
-    for bad in ([0, 0], [1.7, 0.2], [True, False], ["1", "0"], [-1, 0], [[1, 0]], [1, 0, 2]):
+    bad_orders = ([0, 0], [1.7, 0.2], [True, False], ["1", "0"], [-1, 0], [[1, 0]], [1, 0, 2],
+                  [[1], [0]], [[1, 0], [0, 1]])
+    for bad in bad_orders:
         for order in (bad, np.array(bad)):
             with pytest.raises(ValueError, match="^voter_order must be a permutation"):
                 run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=order)
+
+
+def test_arrays_of_other_shapes_are_no_voter_order(worked_election):
+    """Only a 1-D array of length n is read as an order; an array as an id is no int."""
+    for order in (np.array([[[1, 0]]]), np.array(1), [np.array([1]), np.array([0])],
+                  [np.array(1), np.array(0)]):
+        with pytest.raises(ValueError, match="^voter_order must be a permutation"):
+            run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=order)
+
+
+def reference_levels(counts, n):
+    """Each place's level as the number of rounds that asked more voters than its index."""
+    ascending = counts[::-1]
+    return [len(counts) - bisect_right(ascending, i) for i in range(n)]
+
+
+def test_levels_by_run_length_match_the_bisect_form():
+    rng = substream(2026, 18)
+    assert _levels_of([], 1) == reference_levels([], 1) == [0]
+    assert _levels_of([1], 1) == reference_levels([1], 1) == [1]
+    for _ in range(500):
+        n = int(rng.integers(1, 40))
+        rounds = int(rng.integers(0, 12))
+        counts = sorted(rng.integers(1, n + 1, size=rounds).tolist(), reverse=True)
+        assert _levels_of(counts, n) == reference_levels(counts, n)
 
 
 def test_negative_budget_rejected(worked_election):
