@@ -18,36 +18,26 @@ PreferenceOrder = tuple[int, ...]
 Committee = frozenset[int]
 
 
-def _is_id_array(rows, m: int) -> bool:
-    """Whether ``rows`` is an n x m integer-dtype ndarray, read by :func:`_id_table` as it is."""
-    return (
-        isinstance(rows, np.ndarray)
-        and rows.dtype.kind in "iu"
-        and rows.ndim == 2
-        and rows.shape[1] == m
-    )
-
-
-def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None, bool]:
-    """``rows`` as an n x m int32 array, the index of the first row that is
-    not a permutation of the ints ``0..m-1`` (None when every row is one),
-    and whether every id is a plain ``int``.
+def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None]:
+    """``rows`` as an n x m int32 array, and the index of the first row that
+    is not a permutation of the ints ``0..m-1`` (None when every row is one).
 
     An n x m integer-dtype ndarray is range-checked row by row and copied;
     a row with an entry outside ``0..m-1`` is all -1 in the copy. Any other
-    ``rows`` are read id by id: an id is an int by type, so its type has
-    ``__index__``, which floats and strings lack, and is neither bool nor
-    an ndarray (whose ``__index__`` holds for 0-d arrays only). A row that
-    holds anything else, or not ``m`` entries, is all -1 in the array.
+    ``rows`` are read into tuples, then id by id: an id is an int by type,
+    so its type has ``__index__``, which floats and strings lack, and is
+    neither bool nor an ndarray (whose ``__index__`` holds for 0-d arrays
+    only). A row that holds anything else, or not ``m`` entries, is all -1
+    in the array.
     """
-    if _is_id_array(rows, m):
+    if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (m,):
         inside = rows.min(axis=1) >= 0
         if m <= np.iinfo(rows.dtype).max:
             inside &= rows.max(axis=1) < m
         table = rows.astype(np.int32)
         table[~inside] = -1
-        plain = False
     else:
+        rows = [tuple(row) for row in rows]
         kinds = set(map(type, chain.from_iterable(rows)))
         ints = {
             kind
@@ -66,9 +56,8 @@ def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None,
             filled = [row if 0 <= min(row) and max(row) < m else blank for row in filled]
             table = np.fromiter(chain.from_iterable(filled), np.int32, len(rows) * m)
         table = table.reshape(len(rows), m)
-        plain = kinds <= {int}
     bad = (np.sort(table, axis=1) != np.arange(m)).any(axis=1)
-    return table, int(bad.argmax()) if bad.any() else None, plain
+    return table, int(bad.argmax()) if bad.any() else None
 
 
 def _places_of(rankings: np.ndarray) -> np.ndarray:
@@ -101,16 +90,13 @@ class Election:
             raise ValueError(f"need at least one candidate, got m={self.m}")
         if not 1 <= self.k <= self.m:
             raise ValueError(f"committee size k={self.k} outside [1, {self.m}]")
-        voters = self.voters
-        if not _is_id_array(voters, self.m):
-            voters = tuple(map(tuple, voters))
-        if not len(voters):
+        rankings, bad = _id_table(self.voters, self.m)
+        if not len(rankings):
             raise ValueError("election needs at least one voter")
-        rankings, bad, plain = _id_table(voters, self.m)
         if bad is not None:
             raise ValueError(f"voter {bad} ranking is not a permutation of ints 0..{self.m - 1}")
         rankings.flags.writeable = False
-        object.__setattr__(self, "voters", voters if plain else tuple(map(tuple, rankings.tolist())))
+        object.__setattr__(self, "voters", tuple(map(tuple, rankings.tolist())))
         object.__setattr__(self, "_rankings", rankings)
 
     @property
@@ -140,8 +126,8 @@ def select_top_k(scores: Sequence[float], k: int) -> Committee:
     m = len(scores)
     if not 0 <= k <= m:
         raise ValueError(f"cannot pick k={k} winners from {m} candidates")
-    order = sorted(range(m), key=lambda c: (-scores[c], c))
-    return frozenset(order[:k])
+    # A stable sort, reversed, keeps equal scores in id order.
+    return frozenset(sorted(range(m), key=scores.__getitem__, reverse=True)[:k])
 
 
 def k_borda(election: Election) -> Committee:

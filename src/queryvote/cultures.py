@@ -22,8 +22,7 @@ Every generator returns its votes as one n x m int array, which
 :class:`~queryvote.core.Election` reads as it is: IC, Urn and ST stack the
 drawn permutations, Mallows its inserted votes, ID, UN and AN repeat their
 few orders, and Euclidean2D ranks every voter with one stable sort of the
-n x m squared distances, the sort that :func:`rank_by_distance` runs on one
-point.
+n x m squared distances.
 
 Mallows votes come from the repeated insertion model (Doignon et al., 2004;
 Lu & Boutilier, 2014) with one batch of uniforms per voter, and are
@@ -45,7 +44,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -106,27 +105,16 @@ def _rank_by_distance(points, candidate_points) -> np.ndarray:
     """
     pts = np.asarray(candidate_points, dtype=float)
     here = np.asarray(points, dtype=float)
-    if not (np.isfinite(pts).all() and np.isfinite(here).all()):
-        raise ValueError("points must be finite")
     squared = ((pts - here[:, None, :]) ** 2).sum(axis=2)
     return np.argsort(squared, axis=1, kind="stable")
-
-
-def rank_by_distance(point: Sequence[float], candidate_points) -> PreferenceOrder:
-    """Candidates sorted by increasing distance from ``point``.
-
-    Exact distance ties go to the lower candidate id, which keeps generation
-    deterministic even for hand-placed points.
-    """
-    return tuple(_rank_by_distance([point], candidate_points)[0].tolist())
 
 
 def _number(value, name: str) -> float:
     """A culture parameter as a float; a value that is not a number is an error naming it.
 
-    A bool is not taken for 0 or 1.
+    A bool is not taken for 0 or 1, nor a string for the number it spells.
     """
-    if not isinstance(value, bool):
+    if isinstance(value, numbers.Number) and not isinstance(value, bool):
         try:
             return float(value)
         except (TypeError, ValueError):

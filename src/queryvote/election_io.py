@@ -9,8 +9,9 @@ Two formats are supported:
 * ``preflib``: the PrefLib complete-strict-order layout. The header is the
   candidate count, one ``<id>,<name>`` line per candidate (1-based ids), and
   a ``<voters>,<vote total>,<unique orders>`` line; each remaining line is
-  ``<count>,<ranking>`` with a comma-separated 1-based ranking. The format
-  carries no committee size, so ``k`` must be passed to ``load_election``.
+  ``<count>,<ranking>``, a count of 1 or more and a comma-separated 1-based
+  ranking. The format carries no committee size, so ``k`` must be passed to
+  ``load_election``.
   Current PrefLib files, which open with ``# KEY: value`` headers, are
   rejected.
 
@@ -124,6 +125,8 @@ def _parse_preflib(path, lines: list[tuple[int, str]], k: int) -> Election:
     voters = []
     for number, line in body:
         count, *ranking = _ints(path, number, line, sep=",")
+        if count < 1:
+            raise ValueError(f"{path}:{number}: expected an order count of at least 1, got {count}")
         voters.extend([tuple(c - 1 for c in ranking)] * count)
     if len(voters) != n or len(voters) != vote_total:
         raise ValueError(f"{path}: vote counts sum to {len(voters)}, header says {n}")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
@@ -70,9 +71,10 @@ _COLUMN_TYPES = tuple(get_type_hints(ResultRow)[name] for name in CSV_COLUMNS)
 class ExperimentConfig:
     """Everything needed to reproduce a sweep.
 
-    ``budget_grid`` may be None, in which case a per-strategy grid is derived
-    from a probe election: geometric points between 1% and 120% of that
-    strategy's full-resolution cost, plus 0 and the unlimited budget.
+    ``budget_grid`` may be None, in which case each strategy gets the grid of
+    its question type, derived from the config's ``m``, ``n`` and ``cost``:
+    geometric points between 1% and 120% of the full-resolution cost of ``n``
+    voters over ``m`` candidates, plus 0 and the unlimited budget.
     """
 
     cultures: list[CultureSpec]
@@ -97,6 +99,11 @@ class ExperimentConfig:
             raise ValueError("voter_order_repeats must be at least 1")
         if not self.strategies:
             raise ValueError("config needs at least one strategy")
+        # Rows carry only the strategy's label, so a repeat could not be told apart.
+        strategies = [strategy_label(kind, policy) for kind, policy in self.strategies]
+        for label in strategies:
+            if strategies.count(label) > 1:
+                raise ValueError(f"the strategy {label!r} is listed twice")
         get_cost_function(self.cost)
         if self.budget_grid is not None:
             try:
@@ -117,15 +124,24 @@ class ExperimentConfig:
                     f"two cultures share the label {label!r}; give them different "
                     "kinds or parameters (the label leaves out seed and center)"
                 )
-        # Surface bad culture parameters and impossible sizes before any work.
+        # Surface bad culture parameters and impossible sizes before any work;
+        # no culture's check depends on the voter count beyond n >= 1.
         for spec in self.cultures:
-            generate(spec.with_seed(0), self.m, self.n, self.k)
+            generate(spec.with_seed(0), self.m, min(self.n, 1), self.k)
 
 
 def full_resolution_cost(election: Election, kind: QuestionType, cost) -> float:
-    """Total cost of resolving every voter completely: the spend of an unlimited EQ run."""
-    schedule = _schedule_of(kind, cost, election.m)
-    return float(_elicit(schedule, BudgetPolicy.EQUAL, election.n, UNLIMITED)[1])
+    """Total cost of resolving every voter completely: the spend of an unlimited EQ run.
+
+    Every voter is asked the same schedule, so only the election's ``m`` and
+    ``n`` matter, not its rankings.
+    """
+    return _full_cost(kind, cost, election.m, election.n)
+
+
+def _full_cost(kind: QuestionType, cost, m: int, n: int) -> float:
+    """The full-resolution cost of ``n`` voters over ``m`` candidates."""
+    return float(_elicit(_schedule_of(kind, cost, m), BudgetPolicy.EQUAL, n, UNLIMITED)[1])
 
 
 # Ends of the default budget grid, as fractions of the full-resolution cost.
@@ -146,6 +162,8 @@ def default_budget_grid(
     """
     if not full_cost >= 0:
         raise ValueError(f"full-resolution cost must be non-negative, got {full_cost}")
+    if not math.isfinite(full_cost):
+        raise ValueError(f"full-resolution cost must be finite, got {full_cost}")
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points}")
     grid = []
@@ -165,11 +183,9 @@ def _resolved_grids(config: ExperimentConfig) -> dict[str, tuple[float, ...]]:
     if config.budget_grid is not None:
         shared = tuple(config.budget_grid)
         return {strategy_label(k, p): shared for k, p in config.strategies}
-    probe_seed = derive_seed(config.master_seed, _ELECTION_TAG, config.cultures[0].seed, 0)
-    probe = generate(config.cultures[0].with_seed(probe_seed), config.m, config.n, config.k)
     # The full-resolution cost is an unlimited EQ run, the same for both policies.
     by_kind = {
-        kind: default_budget_grid(full_resolution_cost(probe, kind, config.cost))
+        kind: default_budget_grid(_full_cost(kind, config.cost, config.m, config.n))
         for kind in {kind for kind, _ in config.strategies}
     }
     return {strategy_label(k, p): by_kind[k] for k, p in config.strategies}

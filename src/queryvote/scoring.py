@@ -110,7 +110,7 @@ def partial_scores(profile: Sequence[OrderedPartition], scoring: Sequence) -> li
     if type(profile) is _Profile and profile._schedule.m == m:
         return _totals(_share_table(profile._schedule, scoring), profile._levels, profile._places)
     profile = tuple(profile)
-    ids, bad, _ = _id_table([tuple(chain.from_iterable(partition)) for partition in profile], m)
+    ids, bad = _id_table([tuple(chain.from_iterable(partition)) for partition in profile], m)
     if bad is not None:
         raise ValueError(f"voter {bad} partition does not cover candidates 0..{m - 1}")
     by_voter = [tuple(accumulate(map(len, partition), initial=0)) for partition in profile]

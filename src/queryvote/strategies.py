@@ -144,9 +144,9 @@ class Schedule:
         cost_fn = COST_FUNCTIONS[cost_name]
         plans, price_of = {}, {}
         for size in range(2, m + 1):
-            ratios = make_question(kind, range(size)).buckets
-            plans[size] = ratios, bucket_sizes(ratios, size)
-            price_of[size] = cost_fn(RefinementQuery(subset=range(size), buckets=ratios))
+            question = make_question(kind, range(size))
+            plans[size] = question.buckets, bucket_sizes(question.buckets, size)
+            price_of[size] = cost_fn(question)
         self.scale = None
         if price_of and all(type(price) is Fraction for price in price_of.values()):
             self.scale = math.lcm(*(price.denominator for price in price_of.values()))
@@ -326,7 +326,7 @@ def _voter_order(n: int, voter_order: Sequence[int] | None) -> np.ndarray:
     rows = [voter_order]
     if isinstance(voter_order, np.ndarray):
         rows = voter_order[None] if voter_order.shape == (n,) else [()]
-    order, bad, _ = _id_table(rows, n)
+    order, bad = _id_table(rows, n)
     if bad is not None:
         raise ValueError(f"voter_order must be a permutation of the voter ids (ints) 0..{n - 1}")
     return order[0]

@@ -3,6 +3,7 @@
 The README may name only public names, and its Python examples must run.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -86,3 +87,44 @@ def test_readme_python_runs_and_names_only_public_api():
         exec(compile(block, f"README.md python block {number}", "exec"), {})
     used = set(re.findall(r"\bqv\.(\w+)", readme))
     assert used <= set(qv.__all__), sorted(used - set(qv.__all__))
+
+
+# Public names that no package code reads, with the reason each stays.
+UNREAD_ALLOWED = {
+    # The reference refinement: the tests check the closed-form runs against it.
+    "apply_answer",
+}
+
+
+def test_every_public_name_is_exported_or_read():
+    """A top-level name without a leading underscore is either in ``__all__``
+    or read by package code outside the statement that defines it. The AST is
+    read, so a name mentioned only in a docstring or comment counts as unread."""
+    package = Path(__file__).parent.parent / "src" / "queryvote"
+    defined, statements = {}, []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined.update(dict.fromkeys(names, node))
+            reads = set()
+            for part in ast.walk(node):
+                if isinstance(part, ast.Name) and isinstance(part.ctx, ast.Load):
+                    reads.add(part.id)
+                elif isinstance(part, ast.Attribute):
+                    reads.add(part.attr)
+            statements.append((node, reads))
+    unread = sorted(
+        name
+        for name, definition in defined.items()
+        if not name.startswith("_")
+        and name not in qv.__all__
+        and not any(name in reads for node, reads in statements if node is not definition)
+    )
+    assert unread == sorted(UNREAD_ALLOWED), unread

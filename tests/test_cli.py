@@ -164,6 +164,9 @@ def test_run_rejects_bad_config(tmp_path, capsys):
         ({"kind": "Mallows", "params": {"center": 3}},
          "Mallows center must be a sequence of candidate ids, got 3"),
         ({"kind": "IC", "seed": 2}, "two cultures share the label 'IC'"),
+        ({"kind": "Mallows", "params": {"phi": "0.5"}},
+         "Mallows dispersion phi must be a number, got '0.5'"),
+        ({"kind": "Urn", "params": {"alpha": "inf"}}, "urn contagion alpha must be a number"),
     ],
 )
 def test_run_rejects_a_bad_later_culture(tmp_path, capsys, culture, message):

@@ -65,6 +65,22 @@ def test_select_top_k_affine_invariance():
         assert select_top_k(scores, k) == select_top_k([a * s + b for s in scores], k)
 
 
+def test_select_top_k_matches_the_tuple_key_sort():
+    # Ties, 0.0 against -0.0 and equal int and float scores all go to the
+    # smaller id, as in a sort by (-score, id).
+    rng = substream(13)
+    pool = [0.0, -0.0, 0, 1, 1.0, -1, -1.0, 2.5, 3, 3.0, 1e300, -1e-300]
+    for trial in range(400):
+        m = int(rng.integers(1, 25))
+        if trial % 4:
+            scores = [pool[i] for i in rng.integers(0, len(pool), m).tolist()]
+        else:
+            scores = (rng.integers(-3, 4, m) / 2).tolist()
+        reference = sorted(range(m), key=lambda c: (-scores[c], c))
+        for k in range(m + 1):
+            assert select_top_k(scores, k) == frozenset(reference[:k])
+
+
 def test_k_borda_worked_election():
     e = Election(m=4, voters=((0, 1, 2, 3), (1, 0, 2, 3)), k=2)
     assert k_borda(e) == {0, 1}

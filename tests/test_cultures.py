@@ -13,7 +13,7 @@ from queryvote import (
     generate,
     k_borda,
 )
-from queryvote.cultures import rank_by_distance
+from queryvote.cultures import _rank_by_distance
 from queryvote.rng import substream
 
 
@@ -99,18 +99,13 @@ def test_stratification_needs_even_m():
 
 
 def test_euclidean_oracle_collinear():
-    assert rank_by_distance((0, 0), [(1, 0), (2, 0)]) == (0, 1)
-    assert rank_by_distance((0, 0), [(0.1, 0), (0.5, 0), (0.9, 0)]) == (0, 1, 2)
+    assert _rank_by_distance([(0, 0)], [(1, 0), (2, 0)])[0].tolist() == [0, 1]
+    assert _rank_by_distance([(0, 0)], [(0.1, 0), (0.5, 0), (0.9, 0)])[0].tolist() == [0, 1, 2]
 
 
 def test_euclidean_oracle_tie_breaks_by_id():
-    assert rank_by_distance((0.5, 0.5), [(0, 0), (1, 1), (0.5, 0.6)]) == (2, 0, 1)
-    assert rank_by_distance((0.5, 0), [(0, 0), (1, 0)]) == (0, 1)
-
-
-def test_euclidean_oracle_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        rank_by_distance((float("nan"), 0), [(0, 0)])
+    assert _rank_by_distance([(0.5, 0.5)], [(0, 0), (1, 1), (0.5, 0.6)])[0].tolist() == [2, 0, 1]
+    assert _rank_by_distance([(0.5, 0)], [(0, 0), (1, 0)])[0].tolist() == [0, 1]
 
 
 def test_ic_orders_are_roughly_uniform():
@@ -146,7 +141,8 @@ def test_mallows_parameter_validation():
         with pytest.raises(ValueError, match="center entries must be integers"):
             generate(CultureSpec("Mallows", params={"center": bad}), 4, 2, 1)
     # A value of the wrong type gave a TypeError traceback instead of a ValueError.
-    for bad in (None, [0.5], "x", True):
+    # A number string was read as a float: {"phi": "0.5"} gave phi=0.5.
+    for bad in (None, [0.5], "x", True, "0.5"):
         with pytest.raises(ValueError, match="Mallows dispersion phi must be a number"):
             generate(CultureSpec("Mallows", params={"phi": bad}), 4, 2, 1)
     for bad in (3, 1.0):
@@ -170,7 +166,8 @@ def test_urn_rejects_negative_contagion():
     # NaN passed the sign test and gave plain IC votes.
     with pytest.raises(ValueError, match="urn contagion must be non-negative, got nan"):
         generate(CultureSpec("Urn", seed=2, params={"alpha": math.nan}), 4, 3, 1)
-    for bad in (None, [0.5], "x", True):
+    # A number string was read as a float: {"alpha": "inf"} gave infinite contagion.
+    for bad in (None, [0.5], "x", True, "inf", "0.5"):
         with pytest.raises(ValueError, match="urn contagion alpha must be a number"):
             generate(CultureSpec("Urn", seed=2, params={"alpha": bad}), 4, 3, 1)
 
@@ -286,8 +283,8 @@ def test_rank_by_distance_matches_the_reference_sort():
         points = rng.integers(0, 4, size=(m, 2)) / 4
         here = rng.integers(0, 4, size=2) / 4
         squared = ((points - here) ** 2).sum(axis=1)
-        expected = tuple(sorted(range(m), key=lambda c: (squared[c], c)))
-        assert rank_by_distance(here, points) == expected
+        expected = sorted(range(m), key=lambda c: (squared[c], c))
+        assert _rank_by_distance([here], points)[0].tolist() == expected
 
 
 def reference_votes(kind, seed, m, n):

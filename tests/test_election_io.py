@@ -135,6 +135,10 @@ def test_native_names_file_and_line_of_a_bad_field(tmp_path, text, line):
         ("2\n1,A\n2,B\n1,one,1\n1,1,2\n", 4),
         ("2\n1,A\n2,B\n2,2,2\n1,1,2\nx,1,2\n", 6),
         ("2\n1,A\n\n2,B\n2,2,2\n1,1,2\n1,2,b\n", 7),
+        # A zero count was read as no voters, and a negative one cancelled
+        # voters whenever the header totals matched.
+        ("2\n1,A\n2,B\n1,1,2\n1,1,2\n0,2,1\n", 6),
+        ("2\n1,A\n2,B\n4,4,2\n4,1,2\n-1,2,1\n", 6),
     ],
 )
 def test_preflib_names_file_and_line_of_a_bad_field(tmp_path, text, line):

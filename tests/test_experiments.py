@@ -315,6 +315,17 @@ def test_config_rejects_cultures_that_share_a_label(cultures, label):
         small_config(cultures=cultures)
 
 
+def test_config_rejects_a_strategy_listed_twice():
+    # The two runs' rows could not be told apart, and difficulty_scores pooled them.
+    twice = [(QuestionType.SPLIT, BudgetPolicy.EQUAL)] * 2
+    with pytest.raises(ValueError, match="the strategy 'S-EQ' is listed twice"):
+        small_config(strategies=twice)
+    data = {"m": 4, "n": 3, "k": 2, "elections_per_culture": 1, "cultures": ["IC"],
+            "strategies": ["N-FCFS", "S-EQ", "s-eq"]}
+    with pytest.raises(ValueError, match="the strategy 'S-EQ' is listed twice"):
+        parse_config(data)
+
+
 def test_parse_config_rejects_nan_contagion():
     data = json.loads(
         '{"m": 4, "n": 3, "k": 2, "elections_per_culture": 1,'
@@ -398,6 +409,11 @@ def test_default_budget_grid_of_zero_full_cost_is_its_endpoints():
 def test_default_budget_grid_rejects_bad_arguments():
     with pytest.raises(ValueError, match="non-negative"):
         default_budget_grid(-1.0)
+    with pytest.raises(ValueError, match="non-negative, got nan"):
+        default_budget_grid(math.nan)
+    # An infinite full cost gave (0.0, inf, nan, nan, inf).
+    with pytest.raises(ValueError, match="full-resolution cost must be finite, got inf"):
+        default_budget_grid(math.inf, points=3)
     for points in (0, -3):
         with pytest.raises(ValueError, match="points must be at least 1"):
             default_budget_grid(100.0, points=points)
