@@ -36,8 +36,8 @@ from .core import Election
 
 def write_native(election: Election, path) -> None:
     lines = [f"{election.m} {election.n} {election.k}"]
-    names = [str(c) for c in range(election.m)]
-    lines.extend(" ".join([names[c] for c in voter]) for voter in election.voters)
+    names = np.array([str(c) for c in range(election.m)], dtype=object)
+    lines.extend(map(" ".join, names[election._rankings].tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

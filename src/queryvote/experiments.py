@@ -99,6 +99,14 @@ class ExperimentConfig:
             raise ValueError("voter_order_repeats must be at least 1")
         if not self.strategies:
             raise ValueError("config needs at least one strategy")
+        for spec in self.cultures:
+            if not isinstance(spec, CultureSpec):
+                raise ValueError(f"cultures: {spec!r} is not a CultureSpec")
+        for strategy in self.strategies:
+            if strategy not in ALL_STRATEGIES:
+                raise ValueError(
+                    f"strategies: {strategy!r} is not a (QuestionType, BudgetPolicy) pair"
+                )
         # Rows carry only the strategy's label, so a repeat could not be told apart.
         strategies = [strategy_label(kind, policy) for kind, policy in self.strategies]
         for label in strategies:

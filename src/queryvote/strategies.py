@@ -12,9 +12,12 @@ voter alike, the range asked at each step, its price and the cuts after q
 questions, and a voter's whole state is its level: the number of questions
 it has answered. A run is one function of (schedule, budget policy, voter
 order, budget), :func:`_elicit`, which gives the level of each place in the
-voter order and the spend; :func:`run_elicitation` reads the voters' classes
-and the transcript off the schedule at those levels. The profile it returns
-is a tuple that also keeps its schedule, each voter's level and the
+voter order and the spend. :func:`run_elicitation` builds the voters'
+classes level by level and class by class: the voters at one level share
+its cuts, so a wider class is a block of their rankings' columns sorted row
+by row, and a run of one-candidate classes is one gather of those columns.
+The transcript is read off the schedule at the same levels. The profile it
+returns is a tuple that also keeps its schedule, each voter's level and the
 election's places, so :func:`~queryvote.scoring.partial_scores` scores it
 from one table of shares by level and place, as a sweep does; any other
 profile is checked candidate by candidate. The cached tables and the kept
@@ -59,9 +62,8 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import accumulate, pairwise, repeat, starmap
-from operator import itemgetter
+from functools import lru_cache
+from itertools import accumulate, groupby, pairwise, repeat
 from typing import Sequence
 
 import numpy as np
@@ -172,17 +174,16 @@ class Schedule:
         self.exact = not any(type(unit) is float for unit in self.units)
         self.cum = list(accumulate(self.units, initial=0))
 
-    # A schedule is cached for the whole process, so its table is read-only.
-    @cached_property
-    def classes(self) -> np.ndarray:
-        """``classes[q, p]``: the index, best first, of place p's class after q questions."""
-        places = np.arange(self.m)
-        table = np.array([np.searchsorted(cuts, places, side="right") - 1 for cuts in self.cuts])
-        table.flags.writeable = False
-        return table
-
 
 _schedule = lru_cache(maxsize=None)(Schedule)
+
+
+@lru_cache(maxsize=None)
+def _singletons(m: int) -> np.ndarray:
+    """``(c,)`` at index c, for each of m candidates: every one-candidate class, shared."""
+    table = np.fromiter(((c,) for c in range(m)), dtype=object, count=m)
+    table.flags.writeable = False
+    return table
 
 
 def _schedule_of(kind, cost, m: int) -> Schedule:
@@ -389,25 +390,23 @@ def run_elicitation(
     levels, spent = _elicit(schedule, policy, election.n, budget)
     level_of = np.empty(election.n, dtype=np.intp)
     level_of[order] = levels
-    # Each class index times m, plus the candidate, sorts every voter's
-    # candidates by class, best first, and by id within a class; the
-    # remainder mod m gives the candidate back.
-    keys = schedule.classes[level_of] * election.m
-    keys += election._rankings
-    keys.sort(axis=1)
-    keys %= election.m
     level_of.flags.writeable = False
-    levels_list = level_of.tolist()
-    # Every question cuts at least two classes, so each level above 0 has an
-    # itemgetter of two or more slices, which returns a tuple of classes.
-    getters = {
-        q: itemgetter(*starmap(slice, pairwise(schedule.cuts[q]))) for q in set(levels_list) if q
-    }
-    unsplit = (tuple(range(election.m)),)
-    profile = _Profile(
-        getters[level](tuple(row)) if level else unsplit
-        for row, level in zip(keys.tolist(), levels_list)
-    )
+    # Each level's voters, in id order, yield their partitions one after the
+    # other, read a class at a time: a wide class is its columns sorted row by
+    # row, and a run of one-candidate classes is one gather of singletons.
+    singles = _singletons(election.m)
+    partitions = {0: repeat((tuple(range(election.m)),))}
+    for q in set(levels) - {0}:
+        rows = election._rankings[np.flatnonzero(level_of == q)]
+        columns = []
+        for wide, cuts in groupby(pairwise(schedule.cuts[q]), key=lambda ab: ab[1] - ab[0] > 1):
+            if wide:
+                columns += (map(tuple, np.sort(rows[:, a:b], axis=1).tolist()) for a, b in cuts)
+            else:
+                cuts = list(cuts)
+                columns += singles[rows[:, cuts[0][0] : cuts[-1][1]]].T.tolist()
+        partitions[q] = zip(*columns)
+    profile = _Profile(map(next, map(partitions.__getitem__, level_of.tolist())))
     profile._schedule, profile._levels, profile._places = schedule, level_of, election._places
     charges = _charges(policy, order.tolist(), levels) if record_log else ()
     return ElicitationRun(

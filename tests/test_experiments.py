@@ -326,6 +326,22 @@ def test_config_rejects_a_strategy_listed_twice():
         parse_config(data)
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"strategies": ["S-EQ"]}, "strategies: 'S-EQ' is not a (QuestionType, BudgetPolicy) pair"),
+        (
+            {"strategies": [("S", "EQ")]},
+            "strategies: ('S', 'EQ') is not a (QuestionType, BudgetPolicy) pair",
+        ),
+        ({"cultures": ["IC"]}, "cultures: 'IC' is not a CultureSpec"),
+    ],
+)
+def test_config_built_in_python_names_an_entry_of_the_wrong_type(overrides, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        small_config(**overrides)
+
+
 def test_parse_config_rejects_nan_contagion():
     data = json.loads(
         '{"m": 4, "n": 3, "k": 2, "elections_per_culture": 1,'

@@ -4,7 +4,9 @@ import pickle
 from bisect import bisect_right
 from collections import Counter, deque
 from fractions import Fraction as F
-from itertools import accumulate, pairwise
+from functools import cache
+from itertools import accumulate, chain, pairwise, starmap
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -27,10 +29,18 @@ from queryvote import (
     select_top_k,
     strategy_label,
 )
+from queryvote.cultures import KINDS
 from queryvote.experiments import full_resolution_cost, sweep_distances
 from queryvote.rng import substream
 from queryvote.scoring import _share_table, borda_vector, partial_scores, query_based_committee
-from queryvote.strategies import ProtocolError, _elicit, _levels_of, _schedule_of, apply_answer
+from queryvote.strategies import (
+    ProtocolError,
+    _elicit,
+    _levels_of,
+    _schedule_of,
+    _singletons,
+    apply_answer,
+)
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
@@ -601,6 +611,54 @@ def test_profiles_from_one_sort_match_the_per_class_sort(m, n):
                 assert all(type(c) is int for partition in run.profile for cls in partition for c in cls)
 
 
+@cache
+def class_table(schedule):
+    """``table[q, p]``: the index, best first, of place p's class after q questions."""
+    places = np.arange(schedule.m)
+    return np.array([np.searchsorted(cuts, places, side="right") - 1 for cuts in schedule.cuts])
+
+
+def one_sort_profile(e, kind, policy, cost, budget, order):
+    """Each voter's classes read off one sort of the whole election, voter by voter.
+
+    Each class index times m, plus the candidate, sorts every voter's
+    candidates by class, best first, and by id within a class; the remainder
+    mod m gives the candidate back, and the cuts at the voter's level slice
+    the row into its classes.
+    """
+    schedule = _schedule_of(kind, cost, e.m)
+    levels, _ = _elicit(schedule, policy, e.n, budget)
+    level_of = np.empty(e.n, dtype=np.intp)
+    level_of[order] = levels
+    keys = class_table(schedule)[level_of] * e.m + e._rankings
+    keys.sort(axis=1)
+    keys %= e.m
+    getters = {q: itemgetter(*starmap(slice, pairwise(schedule.cuts[q]))) for q in set(levels) if q}
+    return tuple(
+        getters[level](row) if level else (row,)
+        for row, level in zip(map(tuple, keys.tolist()), level_of.tolist())
+    )
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 3), (7, 5), (20, 20), (100, 250)])
+@pytest.mark.parametrize("culture", KINDS)
+def test_profiles_by_level_and_class_match_the_one_sort(culture, m, n):
+    """Every strategy and cost, at 0, one price, half, just under and at the full spend, and unlimited."""
+    if culture == "ST":
+        m += m % 2  # stratification needs an even candidate count
+    e = generate(CultureSpec(culture, seed=m + n), m, n, 1)
+    order = [int(v) for v in substream(n, m).permutation(n)]
+    for cost in COST_FUNCTIONS:
+        for kind, policy in ALL_STRATEGIES:
+            schedule = _schedule_of(kind, cost, m)
+            full = _elicit(schedule, EQ, n, UNLIMITED)[1]
+            one = schedule.prices[0] if schedule.prices else 0
+            for budget in (0, one, full / 2, math.nextafter(float(full), 0), full, UNLIMITED):
+                run = run_elicitation(e, kind, policy, cost, budget, order, record_log=False)
+                assert run.profile == one_sort_profile(e, kind, policy, cost, budget, order)
+                assert set(map(type, chain.from_iterable(chain.from_iterable(run.profile)))) == {int}
+
+
 def test_an_elicited_profile_is_a_plain_tuple_to_its_readers():
     e = generate(CultureSpec("Urn", seed=3), 6, 9, 2)
     for kind, policy in ALL_STRATEGIES:
@@ -621,7 +679,7 @@ def test_cached_schedule_tables_and_kept_profile_arrays_are_read_only():
     before = run_elicitation(e, SPLIT, EQ, "computational", UNLIMITED)
     schedule = _schedule_of(SPLIT, "computational", 5)
     shares = _share_table(schedule, borda_vector(5))
-    for table in (shares, schedule.classes, before.profile._levels, e._places):
+    for table in (shares, _singletons(5), before.profile._levels, e._places):
         assert not table.flags.writeable
         with pytest.raises(ValueError):
             table[...] = 0
