@@ -67,21 +67,47 @@ def _places_of(rankings: np.ndarray) -> np.ndarray:
     return places
 
 
+class _Rows:
+    """The ``voters`` field of :class:`Election`, a data descriptor.
+
+    The constructor's rows are kept in the instance's ``__dict__`` only until
+    ``__post_init__`` takes them out to check them. After that the field is
+    the rankings as a tuple of tuples of ints, built from ``_rankings`` on
+    first read and cached in the same slot.
+    """
+
+    def __get__(self, election, owner=None):
+        if election is None:
+            # No class-level value, so the field has no default.
+            raise AttributeError("voters")
+        rows = election.__dict__.get("voters")
+        if rows is None:
+            rows = election.__dict__["voters"] = tuple(map(tuple, election._rankings.tolist()))
+        return rows
+
+    def __set__(self, election, rows):
+        election.__dict__["voters"] = rows
+
+
 @dataclass(frozen=True)
 class Election:
     """An ordinal election with ``m`` candidates and a target committee size ``k``.
 
     ``voters`` may be given as any rows of candidate ids, or as an n x m
-    integer-dtype ndarray, which is read as it is; either way they are
-    stored as a tuple of tuples of ints. The rankings are checked once, as
-    one n x m int array, which is kept, read-only, in the private
-    ``_rankings``; it takes no part in ``==``, ``hash`` or ``repr``, and
-    neither does its inverse, ``_places``, built on first read. An array
-    passed in is copied, never kept or frozen.
+    integer-dtype ndarray, which is read as it is; an array passed in is
+    copied, never kept or frozen. The rankings are checked once, as one
+    n x m int array, kept read-only in the private ``_rankings``, and that
+    array is all the election stores. ``voters``, a tuple of tuples of ints,
+    is built from it on first read and cached; ``n`` is its row count.
+    ``==`` compares ``m``, ``k`` and the two arrays, which answers as
+    comparing ``voters`` would, since each determines the other; ``hash``
+    and ``repr`` read ``voters``. ``_rankings`` and its inverse ``_places``,
+    built on first read, are neither compared nor shown. A pickle rebuilds
+    the election from ``(m, _rankings, k)``.
     """
 
     m: int
-    voters: tuple[PreferenceOrder, ...]
+    voters: tuple[PreferenceOrder, ...] = _Rows()
     k: int
     _rankings: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -90,19 +116,30 @@ class Election:
             raise ValueError(f"need at least one candidate, got m={self.m}")
         if not 1 <= self.k <= self.m:
             raise ValueError(f"committee size k={self.k} outside [1, {self.m}]")
-        rankings, bad = _id_table(self.voters, self.m)
+        rankings, bad = _id_table(self.__dict__.pop("voters"), self.m)
         if not len(rankings):
             raise ValueError("election needs at least one voter")
         if bad is not None:
             raise ValueError(f"voter {bad} ranking is not a permutation of ints 0..{self.m - 1}")
         rankings.flags.writeable = False
-        object.__setattr__(self, "voters", tuple(map(tuple, rankings.tolist())))
         object.__setattr__(self, "_rankings", rankings)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.m == other.m
+            and self.k == other.k
+            and np.array_equal(self._rankings, other._rankings)
+        )
+
+    def __reduce__(self):
+        return Election, (self.m, self._rankings, self.k)
 
     @property
     def n(self) -> int:
         """Number of voters."""
-        return len(self.voters)
+        return self._rankings.shape[0]
 
     @cached_property
     def _places(self) -> np.ndarray:

@@ -19,10 +19,13 @@ per-voter streams of an election are seeded in one pass by
 ``substream(seed, 1, voter)``.
 
 Every generator returns its votes as one n x m int array, which
-:class:`~queryvote.core.Election` reads as it is: IC, Urn and ST stack the
-drawn permutations, Mallows its inserted votes, ID, UN and AN repeat their
-few orders, and Euclidean2D ranks every voter with one stable sort of the
-n x m squared distances.
+:class:`~queryvote.core.Election` reads as it is: IC and ST shuffle each
+voter's row of one preallocated array in place (``permutation(m)`` is
+``arange(m)`` shuffled, so the draws are the same), Urn stacks its drawn
+permutations, Mallows decodes its insertion positions, ID, UN and AN
+repeat their few orders, and Euclidean2D fills one n x 2 array of voter
+points in place and ranks every voter with one stable sort of the n x m
+squared distances.
 
 Mallows votes come from the repeated insertion model (Doignon et al., 2004;
 Lu & Boutilier, 2014) with one batch of uniforms per voter, and are
@@ -33,8 +36,12 @@ byte-identical to calling ``rng.choice(i, p=...)`` once per insertion:
 - each insertion cdf is built once per ``(m, phi)`` with the arithmetic
   ``choice`` uses (``p.cumsum()``, then divided by its last entry);
 - ``choice`` returns ``cdf.searchsorted(u, side="right")``, which is run
-  once per insertion step over every voter's double for that step; the
-  positions are then applied with ``list.insert``, voter by voter.
+  once per insertion step over every voter's double for that step;
+- the positions are decoded for every voter at once: one m x n array holds
+  each center candidate's place in each vote so far, a row per candidate so
+  that a step reads contiguous rows, in the smallest int dtype that holds
+  m; inserting at p moves every place at or after p down by one, and one
+  ``put_along_axis`` of the center by the final places gives the votes.
 """
 
 from __future__ import annotations
@@ -123,12 +130,18 @@ def _number(value, name: str) -> float:
 
 
 def _generate_ic(seed: int, m: int, n: int) -> np.ndarray:
-    return np.stack([rng.permutation(m) for rng in _streams(seed, 1, n)])
+    votes = np.empty((n, m), dtype=np.intp)
+    votes[:] = np.arange(m)
+    for row, rng in zip(votes, _streams(seed, 1, n)):
+        rng.shuffle(row)
+    return votes
 
 
 def _generate_euclidean(seed: int, m: int, n: int) -> np.ndarray:
     candidate_points = substream(seed, 0).random((m, 2))
-    points = np.stack([rng.random(2) for rng in _streams(seed, 1, n)])
+    points = np.empty((n, 2))
+    for row, rng in zip(points, _streams(seed, 1, n)):
+        rng.random(out=row)
     return _rank_by_distance(points, candidate_points)
 
 
@@ -174,6 +187,9 @@ def _insertion_cdfs(m: int, phi: float) -> tuple[np.ndarray, ...]:
 def _generate_mallows(
     seed: int, m: int, n: int, phi: float = DEFAULT_MALLOWS_PHI, center=None
 ) -> np.ndarray:
+    """Mallows votes around ``center`` (one uniform order by default), by
+    repeated insertion, with every voter's insertion positions decoded at
+    once into places and the votes built by one ``put_along_axis``."""
     phi = _number(phi, "Mallows dispersion phi")
     if not 0 < phi <= 1:
         raise ValueError(f"Mallows dispersion must lie in (0, 1], got {phi}")
@@ -191,19 +207,22 @@ def _generate_mallows(
         center = tuple(int(c) for c in center)
         if tuple(sorted(center)) != tuple(range(m)):
             raise ValueError(f"Mallows center must be a permutation of 0..{m - 1}")
-    # One batch of m - 1 uniforms per voter; column i - 2 places the i-th
-    # center candidate of every voter at once.
-    draws = np.stack([rng.random(m - 1) for rng in _streams(seed, 1, n)])
-    positions = np.empty((n, m - 1), dtype=np.intp)
-    for step, cdf in enumerate(_insertion_cdfs(m, phi)):
-        positions[:, step] = cdf.searchsorted(draws[:, step], side="right")
-    votes = []
-    for row in positions.tolist():
-        vote = [center[0]]
-        for candidate, position in zip(center[1:], row):
-            vote.insert(position, candidate)
-        votes.append(vote)
-    return np.array(votes)
+    # One batch of m - 1 uniforms per voter; column i - 1 places center
+    # candidate i of every voter at once.
+    draws = np.empty((n, m - 1))
+    for row, rng in zip(draws, _streams(seed, 1, n)):
+        rng.random(out=row)
+    # place[j, v]: the place of center candidate j in voter v's vote so far.
+    # Inserting candidate i at place[i] moves every candidate placed there
+    # or later one down; only later steps move candidate i.
+    place = np.zeros((m, n), dtype=np.min_scalar_type(m))
+    for i, cdf in enumerate(_insertion_cdfs(m, phi), 1):
+        place[i] = cdf.searchsorted(draws[:, i - 1], side="right")
+        placed = place[:i]
+        placed += placed >= place[i]
+    votes = np.empty((n, m), dtype=np.intp)
+    np.put_along_axis(votes, place.T, np.array(center)[None], axis=1)
+    return votes
 
 
 def _generate_id(seed: int, m: int, n: int) -> np.ndarray:
@@ -238,12 +257,13 @@ def _generate_st(seed: int, m: int, n: int) -> np.ndarray:
     if m % 2:
         raise ValueError(f"stratification needs an even candidate count, got m={m}")
     mixed = substream(seed, 0).permutation(m).tolist()
-    upper, lower = sorted(mixed[: m // 2]), sorted(mixed[m // 2 :])
-    votes = [
-        np.concatenate([rng.permutation(upper), rng.permutation(lower)])
-        for rng in _streams(seed, 1, n)
-    ]
-    return np.stack(votes)
+    half = m // 2
+    votes = np.empty((n, m), dtype=np.intp)
+    votes[:, :half], votes[:, half:] = sorted(mixed[:half]), sorted(mixed[half:])
+    for row, rng in zip(votes, _streams(seed, 1, n)):
+        rng.shuffle(row[:half])
+        rng.shuffle(row[half:])
+    return votes
 
 
 def _generate_an(seed: int, m: int, n: int) -> np.ndarray:

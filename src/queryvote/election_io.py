@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Election
+from .core import Election, _id_table
 
 
 def write_native(election: Election, path) -> None:
@@ -122,15 +122,19 @@ def _parse_preflib(path, lines: list[tuple[int, str]], k: int) -> Election:
     body = lines[m + 2 :]
     if len(body) != unique:
         raise ValueError(f"{path}: header promises {unique} order lines, found {len(body)}")
-    voters = []
+    orders, counts = [], []
     for number, line in body:
         count, *ranking = _ints(path, number, line, sep=",")
         if count < 1:
             raise ValueError(f"{path}:{number}: expected an order count of at least 1, got {count}")
-        voters.extend([tuple(c - 1 for c in ranking)] * count)
-    if len(voters) != n or len(voters) != vote_total:
-        raise ValueError(f"{path}: vote counts sum to {len(voters)}, header says {n}")
-    return Election(m=m, voters=tuple(voters), k=k)
+        orders.append([c - 1 for c in ranking])
+        counts.append(count)
+    if sum(counts) != n or sum(counts) != vote_total:
+        raise ValueError(f"{path}: vote counts sum to {sum(counts)}, header says {n}")
+    # Each distinct order is read once. One that is not a permutation stays
+    # one in every copy, so the election refuses it at its first voter.
+    table, _ = _id_table(orders, m)
+    return Election(m=m, voters=np.repeat(table, counts, axis=0), k=k)
 
 
 def load_election(path, k: int | None = None) -> Election:

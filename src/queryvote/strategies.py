@@ -292,12 +292,21 @@ def _fcfs(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
             levels.append(q)
             units += schedule.cum[q]
     else:
-        levels, units = [], 0
-        while len(levels) < n:
-            q, units = _afford(schedule.units, units, cap)
+        # The spend is one running sum over the prices tiled voter after
+        # voter (``cumsum`` adds in order, one price at a time). It is taken
+        # over one voter more than the cap pays for in full, which passes the
+        # cap unless rounding kept the sums low, and then over every voter.
+        full = schedule.cum[-1]
+        block = min(n, int(cap // full) + 2) if cap < n * full else n
+        sums = np.tile(schedule.units, block).cumsum()
+        if block < n and float(sums[-1]) <= cap:
+            sums = np.tile(schedule.units, n).cumsum()
+        charged = bisect_right(sums, cap, key=float)
+        units = float(sums[charged - 1]) if charged else 0
+        done, q = divmod(charged, last)
+        levels = [last] * done
+        if done < n:
             levels.append(q)
-            if q < last:
-                break
     return levels + [0] * (n - len(levels)), units
 
 
@@ -416,5 +425,5 @@ def run_elicitation(
         budget=budget,
         spent=spent,
         profile=profile,
-        log=tuple(_entry(schedule, v, election.voters[v], q) for v, q in charges),
+        log=tuple(_entry(schedule, v, election._rankings[v].tolist(), q) for v, q in charges),
     )

@@ -1,5 +1,6 @@
 import operator
-from dataclasses import fields
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,15 @@ from queryvote import (
     hamming,
     k_borda,
     load_election,
+    partial_scores,
+    run_elicitation,
     select_top_k,
     write_native,
 )
+from queryvote.election_io import write_preflib
 from queryvote.rng import substream
+from queryvote.scoring import borda_vector
+from queryvote.strategies import ALL_STRATEGIES
 
 
 def test_borda_single_voter():
@@ -283,3 +289,83 @@ def test_other_arrays_are_refused_as_their_rows_are(array):
     with pytest.raises(ValueError, match=message):
         Election(m=3, voters=tuple(map(tuple, array)), k=1)
     assert array.flags.writeable
+
+
+def built_ways(tmp_path, m, rows, k):
+    """The election of ``rows`` (int tuples), built in every way the package builds one."""
+    path = tmp_path / "e.elec"
+    write_native(Election(m=m, voters=rows, k=k), path)
+    from_native = load_election(path)
+    soc = tmp_path / "e.soc"
+    write_preflib(Election(m=m, voters=rows, k=k), soc)
+    from_preflib = load_election(soc, k=k)
+    assert sorted(from_preflib.voters) == sorted(rows)
+    ways = [
+        Election(m=m, voters=rows, k=k),
+        Election(m=m, voters=[list(row) for row in rows], k=k),
+        Election(m=m, voters=np.array(rows, dtype=np.int64), k=k),
+        Election(m=m, voters=np.array(rows, dtype=np.uint8), k=k),
+        from_native,
+        replace(from_native),
+        replace(Election(m=m, voters=rows, k=1 if k > 1 else m), k=k),
+    ]
+    # PrefLib lists equal orders together, most frequent first, then by order.
+    if rows == preflib_order(rows):
+        ways.append(from_preflib)
+    return ways
+
+
+def preflib_order(rows):
+    return tuple(sorted(rows, key=lambda row: (-rows.count(row), row)))
+
+
+def test_every_way_of_building_an_election_agrees(tmp_path):
+    """Tuples, arrays, files, ``replace`` and pickles of the same rankings: one election."""
+    rng = substream(17)
+    for trial in range(60):
+        m = 1 + trial % 7 if trial < 40 else int(rng.integers(8, 40))
+        n = int(rng.integers(1, 6))
+        k = int(rng.integers(1, m + 1))
+        rows = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
+        if trial % 2:
+            rows = preflib_order(rows)
+        ways = built_ways(tmp_path, m, rows, k)
+        ways += [pickle.loads(pickle.dumps(e)) for e in ways]
+        expected_repr = f"Election(m={m}, voters={rows!r}, k={k})"
+        for e in ways:
+            assert type(e) is Election and (e.m, e.n, e.k) == (m, n, k)
+            assert e._rankings.dtype == np.int32 and not e._rankings.flags.writeable
+            assert e == ways[0] and not e != ways[0] and ways[0] == e
+            assert hash(e) == hash((m, rows, k)) and repr(e) == expected_repr
+            assert e.voters == rows and all(type(c) is int for row in e.voters for c in row)
+            assert [f.name for f in fields(e) if f.compare] == ["m", "voters", "k"]
+            assert (e == (m, rows, k)) is False and e != rows
+        others = [Election(m=m, voters=rows + rows[:1], k=k)]
+        if k < m:
+            others.append(Election(m=m, voters=rows, k=k + 1))
+        if m > 1:
+            swapped = (rows[0][1::-1] + rows[0][2:],) + rows[1:]
+            others.append(Election(m=m, voters=swapped, k=k))
+        bigger = tuple(row + (m,) for row in rows)
+        others.append(Election(m=m + 1, voters=bigger, k=k))
+        for other in others:
+            assert other != ways[0] and not other == ways[0]
+            assert ways[0] != other and hash(other) == hash((other.m, other.voters, other.k))
+
+
+def test_the_file_and_sweep_path_never_builds_voters(tmp_path):
+    """generate -> write_native -> load_election -> == -> k_borda -> runs -> scores."""
+    scoring = borda_vector(30)
+    for kind in ("IC", "Euclidean2D", "Urn", "Mallows"):
+        election = generate(CultureSpec(kind, seed=3), 30, 40, 5)
+        path = tmp_path / f"{kind}.elec"
+        write_native(election, path)
+        loaded = load_election(path)
+        assert loaded == election
+        target = k_borda(loaded)
+        for question, policy in ALL_STRATEGIES:
+            run = run_elicitation(loaded, question, policy, "computational", 5000, record_log=False)
+            assert len(select_top_k(partial_scores(run.profile, scoring), 5)) == len(target)
+        assert "voters" not in vars(election) and "voters" not in vars(loaded)
+        # A read builds it once and keeps it.
+        assert loaded.voters is loaded.voters and "voters" in vars(loaded)

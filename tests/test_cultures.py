@@ -275,6 +275,18 @@ def test_mallows_matches_the_reference_sampler(phi):
         assert generate(spec, m, n, 1).voters == expected
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 200, 256])
+def test_mallows_decode_matches_the_reference_sampler_at_edge_sizes(m):
+    """One candidate, the first insertions, and both sides of the one-byte place dtype."""
+    rng = substream(2024, 9, m)
+    for n, phi in [(1, 0.8), (3, 1.0), (4, 1e-6), (5, float(rng.uniform(0.05, 1.0)))]:
+        seed = int(rng.integers(2**63))
+        center = [int(c) for c in rng.permutation(m)] if n == 4 else None
+        params = {"phi": phi} if center is None else {"phi": phi, "center": center}
+        election = generate(CultureSpec("Mallows", seed=seed, params=params), m, n, 1)
+        assert election.voters == reference_mallows(seed, m, n, phi, center)
+
+
 def test_rank_by_distance_matches_the_reference_sort():
     rng = substream(2024, 8)
     for _ in range(200):

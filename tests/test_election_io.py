@@ -254,3 +254,43 @@ def test_native_round_trip_at_100x250(tmp_path, kind):
     assert path.read_text() == "\n".join(lines) + "\n"
     back = load_election(path)
     assert back == e and (back._rankings == e._rankings).all()
+
+
+def per_voter_preflib_load(path, k):
+    """A PrefLib file read into one tuple per voter, as the reference for ``load_election``."""
+    lines = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
+    m = int(lines[0])
+    n, _, _ = map(int, lines[m + 1].split(","))
+    voters = []
+    for line in lines[m + 2 :]:
+        count, *ranking = map(int, line.split(","))
+        voters.extend([tuple(c - 1 for c in ranking)] * count)
+    assert len(voters) == n
+    return Election(m=m, voters=tuple(voters), k=k)
+
+
+def test_preflib_orders_make_the_election_their_voters_make(tmp_path):
+    """Repeated orders with odd ids, lengths and counts: the same election, or the same error."""
+    rng = substream(18)
+    path = tmp_path / "x.soc"
+    for trial in range(400):
+        m, unique = int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        orders = [[str(c + 1) for c in rng.permutation(m)] for _ in range(unique)]
+        for _ in range(int(rng.integers(0, 3))):
+            order = orders[int(rng.integers(unique))]
+            at = int(rng.integers(len(order)))
+            how = int(rng.integers(5))
+            if how == 0:
+                order[at] = order[at - 1]
+            elif how == 1 and len(order) > 1:
+                del order[at]
+            elif how == 2:
+                order.append(order[at])
+            else:
+                order[at] = str([0, m + 1, 2**31 + 1, 2**64, -(2**63)][int(rng.integers(5))])
+        counts = [int(c) for c in rng.integers(1, 4, size=unique)]
+        lines = [str(m), *(f"{c + 1},C{c}" for c in range(m)), f"{sum(counts)},{sum(counts)},{unique}"]
+        lines += [f"{count}," + ",".join(order) for count, order in zip(counts, orders)]
+        path.write_text("\n".join(lines) + "\n")
+        expected = loaded(lambda p: per_voter_preflib_load(p, 1), path)
+        assert loaded(lambda p: load_election(p, k=1), path) == expected

@@ -656,7 +656,9 @@ def test_profiles_by_level_and_class_match_the_one_sort(culture, m, n):
             for budget in (0, one, full / 2, math.nextafter(float(full), 0), full, UNLIMITED):
                 run = run_elicitation(e, kind, policy, cost, budget, order, record_log=False)
                 assert run.profile == one_sort_profile(e, kind, policy, cost, budget, order)
-                assert set(map(type, chain.from_iterable(chain.from_iterable(run.profile)))) == {int}
+                # Voters at level 0 share one partition, which is checked once.
+                partitions = {id(partition): partition for partition in run.profile}.values()
+                assert set(map(type, chain.from_iterable(chain.from_iterable(partitions)))) == {int}
 
 
 def test_an_elicited_profile_is_a_plain_tuple_to_its_readers():
@@ -736,3 +738,54 @@ def test_float_spend_in_closed_form_matches_the_loop(m):
                 assert levels == expected_levels
                 assert type(spent) is type(expected_spent)
                 assert float(spent).hex() == float(expected_spent).hex()
+
+
+def fcfs_per_voter_search(schedule, n, cap):
+    """``FCFS`` under float prices, one voter at a time: each voter's running
+    sums from the spend so far, searched once for the cap."""
+    last = len(schedule.units)
+    levels, units = [], 0
+    while len(levels) < n:
+        sums = list(accumulate(schedule.units, initial=units))
+        q = bisect_right(sums, cap) - 1
+        levels.append(q)
+        units = sums[q]
+        if q < last:
+            break
+    return levels + [0] * (n - len(levels)), units
+
+
+@pytest.mark.parametrize("n", [1, 250])
+@pytest.mark.parametrize("m", [2, 7, 100])
+def test_float_fcfs_matches_the_per_voter_search(m, n):
+    """Every float cost and question type, at 0, one price, exact partial sums
+    (within a voter and at voter boundaries), just under the full cost and unlimited."""
+    rng = substream(60, m, n)
+    for cost in COST_FUNCTIONS:
+        for kind in QuestionType:
+            schedule = _schedule_of(kind, cost, m)
+            if schedule.exact:
+                continue
+            _, full = fcfs_per_voter_search(schedule, n, UNLIMITED)
+            sums = list(accumulate(chain.from_iterable([schedule.units] * n)))
+            boundaries = sums[len(schedule.units) - 1 :: len(schedule.units)]
+            picks = [*map(float, rng.choice(sums, size=4)), *map(float, rng.choice(boundaries, size=2))]
+            budgets = [0, schedule.prices[0], *picks, math.nextafter(full, 0), full, UNLIMITED]
+            budgets += [math.nextafter(b, 0) for b in picks] + [F(picks[0]), int(picks[0])]
+            for budget in budgets:
+                levels, spent = _elicit(schedule, FCFS, n, budget)
+                expected_levels, expected_spent = fcfs_per_voter_search(schedule, n, budget)
+                assert levels == expected_levels
+                assert type(spent) is type(expected_spent)
+                assert float(spent).hex() == float(expected_spent).hex()
+
+
+def test_float_fcfs_does_not_rest_on_its_block_estimate():
+    """A schedule that states ten times its true full cost makes the first block
+    of running sums too short; the levels and spend are still the loop's."""
+    real = _schedule_of(SPLIT, "computational", 9)
+    stated = type("Stated", (), {"units": real.units, "exact": False, "scale": None, "cum": [real.cum[-1] * 10]})
+    for n in (1, 5, 40):
+        _, full = fcfs_per_voter_search(real, n, UNLIMITED)
+        for budget in (0, real.cum[-1] * 3, full / 2, math.nextafter(full, 0), full, UNLIMITED):
+            assert _elicit(stated, FCFS, n, budget) == fcfs_per_voter_search(real, n, budget)
