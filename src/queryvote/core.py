@@ -7,6 +7,7 @@ candidate ids of the election's committee size ``k``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -58,6 +59,17 @@ def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None]
         table = table.reshape(len(rows), m)
     bad = (np.sort(table, axis=1) != np.arange(m)).any(axis=1)
     return table, int(bad.argmax()) if bad.any() else None
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as a plain int, read with ``operator.index``, which refuses
+    floats; a bool is refused by type. Anything else names the field."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _places_of(rankings: np.ndarray) -> np.ndarray:
@@ -112,6 +124,8 @@ class Election:
     _rankings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "m", _whole("m", self.m))
+        object.__setattr__(self, "k", _whole("k", self.k))
         if self.m < 1:
             raise ValueError(f"need at least one candidate, got m={self.m}")
         if not 1 <= self.k <= self.m:

@@ -55,7 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Election, PreferenceOrder
+from .core import Election, PreferenceOrder, _whole
 from .rng import _streams, substream
 
 DEFAULT_URN_ALPHA = 0.5  # copies added per draw, as a multiple of m!
@@ -112,7 +112,7 @@ def _rank_by_distance(points, candidate_points) -> np.ndarray:
     """
     pts = np.asarray(candidate_points, dtype=float)
     here = np.asarray(points, dtype=float)
-    squared = ((pts - here[:, None, :]) ** 2).sum(axis=2)
+    squared = (pts[:, 0] - here[:, :1]) ** 2 + (pts[:, 1] - here[:, 1:]) ** 2
     return np.argsort(squared, axis=1, kind="stable")
 
 
@@ -309,6 +309,7 @@ def generate(spec: CultureSpec, m: int, n: int, k: int) -> Election:
         n: number of voters.
         k: committee size, stored on the election.
     """
+    m, n = _whole("m", m), _whole("n", n)
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
     generator, _ = _CULTURES[spec.kind]

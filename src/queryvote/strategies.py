@@ -11,12 +11,13 @@ shown. So one :class:`Schedule` per (question type, cost, m) holds, for every
 voter alike, the range asked at each step, its price and the cuts after q
 questions, and a voter's whole state is its level: the number of questions
 it has answered. A run is one function of (schedule, budget policy, voter
-order, budget), :func:`_elicit`, which gives the level of each place in the
-voter order and the spend. :func:`run_elicitation` builds the voters'
-classes level by level and class by class: the voters at one level share
-its cuts, so a wider class is a block of their rankings' columns sorted row
-by row, and a run of one-candidate classes is one gather of those columns.
-The transcript is read off the schedule at the same levels. The profile it
+order, budget), :func:`_elicit`: levels never rise along the voter order,
+so each policy yields them as runs ``(level, count)``, which ``_elicit``
+expands into the level of each place, with the spend. :func:`run_elicitation`
+builds the voters' classes level by level and class by class: the voters at
+one level share its cuts, so a wider class is a block of their rankings'
+columns sorted row by row, and a run of one-candidate classes is one gather
+of those columns. The transcript is read off the schedule at the same levels. The profile it
 returns is a tuple that also keeps its schedule, each voter's level and the
 election's places, so :func:`~queryvote.scoring.partial_scores` scores it
 from one table of shares by level and place, as a sweep does; any other
@@ -32,12 +33,12 @@ each budget is computed on its own in time linear in schedule and voters:
   voter refused at level r stays refused, since the spend only grows and
   the price of question r is fixed, and so is every later voter at level r.
   So round r asks the first ``j_r = min(j_{r-1}, (cap - spent) // price_r)``
-  voters of the order, all at level r.
+  voters of the order, all at level r: one run of levels per round.
 * ``FCFS``: fully resolve the first voter before touching the second, and so
   on; the run ends the moment the current voter's next question does not fit
   in the remaining budget (partial progress on that voter is kept). So the
   first ``cap // full`` voters are resolved, and the next one stops at the
-  last level whose running price fits in what is left.
+  last level whose running price fits in what is left: at most three runs.
 
 The spend is exact. When the prices are Fractions, it is kept as an int
 count of ``1/D`` units, D their least common denominator: every price is a
@@ -47,7 +48,9 @@ rational), holds exactly when ``units / D <= budget``. Int prices
 (``candidates``) are whole units with D = 1. Float prices (``computational``)
 are summed one at a time in the order charged, as a running sum searched
 once for the budget itself: no int count reproduces a sum of rounded
-additions.
+additions. One search, :func:`_afford`, serves both policies: ``EQUAL``
+runs it on each round's prices, ``FCFS`` on the prices tiled voter after
+voter.
 
 A custom cost callable may price a question by the candidates shown, which
 no schedule can hold, so elicitation takes registry costs only; the axiom
@@ -205,14 +208,17 @@ def _elicit(schedule: Schedule, policy: BudgetPolicy, n: int, budget) -> tuple[l
     """The level of each place in an order of ``n`` voters under ``budget``, and the spend.
 
     The spend is the int 0 before any charge, then the sum in the prices'
-    type. With int units the cap is ``floor(budget * D)`` units; else the
-    budget itself.
+    type. With int units the cap is ``floor(budget * D)`` units, or all n
+    voters' questions under an unlimited budget; else the budget itself.
     """
     _check_budget(budget)
     cap = budget
-    if schedule.exact and budget != UNLIMITED:
-        cap = _units_cap(budget, schedule.scale or 1)
-    levels, units = _DRIVERS[policy](schedule, n, cap)
+    if schedule.exact:
+        cap = n * schedule.cum[-1] if budget == UNLIMITED else _units_cap(budget, schedule.scale or 1)
+    runs, units = _DRIVERS[policy](schedule, n, cap)
+    levels = []
+    for level, count in runs:
+        levels += [level] * count
     # Every registry price is positive, so no units means no charge yet.
     if schedule.scale is None or not units:
         return levels, units
@@ -238,76 +244,55 @@ def _entry(schedule: Schedule, v: int, ranking: Sequence[int], q: int) -> LogEnt
 
 def _afford(prices, units, cap) -> tuple[int, object]:
     """How many of the float ``prices``, charged in order from a spend of
-    ``units``, fit under ``cap``, and the spend after them.
+    ``units``, fit under ``cap``, and the spend after them (``units`` if none).
 
-    The running sums are the floats of adding one price at a time, and
-    never decrease, since every price is positive; so one search finds the
-    first charge that does not fit.
+    ``prices`` is a fresh float array, overwritten with the running sums:
+    ``cumsum`` adds one price at a time, so they are the floats of charging
+    the prices in order, and never decrease, since every price is positive;
+    so one search finds the first charge that does not fit.
     """
-    sums = list(accumulate(prices, initial=units))
-    asked = bisect_right(sums, cap) - 1
-    return asked, sums[asked]
+    prices[:1] += units
+    sums = prices.cumsum(out=prices)
+    asked = bisect_right(sums, cap, key=float)
+    return asked, float(sums[asked - 1]) if asked else units
 
 
-def _equal(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
-    """``EQUAL``: the level of each place in the voter order, and the spend in units."""
-    counts, units, asking = [], 0, n
+def _equal(schedule: Schedule, n: int, cap) -> tuple[list[tuple[int, int]], object]:
+    """``EQUAL``: the runs of levels along the voter order, and the spend in units."""
+    counts, units, asking = [n], 0, n
     for price in schedule.units:
-        if not schedule.exact:
-            asking, units = _afford(repeat(price, asking), units, cap)
-        elif cap != UNLIMITED:
+        if schedule.exact:
             asking = min(asking, (cap - units) // price)
+            units += asking * price
+        else:
+            asking, units = _afford(np.full(asking, price), units, cap)
         if not asking:
             break
-        if schedule.exact:
-            units += asking * price
         counts.append(asking)
-    return _levels_of(counts, n), units
+    # Round q asked the first ``counts[q + 1]`` places, so the places from
+    # there up to ``counts[q]`` stopped at level q.
+    return [(q, a - b) for q, (a, b) in enumerate(pairwise([*counts, 0]))][::-1], units
 
 
-def _levels_of(counts: list[int], n: int) -> list[int]:
-    """The level of each of ``n`` places when round r asked the first
-    ``counts[r]`` places, for non-increasing ``counts``.
-
-    The place i was asked in every round that asked more than i places, so
-    the levels are runs: ``len(counts)`` for the first ``counts[-1]`` places,
-    one less up to ``counts[-2]``, and so on down to 0.
-    """
-    levels, placed = [], 0
-    for level in range(len(counts), 0, -1):
-        levels += [level] * (counts[level - 1] - placed)
-        placed = counts[level - 1]
-    return levels + [0] * (n - placed)
-
-
-def _fcfs(schedule: Schedule, n: int, cap) -> tuple[list[int], object]:
-    """``FCFS``: the level of each place in the voter order, and the spend in units."""
-    last = len(schedule.units)
+def _fcfs(schedule: Schedule, n: int, cap) -> tuple[list[tuple[int, int]], object]:
+    """``FCFS``: the runs of levels along the voter order, and the spend in units."""
+    last, full = len(schedule.units), schedule.cum[-1]
     if schedule.exact:
-        full = schedule.cum[-1]
-        done = n if cap == UNLIMITED or not last else min(n, cap // full)
-        levels, units = [last] * done, done * full
-        if done < n:
-            q = bisect_right(schedule.cum, cap - units) - 1
-            levels.append(q)
-            units += schedule.cum[q]
+        # One candidate is asked nothing, so every voter is done at once.
+        done = min(n, cap // full) if last else n
+        q = bisect_right(schedule.cum, cap - done * full) - 1 if done < n else 0
+        units = done * full + schedule.cum[q]
     else:
-        # The spend is one running sum over the prices tiled voter after
-        # voter (``cumsum`` adds in order, one price at a time). It is taken
-        # over one voter more than the cap pays for in full, which passes the
-        # cap unless rounding kept the sums low, and then over every voter.
-        full = schedule.cum[-1]
+        # The prices are tiled over one voter more than the cap pays for in
+        # full, whose running sums pass the cap unless rounding kept them
+        # low, and then over every voter.
         block = min(n, int(cap // full) + 2) if cap < n * full else n
-        sums = np.tile(schedule.units, block).cumsum()
-        if block < n and float(sums[-1]) <= cap:
-            sums = np.tile(schedule.units, n).cumsum()
-        charged = bisect_right(sums, cap, key=float)
-        units = float(sums[charged - 1]) if charged else 0
+        charged, units = _afford(np.tile(schedule.units, block), 0, cap)
+        if block < n and charged == block * last:
+            charged, units = _afford(np.tile(schedule.units, n), 0, cap)
         done, q = divmod(charged, last)
-        levels = [last] * done
-        if done < n:
-            levels.append(q)
-    return levels + [0] * (n - len(levels)), units
+    stop = min(n - done, 1)
+    return [(last, done), (q, stop), (0, n - done - stop)], units
 
 
 def _charges(policy: BudgetPolicy, order: Sequence[int], levels: list[int]) -> list[tuple[int, int]]:

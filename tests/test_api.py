@@ -4,6 +4,7 @@ The README may name only public names, and its Python examples must run.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -128,3 +129,31 @@ def test_every_public_name_is_exported_or_read():
         and not any(name in reads for node, reads in statements if node is not definition)
     )
     assert unread == sorted(UNREAD_ALLOWED), unread
+
+
+ROLE = re.compile(r":(?:func|class|mod|data|attr):`~?([\w.]+?)(?:\(\))?`")
+
+
+def resolve(module, path):
+    """The object that dotted ``path`` names, from ``module`` on, or None."""
+    found = module
+    for part in path.split("."):
+        found = getattr(found, part, None)
+        if found is None:
+            return None
+    return found
+
+
+def test_docstring_cross_references_resolve():
+    """Every ``:func:``, ``:class:``, ``:mod:``, ``:data:`` and ``:attr:`` role
+    in the package names something that exists: a bare name in its own
+    module, a ``queryvote.`` path by attribute lookup from the package."""
+    package = Path(__file__).parent.parent / "src" / "queryvote"
+    unresolved = []
+    for path in sorted(package.glob("*.py")):
+        module = qv if path.stem == "__init__" else importlib.import_module(f"queryvote.{path.stem}")
+        for target in ROLE.findall(path.read_text()):
+            root = qv if target.startswith("queryvote.") else module
+            if resolve(root, target.removeprefix("queryvote.")) is None:
+                unresolved.append(f"{path.name}: {target}")
+    assert not unresolved, unresolved

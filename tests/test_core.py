@@ -130,6 +130,10 @@ def test_hamming_metric_axioms():
         (2, ((True, False),), 1),
         (2, ((np.array([0]), np.array([1])),), 1),
         (2, ((np.array(0), np.array(1)),), 1),
+        (3, ((0, 1, 2),), 1.0),
+        (3, ((0, 1, 2),), True),
+        (2.0, ((0, 1),), 1),
+        (True, ((0,),), 1),
     ],
 )
 def test_election_validation(m, voters, k):
@@ -222,6 +226,7 @@ def test_the_rankings_array_is_invisible(tmp_path):
     assert [f.name for f in fields(e) if f.compare or f.repr] == ["m", "voters", "k"]
     same = Election(m=3, voters=[[np.int64(2), 0, 1], range(3)], k=1)
     assert same == e and hash(same) == hash(e) and repr(same) == repr(e)
+    assert repr(Election(m=np.int64(3), voters=e.voters, k=np.int64(1))) == repr(e)
     assert e != Election(m=3, voters=((0, 1, 2), (2, 0, 1)), k=1)
     assert not e._rankings.flags.writeable
     with pytest.raises(ValueError):

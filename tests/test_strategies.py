@@ -36,9 +36,9 @@ from queryvote.scoring import _share_table, borda_vector, partial_scores, query_
 from queryvote.strategies import (
     ProtocolError,
     _elicit,
-    _levels_of,
     _schedule_of,
     _singletons,
+    _units_cap,
     apply_answer,
 )
 
@@ -263,23 +263,6 @@ def test_arrays_of_other_shapes_are_no_voter_order(worked_election):
                   [np.array(1), np.array(0)]):
         with pytest.raises(ValueError, match="^voter_order must be a permutation"):
             run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=order)
-
-
-def reference_levels(counts, n):
-    """Each place's level as the number of rounds that asked more voters than its index."""
-    ascending = counts[::-1]
-    return [len(counts) - bisect_right(ascending, i) for i in range(n)]
-
-
-def test_levels_by_run_length_match_the_bisect_form():
-    rng = substream(2026, 18)
-    assert _levels_of([], 1) == reference_levels([], 1) == [0]
-    assert _levels_of([1], 1) == reference_levels([1], 1) == [1]
-    for _ in range(500):
-        n = int(rng.integers(1, 40))
-        rounds = int(rng.integers(0, 12))
-        counts = sorted(rng.integers(1, n + 1, size=rounds).tolist(), reverse=True)
-        assert _levels_of(counts, n) == reference_levels(counts, n)
 
 
 def test_negative_budget_rejected(worked_election):
@@ -692,7 +675,7 @@ def test_cached_schedule_tables_and_kept_profile_arrays_are_read_only():
 
 
 def equal_loop(schedule, n, cap):
-    """``EQUAL`` under float prices, one price added per question asked."""
+    """``EQUAL`` in units, one price added per question asked."""
     counts, units, asking = [], 0, n
     for price in schedule.units:
         asked = 0
@@ -707,7 +690,7 @@ def equal_loop(schedule, n, cap):
 
 
 def fcfs_loop(schedule, n, cap):
-    """``FCFS`` under float prices, one price added per question asked."""
+    """``FCFS`` in units, one price added per question asked."""
     last = len(schedule.units)
     levels, units = [], 0
     while len(levels) < n:
@@ -721,23 +704,37 @@ def fcfs_loop(schedule, n, cap):
     return levels + [0] * (n - len(levels)), units
 
 
+def loop_run(loop, schedule, n, budget):
+    """``loop`` under ``budget``: int units against ``floor(budget * D)``, and
+    the spend in the prices' type, as ``_elicit`` gives them."""
+    cap = budget
+    if schedule.exact and budget != UNLIMITED:
+        cap = _units_cap(budget, schedule.scale or 1)
+    levels, units = loop(schedule, n, cap)
+    if schedule.scale is None or not units:
+        return levels, units
+    return levels, F(units, schedule.scale)
+
+
 @pytest.mark.parametrize("m", [1, 2, 7, 20, 100])
 def test_float_spend_in_closed_form_matches_the_loop(m):
-    """``computational`` at 0, one price, mid, just under and at the full cost, and unlimited."""
+    """Every registry cost at 0, one price, mid, just under and at the full cost, and unlimited."""
     loops = {EQ: equal_loop, FCFS: fcfs_loop}
-    for n in (1, 3, 25):
-        for kind, policy in ALL_STRATEGIES:
-            schedule = _schedule_of(kind, "computational", m)
-            # One candidate is asked nothing, so no float price is charged.
-            assert schedule.exact == (m == 1)
-            _, full = loops[policy](schedule, n, UNLIMITED)
-            one = schedule.prices[0] if schedule.prices else 0
-            for budget in (0, one, full / 2, math.nextafter(full, 0), full, UNLIMITED):
-                levels, spent = _elicit(schedule, policy, n, budget)
-                expected_levels, expected_spent = loops[policy](schedule, n, budget)
-                assert levels == expected_levels
-                assert type(spent) is type(expected_spent)
-                assert float(spent).hex() == float(expected_spent).hex()
+    for cost in COST_FUNCTIONS:
+        for n in (1, 3, 25):
+            for kind, policy in ALL_STRATEGIES:
+                schedule = _schedule_of(kind, cost, m)
+                # One candidate is asked nothing, so no float price is charged.
+                assert schedule.exact == (m == 1 or cost != "computational")
+                _, full = loop_run(loops[policy], schedule, n, UNLIMITED)
+                one = schedule.prices[0] if schedule.prices else 0
+                for budget in (0, one, full / 2, math.nextafter(full, 0), full, UNLIMITED):
+                    levels, spent = _elicit(schedule, policy, n, budget)
+                    expected_levels, expected_spent = loop_run(loops[policy], schedule, n, budget)
+                    assert levels == expected_levels
+                    assert type(spent) is type(expected_spent)
+                    assert spent == expected_spent
+                    assert float(spent).hex() == float(expected_spent).hex()
 
 
 def fcfs_per_voter_search(schedule, n, cap):
