@@ -19,17 +19,30 @@ PreferenceOrder = tuple[int, ...]
 Committee = frozenset[int]
 
 
+def _is_int_type(kind: type) -> bool:
+    """The one rule for an int that a caller hands the package: ``kind`` has
+    ``__index__``, which floats and strings lack, and is neither bool nor an
+    ndarray (whose ``__index__`` holds for 0-d arrays only)."""
+    return kind is not bool and not issubclass(kind, np.ndarray) and hasattr(kind, "__index__")
+
+
+def _whole(name: str, value) -> int:
+    """``value`` as a plain int if its type passes :func:`_is_int_type`;
+    anything else is a ``ValueError`` naming the field."""
+    if not _is_int_type(type(value)):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return operator.index(value)
+
+
 def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None]:
     """``rows`` as an n x m int32 array, and the index of the first row that
     is not a permutation of the ints ``0..m-1`` (None when every row is one).
 
     An n x m integer-dtype ndarray is range-checked row by row and copied;
     a row with an entry outside ``0..m-1`` is all -1 in the copy. Any other
-    ``rows`` are read into tuples, then id by id: an id is an int by type,
-    so its type has ``__index__``, which floats and strings lack, and is
-    neither bool nor an ndarray (whose ``__index__`` holds for 0-d arrays
-    only). A row that holds anything else, or not ``m`` entries, is all -1
-    in the array.
+    ``rows`` are read into tuples, and each distinct id type is tested once
+    by :func:`_is_int_type`. A row that holds an id of another type, or not
+    ``m`` entries, is all -1 in the array.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (m,):
         inside = rows.min(axis=1) >= 0
@@ -40,11 +53,7 @@ def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None]
     else:
         rows = [tuple(row) for row in rows]
         kinds = set(map(type, chain.from_iterable(rows)))
-        ints = {
-            kind
-            for kind in kinds
-            if kind is not bool and not issubclass(kind, np.ndarray) and hasattr(kind, "__index__")
-        }
+        ints = set(filter(_is_int_type, kinds))
         blank = (-1,) * m
         filled = [
             row if len(row) == m and (ints == kinds or ints.issuperset(map(type, row))) else blank
@@ -59,17 +68,6 @@ def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None]
         table = table.reshape(len(rows), m)
     bad = (np.sort(table, axis=1) != np.arange(m)).any(axis=1)
     return table, int(bad.argmax()) if bad.any() else None
-
-
-def _whole(name: str, value) -> int:
-    """``value`` as a plain int, read with ``operator.index``, which refuses
-    floats; a bool is refused by type. Anything else names the field."""
-    try:
-        if not isinstance(value, bool):
-            return operator.index(value)
-    except TypeError:
-        pass
-    raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 def _places_of(rankings: np.ndarray) -> np.ndarray:

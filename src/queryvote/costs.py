@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _whole
 from .queries import RefinementQuery
 from .rng import derive_seed, substream
 
@@ -286,8 +287,7 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
     query pair is built, and priced by the cost function, only to report a
     violation. Other callables are priced on the queries of every pair.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int):
-        raise ValueError(f"trials must be an int, got {trials!r}")
+    trials = _whole("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     fn, name = resolve_cost(cost)

@@ -26,7 +26,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
 
-from .core import Committee, Election, hamming, k_borda, select_top_k
+from .core import Committee, Election, _whole, hamming, k_borda, select_top_k
 from .costs import get_cost_function
 from .cultures import CultureSpec, generate
 from .rng import derive_seed, substream
@@ -91,12 +91,13 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("m", "n", "k", "elections_per_culture", "voter_order_repeats", "master_seed"):
+            setattr(self, name, _whole(name, getattr(self, name)))
         if not self.cultures:
             raise ValueError("config needs at least one culture")
-        if self.elections_per_culture < 1:
-            raise ValueError("elections_per_culture must be at least 1")
-        if self.voter_order_repeats < 1:
-            raise ValueError("voter_order_repeats must be at least 1")
+        for name in ("elections_per_culture", "voter_order_repeats"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         if not self.strategies:
             raise ValueError("config needs at least one strategy")
         for spec in self.cultures:
@@ -172,6 +173,7 @@ def default_budget_grid(
         raise ValueError(f"full-resolution cost must be non-negative, got {full_cost}")
     if not math.isfinite(full_cost):
         raise ValueError(f"full-resolution cost must be finite, got {full_cost}")
+    points = _whole("points", points)
     if points < 1:
         raise ValueError(f"points must be at least 1, got {points}")
     grid = []
@@ -263,6 +265,7 @@ def _election_rows(args) -> list[ResultRow]:
 
 def run_budget_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Run every cell of the sweep; output is independent of ``jobs``."""
+    jobs = _whole("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     grids = _resolved_grids(config)
@@ -290,6 +293,7 @@ def expected_random_distance(m: int, k: int) -> float:
     The overlap of a random k-set with a fixed k-set is hypergeometric with
     mean k*k/m, so the distance averages 2k(1 - k/m).
     """
+    m, k = _whole("m", m), _whole("k", k)
     if not 1 <= k <= m:
         raise ValueError(f"committee size k={k} outside [1, {m}]")
     return 2.0 * k * (1.0 - k / m)

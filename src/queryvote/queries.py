@@ -20,7 +20,7 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .core import PreferenceOrder
+from .core import PreferenceOrder, _is_int_type
 
 BucketVector = tuple
 OrderedPartition = tuple[tuple[int, ...], ...]
@@ -70,16 +70,14 @@ def validate_buckets(ratios: Sequence) -> BucketVector:
 
 
 def _candidate_ids(values: Iterable) -> tuple[int, ...]:
-    """Candidate ids read with ``operator.index``, which refuses floats and
-    strings; it takes bools, so those are refused by type."""
+    """Candidate ids as plain ints; each id type is tested once by
+    :func:`~queryvote.core._is_int_type`, and the first id of another is named."""
     ids = tuple(values)
-    try:
-        if bool not in map(type, ids):
-            return tuple(map(operator.index, ids))
-    except TypeError:
-        pass
-    bad = next(c for c in ids if type(c) is bool or not hasattr(c, "__index__"))
-    raise ValueError(f"candidate ids must be ints, got {bad!r}")
+    bad = {kind for kind in set(map(type, ids)) if not _is_int_type(kind)}
+    if bad:
+        first = next(c for c in ids if type(c) in bad)
+        raise ValueError(f"candidate ids must be ints, got {first!r}")
+    return tuple(map(operator.index, ids))
 
 
 @dataclass(frozen=True)

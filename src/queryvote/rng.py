@@ -7,7 +7,7 @@ every platform, and distinct paths yield non-overlapping streams, so work
 keyed by path (one voter, one experiment cell) can be filled in parallel
 without changing the result.
 
-The private :func:`_streams` yields the streams ``substream(seed, tag, v)``
+The private :func:`_streams` yields the streams ``substream(seed, 1, v)``
 of voters ``v = 0..count-1`` in one pass: it runs ``SeedSequence``'s entropy
 mixing and state generation for every voter at once over uint32 arrays, and
 finishes PCG64's seeding in Python ints, so each stream is bit-identical to
@@ -20,6 +20,8 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
+
+from .core import _whole
 
 _MASK = (1 << 64) - 1
 
@@ -41,8 +43,8 @@ def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
     return np.array([start * pow(mult, k, 1 << 32) & _MASK32 for k in range(count)], np.uint32)
 
 
-# Enough hashmix calls for an entropy of 2 + 2 + 1 words (seed, tag, voter).
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 4 + 1)
+# Enough hashmix calls for an entropy of at most 4 words (seed, tag 1, voter).
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 1)
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
 # The pool words each pool word is mixed into, by source.
 _TARGETS = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
@@ -51,7 +53,7 @@ _CYCLE = [*range(_POOL_SIZE)] * 2
 
 
 def _entropy(seed: int, path: tuple[int, ...]) -> list[int]:
-    return [int(seed) & _MASK, *(int(p) & _MASK for p in path)]
+    return [_whole("seed", seed) & _MASK, *(_whole("path", p) & _MASK for p in path)]
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -88,36 +90,31 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> _XSHIFT
 
 
-def _streams(seed: int, tag: int, count: int) -> Iterator[np.random.Generator]:
-    """The generators ``substream(seed, tag, v)`` for ``v = 0..count-1``, in order.
+def _streams(seed: int, count: int) -> Iterator[np.random.Generator]:
+    """The generators ``substream(seed, 1, v)`` for ``v = 0..count-1``, in order.
 
-    Each voter's entropy is the words of the masked seed, tag and voter id,
-    and only the voter's word differs. So one pass of ``SeedSequence``'s
-    pool mixing and ``generate_state(4, uint64)``, over a row of uint32
-    words per voter, gives every voter's PCG64 seed; each yield sets the
-    ``(state, inc)`` that ``PCG64`` derives from that seed on one reused
-    bit generator.
+    Each voter's entropy is the words of the masked seed, the tag 1 and the
+    voter id: at most four words, all in the pool, and only the voter's word
+    differs. So one pass of ``SeedSequence``'s pool mixing and
+    ``generate_state(4, uint64)``, over a row of uint32 words per voter,
+    gives every voter's PCG64 seed; each yield sets the ``(state, inc)``
+    that ``PCG64`` derives from that seed on one reused bit generator.
 
     The same ``Generator`` object is yielded every time, so draw from it
     before asking for the next: ``list(_streams(...))`` holds ``count``
     references to one generator in the state of the last voter.
     """
-    words = _words(int(seed) & _MASK) + _words(int(tag) & _MASK) + [0]
-    entropy = np.empty((count, len(words)), np.uint32)
-    entropy[:] = words
-    entropy[:, -1] = np.arange(count, dtype=np.uint32)
-    # The pool takes the first words, padded with zeros, each hashed in turn.
+    words = _words(_whole("seed", seed) & _MASK) + [1, 0]
+    # The pool takes the words, padded with zeros, each hashed in turn.
     pool = np.zeros((count, _POOL_SIZE), np.uint32)
-    pool[:, : min(len(words), _POOL_SIZE)] = entropy[:, :_POOL_SIZE]
+    pool[:, : len(words)] = words
+    pool[:, len(words) - 1] = np.arange(count, dtype=np.uint32)
     pool, at = _hashmix(pool, 0, _POOL_SIZE), _POOL_SIZE
     # Every pool word is mixed into every other, in order of source then
     # target; a source word does not change while it is mixed in.
     for src, targets in enumerate(_TARGETS):
         pool[:, targets] = _mix(pool[:, targets], _hashmix(pool[:, src, None], at, len(targets)))
         at += len(targets)
-    for word in range(_POOL_SIZE, len(words)):
-        pool = _mix(pool, _hashmix(entropy[:, word, None], at, _POOL_SIZE))
-        at += _POOL_SIZE
     hashed = (pool[:, _CYCLE] ^ _HASH_B[:-1]) * _HASH_B[1:]
     hashed ^= hashed >> _XSHIFT
     # generate_state's uint64 words are its uint32 words in little-endian pairs.

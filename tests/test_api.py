@@ -1,6 +1,7 @@
 """The public API is ``queryvote.__all__``; growing or shrinking it is a test edit here.
 
 The README may name only public names, and its Python examples must run.
+Every int parameter of a public entry point has a row in ``INT_PARAMETERS``.
 """
 
 import ast
@@ -8,7 +9,11 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import queryvote as qv
+from queryvote.rng import derive_seed, substream
 
 PUBLIC_API = [
     "ALL_STRATEGIES",
@@ -157,3 +162,53 @@ def test_docstring_cross_references_resolve():
             if resolve(root, target.removeprefix("queryvote.")) is None:
                 unresolved.append(f"{path.name}: {target}")
     assert not unresolved, unresolved
+
+
+def tiny_config(**overrides):
+    settings = dict(cultures=[qv.CultureSpec("IC")], m=3, n=2, k=1, elections_per_culture=1,
+                    strategies=[qv.ALL_STRATEGIES[0]], budget_grid=[0, 5], voter_order_repeats=1)
+    settings.update(overrides)
+    return qv.ExperimentConfig(**settings)
+
+
+CONFIG_INTS = ["m", "n", "k", "elections_per_culture", "voter_order_repeats", "master_seed"]
+
+# Every public entry point that takes an int, as (row id, parameter, a call
+# that hands the value over as that parameter and returns what it made of it).
+INT_PARAMETERS = [
+    ("Election.m", "m", lambda v: qv.Election(m=v, voters=[(0, 1)], k=1).m),
+    ("Election.k", "k", lambda v: qv.Election(m=2, voters=[(0, 1)], k=v).k),
+    ("generate.m", "m", lambda v: qv.generate(qv.CultureSpec("IC"), v, 2, 1)),
+    ("generate.n", "n", lambda v: qv.generate(qv.CultureSpec("IC"), 2, v, 1)),
+    ("CultureSpec.seed", "seed", lambda v: qv.CultureSpec("IC", seed=v).seed),
+    *(
+        (f"ExperimentConfig.{name}", name, lambda v, name=name: getattr(tiny_config(**{name: v}), name))
+        for name in CONFIG_INTS
+    ),
+    ("substream.seed", "seed", lambda v: substream(v, 0).bit_generator.state),
+    ("substream.path", "path", lambda v: substream(0, 1, v).bit_generator.state),
+    ("derive_seed.seed", "seed", lambda v: derive_seed(v, 0)),
+    ("derive_seed.path", "path", lambda v: derive_seed(0, 1, v)),
+    (
+        "audit_axiom.trials", "trials",
+        lambda v: qv.audit_axiom("computational", qv.Axiom.PREFIX_MONOTONICITY, trials=v),
+    ),
+    ("audit_grid.trials", "trials", lambda v: qv.audit_grid(trials=v)),
+    ("default_budget_grid.points", "points", lambda v: qv.default_budget_grid(10.0, points=v)),
+    ("run_budget_sweep.jobs", "jobs", lambda v: qv.run_budget_sweep(tiny_config(), jobs=v)),
+    ("expected_random_distance.m", "m", lambda v: qv.expected_random_distance(v, 1)),
+    ("expected_random_distance.k", "k", lambda v: qv.expected_random_distance(3, v)),
+]
+
+
+@pytest.mark.parametrize(
+    "parameter, call", [row[1:] for row in INT_PARAMETERS], ids=[row[0] for row in INT_PARAMETERS]
+)
+def test_every_int_parameter_takes_ints_only(parameter, call):
+    """A float, a bool or a string is an error naming the parameter; a numpy
+    int is read as the plain int it holds, so the result (which repr shows
+    to the last int) is the one the Python int gives."""
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"{parameter} must be an int, got {bad!r}")):
+            call(bad)
+    assert repr(call(np.int64(2))) == repr(call(2))

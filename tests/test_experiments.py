@@ -335,6 +335,10 @@ def test_config_rejects_a_strategy_listed_twice():
             "strategies: ('S', 'EQ') is not a (QuestionType, BudgetPolicy) pair",
         ),
         ({"cultures": ["IC"]}, "cultures: 'IC' is not a CultureSpec"),
+        ({"n": 3.5}, "n must be an int, got 3.5"),
+        ({"elections_per_culture": True}, "elections_per_culture must be an int, got True"),
+        ({"voter_order_repeats": 1.5}, "voter_order_repeats must be an int, got 1.5"),
+        ({"master_seed": 1.5}, "master_seed must be an int, got 1.5"),
     ],
 )
 def test_config_built_in_python_names_an_entry_of_the_wrong_type(overrides, message):

@@ -173,7 +173,7 @@ def test_query_validation():
     # Candidate ids are ints by type, as in an Election.
     with pytest.raises(ValueError, match="candidate ids must be ints, got 2.7"):
         RefinementQuery((2.7, 0.2, True), (F(1, 3), F(2, 3)))
-    for subset in ((0, True), (1, False), ("1", 0), (1.0, 0), (np.bool_(1), 0)):
+    for subset in ((0, True), (1, False), ("1", 0), (1.0, 0), (np.bool_(1), 0), (np.array(1), 0)):
         with pytest.raises(ValueError, match="candidate ids must be ints"):
             RefinementQuery(subset, (F(1, 2), F(1, 2)))
         with pytest.raises(ValueError, match="candidate ids must be ints"):
