@@ -30,7 +30,7 @@ from .experiments import (
 )
 from .queries import QuestionType
 from .rng import substream
-from .strategies import ALL_STRATEGIES, UNLIMITED, strategy_label
+from .strategies import ALL_STRATEGIES, strategy_label
 
 
 _WRITERS = {"native": election_io.write_native, "preflib": election_io.write_preflib}
@@ -177,8 +177,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _fmt_budget(budget: float) -> str:
-    if budget == UNLIMITED:
-        return "inf"
+    # An unlimited budget prints as "inf" under ".0f".
     return f"{budget:.0f}" if budget >= 10 else f"{budget:.2f}"
 
 

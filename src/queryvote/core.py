@@ -7,9 +7,10 @@ candidate ids of the election's committee size ``k``.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 from typing import Sequence
 
@@ -24,6 +25,13 @@ def _is_int_type(kind: type) -> bool:
     ``__index__``, which floats and strings lack, and is neither bool nor an
     ndarray (whose ``__index__`` holds for 0-d arrays only)."""
     return kind is not bool and not issubclass(kind, np.ndarray) and hasattr(kind, "__index__")
+
+
+@lru_cache(maxsize=None)
+def _is_real_type(kind: type) -> bool:
+    """The one rule for a real number a caller hands the package: ``kind`` is
+    a ``numbers.Real`` (so no str, complex or Decimal) and not bool."""
+    return kind is not bool and issubclass(kind, numbers.Real)
 
 
 def _whole(name: str, value) -> int:

@@ -286,10 +286,12 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
     costs are evaluated in closed form on the sampled class sizes; the
     query pair is built, and priced by the cost function, only to report a
     violation. Other callables are priced on the queries of every pair.
+    ``axiom`` is an :class:`Axiom` or its value, such as ``"prefix_monotonicity"``.
     """
     trials = _whole("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    axiom = Axiom(axiom)
     fn, name = resolve_cost(cost)
 
     def holds(low, high, factor) -> bool:
@@ -339,17 +341,12 @@ def format_audit_table(grid: dict[tuple[str, Axiom], AxiomVerdict]) -> str:
     names = list(COST_FUNCTIONS)
     width = max(len(n) for n in names + ["function"]) + 2
     columns = [axiom.value for axiom in ALL_AXIOMS]
-    lines = ["function".ljust(width) + "  ".join(columns)]
+    lines, notes = ["function".ljust(width) + "  ".join(columns)], []
     for name in names:
         cells = []
         for axiom in ALL_AXIOMS:
             verdict = grid[(name, axiom)]
             cells.append(("YES" if verdict.holds else "NO").ljust(len(axiom.value)))
-        lines.append(name.ljust(width) + "  ".join(cells))
-    notes = []
-    for name in names:
-        for axiom in ALL_AXIOMS:
-            verdict = grid[(name, axiom)]
             if not verdict.holds:
                 q1, q2, c1, c2 = verdict.counterexample
                 notes.append(
@@ -358,6 +355,7 @@ def format_audit_table(grid: dict[tuple[str, Axiom], AxiomVerdict]) -> str:
                     f"B'={tuple(str(b) for b in q2.buckets)} "
                     f"gives costs {c1} vs {c2}"
                 )
+        lines.append(name.ljust(width) + "  ".join(cells))
     if notes:
         lines.append("counterexamples:")
         lines.extend(notes)

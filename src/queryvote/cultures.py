@@ -48,14 +48,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
-from .core import Election, PreferenceOrder, _whole
+from .core import Election, PreferenceOrder, _id_table, _is_int_type, _is_real_type, _whole
 from .rng import _streams, substream
 
 DEFAULT_URN_ALPHA = 0.5  # copies added per draw, as a multiple of m!
@@ -118,15 +117,10 @@ def _rank_by_distance(points, candidate_points) -> np.ndarray:
 
 
 def _number(value, name: str) -> float:
-    """A culture parameter as a float; a value that is not a number is an error naming it.
-
-    A bool is not taken for 0 or 1, nor a string for the number it spells.
-    """
-    if isinstance(value, numbers.Number) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
+    """A culture parameter as a float, if its type passes
+    :func:`~queryvote.core._is_real_type`; anything else is an error naming it."""
+    if _is_real_type(type(value)):
+        return float(value)
     raise ValueError(f"{name} must be a number, got {value!r}")
 
 
@@ -203,11 +197,12 @@ def _generate_mallows(
             raise ValueError(
                 f"Mallows center must be a sequence of candidate ids, got {center!r}"
             ) from None
-        if any(isinstance(c, bool) or not isinstance(c, numbers.Real) or c % 1 for c in center):
+        if not all(map(_is_int_type, set(map(type, center)))):
             raise ValueError(f"Mallows center entries must be integers, got {center}")
-        center = tuple(int(c) for c in center)
-        if tuple(sorted(center)) != tuple(range(m)):
+        table, bad = _id_table([center], m)
+        if bad is not None:
             raise ValueError(f"Mallows center must be a permutation of 0..{m - 1}")
+        center = table[0]
     # One batch of m - 1 uniforms per voter; column i - 1 places center
     # candidate i of every voter at once.
     draws = np.empty((n, m - 1))
@@ -310,6 +305,8 @@ def generate(spec: CultureSpec, m: int, n: int, k: int) -> Election:
         n: number of voters.
         k: committee size, stored on the election.
     """
+    if not isinstance(spec, CultureSpec):
+        raise ValueError(f"{spec!r} is not a CultureSpec")
     m, n = _whole("m", m), _whole("n", n)
     if m < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")

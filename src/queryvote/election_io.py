@@ -129,8 +129,9 @@ def _parse_preflib(path, lines: list[tuple[int, str]], k: int) -> Election:
             raise ValueError(f"{path}:{number}: expected an order count of at least 1, got {count}")
         orders.append([c - 1 for c in ranking])
         counts.append(count)
-    if sum(counts) != n or sum(counts) != vote_total:
-        raise ValueError(f"{path}: vote counts sum to {sum(counts)}, header says {n}")
+    for stated, field in ((n, "voters"), (vote_total, "votes")):
+        if sum(counts) != stated:
+            raise ValueError(f"{path}: vote counts sum to {sum(counts)}, header says {stated} {field}")
     # Each distinct order is read once. One that is not a permutation stays
     # one in every copy, so the election refuses it at its first voter.
     table, _ = _id_table(orders, m)

@@ -36,7 +36,7 @@ from .strategies import (
     UNLIMITED,
     BudgetPolicy,
     QuestionType,
-    _check_budget,
+    _budget,
     _elicit,
     _schedule_of,
     _voter_order,
@@ -71,10 +71,12 @@ _COLUMN_TYPES = tuple(get_type_hints(ResultRow)[name] for name in CSV_COLUMNS)
 class ExperimentConfig:
     """Everything needed to reproduce a sweep.
 
-    ``budget_grid`` may be None, in which case each strategy gets the grid of
-    its question type, derived from the config's ``m``, ``n`` and ``cost``:
-    geometric points between 1% and 120% of the full-resolution cost of ``n``
-    voters over ``m`` candidates, plus 0 and the unlimited budget.
+    Each ``budget_grid`` entry is stored as the budget rule of
+    :mod:`queryvote.strategies` reads it. ``budget_grid`` may be None, in
+    which case each strategy gets the grid of its question type, derived
+    from the config's ``m``, ``n`` and ``cost``: geometric points between 1%
+    and 120% of the full-resolution cost of ``n`` voters over ``m``
+    candidates, plus 0 and the unlimited budget.
     """
 
     cultures: list[CultureSpec]
@@ -116,11 +118,9 @@ class ExperimentConfig:
         get_cost_function(self.cost)
         if self.budget_grid is not None:
             try:
-                grid = [_json_budget(b) for b in self.budget_grid]
+                grid = [_budget(b) for b in self.budget_grid]
             except ValueError as err:
                 raise ValueError(f"budget_grid: {err}") from None
-            for budget in grid:
-                _check_budget(budget)
             if grid != sorted(grid):
                 raise ValueError("budget_grid must be sorted ascending")
             self.budget_grid = grid
@@ -166,11 +166,11 @@ def default_budget_grid(
 ) -> tuple[float, ...]:
     """Geometric budget grid from 1% to 120% of the full-resolution cost.
 
-    A zero full cost (an election with one candidate needs no question) has
-    no geometric points: the grid holds only the endpoints asked for.
+    ``full_cost`` is read by the budget rule and must be finite. A zero full
+    cost (an election with one candidate needs no question) has no geometric
+    points: the grid holds only the endpoints asked for.
     """
-    if not full_cost >= 0:
-        raise ValueError(f"full-resolution cost must be non-negative, got {full_cost}")
+    full_cost = _budget(full_cost, "full-resolution cost")
     if not math.isfinite(full_cost):
         raise ValueError(f"full-resolution cost must be finite, got {full_cost}")
     points = _whole("points", points)
@@ -402,26 +402,16 @@ _PARSERS = {
     Mapping[str, object]: dict,
     list[CultureSpec]: lambda entries: [_parse_culture(entry) for entry in entries],
     list[tuple[QuestionType, BudgetPolicy]]: lambda labels: [parse_strategy(s) for s in labels],
-    list[float] | None: lambda grid: None if grid is None else [_json_budget(b) for b in grid],
+    list[float] | None: lambda grid: None if grid is None else [_budget(b) for b in grid],
 }
 
-_UNLIMITED_WORDS = ("inf", "unlimited", "infinity")
 
-
-def parse_budget(value) -> float:
-    """A budget from the command line: a number or number string, or inf/unlimited/infinity."""
-    if isinstance(value, str) and value.strip().lower() in _UNLIMITED_WORDS:
-        return UNLIMITED
-    return float(value)
-
-
-def _json_budget(value) -> float:
-    """A budget from a config: a JSON number that is not a bool, or inf/unlimited/infinity."""
-    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    is_word = isinstance(value, str) and value.strip().lower() in _UNLIMITED_WORDS
-    if not (is_number or is_word):
-        raise ValueError(f"expected a number or one of {list(_UNLIMITED_WORDS)}, got {value!r}")
-    return parse_budget(value)
+def parse_budget(text: str):
+    """A budget from the command line: ``float(text)``, else the budget rule's reading."""
+    try:
+        return float(text)
+    except ValueError:
+        return _budget(text)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -17,6 +17,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, pairwise
 from numbers import Rational
 from typing import Iterable, Sequence
 
@@ -144,12 +145,8 @@ def bucket_sizes(buckets: Sequence, subset_size: int) -> tuple[int, ...]:
 
 def slice_classes(ranked: Sequence[int], sizes: Sequence[int]) -> OrderedPartition:
     """Cut a best-first candidate sequence into consecutive classes of the given sizes."""
-    classes = []
-    start = 0
-    for size in sizes:
-        classes.append(tuple(sorted(ranked[start : start + size])))
-        start += size
-    return tuple(classes)
+    bounds = accumulate(sizes, initial=0)
+    return tuple(tuple(sorted(ranked[a:b])) for a, b in pairwise(bounds))
 
 
 def answer_query(secret: PreferenceOrder, query: RefinementQuery) -> OrderedPartition:

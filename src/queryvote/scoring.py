@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Committee, Election, _id_table, _places_of, select_top_k
+from .core import Committee, Election, _id_table, _is_real_type, _places_of, select_top_k
 from .queries import OrderedPartition
 from .strategies import BudgetPolicy, ElicitationRun, QuestionType, _Profile, run_elicitation
 
@@ -41,11 +41,7 @@ def validate_scoring_vector(scoring: Sequence) -> ScoringVector:
     if not scoring:
         raise ValueError("scoring vector must not be empty")
     for index, entry in enumerate(scoring):
-        try:
-            finite = math.isfinite(entry)
-        except TypeError:
-            finite = False
-        if not finite:
+        if not (_is_real_type(type(entry)) and math.isfinite(entry)):
             raise ValueError(f"scoring vector entry {index} is {entry!r}, not a finite number")
     if any(a < b for a, b in zip(scoring, scoring[1:])):
         raise ValueError("scoring vector must be non-increasing")

@@ -52,6 +52,11 @@ additions. One search, :func:`_afford`, serves both policies: ``EQUAL``
 runs it on each round's prices, ``FCFS`` on the prices tiled voter after
 voter.
 
+Every spending bound is read by one rule, :func:`_budget`: a value whose type
+passes :func:`~queryvote.core._is_real_type` and is ``>= 0`` (not NaN), or
+inf, unlimited or infinity (any case, spaces ignored) for ``UNLIMITED``. A
+numpy scalar reads as its Python number; an int or a Fraction stays exact.
+
 A custom cost callable may price a question by the candidates shown, which
 no schedule can hold, so elicitation takes registry costs only; the axiom
 audit (:func:`~queryvote.costs.audit_axiom`) still takes a callable.
@@ -71,7 +76,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Election, _id_table
+from .core import Election, _id_table, _is_real_type
 from .costs import COST_FUNCTIONS, resolve_cost
 from .queries import (
     OrderedPartition,
@@ -82,6 +87,20 @@ from .queries import (
 )
 
 UNLIMITED = math.inf
+_UNLIMITED_WORDS = ["inf", "unlimited", "infinity"]
+
+
+def _budget(value, name: str = "budget"):
+    """``value`` read by the budget rule of the module docstring, else a ValueError."""
+    if not _is_real_type(type(value)):
+        if isinstance(value, str) and value.strip().lower() in _UNLIMITED_WORDS:
+            return UNLIMITED
+        raise ValueError(f"expected a number or one of {_UNLIMITED_WORDS} for {name}, got {value!r}")
+    if isinstance(value, np.generic):
+        value = value.item()
+    if not value >= 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
+    return value
 
 
 class BudgetPolicy(Enum):
@@ -211,8 +230,7 @@ def _elicit(schedule: Schedule, policy: BudgetPolicy, n: int, budget) -> tuple[l
     type. With int units the cap is ``floor(budget * D)`` units, or all n
     voters' questions under an unlimited budget; else the budget itself.
     """
-    _check_budget(budget)
-    cap = budget
+    cap = budget = _budget(budget)
     if schedule.exact:
         cap = n * schedule.cum[-1] if budget == UNLIMITED else _units_cap(budget, schedule.scale or 1)
     runs, units = _DRIVERS[policy](schedule, n, cap)
@@ -305,11 +323,6 @@ def _charges(policy: BudgetPolicy, order: Sequence[int], levels: list[int]) -> l
 _DRIVERS = {BudgetPolicy.EQUAL: _equal, BudgetPolicy.FCFS: _fcfs}
 
 
-def _check_budget(budget) -> None:
-    if not budget >= 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-
-
 def _voter_order(n: int, voter_order: Sequence[int] | None) -> np.ndarray:
     """``voter_order`` as an int array, checked to be a permutation of the voter ids.
 
@@ -370,7 +383,7 @@ def run_elicitation(
         kind: question type asked throughout the run.
         policy: how the budget is distributed over voters.
         cost: registry cost function, by name (see ``COST_FUNCTIONS``).
-        budget: non-negative spending cap; pass ``UNLIMITED`` for no cap.
+        budget: spending cap, read by :func:`_budget` into ``run.budget``.
         voter_order: permutation of the voters, identity by default.
         record_log: set False to skip the per-question transcript (faster
             for large sweeps; the returned ``log`` is then empty).
@@ -407,7 +420,7 @@ def run_elicitation(
         question=schedule.kind,
         policy=policy,
         cost_name=schedule.cost_name,
-        budget=budget,
+        budget=_budget(budget),
         spent=spent,
         profile=profile,
         log=tuple(_entry(schedule, v, election._rankings[v].tolist(), q) for v, q in charges),

@@ -2,18 +2,24 @@
 
 The README may name only public names, and its Python examples must run.
 Every int parameter of a public entry point has a row in ``INT_PARAMETERS``.
+Every entry point that takes a budget has a row in ``BUDGET_PARAMETERS``.
 """
 
 import ast
 import importlib
+import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import queryvote as qv
+from queryvote.experiments import sweep_distances
 from queryvote.rng import derive_seed, substream
+from queryvote.strategies import _budget
 
 PUBLIC_API = [
     "ALL_STRATEGIES",
@@ -212,3 +218,89 @@ def test_every_int_parameter_takes_ints_only(parameter, call):
         with pytest.raises(ValueError, match=re.escape(f"{parameter} must be an int, got {bad!r}")):
             call(bad)
     assert repr(call(np.int64(2))) == repr(call(2))
+
+
+BUDGET_ELECTION = qv.generate(qv.CultureSpec("IC", seed=3), 6, 5, 2)
+SPLIT, EQ, FCFS = qv.QuestionType.SPLIT, qv.BudgetPolicy.EQUAL, qv.BudgetPolicy.FCFS
+
+
+def elicited(budget, cost):
+    run = qv.run_elicitation(BUDGET_ELECTION, SPLIT, EQ, cost, budget)
+    return run.budget, run.spent, run.profile, run.log
+
+
+def committee(budget, cost):
+    chosen, run = qv.query_based_committee(BUDGET_ELECTION, SPLIT, FCFS, cost, budget)
+    return chosen, run.budget, run.spent, run.profile
+
+
+def swept(budget, cost):
+    target = qv.k_borda(BUDGET_ELECTION)
+    return [
+        (distance, spent)
+        for policy in (EQ, FCFS)
+        for _, distance, spent in sweep_distances(
+            BUDGET_ELECTION, SPLIT, policy, cost, [budget], range(5), target
+        )
+    ]
+
+
+def json_grid(budget, cost):
+    data = {"cultures": ["IC"], "m": 3, "n": 2, "k": 1, "elections_per_culture": 1,
+            "strategies": ["S-EQ"], "cost": cost, "budget_grid": [0, budget]}
+    return qv.parse_config(data).budget_grid
+
+
+# Every entry point that takes a budget, as (row id, a call that hands the
+# value over as a budget under a registry cost and returns what it made of it).
+BUDGET_PARAMETERS = [
+    ("run_elicitation", elicited),
+    ("query_based_committee", committee),
+    ("sweep_distances", swept),
+    (
+        "ExperimentConfig.budget_grid",
+        lambda v, cost: tiny_config(budget_grid=[0, v], cost=cost).budget_grid,
+    ),
+    ("parse_config.budget_grid", json_grid),
+    ("default_budget_grid.full_cost", lambda v, cost: qv.default_budget_grid(v)),
+]
+
+# Each numpy scalar budget, with the Python number it reads as.
+BUDGET_TWINS = [(np.float32(30), 30.0), (np.float64(30), 30.0), (np.int64(30), 30)]
+
+
+@pytest.mark.parametrize(
+    "call", [row[1] for row in BUDGET_PARAMETERS], ids=[row[0] for row in BUDGET_PARAMETERS]
+)
+@pytest.mark.parametrize("cost", ["variance_aware", "candidates", "computational"])
+def test_every_budget_parameter_takes_real_numbers_only(call, cost):
+    """A bool, a string that is no word for unlimited, None, a complex, a
+    negative number, NaN or a Decimal is a ValueError, never a TypeError; a numpy
+    scalar is read as the Python number it holds, so the result (which repr
+    shows to the last bit) is the one that number gives, and a Fraction
+    gives the result of the float of the same value."""
+    for bad in (True, "5", None, 30 + 0j, -1, math.nan, Decimal(30)):
+        with pytest.raises(ValueError, match="must be non-negative|expected a number"):
+            call(bad, cost)
+    for budget, plain in BUDGET_TWINS:
+        assert repr(call(budget, cost)) == repr(call(plain, cost))
+    assert call(Fraction(61, 2), cost) == call(30.5, cost)
+
+
+def test_the_budget_rule():
+    assert [_budget(word) for word in ("inf", " Unlimited ", "INFINITY")] == [qv.UNLIMITED] * 3
+    for budget in (0, 30, 30.5, Fraction(61, 2), qv.UNLIMITED):
+        assert _budget(budget) is budget
+    for budget, plain in BUDGET_TWINS:
+        read = _budget(budget)
+        assert read == plain and type(read) is type(plain)
+    # A config stores each entry as the rule reads it, so a Fraction stays exact.
+    grid = tiny_config(budget_grid=[np.int64(3), Fraction(7, 2)]).budget_grid
+    assert grid == [3, Fraction(7, 2)] and list(map(type, grid)) == [int, Fraction]
+    with pytest.raises(ValueError, match="^full-resolution cost must be non-negative, got -1$"):
+        _budget(-1, "full-resolution cost")
+    with pytest.raises(ValueError, match="^expected a number or one of .* for budget, got 'nan'$"):
+        _budget("nan")
+    # A Decimal is no numbers.Real, so it is refused like a string.
+    with pytest.raises(ValueError, match="for budget, got Decimal"):
+        _budget(Decimal(30))

@@ -296,3 +296,18 @@ def test_run_rejects_unknown_config_key(tmp_path, capsys):
     assert run_cli("run", config, "--out", tmp_path / "r.csv") == 1
     assert "unknown keys ['voter_order_repeat']" in capsys.readouterr().err
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_sweep_reads_budget_words_by_the_budget_rule(tmp_path, capsys):
+    elec = tmp_path / "e.elec"
+    run_cli("generate", "IC", "--m", 4, "--n", 3, "--k", 2, "--seed", 5, "--out", elec)
+    capsys.readouterr()
+    assert run_cli("sweep", elec, "--budgets", "0, Unlimited") == 0
+    words = capsys.readouterr().out
+    assert run_cli("sweep", elec, "--budgets", "0,inf") == 0
+    assert words == capsys.readouterr().out and words.splitlines()[0].endswith("inf")
+    # A word that is not one for unlimited gets the rule's message, before any output.
+    assert run_cli("sweep", elec, "--budgets", "5,abc") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: expected a number or one of ['inf', 'unlimited', 'infinity']" in captured.err

@@ -231,3 +231,12 @@ def test_audit_csv_is_pinned(monkeypatch, seed, stored, digest):
     if not stored:
         monkeypatch.setattr(costs, "VARIANCE_COUNTEREXAMPLES", {})
     assert audit_csv_digest(audit_grid(trials=300, seed=seed)) == digest
+
+
+def test_audit_reads_the_axiom_by_its_name():
+    by_name = audit_axiom("candidates", "prefix_monotonicity", trials=50)
+    assert by_name == audit_axiom("candidates", Axiom.PREFIX_MONOTONICITY, trials=50)
+    assert by_name.axiom is Axiom.PREFIX_MONOTONICITY
+    # An unknown name gave a bare KeyError from the sampler table.
+    with pytest.raises(ValueError, match="prefix"):
+        audit_axiom("candidates", "prefix", trials=50)

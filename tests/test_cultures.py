@@ -148,7 +148,9 @@ def test_mallows_parameter_validation():
     for bad in (3, 1.0):
         with pytest.raises(ValueError, match="Mallows center must be a sequence of candidate ids"):
             generate(CultureSpec("Mallows", params={"center": bad}), 4, 2, 1)
-    integral = CultureSpec("Mallows", params={"center": [3.0, 2, np.int64(1), 0]})
+    with pytest.raises(ValueError, match="center entries must be integers"):
+        generate(CultureSpec("Mallows", params={"center": [3.0, 2, 1, 0]}), 4, 5, 1)
+    integral = CultureSpec("Mallows", params={"center": [3, 2, np.int64(1), 0]})
     plain = CultureSpec("Mallows", params={"center": [3, 2, 1, 0]})
     assert generate(integral, 4, 5, 1) == generate(plain, 4, 5, 1)
 
@@ -362,3 +364,10 @@ def test_cultures_match_the_per_voter_reference(kind, m, n):
         voters = generate(spec, m, n, 1).voters
         assert voters == reference_votes(kind, seed, m, n)
         assert all(type(c) is int for vote in voters for c in vote)
+
+
+def test_generate_refuses_a_spec_that_is_not_a_culture_spec():
+    # A kind name in place of the spec gave a bare AttributeError.
+    for spec in ("IC", None, {"kind": "IC"}):
+        with pytest.raises(ValueError, match="is not a CultureSpec"):
+            generate(spec, 3, 3, 1)

@@ -77,6 +77,10 @@ def test_read_preflib_rejects_count_mismatch(tmp_path):
     path.write_text("2\n1,A\n2,B\n3,3,1\n2,1,2\n")
     with pytest.raises(ValueError, match="vote counts sum to 2, header says 3"):
         load_election(path, k=1)
+    # The voters agree with the counts; the message names the votes field that does not.
+    path.write_text("2\n1,A\n2,B\n4,5,2\n3,1,2\n1,2,1\n")
+    with pytest.raises(ValueError, match="vote counts sum to 4, header says 5 votes"):
+        load_election(path, k=1)
 
 
 @pytest.mark.parametrize("header", ["# TITLE: x", "# FILE NAME: x.soc"])
