@@ -42,6 +42,27 @@ def _whole(name: str, value) -> int:
     return operator.index(value)
 
 
+def _fold(name: str) -> str:
+    return name.strip().lower().replace("-", "").replace("_", "")
+
+
+def _named(table, name, what: str) -> tuple:
+    """The one rule for a name a caller hands the package: ``(key, entry)`` of the
+    entry of ``table`` (a dict, or an Enum keyed by its values) that ``name`` is, or
+    whose key it equals apart from case, surrounding spaces, ``-`` and ``_``."""
+    if isinstance(table, type):
+        if isinstance(name, table):
+            return name.value, name
+        table = {member.value: member for member in table}
+    if isinstance(name, str) and name in table:
+        return name, table[name]
+    folded = _fold(name) if isinstance(name, str) else None
+    for key, entry in table.items():
+        if entry is name or folded and _fold(key) == folded:
+            return key, entry
+    raise ValueError(f"unknown {what} {name!r}; choose one of: {', '.join(table)}")
+
+
 def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None]:
     """``rows`` as an n x m int32 array, and the index of the first row that
     is not a permutation of the ints ``0..m-1`` (None when every row is one).
@@ -180,7 +201,7 @@ def borda_scores(election: Election) -> list[int]:
 
 def select_top_k(scores: Sequence[float], k: int) -> Committee:
     """The ``k`` highest-scoring candidates; ties go to the smaller candidate id."""
-    m = len(scores)
+    m, k = len(scores), _whole("k", k)
     if not 0 <= k <= m:
         raise ValueError(f"cannot pick k={k} winners from {m} candidates")
     # A stable sort, reversed, keeps equal scores in id order.

@@ -3,7 +3,8 @@
 Every cost function is wrapped in the same piecewise rule: a query with at
 most one bucket or at most one candidate reveals nothing and costs 0. Costs
 computed from rational bucket vectors stay exact (``Fraction``), so budget
-bookkeeping never drifts.
+bookkeeping never drifts. A cost or axiom name is read by :func:`~queryvote.core._named`,
+so ``"Variance-Aware"`` names the ``COST_FUNCTIONS`` entry ``variance_aware``.
 
 The audit machinery samples query pairs satisfying each axiom's hypothesis
 and checks the conclusion, replaying a set of stored counterexamples first so
@@ -23,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _whole
+from .core import _named, _whole
 from .queries import RefinementQuery
 from .rng import derive_seed, substream
 
@@ -106,23 +107,16 @@ COST_FUNCTIONS: dict[str, CostFunction] = {
     "computational": cost_computational,
 }
 
-_NAME_BY_FUNCTION = {fn: name for name, fn in COST_FUNCTIONS.items()}
+
+def get_cost_function(name) -> CostFunction:
+    return _named(COST_FUNCTIONS, name, "cost function")[1]
 
 
-def get_cost_function(name: str) -> CostFunction:
-    key = name.strip().lower().replace("-", "_")
-    if key not in COST_FUNCTIONS:
-        known = ", ".join(sorted(COST_FUNCTIONS))
-        raise ValueError(f"unknown cost function {name!r}; choose one of: {known}")
-    return COST_FUNCTIONS[key]
-
-
-def resolve_cost(cost) -> tuple[CostFunction, str]:
-    """Accept a cost function by name or callable; return (callable, name)."""
-    if callable(cost):
-        return cost, _NAME_BY_FUNCTION.get(cost, getattr(cost, "__name__", "custom"))
-    fn = get_cost_function(cost)
-    return fn, _NAME_BY_FUNCTION[fn]
+def resolve_cost(cost) -> tuple[str, CostFunction]:
+    """``(name, callable)`` of a cost read by the name rule, or of a custom callable."""
+    if callable(cost) and cost not in COST_FUNCTIONS.values():
+        return getattr(cost, "__name__", "custom"), cost
+    return _named(COST_FUNCTIONS, cost, "cost function")
 
 
 class Axiom(Enum):
@@ -286,13 +280,14 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
     costs are evaluated in closed form on the sampled class sizes; the
     query pair is built, and priced by the cost function, only to report a
     violation. Other callables are priced on the queries of every pair.
-    ``axiom`` is an :class:`Axiom` or its value, such as ``"prefix_monotonicity"``.
+    ``axiom`` is an :class:`Axiom` or its value, such as ``"prefix_monotonicity"``,
+    read by the name rule.
     """
     trials = _whole("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    axiom = Axiom(axiom)
-    fn, name = resolve_cost(cost)
+    _, axiom = _named(Axiom, axiom, "axiom")
+    name, fn = resolve_cost(cost)
 
     def holds(low, high, factor) -> bool:
         if axiom is Axiom.MULTIPLE_MONOTONICITY:

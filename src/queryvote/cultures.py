@@ -5,9 +5,10 @@ Mallows, and the four reference cultures spanning agreement and conflict
 (identity, uniformity, stratification, antagonism).
 
 Each culture is declared once, in ``_CULTURES``: its generator and the names
-of the keyword parameters it takes. ``KINDS``, the accepted kind names and
-the parameter check of :class:`CultureSpec` derive from that table, and each
-generator holds its own parameter defaults.
+of the keyword parameters it takes. ``KINDS`` and the parameter check of
+:class:`CultureSpec` derive from that table, and each generator holds its
+own parameter defaults. A kind name is read by :func:`~queryvote.core._named`
+from ``_KIND_NAMES``: the kinds, and aliases such as ``impartial``.
 
 Generation is a pure function of ``(spec, m, n, k)``. Voters that are
 statistically independent draw from per-voter substreams, keyed
@@ -54,7 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Election, PreferenceOrder, _id_table, _is_int_type, _is_real_type, _whole
+from .core import Election, PreferenceOrder, _id_table, _is_int_type, _is_real_type, _named, _whole
 from .rng import _streams, substream
 
 DEFAULT_URN_ALPHA = 0.5  # copies added per draw, as a multiple of m!
@@ -63,14 +64,6 @@ DEFAULT_MALLOWS_PHI = 0.8
 # Below this many permutations, uniformity elections enumerate the full
 # permutation set; above it, distinct orders are rejection-sampled.
 _ENUMERATION_LIMIT = 50_000
-
-
-def canonical_kind(kind: str) -> str:
-    """The kind's name in ``KINDS``, matched without case, ``-`` or ``_``, or an alias."""
-    key = str(kind).strip().lower().replace("-", "").replace("_", "")
-    if key not in _KIND_ALIASES:
-        raise ValueError(f"unknown culture kind {kind!r}; choose one of {KINDS}")
-    return _KIND_ALIASES[key]
 
 
 @dataclass
@@ -82,8 +75,10 @@ class CultureSpec:
     params: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.kind = canonical_kind(self.kind)
+        _, self.kind = _named(_KIND_NAMES, self.kind, "culture kind")
         self.seed = _whole("seed", self.seed)
+        if not isinstance(self.params, Mapping):
+            raise ValueError(f"params must be a mapping, got {self.params!r}")
         unknown = sorted(set(self.params) - set(_CULTURES[self.kind][1]))
         if unknown:
             raise ValueError(f"{self.kind} culture does not take parameters {unknown}")
@@ -284,8 +279,8 @@ _CULTURES = {
 
 KINDS = tuple(_CULTURES)
 
-# Lookup keys for ``canonical_kind``: each kind's lowercased name, plus aliases.
-_KIND_ALIASES = {kind.lower(): kind for kind in KINDS} | {
+# The names a kind is read by, each with its kind: the kind itself, and aliases.
+_KIND_NAMES = {kind: kind for kind in KINDS} | {
     "impartial": "IC",
     "euclidean": "Euclidean2D",
     "2d": "Euclidean2D",

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Election, _id_table
+from .core import Election, _id_table, _whole
 
 
 def write_native(election: Election, path) -> None:
@@ -140,6 +140,7 @@ def _parse_preflib(path, lines: list[tuple[int, str]], k: int) -> Election:
 
 def load_election(path, k: int | None = None) -> Election:
     """Load an election file, sniffing the format from the first line."""
+    k = None if k is None else _whole("k", k)
     lines = _read_lines(path)
     _, first = lines[0]
     if first.startswith("#"):

@@ -24,10 +24,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence, get_type_hints
 
-from .core import Committee, Election, _whole, hamming, k_borda, select_top_k
-from .costs import get_cost_function
+from .core import Committee, Election, _named, _whole, hamming, k_borda, select_top_k
+from .costs import COST_FUNCTIONS
 from .cultures import CultureSpec, generate
 from .rng import derive_seed, substream
 from .scoring import _share_table, _totals, borda_vector
@@ -71,12 +71,13 @@ _COLUMN_TYPES = tuple(get_type_hints(ResultRow)[name] for name in CSV_COLUMNS)
 class ExperimentConfig:
     """Everything needed to reproduce a sweep.
 
-    Each ``budget_grid`` entry is stored as the budget rule of
-    :mod:`queryvote.strategies` reads it. ``budget_grid`` may be None, in
-    which case each strategy gets the grid of its question type, derived
-    from the config's ``m``, ``n`` and ``cost``: geometric points between 1%
-    and 120% of the full-resolution cost of ``n`` voters over ``m``
-    candidates, plus 0 and the unlimited budget.
+    ``cost`` is stored as its registry name, read by the name rule of
+    :func:`~queryvote.core._named`, and each ``budget_grid`` entry as the
+    budget rule of :mod:`queryvote.strategies` reads it. ``budget_grid`` may
+    be None, in which case each strategy gets the grid of its question type,
+    derived from the config's ``m``, ``n`` and ``cost``: geometric points
+    between 1% and 120% of the full-resolution cost of ``n`` voters over
+    ``m`` candidates, plus 0 and the unlimited budget.
     """
 
     cultures: list[CultureSpec]
@@ -115,7 +116,7 @@ class ExperimentConfig:
         for label in strategies:
             if strategies.count(label) > 1:
                 raise ValueError(f"the strategy {label!r} is listed twice")
-        get_cost_function(self.cost)
+        self.cost, _ = _named(COST_FUNCTIONS, self.cost, "cost function")
         if self.budget_grid is not None:
             try:
                 grid = [_budget(b) for b in self.budget_grid]
@@ -212,17 +213,17 @@ def sweep_distances(
 ) -> Iterator[tuple[object, int, object]]:
     """Hamming distance from ``target`` at every budget of a grid, in grid order.
 
-    Yields ``(budget, distance, spent)`` per entry of ``budgets``: each budget
-    is its own run, with the spend of
-    :func:`~queryvote.strategies.run_elicitation` under it, scored by Borda
-    over the partial profile; the top ``k`` committee is compared with
-    ``target``.
+    Yields ``(budget, distance, spent)`` per entry of ``budgets``, the budget
+    as :func:`~queryvote.strategies._budget` reads it: each budget is its own
+    run, with the spend of :func:`~queryvote.strategies.run_elicitation` under
+    it, scored by Borda over the partial profile; the top ``k`` committee is
+    compared with ``target``.
     """
     schedule = _schedule_of(kind, cost, election.m)
-    policy = BudgetPolicy(policy)
+    _, policy = _named(BudgetPolicy, policy, "budget policy")
     table = _share_table(schedule, borda_vector(election.m))
     places = election._places[_voter_order(election.n, voter_order)]
-    for budget in budgets:
+    for budget in map(_budget, budgets):
         levels, spent = _elicit(schedule, policy, election.n, budget)
         # The rows are added in run order, not voter order. That gives the
         # totals of partial_scores: every Borda share is a half-integer and
@@ -377,7 +378,7 @@ def _from_json(schema, data, what: str):
     values = {}
     for name, value in data.items():
         try:
-            values[name] = _PARSERS[types[name]](value)
+            values[name] = _PARSERS.get(types[name], lambda given: given)(value)
         except (TypeError, ValueError) as err:
             raise ValueError(f"{what} key {name!r}: {err}") from None
     return schema(**values)
@@ -395,11 +396,9 @@ def _parse_culture(entry) -> CultureSpec:
     return _from_json(CultureSpec, entry, "culture entry")
 
 
-# How a JSON value is read into a config or culture-entry field, by the field's type.
+# How a JSON value is read into a field, by its type; other fields take it as it is.
 _PARSERS = {
     int: _parse_int,
-    str: str,
-    Mapping[str, object]: dict,
     list[CultureSpec]: lambda entries: [_parse_culture(entry) for entry in entries],
     list[tuple[QuestionType, BudgetPolicy]]: lambda labels: [parse_strategy(s) for s in labels],
     list[float] | None: lambda grid: None if grid is None else [_budget(b) for b in grid],

@@ -21,7 +21,7 @@ from itertools import accumulate, pairwise
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .core import PreferenceOrder, _is_int_type
+from .core import PreferenceOrder, _is_int_type, _named
 
 BucketVector = tuple
 OrderedPartition = tuple[tuple[int, ...], ...]
@@ -166,11 +166,12 @@ def answer_query(secret: PreferenceOrder, query: RefinementQuery) -> OrderedPart
 
 
 def make_question(kind: QuestionType, subset: Iterable[int]) -> RefinementQuery | None:
-    """Build the bucket vector of a question type over ``subset``.
+    """Build the bucket vector of question type ``kind``, read by the name rule, over ``subset``.
 
     Returns None when the subset has at most one candidate: there is nothing
     left to ask, and a no-op question must not charge the budget.
     """
+    _, kind = _named(QuestionType, kind, "question type")
     ids = tuple(sorted(_candidate_ids(subset)))
     s = len(ids)
     if s <= 1:
@@ -184,8 +185,6 @@ def make_question(kind: QuestionType, subset: Iterable[int]) -> RefinementQuery 
             ratios = (Fraction(1, 2), Fraction(1, 2))
         else:
             ratios = (Fraction(1, s), Fraction(s - 2, s), Fraction(1, s))
-    elif kind is QuestionType.SPLIT:
+    else:  # SPLIT
         ratios = (Fraction((s + 1) // 2, s), Fraction(s // 2, s))
-    else:
-        raise ValueError(f"unknown question type: {kind!r}")
     return RefinementQuery(subset=ids, buckets=ratios)

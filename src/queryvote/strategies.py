@@ -56,6 +56,8 @@ Every spending bound is read by one rule, :func:`_budget`: a value whose type
 passes :func:`~queryvote.core._is_real_type` and is ``>= 0`` (not NaN), or
 inf, unlimited or infinity (any case, spaces ignored) for ``UNLIMITED``. A
 numpy scalar reads as its Python number; an int or a Fraction stays exact.
+A question type, a budget policy or a strategy label such as ``S-EQ`` is
+read by the name rule of :func:`~queryvote.core._named`.
 
 A custom cost callable may price a question by the candidates shown, which
 no schedule can hold, so elicitation takes registry costs only; the axiom
@@ -76,7 +78,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Election, _id_table, _is_real_type
+from .core import Election, _id_table, _is_real_type, _named
 from .costs import COST_FUNCTIONS, resolve_cost
 from .queries import (
     OrderedPartition,
@@ -108,24 +110,20 @@ class BudgetPolicy(Enum):
     FCFS = "FCFS"
 
 
-ALL_STRATEGIES: tuple[tuple[QuestionType, BudgetPolicy], ...] = tuple(
-    (kind, policy) for kind in QuestionType for policy in BudgetPolicy
-)
-
-
 def strategy_label(kind: QuestionType, policy: BudgetPolicy) -> str:
     """Short strategy name, e.g. ``S-EQ`` or ``NL-FCFS``."""
     return f"{kind.value}-{policy.value}"
 
 
+ALL_STRATEGIES: tuple[tuple[QuestionType, BudgetPolicy], ...] = tuple(
+    (kind, policy) for kind in QuestionType for policy in BudgetPolicy
+)
+_STRATEGIES = {strategy_label(*strategy): strategy for strategy in ALL_STRATEGIES}
+
+
 def parse_strategy(label: str) -> tuple[QuestionType, BudgetPolicy]:
-    """The strategy named by a label such as ``S-EQ``, in any case."""
-    code, _, policy = str(label).strip().upper().partition("-")
-    try:
-        return QuestionType(code), BudgetPolicy(policy)
-    except ValueError:
-        known = ", ".join(strategy_label(k, p) for k, p in ALL_STRATEGIES)
-        raise ValueError(f"unknown strategy {label!r}; choose one of: {known}") from None
+    """The strategy named by a label such as ``S-EQ``, read by the name rule."""
+    return _named(_STRATEGIES, label, "strategy")[1]
 
 
 class ProtocolError(ValueError):
@@ -210,11 +208,11 @@ def _singletons(m: int) -> np.ndarray:
 
 def _schedule_of(kind, cost, m: int) -> Schedule:
     """The schedule of question type ``kind`` at ``m`` candidates under a registry ``cost``."""
-    cost_fn, cost_name = resolve_cost(cost)
+    cost_name, cost_fn = resolve_cost(cost)
     if cost_fn not in COST_FUNCTIONS.values():
         known = ", ".join(COST_FUNCTIONS)
         raise ValueError(f"elicitation needs a registry cost ({known}), got {cost_name!r}")
-    return _schedule(QuestionType(kind), cost_name, m)
+    return _schedule(_named(QuestionType, kind, "question type")[1], cost_name, m)
 
 
 @lru_cache(maxsize=1024)
@@ -223,16 +221,15 @@ def _units_cap(budget, scale: int) -> int:
     return math.floor(Fraction(budget) * scale)
 
 
-def _elicit(schedule: Schedule, policy: BudgetPolicy, n: int, budget) -> tuple[list[int], object]:
-    """The level of each place in an order of ``n`` voters under ``budget``, and the spend.
+def _elicit(schedule: Schedule, policy: BudgetPolicy, n: int, cap) -> tuple[list[int], object]:
+    """Each place's level in an order of ``n`` voters under the read budget ``cap``, and the spend.
 
     The spend is the int 0 before any charge, then the sum in the prices'
     type. With int units the cap is ``floor(budget * D)`` units, or all n
     voters' questions under an unlimited budget; else the budget itself.
     """
-    cap = budget = _budget(budget)
     if schedule.exact:
-        cap = n * schedule.cum[-1] if budget == UNLIMITED else _units_cap(budget, schedule.scale or 1)
+        cap = n * schedule.cum[-1] if cap == UNLIMITED else _units_cap(cap, schedule.scale or 1)
     runs, units = _DRIVERS[policy](schedule, n, cap)
     levels = []
     for level, count in runs:
@@ -392,8 +389,9 @@ def run_elicitation(
     the remaining budget, so ``spent <= budget`` always holds.
     """
     schedule = _schedule_of(kind, cost, election.m)
-    policy = BudgetPolicy(policy)
+    _, policy = _named(BudgetPolicy, policy, "budget policy")
     order = _voter_order(election.n, voter_order)
+    budget = _budget(budget)
     levels, spent = _elicit(schedule, policy, election.n, budget)
     level_of = np.empty(election.n, dtype=np.intp)
     level_of[order] = levels
@@ -420,7 +418,7 @@ def run_elicitation(
         question=schedule.kind,
         policy=policy,
         cost_name=schedule.cost_name,
-        budget=_budget(budget),
+        budget=budget,
         spent=spent,
         profile=profile,
         log=tuple(_entry(schedule, v, election._rankings[v].tolist(), q) for v, q in charges),

@@ -3,12 +3,16 @@
 The README may name only public names, and its Python examples must run.
 Every int parameter of a public entry point has a row in ``INT_PARAMETERS``.
 Every entry point that takes a budget has a row in ``BUDGET_PARAMETERS``.
+Every entry point that takes a name has a row in ``NAME_PARAMETERS``.
 """
 
 import ast
 import importlib
+import io
 import math
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -17,9 +21,12 @@ import numpy as np
 import pytest
 
 import queryvote as qv
+from queryvote import cli
+from queryvote.core import _named
+from queryvote.cultures import _KIND_NAMES
 from queryvote.experiments import sweep_distances
 from queryvote.rng import derive_seed, substream
-from queryvote.strategies import _budget
+from queryvote.strategies import _STRATEGIES, _budget
 
 PUBLIC_API = [
     "ALL_STRATEGIES",
@@ -179,6 +186,13 @@ def tiny_config(**overrides):
 
 CONFIG_INTS = ["m", "n", "k", "elections_per_culture", "voter_order_repeats", "master_seed"]
 
+
+def loaded_k(k):
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "election.txt"
+        qv.write_native(qv.Election(m=3, voters=[(0, 1, 2)], k=2), path)
+        return qv.load_election(path, k=k).k
+
 # Every public entry point that takes an int, as (row id, parameter, a call
 # that hands the value over as that parameter and returns what it made of it).
 INT_PARAMETERS = [
@@ -204,6 +218,8 @@ INT_PARAMETERS = [
     ("run_budget_sweep.jobs", "jobs", lambda v: qv.run_budget_sweep(tiny_config(), jobs=v)),
     ("expected_random_distance.m", "m", lambda v: qv.expected_random_distance(v, 1)),
     ("expected_random_distance.k", "k", lambda v: qv.expected_random_distance(3, v)),
+    ("select_top_k.k", "k", lambda v: qv.select_top_k([3, 1, 2], v)),
+    ("load_election.k", "k", loaded_k),
 ]
 
 
@@ -237,9 +253,9 @@ def committee(budget, cost):
 def swept(budget, cost):
     target = qv.k_borda(BUDGET_ELECTION)
     return [
-        (distance, spent)
+        (read, distance, spent)
         for policy in (EQ, FCFS)
-        for _, distance, spent in sweep_distances(
+        for read, distance, spent in sweep_distances(
             BUDGET_ELECTION, SPLIT, policy, cost, [budget], range(5), target
         )
     ]
@@ -304,3 +320,102 @@ def test_the_budget_rule():
     # A Decimal is no numbers.Real, so it is refused like a string.
     with pytest.raises(ValueError, match="for budget, got Decimal"):
         _budget(Decimal(30))
+    # A sweep yields each budget as the rule reads it, which run.budget also holds.
+    target = qv.k_borda(BUDGET_ELECTION)
+    budgets = [np.float32(30), " unlimited "]
+    yielded = [budget for budget, _, _ in sweep_distances(
+        BUDGET_ELECTION, SPLIT, EQ, "variance_aware", budgets, range(5), target
+    )]
+    assert yielded == [30.0, qv.UNLIMITED] and list(map(type, yielded)) == [float, float]
+    assert [elicited(budget, "variance_aware")[0] for budget in budgets] == yielded
+
+
+NAME_TARGET = qv.k_borda(BUDGET_ELECTION)
+VARIANCE_AWARE = ["variance_aware", " Variance-Aware ", "VARIANCEAWARE", qv.cost_variance_aware]
+SPLIT_NAMES = ["S", " s ", SPLIT]
+FCFS_NAMES = ["FCFS", " fcfs ", "F_C-FS", FCFS]
+
+
+def sweep_cli(cost):
+    """``queryvote sweep --cost``: the table it prints, or its error as a ValueError."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as folder, redirect_stdout(out), redirect_stderr(err):
+        path = Path(folder) / "election.txt"
+        qv.write_native(BUDGET_ELECTION, path)
+        code = cli.main(["sweep", str(path), "--cost", str(cost), "--budgets", "0,30"])
+    if code:
+        raise ValueError(err.getvalue().removeprefix("error: ").strip())
+    return out.getvalue()
+
+
+def name_config(cost):
+    data = {"cultures": ["IC"], "m": 3, "n": 2, "k": 1, "elections_per_culture": 1, "cost": cost}
+    return qv.parse_config(data).cost
+
+
+def swept_by(kind=SPLIT, policy=EQ, cost="variance_aware"):
+    return list(sweep_distances(BUDGET_ELECTION, kind, policy, cost, [0, 30], range(5), NAME_TARGET))
+
+
+def elicited_by(kind=SPLIT, policy=EQ, cost="variance_aware"):
+    return qv.run_elicitation(BUDGET_ELECTION, kind, policy, cost, 30)
+
+
+# Every entry point that takes a name, as (row id, the forms of one name it
+# reads alike: the key, variants in case, spacing, "-" or "_", and the entry
+# itself where a caller can hand one over; a call that hands the value over
+# as that name and returns what it made of it).
+NAME_PARAMETERS = [
+    ("CultureSpec.kind", ["Euclidean2D", " euclidean_2d ", "EUCLIDEAN-2D"], lambda v: qv.CultureSpec(v).kind),
+    ("get_cost_function", VARIANCE_AWARE, qv.get_cost_function),
+    ("run_elicitation.kind", SPLIT_NAMES, lambda v: elicited_by(kind=v)),
+    ("run_elicitation.policy", FCFS_NAMES, lambda v: elicited_by(policy=v)),
+    ("run_elicitation.cost", VARIANCE_AWARE, lambda v: elicited_by(cost=v)),
+    ("sweep_distances.kind", SPLIT_NAMES, lambda v: swept_by(kind=v)),
+    ("sweep_distances.policy", FCFS_NAMES, lambda v: swept_by(policy=v)),
+    ("sweep_distances.cost", VARIANCE_AWARE, lambda v: swept_by(cost=v)),
+    ("full_resolution_cost.kind", SPLIT_NAMES, lambda v: qv.full_resolution_cost(BUDGET_ELECTION, v, "computational")),
+    ("full_resolution_cost.cost", VARIANCE_AWARE, lambda v: qv.full_resolution_cost(BUDGET_ELECTION, SPLIT, v)),
+    (
+        "audit_axiom.cost", VARIANCE_AWARE,
+        lambda v: qv.audit_axiom(v, qv.Axiom.VARIANCE_MONOTONICITY, trials=20),
+    ),
+    (
+        "audit_axiom.axiom",
+        ["prefix_monotonicity", " Prefix-Monotonicity ", "PREFIXMONOTONICITY", qv.Axiom.PREFIX_MONOTONICITY],
+        lambda v: qv.audit_axiom("candidates", v, trials=20),
+    ),
+    ("make_question", SPLIT_NAMES, lambda v: qv.make_question(v, range(5))),
+    ("parse_strategy", ["NL-FCFS", " nl_fcfs ", "Nl-Fcfs", _STRATEGIES["NL-FCFS"]], qv.parse_strategy),
+    ("ExperimentConfig.cost", VARIANCE_AWARE, lambda v: tiny_config(cost=v).cost),
+    ("parse_config.cost", VARIANCE_AWARE, name_config),
+    # The command line takes strings only.
+    ("sweep --cost", VARIANCE_AWARE[:-1], sweep_cli),
+]
+
+
+@pytest.mark.parametrize(
+    "names, call", [row[1:] for row in NAME_PARAMETERS], ids=[row[0] for row in NAME_PARAMETERS]
+)
+def test_every_name_parameter_reads_the_name_rule(names, call):
+    """Every form of one name gives one result; a name of no entry, None or
+    a number is a ValueError that starts ``unknown``, never an AttributeError
+    or a TypeError."""
+    results = [repr(call(name)) for name in names]
+    assert results == [results[0]] * len(names)
+    for bad in ("bogus", None, 5):
+        with pytest.raises(ValueError, match="^unknown .*; choose one of: "):
+            call(bad)
+
+
+NAME_TABLES = [_KIND_NAMES, qv.COST_FUNCTIONS, _STRATEGIES, qv.QuestionType, qv.BudgetPolicy, qv.Axiom]
+
+
+@pytest.mark.parametrize("table", NAME_TABLES)
+def test_no_two_keys_of_a_registry_match_each_other(table):
+    """Each key, in the other case and spaced, reads as itself: no key is
+    shadowed by another that equals it apart from case, ``-`` and ``_``."""
+    keys = [member.value for member in table] if isinstance(table, type) else list(table)
+    assert len({key.lower().replace("-", "").replace("_", "") for key in keys}) == len(keys)
+    for key in keys:
+        assert _named(table, f" {key.swapcase()} ", "name")[0] == key

@@ -311,3 +311,26 @@ def test_sweep_reads_budget_words_by_the_budget_rule(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: expected a number or one of ['inf', 'unlimited', 'infinity']" in captured.err
+
+
+def test_generate_rejects_a_param_without_a_value(tmp_path, capsys):
+    code = run_cli(
+        "generate", "mallows", "--m", 5, "--n", 5, "--k", 2, "--param", "phi", "--out", tmp_path / "x"
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: --param expects KEY=VALUE, got 'phi'\n"
+
+
+def test_sweep_reads_the_cost_by_the_name_rule(tmp_path, capsys):
+    path = tmp_path / "e.elec"
+    write_native(generate(CultureSpec("IC", seed=5), 5, 4, 2), path)
+    tables = []
+    for cost in ("variance_aware", "Variance-Aware", " VARIANCE_AWARE "):
+        assert run_cli("sweep", path, "--cost", cost, "--budgets", "0,20,inf") == 0
+        tables.append(capsys.readouterr().out)
+    assert tables == [tables[0]] * 3
+    # An unknown cost is invalid input: exit 1 with the rule's message, not argparse's 2.
+    assert run_cli("sweep", path, "--cost", "bogus", "--budgets", "0,20") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: unknown cost function 'bogus'; choose one of: candidates, ")

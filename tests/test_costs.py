@@ -73,6 +73,10 @@ def test_cost_variance_aware():
     assert cost_variance_aware(q(4, F(1, 2), F(1, 2))) == 8
     assert cost_variance_aware(q(2, F(1, 2), F(1, 2))) == 4
     assert cost_variance_aware(q(4, F(1, 4), F(3, 4))) == F(15, 2)
+    # Float ratios take the float branch of variance, to the same value here.
+    assert variance((0.25, 0.75)) == 0.0625
+    price = cost_variance_aware(q(4, 0.25, 0.75))
+    assert price == 7.5 and type(price) is float
 
 
 def test_cost_computational():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -12,6 +13,7 @@ from queryvote import (
     borda_scores,
     generate,
     k_borda,
+    parse_config,
 )
 from queryvote.cultures import _rank_by_distance
 from queryvote.rng import substream
@@ -371,3 +373,13 @@ def test_generate_refuses_a_spec_that_is_not_a_culture_spec():
     for spec in ("IC", None, {"kind": "IC"}):
         with pytest.raises(ValueError, match="is not a CultureSpec"):
             generate(spec, 3, 3, 1)
+
+
+def test_spec_refuses_params_that_are_not_a_mapping():
+    for params in (None, [("phi", 0.5)], "phi"):
+        with pytest.raises(ValueError, match="^params must be a mapping, got "):
+            CultureSpec("Mallows", params=params)
+    # A JSON "params": null meets the same check, under the config key it sits in.
+    data = {"cultures": [{"kind": "IC", "params": None}], "m": 3, "n": 2, "k": 1, "elections_per_culture": 1}
+    with pytest.raises(ValueError, match=re.escape("config key 'cultures': params must be a mapping, got None")):
+        parse_config(data)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -298,3 +299,24 @@ def test_preflib_orders_make_the_election_their_voters_make(tmp_path):
         path.write_text("\n".join(lines) + "\n")
         expected = loaded(lambda p: per_voter_preflib_load(p, 1), path)
         assert loaded(lambda p: load_election(p, k=1), path) == expected
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3\n1,A\n2,B\n", "truncated header"),
+        ("2\n1,A\n2,B\n1,1\n1,1,2\n", "expected 'voters,votes,unique' after the names"),
+        ("2\n1,A\n2,B\n2,2,2\n2,1,2\n", "header promises 2 order lines, found 1"),
+    ],
+)
+def test_load_election_reports_preflib_header_errors(tmp_path, text, message):
+    path = tmp_path / "x.soc"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        load_election(path, k=1)
+
+
+def test_write_preflib_needs_one_name_per_candidate(tmp_path, election):
+    with pytest.raises(ValueError, match="^need 5 candidate names, got 2$"):
+        write_preflib(election, tmp_path / "e.soc", names=["A", "B"])
+    assert not (tmp_path / "e.soc").exists()

@@ -23,6 +23,7 @@ from queryvote import (
     generate,
     hamming,
     k_borda,
+    load_config,
     parse_config,
     random_baseline,
     read_csv_rows,
@@ -98,6 +99,8 @@ def test_sweep_zero_budget_rows_match_tie_break_committee():
 def test_sweep_deterministic_across_jobs():
     config = small_config()
     assert run_budget_sweep(config, jobs=1) == run_budget_sweep(config, jobs=2)
+    with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
+        run_budget_sweep(config, jobs=0)
 
 
 def test_sweep_identity_culture_fcfs_needs_one_voter():
@@ -279,6 +282,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match="^budget_grid: expected a number"):
             small_config(budget_grid=bad)
     assert small_config(budget_grid=[0, 2.5, " Unlimited"]).budget_grid == [0.0, 2.5, UNLIMITED]
+    with pytest.raises(ValueError, match="^config needs at least one strategy$"):
+        small_config(strategies=[])
 
 
 @pytest.mark.parametrize(
@@ -494,3 +499,19 @@ def test_sweep_totals_are_partial_scores_of_the_plain_profile():
                         committee = select_top_k(checked, e.k)
                         assert select_top_k(totals, e.k) == committee
                         assert distance == hamming(committee, target)
+
+
+def test_result_and_config_files_name_the_file_they_fail_on(tmp_path):
+    missing = tmp_path / "no such folder" / "rows.csv"
+    with pytest.raises(OSError, match=re.escape(f"cannot write results to {missing}: ")):
+        emit_csv([], missing)
+    with pytest.raises(OSError, match=re.escape(f"cannot read results from {missing}: ")):
+        read_csv_rows(missing)
+    other = tmp_path / "other.csv"
+    other.write_text("culture,budget\n1,2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{other}: unexpected CSV header ['culture', 'budget']")):
+        read_csv_rows(other)
+    config = tmp_path / "config.json"
+    config.write_text('{"m": 4,')
+    with pytest.raises(ValueError, match=re.escape(f"{config} is not valid JSON: ")):
+        load_config(config)

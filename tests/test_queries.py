@@ -75,6 +75,9 @@ def test_validate_buckets_rejects_bad_vectors():
     with pytest.raises(ValueError):
         validate_buckets((1.2, -0.2))
     assert validate_buckets((0.5, 0.5 + 1e-12)) == (0.5, 0.5 + 1e-12)
+    # Float ratios that miss 1 by more than the tolerance.
+    with pytest.raises(ValueError, match="^bucket ratios must sum to 1, got 0.9$"):
+        validate_buckets((0.5, 0.4))
 
 
 def test_answer_query_peels_favourite():
