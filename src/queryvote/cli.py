@@ -15,20 +15,19 @@ import sys
 from pathlib import Path
 
 from . import election_io
-from .core import k_borda
+from .core import _named, _whole, k_borda
 from .costs import audit_csv_rows, audit_grid, format_audit_table
 from .cultures import KINDS, CultureSpec, generate
 from .experiments import (
-    default_budget_grid,
+    _GRID_POINTS,
+    _default_grid,
     difficulty_scores,
     emit_csv,
-    full_resolution_cost,
     load_config,
     parse_budget,
     run_budget_sweep,
     sweep_distances,
 )
-from .queries import QuestionType
 from .rng import substream
 from .strategies import ALL_STRATEGIES, strategy_label
 
@@ -45,10 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="sample an election from a culture")
     gen.add_argument("culture", help=f"culture kind, one of {', '.join(KINDS)}")
-    gen.add_argument("--m", type=int, required=True, help="number of candidates")
-    gen.add_argument("--n", type=int, required=True, help="number of voters")
-    gen.add_argument("--k", type=int, required=True, help="committee size")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--m", required=True, help="number of candidates")
+    gen.add_argument("--n", required=True, help="number of voters")
+    gen.add_argument("--k", required=True, help="committee size")
+    gen.add_argument("--seed", default=0)
     gen.add_argument(
         "--param",
         action="append",
@@ -58,14 +57,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "not a number is read as JSON (repeatable)",
     )
     gen.add_argument("--out", required=True, help="output file path")
-    gen.add_argument("--format", choices=tuple(_WRITERS), default="native")
+    gen.add_argument("--format", default="native", help=f"one of {', '.join(_WRITERS)}")
     gen.set_defaults(handler=_cmd_generate)
 
     run = sub.add_parser("run", help="run an experiment config, write results CSV")
     run.add_argument("config", help="JSON experiment config file")
     run.add_argument("--out", required=True, help="results CSV path")
-    run.add_argument("--jobs", type=int, default=1, help="worker processes")
-    run.add_argument("--seed", type=int, default=None, help="override the master seed")
+    run.add_argument("--jobs", default=1, help="worker processes")
+    run.add_argument("--seed", default=None, help="override the master seed")
     run.add_argument(
         "--difficulty",
         action="store_true",
@@ -74,25 +73,36 @@ def _build_parser() -> argparse.ArgumentParser:
     run.set_defaults(handler=_cmd_run)
 
     audit = sub.add_parser("audit-costs", help="check cost functions against the axioms")
-    audit.add_argument("--trials", type=int, default=10_000, help="sampled pairs per cell")
-    audit.add_argument("--seed", type=int, default=0)
+    audit.add_argument("--trials", default=10_000, help="sampled pairs per cell")
+    audit.add_argument("--seed", default=0)
     audit.add_argument("--csv", default=None, help="also write the grid as CSV here")
     audit.set_defaults(handler=_cmd_audit)
 
     sweep = sub.add_parser("sweep", help="all strategies on one election file")
     sweep.add_argument("election", help="election file (native or PrefLib)")
-    sweep.add_argument("--k", type=int, default=None, help="committee size (PrefLib files only)")
+    sweep.add_argument("--k", default=None, help="committee size (PrefLib files only)")
     sweep.add_argument("--cost", default="variance_aware", help="cost function, by name")
     sweep.add_argument(
         "--budgets",
         default=None,
         help="comma-separated budgets; 'inf' allowed (default: derived grid)",
     )
-    sweep.add_argument("--points", type=int, default=10, help="derived grid size")
-    sweep.add_argument("--repeats", type=int, default=1, help="voter orders per budget")
-    sweep.add_argument("--seed", type=int, default=0, help="seed for voter orders")
+    sweep.add_argument("--points", default=_GRID_POINTS, help="derived grid size")
+    sweep.add_argument("--repeats", default=1, help="voter orders per budget")
+    sweep.add_argument("--seed", default=0, help="seed for voter orders")
     sweep.set_defaults(handler=_cmd_sweep)
     return parser
+
+
+def _read_ints(args) -> None:
+    """Read each int option given on the command line by the int rule of core."""
+    for name in ("m", "n", "k", "seed", "jobs", "trials", "points", "repeats"):
+        text = getattr(args, name, None)
+        if isinstance(text, str):
+            try:
+                setattr(args, name, int(text))
+            except ValueError:
+                _whole(f"--{name}", text)
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -112,9 +122,10 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _cmd_generate(args) -> int:
+    _, write = _named(_WRITERS, args.format, "--format")
     spec = CultureSpec(kind=args.culture, seed=args.seed, params=_parse_params(args.param))
     election = generate(spec, args.m, args.n, args.k)
-    _WRITERS[args.format](election, args.out)
+    write(election, args.out)
     print(f"wrote {spec.label()} election (m={args.m}, n={args.n}, k={args.k}) to {args.out}")
     return 0
 
@@ -158,8 +169,7 @@ def _cmd_sweep(args) -> int:
     if args.budgets is not None:
         budgets = [parse_budget(item) for item in args.budgets.split(",")]
     else:
-        heaviest = max(full_resolution_cost(election, kind, args.cost) for kind in QuestionType)
-        budgets = list(default_budget_grid(heaviest, points=args.points))
+        budgets = _default_grid(election.m, election.n, args.cost, args.points)
     # The table is printed whole, so a rejected budget leaves stdout empty.
     table = ["strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)]
     for kind, policy in ALL_STRATEGIES:
@@ -182,9 +192,9 @@ def _fmt_budget(budget: float) -> str:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
+        _read_ints(args)
         return args.handler(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -53,7 +53,7 @@ def _named(table, name, what: str) -> tuple:
     if isinstance(table, type):
         if isinstance(name, table):
             return name.value, name
-        table = {member.value: member for member in table}
+        table = table._value2member_map_
     if isinstance(name, str) and name in table:
         return name, table[name]
     folded = _fold(name) if isinstance(name, str) else None

@@ -79,7 +79,7 @@ class CultureSpec:
         self.seed = _whole("seed", self.seed)
         if not isinstance(self.params, Mapping):
             raise ValueError(f"params must be a mapping, got {self.params!r}")
-        unknown = sorted(set(self.params) - set(_CULTURES[self.kind][1]))
+        unknown = sorted(set(self.params) - set(_CULTURES[self.kind][1]), key=str)
         if unknown:
             raise ValueError(f"{self.kind} culture does not take parameters {unknown}")
 

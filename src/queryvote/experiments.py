@@ -74,10 +74,11 @@ class ExperimentConfig:
     ``cost`` is stored as its registry name, read by the name rule of
     :func:`~queryvote.core._named`, and each ``budget_grid`` entry as the
     budget rule of :mod:`queryvote.strategies` reads it. ``budget_grid`` may
-    be None, in which case each strategy gets the grid of its question type,
-    derived from the config's ``m``, ``n`` and ``cost``: geometric points
-    between 1% and 120% of the full-resolution cost of ``n`` voters over
-    ``m`` candidates, plus 0 and the unlimited budget.
+    be None, in which case every strategy gets the one grid of ``m``, ``n``
+    and ``cost``: 12 geometric points from 1% to 120% of the heaviest of the
+    four question types' full-resolution costs, plus 0 and unlimited. Each
+    budget caps the spend of every strategy alike, so a cheaper question
+    type reaches full resolution earlier in the grid.
     """
 
     cultures: list[CultureSpec]
@@ -154,14 +155,15 @@ def _full_cost(kind: QuestionType, cost, m: int, n: int) -> float:
     return float(_elicit(_schedule_of(kind, cost, m), BudgetPolicy.EQUAL, n, UNLIMITED)[1])
 
 
-# Ends of the default budget grid, as fractions of the full-resolution cost.
+# Ends of the default budget grid, as fractions of the full-resolution cost, and its size.
 _GRID_LOW = 0.01
 _GRID_HIGH = 1.2
+_GRID_POINTS = 12
 
 
 def default_budget_grid(
     full_cost: float,
-    points: int = 12,
+    points: int = _GRID_POINTS,
     include_zero: bool = True,
     include_unlimited: bool = True,
 ) -> tuple[float, ...]:
@@ -190,16 +192,10 @@ def default_budget_grid(
     return tuple(grid)
 
 
-def _resolved_grids(config: ExperimentConfig) -> dict[str, tuple[float, ...]]:
-    if config.budget_grid is not None:
-        shared = tuple(config.budget_grid)
-        return {strategy_label(k, p): shared for k, p in config.strategies}
-    # The full-resolution cost is an unlimited EQ run, the same for both policies.
-    by_kind = {
-        kind: default_budget_grid(_full_cost(kind, config.cost, config.m, config.n))
-        for kind in {kind for kind, _ in config.strategies}
-    }
-    return {strategy_label(k, p): by_kind[k] for k, p in config.strategies}
+def _default_grid(m: int, n: int, cost, points: int = _GRID_POINTS) -> tuple[float, ...]:
+    """The one default grid: every strategy is compared at the same budgets, scaled
+    to the heaviest full-resolution cost of all four question types at (m, n)."""
+    return default_budget_grid(max(_full_cost(kind, cost, m, n) for kind in QuestionType), points)
 
 
 def sweep_distances(
@@ -233,7 +229,7 @@ def sweep_distances(
 
 
 def _election_rows(args) -> list[ResultRow]:
-    config, grids, culture_index, election_index = args
+    config, grid, culture_index, election_index = args
     spec = config.cultures[culture_index]
     seed = derive_seed(config.master_seed, _ELECTION_TAG, spec.seed, election_index)
     election = generate(spec.with_seed(seed), config.m, config.n, config.k)
@@ -247,20 +243,11 @@ def _election_rows(args) -> list[ResultRow]:
                 config.master_seed, _ORDER_TAG, culture_index, election_index, strategy_index, repeat
             )
             order = order_rng.permutation(config.n)
-            for budget, distance, spent in sweep_distances(
-                election, kind, policy, config.cost, grids[name], order, target
-            ):
-                rows.append(
-                    ResultRow(
-                        culture=label,
-                        election=election_index,
-                        strategy=name,
-                        budget=float(budget),
-                        repeat=repeat,
-                        distance=distance,
-                        spent=float(spent),
-                    )
-                )
+            swept = sweep_distances(election, kind, policy, config.cost, grid, order, target)
+            rows += (
+                ResultRow(label, election_index, name, float(budget), repeat, distance, float(spent))
+                for budget, distance, spent in swept
+            )
     return rows
 
 
@@ -269,9 +256,11 @@ def run_budget_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]
     jobs = _whole("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    grids = _resolved_grids(config)
+    grid = config.budget_grid
+    if grid is None:
+        grid = _default_grid(config.m, config.n, config.cost)
     tasks = [
-        (config, grids, culture_index, election_index)
+        (config, grid, culture_index, election_index)
         for culture_index in range(len(config.cultures))
         for election_index in range(config.elections_per_culture)
     ]

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from queryvote import CultureSpec, generate
-from queryvote.cli import main
+from queryvote.cli import _fmt_budget, main
 from queryvote.election_io import load_election, write_native
 from queryvote.experiments import read_csv_rows
 
@@ -285,6 +285,56 @@ def test_sweep_rejects_non_positive_points(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("sweep", elec, "--points", -3) == 1
     assert "error: points must be at least 1" in capsys.readouterr().err
+
+
+def test_sweep_default_grid_is_the_run_grid(tmp_path, capsys):
+    m, n, k = 6, 5, 2
+    elec = tmp_path / "e.elec"
+    run_cli("generate", "IC", "--m", m, "--n", n, "--k", k, "--seed", 5, "--out", elec)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "m": m, "n": n, "k": k, "elections_per_culture": 1, "cultures": ["IC"],
+        "strategies": ["S-EQ", "N-FCFS"], "cost": "computational", "voter_order_repeats": 1,
+    }))
+    assert run_cli("run", config, "--out", tmp_path / "r.csv") == 0
+    capsys.readouterr()
+    assert run_cli("sweep", elec, "--cost", "computational") == 0
+    header = capsys.readouterr().out.splitlines()[0].split()[1:]
+    budgets = sorted({row.budget for row in read_csv_rows(tmp_path / "r.csv")})
+    assert len(header) == 14
+    assert header == [_fmt_budget(budget) for budget in budgets]
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--m", "2.5"], "error: --m must be an int, got '2.5'"),
+        (["--seed", "x"], "error: --seed must be an int, got 'x'"),
+        (["--format", "bogus"], "error: unknown --format 'bogus'; choose one of: native, preflib"),
+    ],
+)
+def test_generate_reads_ints_and_format_by_the_package_rules(tmp_path, capsys, options, message):
+    # A repeated option takes its last value.
+    out = tmp_path / "e.elec"
+    assert run_cli("generate", "IC", "--m", 4, "--n", 3, "--k", 2, "--out", out, *options) == 1
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        (["run", "c.json", "--out", "r.csv"], "--jobs"),
+        (["audit-costs"], "--trials"),
+        (["sweep", "e.elec"], "--points"),
+        (["sweep", "e.elec"], "--repeats"),
+        (["sweep", "e.elec"], "--k"),
+    ],
+)
+def test_every_int_option_exits_1_naming_itself(tmp_path, capsys, command, option):
+    assert run_cli(*command, option, "1.5") == 1
+    assert capsys.readouterr().err == f"error: {option} must be an int, got '1.5'\n"
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):

@@ -383,3 +383,9 @@ def test_spec_refuses_params_that_are_not_a_mapping():
     data = {"cultures": [{"kind": "IC", "params": None}], "m": 3, "n": 2, "k": 1, "elections_per_culture": 1}
     with pytest.raises(ValueError, match=re.escape("config key 'cultures': params must be a mapping, got None")):
         parse_config(data)
+
+
+def test_spec_names_unknown_params_whatever_their_key_types():
+    # Sorting an int key against a str key gave a bare TypeError.
+    with pytest.raises(ValueError, match=re.escape("IC culture does not take parameters [1, 'a']")):
+        CultureSpec("IC", params={1: 2, "a": 3})

@@ -243,12 +243,34 @@ def test_full_resolution_cost_positive():
     assert full_resolution_cost(e, QuestionType.SPLIT, "variance_aware") > 0
 
 
+def budgets_by_strategy(rows):
+    by_strategy = {}
+    for row in rows:
+        by_strategy.setdefault(row.strategy, set()).add(row.budget)
+    return by_strategy
+
+
 def test_auto_grid_used_when_config_has_none():
     config = small_config(budget_grid=None, elections_per_culture=1, voter_order_repeats=1)
-    rows = run_budget_sweep(config)
-    budgets = sorted({row.budget for row in rows if row.strategy == "S-EQ"})
+    by_strategy = budgets_by_strategy(run_budget_sweep(config))
+    budgets = sorted(by_strategy["S-EQ"])
     assert budgets[0] == 0.0 and math.isinf(budgets[-1])
     assert len(budgets) == 14
+    # S-EQ and N-FCFS, whose full-resolution costs differ, share one grid.
+    assert by_strategy["N-FCFS"] == by_strategy["S-EQ"]
+
+
+def test_auto_grid_does_not_depend_on_the_strategies_listed():
+    def budgets(strategies):
+        config = small_config(
+            budget_grid=None, strategies=strategies, elections_per_culture=1, voter_order_repeats=1
+        )
+        return budgets_by_strategy(run_budget_sweep(config))
+
+    everyone = budgets(list(ALL_STRATEGIES))
+    split_only = budgets([(QuestionType.SPLIT, BudgetPolicy.EQUAL)])
+    assert len(everyone) == 8
+    assert all(grid == split_only["S-EQ"] for grid in everyone.values())
 
 
 def test_config_validation():
