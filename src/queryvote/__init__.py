@@ -11,7 +11,6 @@ from types import ModuleType as _ModuleType
 from .core import (
     Committee,
     Election,
-    PreferenceOrder,
     borda_scores,
     hamming,
     k_borda,
@@ -51,14 +50,11 @@ from .experiments import (
     expected_random_distance,
     full_resolution_cost,
     load_config,
-    parse_config,
     random_baseline,
-    read_csv_rows,
     run_budget_sweep,
 )
 from .queries import (
     InfeasibleQueryError,
-    OrderedPartition,
     QuestionType,
     RefinementQuery,
     answer_query,
@@ -71,7 +67,6 @@ from .strategies import (
     UNLIMITED,
     BudgetPolicy,
     ElicitationRun,
-    parse_strategy,
     run_elicitation,
     strategy_label,
 )

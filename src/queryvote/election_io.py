@@ -93,11 +93,14 @@ def _native_body(path, lines: list[tuple[int, str]], m: int):
 
 
 def write_preflib(election: Election, path, names: Sequence[str] | None = None) -> None:
-    """Write the election as PrefLib complete strict orders (names optional)."""
+    """Write the election as PrefLib complete strict orders (names optional, one line each)."""
     if names is None:
         names = [f"Candidate {c + 1}" for c in range(election.m)]
     if len(names) != election.m:
         raise ValueError(f"need {election.m} candidate names, got {len(names)}")
+    for c, name in enumerate(map(str, names)):
+        if "".join(name.splitlines()) != name:
+            raise ValueError(f"candidate {c + 1} name {name!r} holds a line break")
     counts = Counter(election.voters)
     lines = [str(election.m)]
     lines.extend(f"{c + 1},{names[c]}" for c in range(election.m))

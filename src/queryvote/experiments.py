@@ -64,7 +64,6 @@ class ResultRow:
 # The results CSV holds one column per ``ResultRow`` field, in field order.
 CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 _row_values = attrgetter(*CSV_COLUMNS)
-_COLUMN_TYPES = tuple(get_type_hints(ResultRow)[name] for name in CSV_COLUMNS)
 
 
 @dataclass
@@ -123,6 +122,8 @@ class ExperimentConfig:
                 grid = [_budget(b) for b in self.budget_grid]
             except ValueError as err:
                 raise ValueError(f"budget_grid: {err}") from None
+            if not grid:
+                raise ValueError("budget_grid must not be empty")
             if grid != sorted(grid):
                 raise ValueError("budget_grid must be sorted ascending")
             self.budget_grid = grid
@@ -323,21 +324,6 @@ def emit_csv(rows: Iterable[ResultRow], path) -> None:
             writer.writerows(map(_row_values, rows))
     except OSError as err:
         raise OSError(f"cannot write results to {path}: {err}") from err
-
-
-def read_csv_rows(path) -> list[ResultRow]:
-    try:
-        with Path(path).open(newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if tuple(header or ()) != CSV_COLUMNS:
-                raise ValueError(f"{path}: unexpected CSV header {header}")
-            return [
-                ResultRow(*(cast(value) for cast, value in zip(_COLUMN_TYPES, record, strict=True)))
-                for record in reader
-            ]
-    except OSError as err:
-        raise OSError(f"cannot read results from {path}: {err}") from err
 
 
 def parse_config(data: dict) -> ExperimentConfig:

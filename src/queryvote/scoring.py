@@ -125,20 +125,18 @@ def query_based_committee(
     cost,
     budget,
     voter_order: Sequence[int] | None = None,
-    scoring: Sequence | None = None,
     record_log: bool = True,
 ) -> tuple[Committee, ElicitationRun]:
-    """Elicit under the budget, score the partial profile, pick the top k.
+    """Elicit under the budget, score the partial profile by Borda, pick the top k.
 
-    Returns the committee together with the full elicitation record. The
-    scoring vector, one entry per candidate, defaults to Borda; ties go to
-    the smaller candidate id.
+    Returns the committee together with the full elicitation record; ties go
+    to the smaller candidate id. The rule is k-Borda's: to score by another
+    positional vector, pass ``run.profile`` and the vector to
+    :func:`partial_scores` and take the top k with
+    :func:`~queryvote.core.select_top_k`.
     """
-    scoring = borda_vector(election.m) if scoring is None else validate_scoring_vector(scoring)
-    if len(scoring) != election.m:
-        raise ValueError(f"scoring vector has {len(scoring)} entries for {election.m} candidates")
     run = run_elicitation(
         election, kind, policy, cost, budget, voter_order=voter_order, record_log=record_log
     )
-    totals = partial_scores(run.profile, scoring)
+    totals = partial_scores(run.profile, borda_vector(election.m))
     return select_top_k(totals, election.k), run

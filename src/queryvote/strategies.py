@@ -80,13 +80,7 @@ import numpy as np
 
 from .core import Election, _id_table, _is_real_type, _named
 from .costs import COST_FUNCTIONS, resolve_cost
-from .queries import (
-    OrderedPartition,
-    QuestionType,
-    RefinementQuery,
-    bucket_sizes,
-    make_question,
-)
+from .queries import OrderedPartition, QuestionType, RefinementQuery, bucket_sizes, make_question
 
 UNLIMITED = math.inf
 _UNLIMITED_WORDS = ["inf", "unlimited", "infinity"]
@@ -124,30 +118,6 @@ _STRATEGIES = {strategy_label(*strategy): strategy for strategy in ALL_STRATEGIE
 def parse_strategy(label: str) -> tuple[QuestionType, BudgetPolicy]:
     """The strategy named by a label such as ``S-EQ``, read by the name rule."""
     return _named(_STRATEGIES, label, "strategy")[1]
-
-
-class ProtocolError(ValueError):
-    """An answer that does not match the query it responds to."""
-
-
-def apply_answer(partition: list, query: RefinementQuery, answer: OrderedPartition) -> list:
-    """Splice ``answer`` over the class ``query`` shows, after checking it fits the query.
-
-    ``partition`` lists a voter's classes as sorted id tuples, best first.
-    """
-    subset = tuple(sorted(query.subset))
-    classes = tuple(tuple(sorted(cls)) for cls in answer)
-    if sorted(c for cls in classes for c in cls) != list(subset):
-        raise ProtocolError(f"answer {answer} is not an ordered partition of {subset}")
-    sizes = bucket_sizes(query.buckets, len(subset))
-    if tuple(map(len, classes)) != sizes:
-        raise ProtocolError(f"answer {answer} does not have the class sizes {sizes} of its query")
-    try:
-        index = partition.index(subset)
-    except ValueError:
-        raise ProtocolError(f"query subset {subset} is not a current class of this voter") from None
-    partition[index : index + 1] = classes
-    return partition
 
 
 class Schedule:

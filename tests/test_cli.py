@@ -6,7 +6,8 @@ import pytest
 from queryvote import CultureSpec, generate
 from queryvote.cli import _fmt_budget, main
 from queryvote.election_io import load_election, write_native
-from queryvote.experiments import read_csv_rows
+
+from results_csv import read_csv_rows
 
 
 def run_cli(*args):
@@ -335,6 +336,14 @@ def test_generate_reads_ints_and_format_by_the_package_rules(tmp_path, capsys, o
 def test_every_int_option_exits_1_naming_itself(tmp_path, capsys, command, option):
     assert run_cli(*command, option, "1.5") == 1
     assert capsys.readouterr().err == f"error: {option} must be an int, got '1.5'\n"
+
+
+def test_run_refuses_an_empty_budget_grid(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run_cli("run", config_file(tmp_path, budget_grid=[]), "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: budget_grid must not be empty\n" and captured.out == ""
+    assert not out.exists()
 
 
 def test_run_rejects_unknown_config_key(tmp_path, capsys):

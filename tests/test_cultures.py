@@ -13,9 +13,9 @@ from queryvote import (
     borda_scores,
     generate,
     k_borda,
-    parse_config,
 )
 from queryvote.cultures import _rank_by_distance
+from queryvote.experiments import parse_config
 from queryvote.rng import substream
 
 

@@ -316,6 +316,17 @@ def test_load_election_reports_preflib_header_errors(tmp_path, text, message):
         load_election(path, k=1)
 
 
+@pytest.mark.parametrize("name", ["a\nb", "a\r\nb", "a\rb", "a\u2028b", "a\n"])
+def test_write_preflib_refuses_a_name_with_a_line_break(tmp_path, election, name):
+    # The reader counts header lines, so each name must stay on one line.
+    path = tmp_path / "e.soc"
+    with pytest.raises(ValueError, match=re.escape(f"candidate 1 name {name!r} holds a line break")):
+        write_preflib(election, path, names=[name, "c", "d", "e", "f"])
+    assert not path.exists()
+    write_preflib(election, path, names=["a b", "", "d", "e", "f"])
+    assert sorted(load_election(path, k=2).voters) == sorted(election.voters)
+
+
 def test_write_preflib_needs_one_name_per_candidate(tmp_path, election):
     with pytest.raises(ValueError, match="^need 5 candidate names, got 2$"):
         write_preflib(election, tmp_path / "e.soc", names=["A", "B"])

@@ -24,13 +24,11 @@ from queryvote import (
     hamming,
     k_borda,
     load_config,
-    parse_config,
     random_baseline,
-    read_csv_rows,
     run_budget_sweep,
     select_top_k,
 )
-from queryvote.experiments import sweep_distances
+from queryvote.experiments import parse_config, sweep_distances
 from queryvote.rng import substream
 from queryvote.scoring import (
     _share_table,
@@ -40,6 +38,8 @@ from queryvote.scoring import (
     query_based_committee,
 )
 from queryvote.strategies import ALL_STRATEGIES, _elicit, _schedule_of, run_elicitation
+
+from results_csv import read_csv_rows
 
 
 def small_config(**overrides):
@@ -284,6 +284,9 @@ def test_config_validation():
         small_config(budget_grid=[-1.0])
     with pytest.raises(ValueError, match="budget must be non-negative, got nan"):
         small_config(budget_grid=[math.nan, 5.0])
+    # An empty grid would sweep nothing and write a header-only CSV.
+    with pytest.raises(ValueError, match="^budget_grid must not be empty$"):
+        small_config(budget_grid=[])
     with pytest.raises(ValueError):
         small_config(cultures=[])
     with pytest.raises(ValueError):
@@ -299,6 +302,8 @@ def test_config_validation():
     for bad in ([True, 5], ["5"], [1, "nan"], [None], [[3]]):
         with pytest.raises(ValueError, match="config key 'budget_grid': expected a number"):
             parse_config({**base, "budget_grid": bad})
+    with pytest.raises(ValueError, match="^budget_grid must not be empty$"):
+        parse_config({**base, "budget_grid": []})
     # A grid built in Python is read by the same rule.
     for bad in ([True, "5"], ["5"], [1, "nan"], [None]):
         with pytest.raises(ValueError, match="^budget_grid: expected a number"):

@@ -19,6 +19,7 @@ from queryvote import (
     partial_scores,
     query_based_committee,
     run_elicitation,
+    select_top_k,
 )
 from queryvote.experiments import full_resolution_cost
 from queryvote.rng import substream
@@ -90,12 +91,10 @@ def test_committee_invariant_under_score_shift():
     e = generate(CultureSpec("IC", seed=31), 6, 5, 3)
     for shift in (1, 7, 100):
         shifted = tuple(s + shift for s in borda_vector(6))
-        base, _ = query_based_committee(
+        base, run = query_based_committee(
             e, QuestionType.SPLIT, BudgetPolicy.EQUAL, "variance_aware", 40
         )
-        moved, _ = query_based_committee(
-            e, QuestionType.SPLIT, BudgetPolicy.EQUAL, "variance_aware", 40, scoring=shifted
-        )
+        moved = select_top_k(partial_scores(run.profile, shifted), e.k)
         assert base == moved
 
 
@@ -261,14 +260,12 @@ def test_pipeline_worked_example():
 
 def test_pipeline_rejects_a_scoring_vector_of_the_wrong_length():
     e = Election(m=3, voters=((0, 1, 2),), k=1)
+    run = run_elicitation(e, QuestionType.SPLIT, BudgetPolicy.EQUAL, "variance_aware", 8)
     for scoring in ((5, 1), (3, 2, 1, 0)):
-        with pytest.raises(ValueError, match=f"{len(scoring)} entries for 3 candidates"):
-            query_based_committee(
-                e, QuestionType.SPLIT, BudgetPolicy.EQUAL, "variance_aware", 8, scoring=scoring
-            )
-    committee, _ = query_based_committee(
-        e, QuestionType.SPLIT, BudgetPolicy.EQUAL, "variance_aware", UNLIMITED, scoring=(5, 1, 0)
-    )
+        with pytest.raises(ValueError, match=f"does not cover candidates 0..{len(scoring) - 1}$"):
+            partial_scores(run.profile, scoring)
+    run = run_elicitation(e, QuestionType.SPLIT, BudgetPolicy.EQUAL, "variance_aware", UNLIMITED)
+    committee = select_top_k(partial_scores(run.profile, (5, 1, 0)), e.k)
     assert committee == {0}
 
 

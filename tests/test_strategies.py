@@ -19,28 +19,23 @@ from queryvote import (
     CultureSpec,
     Election,
     QuestionType,
+    RefinementQuery,
     answer_query,
+    bucket_sizes,
     generate,
     hamming,
     k_borda,
     make_question,
-    parse_strategy,
     run_elicitation,
     select_top_k,
     strategy_label,
 )
 from queryvote.cultures import KINDS
 from queryvote.experiments import full_resolution_cost, sweep_distances
+from queryvote.queries import OrderedPartition
 from queryvote.rng import substream
 from queryvote.scoring import _share_table, borda_vector, partial_scores, query_based_committee
-from queryvote.strategies import (
-    ProtocolError,
-    _elicit,
-    _schedule_of,
-    _singletons,
-    _units_cap,
-    apply_answer,
-)
+from queryvote.strategies import _elicit, _schedule_of, _singletons, _units_cap, parse_strategy
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
@@ -414,6 +409,30 @@ def test_sweep_snapshots_match_the_pinned_digest():
                         line = repr((budget, profile, spent, type(spent).__name__))
                         digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == SNAPSHOT_DIGEST
+
+
+class ProtocolError(ValueError):
+    """An answer that does not match the query it responds to."""
+
+
+def apply_answer(partition: list, query: RefinementQuery, answer: OrderedPartition) -> list:
+    """Splice ``answer`` over the class ``query`` shows, after checking it fits the query.
+
+    ``partition`` lists a voter's classes as sorted id tuples, best first.
+    """
+    subset = tuple(sorted(query.subset))
+    classes = tuple(tuple(sorted(cls)) for cls in answer)
+    if sorted(c for cls in classes for c in cls) != list(subset):
+        raise ProtocolError(f"answer {answer} is not an ordered partition of {subset}")
+    sizes = bucket_sizes(query.buckets, len(subset))
+    if tuple(map(len, classes)) != sizes:
+        raise ProtocolError(f"answer {answer} does not have the class sizes {sizes} of its query")
+    try:
+        index = partition.index(subset)
+    except ValueError:
+        raise ProtocolError(f"query subset {subset} is not a current class of this voter") from None
+    partition[index : index + 1] = classes
+    return partition
 
 
 def reference_run(e, kind, policy, cost, budget, order, charged=None):
