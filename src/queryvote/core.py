@@ -67,18 +67,15 @@ def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None]
     """``rows`` as an n x m int32 array, and the index of the first row that
     is not a permutation of the ints ``0..m-1`` (None when every row is one).
 
-    An n x m integer-dtype ndarray is range-checked row by row and copied;
-    a row with an entry outside ``0..m-1`` is all -1 in the copy. Any other
-    ``rows`` are read into tuples, and each distinct id type is tested once
-    by :func:`_is_int_type`. A row that holds an id of another type, or not
-    ``m`` entries, is all -1 in the array.
+    An n x m integer-dtype ndarray is checked by one sort of its rows, in
+    its own dtype, and copied as int32; the copy of a bad row holds whatever
+    the cast makes of it. Any other ``rows`` are read into tuples, and each
+    distinct id type is tested once by :func:`_is_int_type`. A row that
+    holds an id of another type, or not ``m`` entries, is all -1 in the array.
     """
     if isinstance(rows, np.ndarray) and rows.dtype.kind in "iu" and rows.shape[1:] == (m,):
-        inside = rows.min(axis=1) >= 0
-        if m <= np.iinfo(rows.dtype).max:
-            inside &= rows.max(axis=1) < m
+        bad = (np.sort(rows, axis=1) != np.arange(m)).any(axis=1)
         table = rows.astype(np.int32)
-        table[~inside] = -1
     else:
         rows = [tuple(row) for row in rows]
         kinds = set(map(type, chain.from_iterable(rows)))
@@ -95,7 +92,7 @@ def _id_table(rows: Sequence[Sequence], m: int) -> tuple[np.ndarray, int | None]
             filled = [row if 0 <= min(row) and max(row) < m else blank for row in filled]
             table = np.fromiter(chain.from_iterable(filled), np.int32, len(rows) * m)
         table = table.reshape(len(rows), m)
-    bad = (np.sort(table, axis=1) != np.arange(m)).any(axis=1)
+        bad = (np.sort(table, axis=1) != np.arange(m)).any(axis=1)
     return table, int(bad.argmax()) if bad.any() else None
 
 
@@ -206,6 +203,12 @@ def select_top_k(scores: Sequence[float], k: int) -> Committee:
         raise ValueError(f"cannot pick k={k} winners from {m} candidates")
     # A stable sort, reversed, keeps equal scores in id order.
     return frozenset(sorted(range(m), key=scores.__getitem__, reverse=True)[:k])
+
+
+def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each row's ``k`` winners by :func:`select_top_k`'s rule: a stable sort of
+    the negated scores keeps equal scores, ``0.0`` and ``-0.0`` among them, in id order."""
+    return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
 def k_borda(election: Election) -> Committee:

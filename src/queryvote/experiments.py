@@ -9,9 +9,11 @@ worker count or execution order.
 Under a registry cost every voter is asked the same schedule of questions,
 so a run under one budget is one level per voter: the number of questions it
 answered, in closed form (see :mod:`queryvote.strategies`). Each budget of a
-grid is its own run, scored by the one scorer of
-:func:`~queryvote.scoring.partial_scores` over the schedule's table of Borda
-shares by level and place, so the rows equal those of
+grid is its own run. The runs of one voter order are scored together: their
+levels form one cells x n array, which the one scorer of
+:func:`~queryvote.scoring.partial_scores` gathers from the schedule's table
+of Borda shares by level and place, a bounded batch of cells at a time, and
+one stable sort picks every cell's committee. So the rows equal those of
 :func:`~queryvote.scoring.query_based_committee` under each budget.
 """
 
@@ -22,11 +24,14 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_type_hints
 
-from .core import Committee, Election, _named, _whole, hamming, k_borda, select_top_k
+import numpy as np
+
+from .core import Committee, Election, _is_int_type, _named, _top_k_rows, _whole, k_borda
 from .costs import COST_FUNCTIONS
 from .cultures import CultureSpec, generate
 from .rng import derive_seed, substream
@@ -38,6 +43,7 @@ from .strategies import (
     QuestionType,
     _budget,
     _elicit,
+    _levels,
     _schedule_of,
     _voter_order,
     parse_strategy,
@@ -199,6 +205,11 @@ def _default_grid(m: int, n: int, cost, points: int = _GRID_POINTS) -> tuple[flo
     return default_budget_grid(max(_full_cost(kind, cost, m, n) for kind in QuestionType), points)
 
 
+# The most shares one batched gather of a sweep holds, about 8 MB of floats;
+# a batch is at least one cell.
+_GATHER_SHARES = 2**20
+
+
 def sweep_distances(
     election: Election,
     kind: QuestionType,
@@ -214,19 +225,32 @@ def sweep_distances(
     as :func:`~queryvote.strategies._budget` reads it: each budget is its own
     run, with the spend of :func:`~queryvote.strategies.run_elicitation` under
     it, scored by Borda over the partial profile; the top ``k`` committee is
-    compared with ``target``.
+    compared with ``target``, which must hold ``k`` distinct candidate ids.
+    Every budget and the target are checked before the first row.
     """
-    schedule = _schedule_of(kind, cost, election.m)
+    m, n, k = election.m, election.n, election.k
+    schedule = _schedule_of(kind, cost, m)
     _, policy = _named(BudgetPolicy, policy, "budget policy")
-    table = _share_table(schedule, borda_vector(election.m))
-    places = election._places[_voter_order(election.n, voter_order)]
-    for budget in map(_budget, budgets):
-        levels, spent = _elicit(schedule, policy, election.n, budget)
-        # The rows are added in run order, not voter order. That gives the
+    places = election._places[_voter_order(n, voter_order)]
+    budgets = [_budget(budget) for budget in budgets]
+    if len(target) != k:
+        raise ValueError(f"committees differ in size: {k} vs {len(target)}")
+    members = set(target)
+    if len(members) != k or not all(_is_int_type(type(c)) and 0 <= c < m for c in members):
+        raise ValueError(f"target must hold k={k} distinct candidate ids 0..{m - 1}, got {target!r}")
+    in_target = np.zeros(m, dtype=bool)
+    in_target[list(members)] = True
+    table = _share_table(schedule, borda_vector(m))
+    batch = max(1, _GATHER_SHARES // (n * m))
+    for start in range(0, len(budgets), batch):
+        cells = [_elicit(schedule, policy, n, budget) for budget in budgets[start : start + batch]]
+        levels = _levels(chain.from_iterable(runs for runs, _ in cells)).reshape(len(cells), n)
+        # The voters are added in run order, not id order. That gives the
         # totals of partial_scores: every Borda share is a half-integer and
         # every partial sum is far below 2**52, so each addition is exact.
-        committee = select_top_k(_totals(table, levels, places), election.k)
-        yield budget, hamming(committee, target), spent
+        hits = in_target[_top_k_rows(_totals(table, levels, places), k)].sum(axis=1)
+        for budget, (_, spent), hit in zip(budgets[start:], cells, hits.tolist()):
+            yield budget, 2 * (k - hit), spent
 
 
 def _election_rows(args) -> list[ResultRow]:

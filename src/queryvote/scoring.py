@@ -6,8 +6,11 @@ spans. On a fully resolved profile this reduces to ordinary positional
 scoring.
 
 Every total is added by one scorer, :func:`_totals`, from a table of shares
-by row and place whose classes are filled by :func:`_fill`. A profile
-returned by :func:`~queryvote.strategies.run_elicitation` reads the cached
+by row and place whose classes are filled by :func:`_fill`. It scores a
+batch of cells, one row of table rows per cell, in one gather; a budget
+sweep hands it many cells of one voter order at once, and
+:func:`partial_scores` hands it one. A profile returned by
+:func:`~queryvote.strategies.run_elicitation` reads the cached
 :func:`_share_table` of its schedule at each voter's level, as a budget sweep
 does. Any other profile is checked first, one candidate id at a time, and
 reads one row per pattern of class sizes. So an elicited profile scores
@@ -77,15 +80,19 @@ def _cached_share_table(schedule, scoring: ScoringVector, spelling) -> np.ndarra
     return table
 
 
-def _totals(table: np.ndarray, rows: Sequence[int], places: np.ndarray) -> list[float]:
-    """Each candidate c's total of ``table[rows[v], places[v, c]]`` over the
-    voters v, added from 0.0 one row at a time, in row order."""
-    shares = table[np.asarray(rows, dtype=np.intp)[:, None], places]
+def _totals(table: np.ndarray, rows, places: np.ndarray) -> np.ndarray:
+    """``totals[i, c]``: candidate c's total of ``table[rows[i, v], places[v, c]]``
+    over the voters v, added from 0.0 one voter at a time, in voter order.
+
+    ``rows`` is a cells x n array of table rows; the gather holds
+    cells x n x m shares at once.
+    """
+    shares = table[np.asarray(rows, dtype=np.intp)[:, :, None], places]
     if places.shape[1] == 1:
-        # numpy adds a lone column pairwise, so that one is added in Python.
-        return [reduce(add, shares[:, 0].tolist(), 0.0)]
-    # With two or more columns, a reduce adds row after row.
-    return np.add.reduce(shares, axis=0).tolist()
+        # numpy adds a lone column pairwise, so each one is added in Python.
+        return np.array([[reduce(add, cell, 0.0)] for cell in shares[:, :, 0].tolist()])
+    # With two or more columns, a reduce adds voter after voter.
+    return np.add.reduce(shares, axis=1)
 
 
 def partial_scores(profile: Sequence[OrderedPartition], scoring: Sequence) -> list[float]:
@@ -104,7 +111,8 @@ def partial_scores(profile: Sequence[OrderedPartition], scoring: Sequence) -> li
     scoring = validate_scoring_vector(scoring)
     m = len(scoring)
     if type(profile) is _Profile and profile._schedule.m == m:
-        return _totals(_share_table(profile._schedule, scoring), profile._levels, profile._places)
+        table = _share_table(profile._schedule, scoring)
+        return _totals(table, profile._levels[None], profile._places)[0].tolist()
     profile = tuple(profile)
     ids, bad = _id_table([tuple(chain.from_iterable(partition)) for partition in profile], m)
     if bad is not None:
@@ -115,7 +123,7 @@ def partial_scores(profile: Sequence[OrderedPartition], scoring: Sequence) -> li
     table = np.empty((len(rows), m))
     for row, bounds in zip(table, rows):
         _fill(row, scoring, bounds)
-    return _totals(table, [rows[bounds] for bounds in by_voter], _places_of(ids))
+    return _totals(table, [[rows[bounds] for bounds in by_voter]], _places_of(ids))[0].tolist()
 
 
 def query_based_committee(

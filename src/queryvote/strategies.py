@@ -13,7 +13,8 @@ questions, and a voter's whole state is its level: the number of questions
 it has answered. A run is one function of (schedule, budget policy, voter
 order, budget), :func:`_elicit`: levels never rise along the voter order,
 so each policy yields them as runs ``(level, count)``, which ``_elicit``
-expands into the level of each place, with the spend. :func:`run_elicitation`
+returns as they are, with the spend; :func:`_levels` expands them into the
+level of each place with one ``np.repeat``. :func:`run_elicitation`
 builds the voters' classes level by level and class by class: the voters at
 one level share its cuts, so a wider class is a block of their rankings'
 columns sorted row by row, and a run of one-candidate classes is one gather
@@ -191,23 +192,30 @@ def _units_cap(budget, scale: int) -> int:
     return math.floor(Fraction(budget) * scale)
 
 
-def _elicit(schedule: Schedule, policy: BudgetPolicy, n: int, cap) -> tuple[list[int], object]:
-    """Each place's level in an order of ``n`` voters under the read budget ``cap``, and the spend.
+def _elicit(
+    schedule: Schedule, policy: BudgetPolicy, n: int, cap
+) -> tuple[list[tuple[int, int]], object]:
+    """The runs ``(level, count)`` of levels along an order of ``n`` voters
+    under the read budget ``cap``, and the spend.
 
-    The spend is the int 0 before any charge, then the sum in the prices'
-    type. With int units the cap is ``floor(budget * D)`` units, or all n
-    voters' questions under an unlimited budget; else the budget itself.
+    The counts add up to ``n``; a count may be 0. The spend is the int 0
+    before any charge, then the sum in the prices' type. With int units the
+    cap is ``floor(budget * D)`` units, or all n voters' questions under an
+    unlimited budget; else the budget itself.
     """
     if schedule.exact:
         cap = n * schedule.cum[-1] if cap == UNLIMITED else _units_cap(cap, schedule.scale or 1)
     runs, units = _DRIVERS[policy](schedule, n, cap)
-    levels = []
-    for level, count in runs:
-        levels += [level] * count
     # Every registry price is positive, so no units means no charge yet.
     if schedule.scale is None or not units:
-        return levels, units
-    return levels, Fraction(units, schedule.scale)
+        return runs, units
+    return runs, Fraction(units, schedule.scale)
+
+
+def _levels(runs) -> np.ndarray:
+    """The level of each place, from runs ``(level, count)`` in order."""
+    levels, counts = zip(*runs)
+    return np.repeat(np.array(levels, dtype=np.intp), counts)
 
 
 @dataclass(frozen=True)
@@ -362,7 +370,8 @@ def run_elicitation(
     _, policy = _named(BudgetPolicy, policy, "budget policy")
     order = _voter_order(election.n, voter_order)
     budget = _budget(budget)
-    levels, spent = _elicit(schedule, policy, election.n, budget)
+    runs, spent = _elicit(schedule, policy, election.n, budget)
+    levels = _levels(runs)
     level_of = np.empty(election.n, dtype=np.intp)
     level_of[order] = levels
     level_of.flags.writeable = False
@@ -371,7 +380,7 @@ def run_elicitation(
     # row, and a run of one-candidate classes is one gather of singletons.
     singles = _singletons(election.m)
     partitions = {0: repeat((tuple(range(election.m)),))}
-    for q in set(levels) - {0}:
+    for q in {level for level, count in runs if level and count}:
         rows = election._rankings[np.flatnonzero(level_of == q)]
         columns = []
         for wide, cuts in groupby(pairwise(schedule.cuts[q]), key=lambda ab: ab[1] - ab[0] > 1):
@@ -383,7 +392,7 @@ def run_elicitation(
         partitions[q] = zip(*columns)
     profile = _Profile(map(next, map(partitions.__getitem__, level_of.tolist())))
     profile._schedule, profile._levels, profile._places = schedule, level_of, election._places
-    charges = _charges(policy, order.tolist(), levels) if record_log else ()
+    charges = _charges(policy, order.tolist(), levels.tolist()) if record_log else ()
     return ElicitationRun(
         question=schedule.kind,
         policy=policy,

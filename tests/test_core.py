@@ -18,6 +18,7 @@ from queryvote import (
     select_top_k,
     write_native,
 )
+from queryvote.core import _id_table, _top_k_rows
 from queryvote.election_io import write_preflib
 from queryvote.rng import substream
 from queryvote.scoring import borda_vector
@@ -85,6 +86,13 @@ def test_select_top_k_matches_the_tuple_key_sort():
         reference = sorted(range(m), key=lambda c: (-scores[c], c))
         for k in range(m + 1):
             assert select_top_k(scores, k) == frozenset(reference[:k])
+        # Rows of one score array: each row's winners are select_top_k's,
+        # in the reference order.
+        rows = [scores] + [[pool[i] for i in rng.integers(0, len(pool), m).tolist()] for _ in range(3)]
+        for k in range(m + 1):
+            for row, top in zip(rows, _top_k_rows(np.array(rows, dtype=float), k).tolist(), strict=True):
+                assert top == sorted(range(m), key=lambda c: (-row[c], c))[:k]
+                assert frozenset(top) == select_top_k(row, k)
 
 
 def test_k_borda_worked_election():
@@ -274,6 +282,32 @@ def test_an_id_array_makes_the_election_its_rows_make(dtype):
         assert array.flags.writeable and (array == before).all()
         e = None if isinstance(expected, str) else Election(m=m, voters=array, k=1)
         assert e is None or not np.shares_memory(e._rankings, array)
+
+
+@pytest.mark.parametrize(
+    "dtype, m, row",
+    [
+        # ids at and past 2**63, and ids that an int32 cast would wrap onto 0..m-1
+        (np.uint64, 3, [2**63, 1, 2]),
+        (np.uint64, 3, [2**64 - 1, 0, 1]),
+        (np.uint64, 3, [2**32, 1, 2]),
+        (np.int64, 3, [2**32 + 2, 0, 1]),
+        # int8 cannot hold a permutation of 200 ids; the cast of arange(200) wraps
+        (np.int8, 200, np.arange(200).astype(np.int8).tolist()),
+        (np.int8, 200, [0] * 200),
+        # negative ids
+        (np.int64, 3, [-1, 0, 1]),
+        (np.int8, 3, [0, 1, -128]),
+    ],
+)
+def test_an_id_array_is_checked_in_its_own_dtype(dtype, m, row):
+    array = np.array([row, row], dtype=dtype)
+    table, bad = _id_table(array, m)
+    assert bad == 0 and table.dtype == np.int32
+    message = f"^voter 0 ranking is not a permutation of ints 0..{m - 1}$"
+    with pytest.raises(ValueError, match=message):
+        Election(m=m, voters=array, k=1)
+    assert outcome(m, array) == outcome(m, [list(map(int, row))] * 2)
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from queryvote import (
     run_budget_sweep,
     select_top_k,
 )
+import queryvote.experiments
 from queryvote.experiments import parse_config, sweep_distances
 from queryvote.rng import substream
 from queryvote.scoring import (
@@ -498,6 +499,11 @@ def test_sweep_distances_match_one_committee_per_budget():
             assert spent == run.spent and type(spent) is type(run.spent)
 
 
+def expanded(runs):
+    """The level of each place of runs ``(level, count)``, one place at a time."""
+    return [level for level, count in runs for _ in range(count)]
+
+
 def test_sweep_totals_are_partial_scores_of_the_plain_profile():
     """At every budget the sweep's totals, added in run order, are exactly the
     checked scores of the run's plain profile, and pick the same committee."""
@@ -518,8 +524,8 @@ def test_sweep_totals_are_partial_scores_of_the_plain_profile():
                     table = _share_table(schedule, borda_vector(m))
                     swept = sweep_distances(e, kind, policy, cost, grid, order, target)
                     for budget, (_, distance, _) in zip(grid, swept, strict=True):
-                        levels, _ = _elicit(schedule, policy, n, budget)
-                        totals = _totals(table, levels, e._places[order])
+                        runs, _ = _elicit(schedule, policy, n, budget)
+                        totals = _totals(table, [expanded(runs)], e._places[order])[0].tolist()
                         run = run_elicitation(e, kind, policy, cost, budget, order, record_log=False)
                         checked = partial_scores(tuple(run.profile), borda_vector(m))
                         assert [x.hex() for x in totals] == [x.hex() for x in checked]
@@ -542,3 +548,63 @@ def test_result_and_config_files_name_the_file_they_fail_on(tmp_path):
     config.write_text('{"m": 4,')
     with pytest.raises(ValueError, match=re.escape(f"{config} is not valid JSON: ")):
         load_config(config)
+
+
+@pytest.mark.parametrize("m, n", [(1, 9), (1, 13), (5, 1), (1, 1), (9, 4), (12, 7)])
+def test_batched_sweep_totals_match_the_one_cell_reference(monkeypatch, m, n):
+    """Every strategy and cost, over a grid with repeats, 0, unlimited and
+    unsorted entries, gathered 3 cells at a time: each batched row of totals
+    is, by ``float.hex``, the one-row gather of that cell's levels, expanded
+    one place at a time, and each distance is that row's committee's."""
+    monkeypatch.setattr(queryvote.experiments, "_GATHER_SHARES", 3 * n * m)
+    batches = []
+
+    def recorded(table, rows, places):
+        totals = _totals(table, rows, places)
+        batches.append((np.asarray(rows), totals))
+        return totals
+
+    monkeypatch.setattr(queryvote.experiments, "_totals", recorded)
+    rng = substream(61, m, n)
+    voters = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
+    e = Election(m=m, voters=voters, k=int(rng.integers(1, m + 1)))
+    order = [int(v) for v in rng.permutation(n)]
+    target = k_borda(e)
+    for cost in COST_FUNCTIONS:
+        for kind, policy in ALL_STRATEGIES:
+            full = full_resolution_cost(e, kind, cost)
+            grid = [full / 2, 0, UNLIMITED, full / 2, float(rng.uniform(0, 1.2 * full + 1)), 0, full]
+            schedule = _schedule_of(kind, cost, m)
+            table = _share_table(schedule, borda_vector(m))
+            batches.clear()
+            swept = list(sweep_distances(e, kind, policy, cost, grid, order, target))
+            assert [len(rows) for rows, _ in batches] == [3, 3, 1]
+            rows = np.concatenate([rows for rows, _ in batches])
+            totals = np.concatenate([totals for _, totals in batches])
+            cells = zip(grid, swept, rows.tolist(), totals.tolist(), strict=True)
+            for budget, (_, distance, spent), levels, batched in cells:
+                runs, elicited = _elicit(schedule, policy, n, budget)
+                assert levels == expanded(runs)
+                reference = _totals(table, [expanded(runs)], e._places[order])[0].tolist()
+                assert [x.hex() for x in batched] == [x.hex() for x in reference]
+                assert distance == hamming(select_top_k(reference, e.k), target)
+                assert spent == elicited and type(spent) is type(elicited)
+
+
+def test_sweep_checks_its_target_before_any_row():
+    e = generate(CultureSpec("IC", seed=4), 20, 6, 2)
+    sweep = lambda target: next(iter(sweep_distances(e, "S", "EQ", "candidates", [5], None, target)))
+    for target in ({99, 0}, {-1, 0}, {True, 3}, {1.0, 3}, [3, 3]):
+        with pytest.raises(ValueError, match="^target must hold k=2 distinct candidate ids 0..19"):
+            sweep(target)
+    with pytest.raises(ValueError, match="^committees differ in size: 2 vs 1$"):
+        sweep({0})
+    assert sweep({np.int64(19), 0})[1] in (0, 2, 4)
+
+
+def test_a_bad_budget_anywhere_in_the_grid_fails_before_any_row():
+    e = generate(CultureSpec("IC", seed=4), 5, 3, 2)
+    for grid in ([5, -1], [5, math.nan], [5, "lots"]):
+        swept = sweep_distances(e, "S", "EQ", "variance_aware", grid, None, k_borda(e))
+        with pytest.raises(ValueError, match="budget"):
+            next(iter(swept))

@@ -286,3 +286,22 @@ def test_pipeline_unlimited_budget_matches_k_borda(kind):
             e, kind, BudgetPolicy.EQUAL, "variance_aware", UNLIMITED
         )
         assert committee == k_borda(e)
+
+
+@pytest.mark.parametrize("cells, n, m", [(1, 300, 5), (6, 257, 3), (3, 40, 1), (5, 1, 4)])
+def test_batched_totals_add_each_cell_voter_by_voter(cells, n, m):
+    """Float shares over many magnitudes: every row of a batch is added from
+    0.0 one voter at a time, in voter order, bit for bit."""
+    rng = substream(62, cells, n, m)
+    table = rng.random((6, m)) * 10.0 ** rng.uniform(-6, 6, (6, m))
+    rows = rng.integers(0, 6, (cells, n))
+    places = np.array([rng.permutation(m) for _ in range(n)])
+    totals = queryvote.scoring._totals(table, rows, places)
+    for row, got in zip(rows.tolist(), totals.tolist(), strict=True):
+        expected = []
+        for c in range(m):
+            total = 0.0
+            for v, level in enumerate(row):
+                total += float(table[level, places[v, c]])
+            expected.append(total)
+        assert [x.hex() for x in got] == [x.hex() for x in expected]

@@ -35,7 +35,14 @@ from queryvote.experiments import full_resolution_cost, sweep_distances
 from queryvote.queries import OrderedPartition
 from queryvote.rng import substream
 from queryvote.scoring import _share_table, borda_vector, partial_scores, query_based_committee
-from queryvote.strategies import _elicit, _schedule_of, _singletons, _units_cap, parse_strategy
+from queryvote.strategies import (
+    _elicit,
+    _levels,
+    _schedule_of,
+    _singletons,
+    _units_cap,
+    parse_strategy,
+)
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
@@ -585,10 +592,16 @@ def test_desk_size_runs_and_sweeps_match_the_reference(cost):
         check_against_reference(e, kind, policy, cost, grid, order)
 
 
+def elicited(schedule, policy, n, budget):
+    """The level of each place along the voter order under ``budget``, and the spend."""
+    runs, spent = _elicit(schedule, policy, n, budget)
+    return _levels(runs).tolist(), spent
+
+
 def reference_profile(e, kind, policy, cost, budget, order):
     """Each voter's classes at its level, each sorted on its own from the ranking."""
     schedule = _schedule_of(kind, cost, e.m)
-    levels, _ = _elicit(schedule, policy, e.n, budget)
+    levels, _ = elicited(schedule, policy, e.n, budget)
     level_of = dict(zip(order, levels))
     return tuple(
         tuple(
@@ -629,7 +642,7 @@ def one_sort_profile(e, kind, policy, cost, budget, order):
     the row into its classes.
     """
     schedule = _schedule_of(kind, cost, e.m)
-    levels, _ = _elicit(schedule, policy, e.n, budget)
+    levels, _ = elicited(schedule, policy, e.n, budget)
     level_of = np.empty(e.n, dtype=np.intp)
     level_of[order] = levels
     keys = class_table(schedule)[level_of] * e.m + e._rankings
@@ -748,7 +761,7 @@ def test_float_spend_in_closed_form_matches_the_loop(m):
                 _, full = loop_run(loops[policy], schedule, n, UNLIMITED)
                 one = schedule.prices[0] if schedule.prices else 0
                 for budget in (0, one, full / 2, math.nextafter(full, 0), full, UNLIMITED):
-                    levels, spent = _elicit(schedule, policy, n, budget)
+                    levels, spent = elicited(schedule, policy, n, budget)
                     expected_levels, expected_spent = loop_run(loops[policy], schedule, n, budget)
                     assert levels == expected_levels
                     assert type(spent) is type(expected_spent)
@@ -789,7 +802,7 @@ def test_float_fcfs_matches_the_per_voter_search(m, n):
             budgets = [0, schedule.prices[0], *picks, math.nextafter(full, 0), full, UNLIMITED]
             budgets += [math.nextafter(b, 0) for b in picks] + [F(picks[0]), int(picks[0])]
             for budget in budgets:
-                levels, spent = _elicit(schedule, FCFS, n, budget)
+                levels, spent = elicited(schedule, FCFS, n, budget)
                 expected_levels, expected_spent = fcfs_per_voter_search(schedule, n, budget)
                 assert levels == expected_levels
                 assert type(spent) is type(expected_spent)
@@ -804,4 +817,4 @@ def test_float_fcfs_does_not_rest_on_its_block_estimate():
     for n in (1, 5, 40):
         _, full = fcfs_per_voter_search(real, n, UNLIMITED)
         for budget in (0, real.cum[-1] * 3, full / 2, math.nextafter(full, 0), full, UNLIMITED):
-            assert _elicit(stated, FCFS, n, budget) == fcfs_per_voter_search(real, n, budget)
+            assert elicited(stated, FCFS, n, budget) == fcfs_per_voter_search(real, n, budget)
