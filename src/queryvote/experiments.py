@@ -9,8 +9,11 @@ worker count or execution order.
 Under a registry cost every voter is asked the same schedule of questions,
 so a run under one budget is one level per voter: the number of questions it
 answered, in closed form (see :mod:`queryvote.strategies`). Each budget of a
-grid is its own run. The runs of one voter order are scored together: their
-levels form one cells x n array, which the one scorer of
+grid is its own run, and its runs of levels and its spend depend on the
+budget and the number of voters only. So :func:`run_budget_sweep` elicits
+each strategy's grid once, and keeps it as runs, not as levels. Every
+election and voter order is scored from them: the runs of one order's
+budgets, expanded, form one cells x n array of levels, which the one scorer of
 :func:`~queryvote.scoring.partial_scores` gathers from the schedule's table
 of Borda shares by level and place, a bounded batch of cells at a time, and
 one stable sort picks every cell's committee. So the rows equal those of
@@ -210,6 +213,70 @@ def _default_grid(m: int, n: int, cost, points: int = _GRID_POINTS) -> tuple[flo
 _GATHER_SHARES = 2**20
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """One strategy's budget grid, elicited once for the ``n`` voters of a sweep.
+
+    Cell i's budget, as the budget rule reads it, is ``budgets[i]``; its runs
+    ``(level, count)`` are ``runs[i]``; its spend is ``spent[i]`` in the
+    prices' type and ``row_spent[i]`` as a float. ``table`` holds the
+    schedule's Borda shares by level and place. A cell has at most max(m, 3)
+    runs, so the grid takes O(budgets x m) memory whatever n is.
+    """
+
+    table: np.ndarray
+    budgets: list
+    runs: list
+    spent: list
+    row_spent: list
+
+
+def _elicit_grid(kind, policy, cost, m: int, n: int, budgets: Sequence) -> _Grid:
+    """Every budget of a grid read, then elicited once for ``n`` voters over
+    ``m`` candidates: the per-strategy step of a sweep."""
+    schedule = _schedule_of(kind, cost, m)
+    _, policy = _named(BudgetPolicy, policy, "budget policy")
+    budgets = [_budget(budget) for budget in budgets]
+    cells = [_elicit(schedule, policy, n, budget) for budget in budgets]
+    spent = [spent for _, spent in cells]
+    return _Grid(
+        table=_share_table(schedule, borda_vector(schedule.m)),
+        budgets=budgets,
+        runs=[runs for runs, _ in cells],
+        spent=spent,
+        row_spent=list(map(float, spent)),
+    )
+
+
+def _target_mask(target: Committee, m: int, k: int) -> np.ndarray:
+    """``target`` as a mask over the m candidates, checked to hold k distinct candidate ids."""
+    if len(target) != k:
+        raise ValueError(f"committees differ in size: {k} vs {len(target)}")
+    members = set(target)
+    if len(members) != k or not all(_is_int_type(type(c)) and 0 <= c < m for c in members):
+        raise ValueError(f"target must hold k={k} distinct candidate ids 0..{m - 1}, got {target!r}")
+    in_target = np.zeros(m, dtype=bool)
+    in_target[list(members)] = True
+    return in_target
+
+
+def _distances(grid: _Grid, places: np.ndarray, k: int, in_target: np.ndarray) -> list[int]:
+    """The Hamming distance from the target at every cell of ``grid``, with
+    the voters' places in one voter order: the per-order step of a sweep,
+    one gather of at most ``_GATHER_SHARES`` shares per batch of cells."""
+    n = len(places)
+    batch = max(1, _GATHER_SHARES // places.size)
+    distances = []
+    for start in range(0, len(grid.runs), batch):
+        levels = _levels(chain.from_iterable(grid.runs[start : start + batch])).reshape(-1, n)
+        # The voters are added in run order, not id order. That gives the
+        # totals of partial_scores: every Borda share is a half-integer and
+        # every partial sum is far below 2**52, so each addition is exact.
+        hits = in_target[_top_k_rows(_totals(grid.table, levels, places), k)].sum(axis=1)
+        distances += (2 * (k - hits)).tolist()
+    return distances
+
+
 def sweep_distances(
     election: Election,
     kind: QuestionType,
@@ -226,66 +293,58 @@ def sweep_distances(
     run, with the spend of :func:`~queryvote.strategies.run_elicitation` under
     it, scored by Borda over the partial profile; the top ``k`` committee is
     compared with ``target``, which must hold ``k`` distinct candidate ids.
-    Every budget and the target are checked before the first row.
+    The voter order, the strategy, every budget and the target are checked,
+    in that order, before the first row. The grid is elicited once and the
+    order scored from its runs, the two steps that :func:`run_budget_sweep`
+    takes once per strategy and once per voter order.
     """
-    m, n, k = election.m, election.n, election.k
-    schedule = _schedule_of(kind, cost, m)
-    _, policy = _named(BudgetPolicy, policy, "budget policy")
-    places = election._places[_voter_order(n, voter_order)]
-    budgets = [_budget(budget) for budget in budgets]
-    if len(target) != k:
-        raise ValueError(f"committees differ in size: {k} vs {len(target)}")
-    members = set(target)
-    if len(members) != k or not all(_is_int_type(type(c)) and 0 <= c < m for c in members):
-        raise ValueError(f"target must hold k={k} distinct candidate ids 0..{m - 1}, got {target!r}")
-    in_target = np.zeros(m, dtype=bool)
-    in_target[list(members)] = True
-    table = _share_table(schedule, borda_vector(m))
-    batch = max(1, _GATHER_SHARES // (n * m))
-    for start in range(0, len(budgets), batch):
-        cells = [_elicit(schedule, policy, n, budget) for budget in budgets[start : start + batch]]
-        levels = _levels(chain.from_iterable(runs for runs, _ in cells)).reshape(len(cells), n)
-        # The voters are added in run order, not id order. That gives the
-        # totals of partial_scores: every Borda share is a half-integer and
-        # every partial sum is far below 2**52, so each addition is exact.
-        hits = in_target[_top_k_rows(_totals(table, levels, places), k)].sum(axis=1)
-        for budget, (_, spent), hit in zip(budgets[start:], cells, hits.tolist()):
-            yield budget, 2 * (k - hit), spent
+    places = election._places[_voter_order(election.n, voter_order)]
+    grid = _elicit_grid(kind, policy, cost, election.m, election.n, budgets)
+    in_target = _target_mask(target, election.m, election.k)
+    yield from zip(grid.budgets, _distances(grid, places, election.k, in_target), grid.spent)
 
 
 def _election_rows(args) -> list[ResultRow]:
-    config, grid, culture_index, election_index = args
+    config, grids, culture_index, election_index = args
     spec = config.cultures[culture_index]
     seed = derive_seed(config.master_seed, _ELECTION_TAG, spec.seed, election_index)
     election = generate(spec.with_seed(seed), config.m, config.n, config.k)
-    target = k_borda(election)
+    in_target = _target_mask(k_borda(election), config.m, config.k)
     label = spec.label()
     rows = []
-    for strategy_index, (kind, policy) in enumerate(config.strategies):
+    for strategy_index, ((kind, policy), grid) in enumerate(zip(config.strategies, grids)):
         name = strategy_label(kind, policy)
         for repeat in range(config.voter_order_repeats):
             order_rng = substream(
                 config.master_seed, _ORDER_TAG, culture_index, election_index, strategy_index, repeat
             )
-            order = order_rng.permutation(config.n)
-            swept = sweep_distances(election, kind, policy, config.cost, grid, order, target)
+            places = election._places[_voter_order(config.n, order_rng.permutation(config.n))]
+            distances = _distances(grid, places, config.k, in_target)
             rows += (
-                ResultRow(label, election_index, name, float(budget), repeat, distance, float(spent))
-                for budget, distance, spent in swept
+                ResultRow(label, election_index, name, float(budget), repeat, distance, spent)
+                for budget, distance, spent in zip(grid.budgets, distances, grid.row_spent)
             )
     return rows
 
 
 def run_budget_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
-    """Run every cell of the sweep; output is independent of ``jobs``."""
+    """Run every cell of the sweep; output is independent of ``jobs``.
+
+    Each strategy's grid is elicited once, and every election and voter
+    order is scored from its runs.
+    """
     jobs = _whole("jobs", jobs)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    grid = config.budget_grid
-    if grid is None:
-        grid = _default_grid(config.m, config.n, config.cost)
+    budgets = config.budget_grid
+    if budgets is None:
+        budgets = _default_grid(config.m, config.n, config.cost)
+    grids = [
+        _elicit_grid(kind, policy, config.cost, config.m, config.n, budgets)
+        for kind, policy in config.strategies
+    ]
     tasks = [
-        (config, grid, culture_index, election_index)
+        (config, grids, culture_index, election_index)
         for culture_index in range(len(config.cultures))
         for election_index in range(config.elections_per_culture)
     ]

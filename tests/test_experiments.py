@@ -29,8 +29,8 @@ from queryvote import (
     select_top_k,
 )
 import queryvote.experiments
-from queryvote.experiments import parse_config, sweep_distances
-from queryvote.rng import substream
+from queryvote.experiments import _elicit_grid, parse_config, sweep_distances
+from queryvote.rng import derive_seed, substream
 from queryvote.scoring import (
     _share_table,
     _totals,
@@ -38,7 +38,13 @@ from queryvote.scoring import (
     partial_scores,
     query_based_committee,
 )
-from queryvote.strategies import ALL_STRATEGIES, _elicit, _schedule_of, run_elicitation
+from queryvote.strategies import (
+    ALL_STRATEGIES,
+    _elicit,
+    _schedule_of,
+    run_elicitation,
+    strategy_label,
+)
 
 from results_csv import read_csv_rows
 
@@ -591,6 +597,87 @@ def test_batched_sweep_totals_match_the_one_cell_reference(monkeypatch, m, n):
                 assert spent == elicited and type(spent) is type(elicited)
 
 
+@pytest.mark.parametrize("cost", ["variance_aware", "computational"])
+def test_run_budget_sweep_rows_are_one_run_per_cell(monkeypatch, cost):
+    """Every row of a sweep, over 2 cultures x 2 elections x 2 voter orders x
+    all 8 strategies and a grid with 0, a repeated budget and unlimited,
+    gathered 2 cells at a time, is the cell run on its own:
+    ``query_based_committee`` under its budget and voter order, its Hamming
+    distance from k-Borda, and its spend by ``float.hex``; ``jobs=2`` gives
+    the same rows."""
+    m, n, k, seed = 7, 9, 3, 41
+    monkeypatch.setattr(queryvote.experiments, "_GATHER_SHARES", 2 * n * m)
+    batches = []
+
+    def recorded(table, rows, places):
+        batches.append(len(rows))
+        return _totals(table, rows, places)
+
+    monkeypatch.setattr(queryvote.experiments, "_totals", recorded)
+    probe = generate(CultureSpec("IC", seed=0), m, n, k)
+    full = max(full_resolution_cost(probe, kind, cost) for kind in QuestionType)
+    grid = [0, full / 5, full / 2, full / 2, full, UNLIMITED]
+    cultures = [CultureSpec("Urn", seed=5), CultureSpec("Mallows", seed=6, params={"phi": 0.5})]
+    config = ExperimentConfig(
+        cultures=cultures, m=m, n=n, k=k, elections_per_culture=2, cost=cost,
+        budget_grid=grid, voter_order_repeats=2, master_seed=seed,
+    )
+    rows = run_budget_sweep(config)
+    # Every voter order's 6 cells span 3 batches.
+    assert batches == [2, 2, 2] * (2 * 2 * 8 * 2)
+    expected = []
+    for culture_index, spec in enumerate(cultures):
+        for election_index in range(2):
+            election_seed = derive_seed(seed, 0, spec.seed, election_index)
+            election = generate(spec.with_seed(election_seed), m, n, k)
+            target = k_borda(election)
+            for strategy_index, (kind, policy) in enumerate(ALL_STRATEGIES):
+                for repeat in range(2):
+                    order_rng = substream(seed, 1, culture_index, election_index, strategy_index, repeat)
+                    order = order_rng.permutation(n)
+                    for budget in grid:
+                        committee, run = query_based_committee(
+                            election, kind, policy, cost, budget, voter_order=order, record_log=False
+                        )
+                        expected.append((
+                            spec.label(), election_index, strategy_label(kind, policy),
+                            float(budget).hex(), repeat, hamming(committee, target),
+                            float(run.spent).hex(),
+                        ))
+    assert [
+        (row.culture, row.election, row.strategy, row.budget.hex(), row.repeat, row.distance,
+         row.spent.hex())
+        for row in rows
+    ] == expected
+    assert run_budget_sweep(config, jobs=2) == rows
+
+
+def test_an_empty_grid_checks_its_target_and_yields_nothing():
+    e = generate(CultureSpec("IC", seed=4), 6, 5, 2)
+    for cost in ("variance_aware", "computational"):
+        for kind, policy in ALL_STRATEGIES:
+            with pytest.raises(ValueError, match="^target must hold k=2 distinct candidate ids 0..5"):
+                list(sweep_distances(e, kind, policy, cost, [], None, {9, 0}))
+            with pytest.raises(ValueError, match="^committees differ in size: 2 vs 1$"):
+                list(sweep_distances(e, kind, policy, cost, [], None, {0}))
+            assert list(sweep_distances(e, kind, policy, cost, [], None, k_borda(e))) == []
+
+
+def test_an_elicited_grid_holds_runs_whatever_the_voter_count():
+    """A grid keeps each cell's runs, never one level per voter: at 3 voters
+    and at a million, at most max(m, 3) runs per cell, whose counts add up
+    to the voters."""
+    m = 12
+    grid = [0, 10, 10, 500, 10**9, UNLIMITED]
+    for kind, policy in ALL_STRATEGIES:
+        for n in (3, 10**6):
+            elicited = _elicit_grid(kind, policy, "variance_aware", m, n, grid)
+            assert len(elicited.runs) == len(grid)
+            for runs in elicited.runs:
+                assert len(runs) <= max(m, 3)
+                assert sum(count for _, count in runs) == n
+
+
 def test_sweep_checks_its_target_before_any_row():
     e = generate(CultureSpec("IC", seed=4), 20, 6, 2)
     sweep = lambda target: next(iter(sweep_distances(e, "S", "EQ", "candidates", [5], None, target)))
@@ -600,6 +687,21 @@ def test_sweep_checks_its_target_before_any_row():
     with pytest.raises(ValueError, match="^committees differ in size: 2 vs 1$"):
         sweep({0})
     assert sweep({np.int64(19), 0})[1] in (0, 2, 4)
+
+
+def test_a_bad_voter_order_is_reported_before_any_other_bad_input():
+    e = generate(CultureSpec("IC", seed=4), 5, 3, 2)
+    target = k_borda(e)
+    for kind, policy, cost, grid, target in (
+        ("bogus", "EQ", "variance_aware", [5], target),
+        ("S", "bogus", "variance_aware", [5], target),
+        ("S", "EQ", "bogus", [5], target),
+        ("S", "EQ", "variance_aware", [5, -1], target),
+        ("S", "EQ", "variance_aware", [5], {9, 0}),
+    ):
+        swept = sweep_distances(e, kind, policy, cost, grid, [0, 0, 1], target)
+        with pytest.raises(ValueError, match="^voter_order must be a permutation"):
+            next(iter(swept))
 
 
 def test_a_bad_budget_anywhere_in_the_grid_fails_before_any_row():
