@@ -201,19 +201,28 @@ def select_top_k(scores: Sequence[float], k: int) -> Committee:
     m, k = len(scores), _whole("k", k)
     if not 0 <= k <= m:
         raise ValueError(f"cannot pick k={k} winners from {m} candidates")
-    # A stable sort, reversed, keeps equal scores in id order.
-    return frozenset(sorted(range(m), key=scores.__getitem__, reverse=True)[:k])
+    if isinstance(scores, np.ndarray):
+        floats = scores.dtype.kind == "f"
+    else:
+        floats = set(map(type, scores)) == {float}
+    # Only floats are sorted as floats: numpy would round an int beyond 2**53
+    # listed with floats, and negating an int dtype can wrap. As Python
+    # objects, ints, Fractions and mixed scores compare exactly.
+    row = np.asarray(scores) if floats else np.array(scores, dtype=object)
+    return frozenset(_top_k_rows(row[None], k)[0].tolist())
 
 
 def _top_k_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """Each row's ``k`` winners by :func:`select_top_k`'s rule: a stable sort of
-    the negated scores keeps equal scores, ``0.0`` and ``-0.0`` among them, in id order."""
+    """Each row's ``k`` highest-scoring candidates, the one tie rule of the
+    package: a stable sort of the negated scores keeps equal scores, ``0.0``
+    and ``-0.0`` among them, in id order, so ties go to the smaller id."""
     return np.argsort(-scores, axis=1, kind="stable")[:, :k]
 
 
 def k_borda(election: Election) -> Committee:
     """The committee of the ``k`` candidates with the highest total Borda scores."""
-    return select_top_k(borda_scores(election), election.k)
+    # Every Borda total is an int far below 2**53, so it sorts exactly as a float.
+    return select_top_k(np.array(borda_scores(election), dtype=float), election.k)
 
 
 def hamming(a: Committee, b: Committee) -> int:

@@ -69,7 +69,11 @@ def _parse_native(path, lines: list[tuple[int, str]]) -> Election:
     m, n, k = _ints(path, number, first)
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: header promises {n} voters, found {len(lines) - 1}")
-    return Election(m=m, voters=_native_body(path, lines[1:], m), k=k)
+    rows = _native_body(path, lines[1:], m)
+    try:
+        return Election(m=m, voters=rows, k=k)
+    except ValueError as err:
+        raise _refusal(path, err, m, k, lines[1:], _id_table(rows, m)[1]) from None
 
 
 def _native_body(path, lines: list[tuple[int, str]], m: int):
@@ -137,8 +141,19 @@ def _parse_preflib(path, lines: list[tuple[int, str]], k: int) -> Election:
             raise ValueError(f"{path}: vote counts sum to {sum(counts)}, header says {stated} {field}")
     # Each distinct order is read once. One that is not a permutation stays
     # one in every copy, so the election refuses it at its first voter.
-    table, _ = _id_table(orders, m)
-    return Election(m=m, voters=np.repeat(table, counts, axis=0), k=k)
+    table, bad = _id_table(orders, m)
+    try:
+        return Election(m=m, voters=np.repeat(table, counts, axis=0), k=k)
+    except ValueError as err:
+        raise _refusal(path, err, m, k, body, bad) from None
+
+
+def _refusal(path, err: ValueError, m: int, k: int, lines, bad: int | None) -> ValueError:
+    """The election's refusal ``err``, prefixed with the file and, when it refused
+    the ranking read from ``lines[bad]``, that line's number. The election
+    checks ``k`` against ``m`` before any ranking, so a bad ``k`` names no line."""
+    where = f"{path}:{lines[bad][0]}" if bad is not None and 1 <= k <= m else path
+    return ValueError(f"{where}: {err}")
 
 
 def load_election(path, k: int | None = None) -> Election:

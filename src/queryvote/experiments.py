@@ -318,7 +318,7 @@ def _election_rows(args) -> list[ResultRow]:
             order_rng = substream(
                 config.master_seed, _ORDER_TAG, culture_index, election_index, strategy_index, repeat
             )
-            places = election._places[_voter_order(config.n, order_rng.permutation(config.n))]
+            places = election._places[order_rng.permutation(config.n)]
             distances = _distances(grid, places, config.k, in_target)
             rows += (
                 ResultRow(label, election_index, name, float(budget), repeat, distance, spent)
@@ -454,12 +454,19 @@ def _parse_culture(entry) -> CultureSpec:
     return _from_json(CultureSpec, entry, "culture entry")
 
 
+def _parse_each(parse, entries) -> list:
+    """A JSON array read entry by entry with ``parse``; any other value is an error."""
+    if not isinstance(entries, list):
+        raise ValueError(f"expected a list, got {entries!r}")
+    return [parse(entry) for entry in entries]
+
+
 # How a JSON value is read into a field, by its type; other fields take it as it is.
 _PARSERS = {
     int: _parse_int,
-    list[CultureSpec]: lambda entries: [_parse_culture(entry) for entry in entries],
-    list[tuple[QuestionType, BudgetPolicy]]: lambda labels: [parse_strategy(s) for s in labels],
-    list[float] | None: lambda grid: None if grid is None else [_budget(b) for b in grid],
+    list[CultureSpec]: lambda entries: _parse_each(_parse_culture, entries),
+    list[tuple[QuestionType, BudgetPolicy]]: lambda labels: _parse_each(parse_strategy, labels),
+    list[float] | None: lambda grid: None if grid is None else _parse_each(_budget, grid),
 }
 
 

@@ -1,6 +1,7 @@
 import operator
 import pickle
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -72,6 +73,11 @@ def test_select_top_k_affine_invariance():
         assert select_top_k(scores, k) == select_top_k([a * s + b for s in scores], k)
 
 
+def tuple_key_top(scores, k):
+    """The reference rule: the first ``k`` ids in a sort by ``(-score, id)``."""
+    return sorted(range(len(scores)), key=lambda c: (-scores[c], c))[:k]
+
+
 def test_select_top_k_matches_the_tuple_key_sort():
     # Ties, 0.0 against -0.0 and equal int and float scores all go to the
     # smaller id, as in a sort by (-score, id).
@@ -83,16 +89,59 @@ def test_select_top_k_matches_the_tuple_key_sort():
             scores = [pool[i] for i in rng.integers(0, len(pool), m).tolist()]
         else:
             scores = (rng.integers(-3, 4, m) / 2).tolist()
-        reference = sorted(range(m), key=lambda c: (-scores[c], c))
         for k in range(m + 1):
-            assert select_top_k(scores, k) == frozenset(reference[:k])
-        # Rows of one score array: each row's winners are select_top_k's,
-        # in the reference order.
+            assert select_top_k(scores, k) == frozenset(tuple_key_top(scores, k))
+        # Rows of one score array: each row's winners in the reference order.
         rows = [scores] + [[pool[i] for i in rng.integers(0, len(pool), m).tolist()] for _ in range(3)]
         for k in range(m + 1):
             for row, top in zip(rows, _top_k_rows(np.array(rows, dtype=float), k).tolist(), strict=True):
-                assert top == sorted(range(m), key=lambda c: (-row[c], c))[:k]
-                assert frozenset(top) == select_top_k(row, k)
+                assert top == tuple_key_top(row, k)
+    # Scores that float64 would round or an int dtype would wrap on negation,
+    # three at a time, so that numpy does not read every list as objects.
+    exact = [
+        2**53, 2**53 + 1, float(2**53), 2**63 - 1, 2**63, 2**63 + 1, float(2**63), 2**64,
+        2**64 + 1, -(2**63), -(2**63) - 1, 0, 0.5, Fraction(1, 3), Fraction(-1, 3), 1 / 3,
+        Fraction(2**64 + 1, 2), -0.0,
+    ]
+    for _ in range(200):
+        source = [exact[i] for i in rng.permutation(len(exact))[:3]]
+        scores = [source[i] for i in rng.integers(0, 3, int(rng.integers(1, 25))).tolist()]
+        for k in range(len(scores) + 1):
+            assert select_top_k(scores, k) == frozenset(tuple_key_top(scores, k))
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [
+        [0.0, -0.0, 0.0, -0.0],
+        [-0.0, 0.0, -1.0, -0.0, 0.0],
+        [-0.0, 0, 0.0, False, Fraction(0), -0.0],
+        [0, 2**63],
+        [2**63, 2**63 + 1, 0.5],
+        [2**53, 2**53 + 1, 0.5],
+        [-(2**63), 0, -(2**63) + 1],
+        [Fraction(1, 3), 1 / 3, Fraction(1, 3), 0.3333333333333333],
+    ],
+)
+def test_select_top_k_matches_the_tuple_key_sort_where_numpy_is_not_exact(scores):
+    for k in range(len(scores) + 1):
+        assert select_top_k(scores, k) == frozenset(tuple_key_top(scores, k))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        np.array([0.0, -0.0, 2.5, -0.0, 2.5]),
+        np.array([1.5, 1.5, 0.25], dtype=np.float32),
+        np.array([0, 5, 0, 5], dtype=np.uint64),
+        np.array([2**64 - 1, 0, 2**63], dtype=np.uint64),
+        np.array([np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max, 0]),
+        np.array([True, False, True]),
+    ],
+)
+def test_select_top_k_reads_an_ndarray_row_in_its_dtype(row):
+    for k in range(len(row) + 1):
+        assert select_top_k(row, k) == frozenset(tuple_key_top(row.tolist(), k))
 
 
 def test_k_borda_worked_election():

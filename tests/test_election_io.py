@@ -154,6 +154,44 @@ def test_preflib_names_file_and_line_of_a_bad_field(tmp_path, text, line):
     assert str(err.value).startswith(f"{path}:{line}: ")
 
 
+NOT_A_PERMUTATION = "ranking is not a permutation"
+
+
+@pytest.mark.parametrize(
+    "name, text, k, line, message",
+    [
+        # The election refuses a ranking by voter; the file names its line.
+        ("x.elec", "3 2 1\n0 1 2\n0 1 1\n", None, 3, f"voter 1 {NOT_A_PERMUTATION}"),
+        ("x.elec", "\n3 3 1\n\n2 1 0\n\n0 2\n1 1 2\n", None, 6, f"voter 1 {NOT_A_PERMUTATION}"),
+        ("x.elec", "3 2 1\n0 1 3\n0 1 2\n", None, 2, f"voter 0 {NOT_A_PERMUTATION}"),
+        # PrefLib: the first copy of the first bad order, counted over the
+        # expanded voters and in 0-based ids; the file names the order's line.
+        (
+            "x.soc", "2\n1,A\n2,B\n2,2,2\n1,1,2\n1,1,1\n",
+            1, 6, f"voter 1 {NOT_A_PERMUTATION} of ints 0..1",
+        ),
+        (
+            "x.soc", "3\n1,A\n2,B\n3,C\n6,6,3\n3,1,2,3\n2,2,2,1\n1,3,1,4\n",
+            1, 7, f"voter 3 {NOT_A_PERMUTATION}",
+        ),
+        ("x.soc", "2\n1,A\n\n2,B\n3,3,2\n\n1,2\n2,1,2\n", 2, 7, f"voter 0 {NOT_A_PERMUTATION}"),
+        # Any other refusal names the file only, even with a bad ranking in it.
+        ("x.elec", "3 2 4\n0 1 2\n0 1 1\n", None, None, "committee size k=4 outside [1, 3]"),
+        ("x.elec", "3 0 1\n", None, None, "election needs at least one voter"),
+        ("x.soc", "2\n1,A\n2,B\n2,2,2\n1,1,2\n1,1,1\n", 3, None, "committee size k=3 outside [1, 2]"),
+        ("x.soc", "0\n0,0,0\n", 1, None, "need at least one candidate, got m=0"),
+    ],
+)
+def test_a_refused_election_names_its_file_and_the_line_of_a_bad_ranking(
+    tmp_path, name, text, k, line, message
+):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(message)) as err:
+        load_election(path, k=k)
+    assert str(err.value).startswith(f"{path}: " if line is None else f"{path}:{line}: ")
+
+
 def line_parser_load(path):
     """A native file read line by line with ``int()``, as the reference for ``load_election``."""
     numbered = enumerate(Path(path).read_text().splitlines(), 1)
@@ -174,7 +212,22 @@ def line_parser_load(path):
     if len(lines) - 1 != n:
         raise ValueError(f"{path}: header promises {n} voters, found {len(lines) - 1}")
     voters = tuple(tuple(ints(number, line)) for number, line in lines[1:])
-    return Election(m=m, voters=voters, k=k)
+    return reference_election(path, m, voters, k, [number for number, _ in lines[1:]])
+
+
+def reference_election(path, m, voters, k, numbers):
+    """The election of ``voters``, voter i read from line ``numbers[i]``, or its
+    refusal: a bad ranking names its line, and any other refusal the file."""
+    if 1 <= k <= m:
+        for v, (voter, number) in enumerate(zip(voters, numbers)):
+            if sorted(voter) != list(range(m)):
+                raise ValueError(
+                    f"{path}:{number}: voter {v} ranking is not a permutation of ints 0..{m - 1}"
+                )
+    try:
+        return Election(m=m, voters=voters, k=k)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def loaded(load, path):
@@ -263,15 +316,17 @@ def test_native_round_trip_at_100x250(tmp_path, kind):
 
 def per_voter_preflib_load(path, k):
     """A PrefLib file read into one tuple per voter, as the reference for ``load_election``."""
-    lines = [line.strip() for line in Path(path).read_text().splitlines() if line.strip()]
-    m = int(lines[0])
-    n, _, _ = map(int, lines[m + 1].split(","))
-    voters = []
-    for line in lines[m + 2 :]:
+    numbered = enumerate(Path(path).read_text().splitlines(), 1)
+    lines = [(number, line.strip()) for number, line in numbered if line.strip()]
+    m = int(lines[0][1])
+    n, _, _ = map(int, lines[m + 1][1].split(","))
+    voters, numbers = [], []
+    for number, line in lines[m + 2 :]:
         count, *ranking = map(int, line.split(","))
         voters.extend([tuple(c - 1 for c in ranking)] * count)
+        numbers.extend([number] * count)
     assert len(voters) == n
-    return Election(m=m, voters=tuple(voters), k=k)
+    return reference_election(path, m, tuple(voters), k, numbers)
 
 
 def test_preflib_orders_make_the_election_their_voters_make(tmp_path):

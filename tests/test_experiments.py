@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import json
 import math
+import pickle
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from queryvote import (
     select_top_k,
 )
 import queryvote.experiments
-from queryvote.experiments import _elicit_grid, parse_config, sweep_distances
+from queryvote.experiments import CSV_COLUMNS, _elicit_grid, parse_config, sweep_distances
 from queryvote.rng import derive_seed, substream
 from queryvote.scoring import (
     _share_table,
@@ -233,6 +236,33 @@ def test_csv_round_trip_random_rows(tmp_path):
     assert read_csv_rows(path) == rows
 
 
+def test_result_rows_pickle_compare_and_write_as_before(tmp_path):
+    """A row's fields are the CSV's columns: its values pickle and compare,
+    and a sweep writes the bytes it wrote before. (``jobs=2`` giving the
+    rows of ``jobs=1`` is test_sweep_deterministic_across_jobs.)"""
+    row = ResultRow("Mallows[phi=0.2]", 3, "NL-FCFS", math.inf, 1, 4, 0.1 + 0.2)
+    assert CSV_COLUMNS == ("culture", "election", "strategy", "budget", "repeat", "distance", "spent")
+    assert row == ResultRow(
+        culture="Mallows[phi=0.2]", election=3, strategy="NL-FCFS", budget=math.inf,
+        repeat=1, distance=4, spent=0.1 + 0.2,
+    )
+    assert row != replace(row, spent=0.3) and hash(row) == hash(pickle.loads(pickle.dumps(row)))
+    path = tmp_path / "row.csv"
+    emit_csv([row], path)
+    assert path.read_bytes() == (
+        b"culture,election,strategy,budget,repeat,distance,spent\n"
+        b"Mallows[phi=0.2],3,NL-FCFS,inf,1,4,0.30000000000000004\n"
+    )
+    rows = run_budget_sweep(small_config())
+    back = pickle.loads(pickle.dumps(rows))
+    assert back == rows and all(type(r) is ResultRow for r in back)
+    emit_csv(rows, path)
+    # The 48 rows' CSV, pinned: a change in how rows are built or written shows here.
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "23e01ac9889dc6bd61af798cfdebba63284fed69771314b31d496478550bb530"
+    )
+
+
 def test_default_budget_grid_shape():
     grid = default_budget_grid(1000.0)
     assert grid[0] == 0.0
@@ -306,6 +336,7 @@ def test_config_validation():
     base = {"m": 4, "n": 3, "k": 2, "elections_per_culture": 1, "cultures": ["IC"]}
     grid = [0, 2.5, "inf", " Unlimited", "infinity"]
     assert parse_config({**base, "budget_grid": grid}).budget_grid == [0, 2.5, *[UNLIMITED] * 3]
+    assert parse_config({**base, "budget_grid": None}).budget_grid is None
     for bad in ([True, 5], ["5"], [1, "nan"], [None], [[3]]):
         with pytest.raises(ValueError, match="config key 'budget_grid': expected a number"):
             parse_config({**base, "budget_grid": bad})
@@ -452,6 +483,19 @@ def test_parse_config_rejects_non_integral_integers(key):
     with pytest.raises(ValueError, match="expected an integer"):
         parse_config({**MINIMAL_CONFIG, key: True})
     assert getattr(parse_config({**MINIMAL_CONFIG, key: 4.0}), key) == 4
+
+
+@pytest.mark.parametrize(
+    "key, entry", [("cultures", "IC"), ("strategies", "S-EQ"), ("budget_grid", "unlimited")]
+)
+@pytest.mark.parametrize("shape", ["string", "object", "number"])
+def test_parse_config_list_keys_take_json_arrays_only(key, entry, shape):
+    # Read entry by entry, a string gives its characters and an object its keys.
+    value = {"string": entry, "object": {entry: 1}, "number": 5}[shape]
+    message = f"config key {key!r}: expected a list, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_config({**MINIMAL_CONFIG, key: value})
+    assert parse_config({**MINIMAL_CONFIG, key: [entry]})
 
 
 def test_parse_config_rejects_non_integral_culture_seed():
