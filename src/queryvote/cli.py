@@ -14,6 +14,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import election_io
 from .core import _named, _whole, k_borda
 from .costs import audit_csv_rows, audit_grid, format_audit_table
@@ -21,12 +23,12 @@ from .cultures import KINDS, CultureSpec, generate
 from .experiments import (
     _GRID_POINTS,
     _default_grid,
+    _order_distances,
     difficulty_scores,
     emit_csv,
     load_config,
     parse_budget,
     run_budget_sweep,
-    sweep_distances,
 )
 from .rng import substream
 from .strategies import ALL_STRATEGIES, strategy_label
@@ -170,17 +172,20 @@ def _cmd_sweep(args) -> int:
         budgets = [parse_budget(item) for item in args.budgets.split(",")]
     else:
         budgets = _default_grid(election.m, election.n, args.cost, args.points)
+    # Every strategy's grid is elicited once and scored under each repeat's
+    # voter order, the orders tiled over the strategies.
+    orders = [substream(args.seed, r).permutation(election.n) for r in range(args.repeats)]
+    tiled = np.tile(orders, (len(ALL_STRATEGIES), 1))
+    _, distances = _order_distances(election, ALL_STRATEGIES, args.cost, budgets, tiled, target)
     # The table is printed whole, so a rejected budget leaves stdout empty.
     table = ["strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)]
-    for kind, policy in ALL_STRATEGIES:
-        by_repeat = []
-        for repeat in range(args.repeats):
-            order = substream(args.seed, repeat).permutation(election.n)
-            swept = sweep_distances(election, kind, policy, args.cost, budgets, order, target)
-            by_repeat.append([distance for _, distance, _ in swept])
-        cells = [sum(distances) / args.repeats for distances in zip(*by_repeat)]
+    cells = len(budgets)
+    for strategy_index, (kind, policy) in enumerate(ALL_STRATEGIES):
+        at = strategy_index * args.repeats * cells
+        by_repeat = [distances[at + r * cells : at + (r + 1) * cells] for r in range(args.repeats)]
+        means = [sum(column) / args.repeats for column in zip(*by_repeat)]
         table.append(
-            strategy_label(kind, policy).ljust(9) + "".join(f"{value:10.2f}" for value in cells)
+            strategy_label(kind, policy).ljust(9) + "".join(f"{value:10.2f}" for value in means)
         )
     print("\n".join(table))
     return 0

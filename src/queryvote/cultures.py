@@ -122,7 +122,7 @@ def _number(value, name: str) -> float:
 def _generate_ic(seed: int, m: int, n: int) -> np.ndarray:
     votes = np.empty((n, m), dtype=np.intp)
     votes[:] = np.arange(m)
-    for row, rng in zip(votes, _streams(seed, n)):
+    for row, rng in zip(votes, _streams(seed, (1,), (n,))):
         rng.shuffle(row)
     return votes
 
@@ -130,7 +130,7 @@ def _generate_ic(seed: int, m: int, n: int) -> np.ndarray:
 def _generate_euclidean(seed: int, m: int, n: int) -> np.ndarray:
     candidate_points = substream(seed, 0).random((m, 2))
     points = np.empty((n, 2))
-    for row, rng in zip(points, _streams(seed, n)):
+    for row, rng in zip(points, _streams(seed, (1,), (n,))):
         rng.random(out=row)
     return _rank_by_distance(points, candidate_points)
 
@@ -201,7 +201,7 @@ def _generate_mallows(
     # One batch of m - 1 uniforms per voter; column i - 1 places center
     # candidate i of every voter at once.
     draws = np.empty((n, m - 1))
-    for row, rng in zip(draws, _streams(seed, n)):
+    for row, rng in zip(draws, _streams(seed, (1,), (n,))):
         rng.random(out=row)
     # place[j, v]: the place of center candidate j in voter v's vote so far.
     # Inserting candidate i at place[i] moves every candidate placed there
@@ -251,7 +251,7 @@ def _generate_st(seed: int, m: int, n: int) -> np.ndarray:
     half = m // 2
     votes = np.empty((n, m), dtype=np.intp)
     votes[:, :half], votes[:, half:] = sorted(mixed[:half]), sorted(mixed[half:])
-    for row, rng in zip(votes, _streams(seed, n)):
+    for row, rng in zip(votes, _streams(seed, (1,), (n,))):
         rng.shuffle(row[:half])
         rng.shuffle(row[half:])
     return votes

@@ -139,9 +139,12 @@ def _parse_preflib(path, lines: list[tuple[int, str]], k: int) -> Election:
     for stated, field in ((n, "voters"), (vote_total, "votes")):
         if sum(counts) != stated:
             raise ValueError(f"{path}: vote counts sum to {sum(counts)}, header says {stated} {field}")
-    # Each distinct order is read once. One that is not a permutation stays
-    # one in every copy, so the election refuses it at its first voter.
+    # Each distinct order is read once. The election checks m and k before
+    # any ranking; after them, a bad order is refused as the file states it:
+    # by its line, in the file's 1-based ids.
     table, bad = _id_table(orders, m)
+    if bad is not None and 1 <= k <= m:
+        raise ValueError(f"{path}:{body[bad][0]}: order ranking is not a permutation of ints 1..{m}")
     try:
         return Election(m=m, voters=np.repeat(table, counts, axis=0), k=k)
     except ValueError as err:

@@ -11,13 +11,22 @@ so a run under one budget is one level per voter: the number of questions it
 answered, in closed form (see :mod:`queryvote.strategies`). Each budget of a
 grid is its own run, and its runs of levels and its spend depend on the
 budget and the number of voters only. So :func:`run_budget_sweep` elicits
-each strategy's grid once, and keeps it as runs, not as levels. Every
-election and voter order is scored from them: the runs of one order's
-budgets, expanded, form one cells x n array of levels, which the one scorer of
-:func:`~queryvote.scoring.partial_scores` gathers from the schedule's table
-of Borda shares by level and place, a bounded batch of cells at a time, and
-one stable sort picks every cell's committee. So the rows equal those of
+each strategy's grid once, and keeps it as runs, not as levels, with one
+table of Borda shares by level and place that stacks every strategy's.
+
+Each election is then one pass (:func:`_election_rows`): it is generated,
+its k-Borda target is checked, and all its strategies x repeats voter
+orders are seeded in one pass of :func:`~queryvote.rng._streams`, each
+bit-identical to its ``substream``. Every (strategy, order) block of
+budgets is scored by :func:`_distances`: the runs of a range of cells,
+expanded by one ``np.repeat``, form their arrays of levels, which the one
+scorer of :func:`~queryvote.scoring.partial_scores` gathers from the
+stacked table. A gather holds as many whole blocks as fit under a bound
+of shares, or, when one block does not, a run of its cells; one stable
+sort then picks every committee of the batch. So the rows equal those of
 :func:`~queryvote.scoring.query_based_committee` under each budget.
+``queryvote sweep`` and :func:`sweep_distances` take the same step, with
+their own voter orders.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_type_hints
@@ -37,7 +46,7 @@ import numpy as np
 from .core import Committee, Election, _is_int_type, _named, _top_k_rows, _whole, k_borda
 from .costs import COST_FUNCTIONS
 from .cultures import CultureSpec, generate
-from .rng import derive_seed, substream
+from .rng import _streams, derive_seed, substream
 from .scoring import _share_table, _totals, borda_vector
 from .strategies import (
     ALL_STRATEGIES,
@@ -46,8 +55,9 @@ from .strategies import (
     QuestionType,
     _budget,
     _elicit,
-    _levels,
+    _elicit_units,
     _schedule_of,
+    _spend,
     _voter_order,
     parse_strategy,
     strategy_label,
@@ -218,16 +228,18 @@ class _Grid:
     """One strategy's budget grid, elicited once for the ``n`` voters of a sweep.
 
     Cell i's budget, as the budget rule reads it, is ``budgets[i]``; its runs
-    ``(level, count)`` are ``runs[i]``; its spend is ``spent[i]`` in the
-    prices' type and ``row_spent[i]`` as a float. ``table`` holds the
-    schedule's Borda shares by level and place. A cell has at most max(m, 3)
-    runs, so the grid takes O(budgets x m) memory whatever n is.
+    ``(level, count)`` are ``runs[i]``; its spend is ``units[i]`` in the
+    schedule's units and ``row_spent[i]`` as a float, ``units[i] / scale``.
+    ``table`` holds the schedule's Borda shares by level and place. A cell
+    has at most max(m, 3) runs, so the grid takes O(budgets x m) memory
+    whatever n is.
     """
 
     table: np.ndarray
+    scale: int | None
     budgets: list
     runs: list
-    spent: list
+    units: list
     row_spent: list
 
 
@@ -237,14 +249,54 @@ def _elicit_grid(kind, policy, cost, m: int, n: int, budgets: Sequence) -> _Grid
     schedule = _schedule_of(kind, cost, m)
     _, policy = _named(BudgetPolicy, policy, "budget policy")
     budgets = [_budget(budget) for budget in budgets]
-    cells = [_elicit(schedule, policy, n, budget) for budget in budgets]
-    spent = [spent for _, spent in cells]
+    cells = [_elicit_units(schedule, policy, n, budget) for budget in budgets]
+    units = [spent for _, spent in cells]
+    # One correctly rounded division: the float of Fraction(units, scale).
+    scale = schedule.scale or 1
     return _Grid(
         table=_share_table(schedule, borda_vector(schedule.m)),
+        scale=schedule.scale,
         budgets=budgets,
         runs=[runs for runs, _ in cells],
-        spent=spent,
-        row_spent=list(map(float, spent)),
+        units=units,
+        row_spent=[spent / scale for spent in units],
+    )
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """Every strategy's grid of a sweep, elicited once and scored as one.
+
+    ``table`` stacks the strategies' share tables, in strategy order. The
+    runs of every cell, strategy after strategy and budget after budget, are
+    ``levels`` and ``counts``, each level offset to its strategy's rows of
+    ``table``; cell c's runs are ``at[c]:at[c + 1]``. So expanding a range of
+    cells is one ``np.repeat``.
+    """
+
+    grids: list
+    table: np.ndarray
+    levels: np.ndarray
+    counts: np.ndarray
+    at: list
+
+
+def _elicit_sweep(strategies, cost, m: int, n: int, budgets: Sequence) -> _Sweep:
+    """Each strategy's grid elicited once (:func:`_elicit_grid`), and stacked."""
+    grids = [_elicit_grid(kind, policy, cost, m, n, budgets) for kind, policy in strategies]
+    offsets = accumulate((len(grid.table) for grid in grids), initial=0)
+    cells = [
+        [(level + offset, count) for level, count in runs]
+        for grid, offset in zip(grids, offsets)
+        for runs in grid.runs
+    ]
+    flat = np.array(list(chain.from_iterable(cells)), dtype=np.intp).reshape(-1, 2)
+    return _Sweep(
+        grids=grids,
+        table=np.concatenate([grid.table for grid in grids]),
+        levels=flat[:, 0].copy(),
+        counts=flat[:, 1].copy(),
+        at=list(accumulate(map(len, cells), initial=0)),
     )
 
 
@@ -260,21 +312,67 @@ def _target_mask(target: Committee, m: int, k: int) -> np.ndarray:
     return in_target
 
 
-def _distances(grid: _Grid, places: np.ndarray, k: int, in_target: np.ndarray) -> list[int]:
-    """The Hamming distance from the target at every cell of ``grid``, with
-    the voters' places in one voter order: the per-order step of a sweep,
-    one gather of at most ``_GATHER_SHARES`` shares per batch of cells."""
-    n = len(places)
-    batch = max(1, _GATHER_SHARES // places.size)
+def _distances(
+    sweep: _Sweep, places: np.ndarray, orders: np.ndarray, k: int, in_target: np.ndarray
+) -> list[int]:
+    """The Hamming distance from the target at every cell of ``sweep`` under
+    every voter order, block after block and cell after cell: block j is
+    ``orders[j]`` scored by strategy ``j // repeats``, ``repeats =
+    len(orders) // len(sweep.grids)``, and ``places`` are the election's.
+
+    Each batch is one :func:`~queryvote.scoring._totals` gather of at most
+    ``_GATHER_SHARES`` shares, and one top-k pick and count of hits: as many
+    whole blocks as fit, ``(g, cells, n)`` rows with ``(g, 1, n, m)``
+    places, or, when one block does not fit, a run of that block's cells,
+    ``(b, n)`` rows with its ``(n, m)`` places.
+    """
+    (blocks, n), m = orders.shape, places.shape[1]
+    cells = (len(sweep.at) - 1) // len(sweep.grids)
+    if not cells:
+        return []
+    repeats = blocks // len(sweep.grids)
     distances = []
-    for start in range(0, len(grid.runs), batch):
-        levels = _levels(chain.from_iterable(grid.runs[start : start + batch])).reshape(-1, n)
+
+    def rows(first: int, last: int) -> np.ndarray:
+        """The table rows of cells ``first..last-1``, strategy after strategy."""
+        runs = slice(sweep.at[first], sweep.at[last])
+        return np.repeat(sweep.levels[runs], sweep.counts[runs]).reshape(-1, n)
+
+    def score(batch_rows: np.ndarray, batch_places: np.ndarray) -> None:
         # The voters are added in run order, not id order. That gives the
         # totals of partial_scores: every Borda share is a half-integer and
         # every partial sum is far below 2**52, so each addition is exact.
-        hits = in_target[_top_k_rows(_totals(grid.table, levels, places), k)].sum(axis=1)
-        distances += (2 * (k - hits)).tolist()
+        totals = _totals(sweep.table, batch_rows, batch_places).reshape(-1, m)
+        hits = in_target[_top_k_rows(totals, k)].sum(axis=1)
+        distances.extend((2 * (k - hits)).tolist())
+
+    fit = _GATHER_SHARES // (cells * n * m)
+    if fit:
+        for start in range(0, blocks, fit):
+            stop = min(start + fit, blocks)
+            first, last = start // repeats, (stop - 1) // repeats + 1
+            by_strategy = rows(first * cells, last * cells).reshape(-1, cells, n)
+            picked = by_strategy[np.arange(start, stop) // repeats - first]
+            score(picked, places[orders[start:stop]][:, None])
+        return distances
+    batch = max(1, _GATHER_SHARES // (n * m))
+    for block, order in enumerate(orders):
+        first = block // repeats * cells
+        order_places = places[order]
+        for start in range(first, first + cells, batch):
+            score(rows(start, min(start + batch, first + cells)), order_places)
     return distances
+
+
+def _order_distances(
+    election: Election, strategies, cost, budgets: Sequence, orders: np.ndarray, target: Committee
+) -> tuple[_Sweep, list[int]]:
+    """Each strategy's grid elicited once for ``election``, the target checked,
+    and the distance from ``target`` at every cell under every voter order
+    (rows of ``orders``, the orders of one strategy after another)."""
+    sweep = _elicit_sweep(strategies, cost, election.m, election.n, budgets)
+    in_target = _target_mask(target, election.m, election.k)
+    return sweep, _distances(sweep, election._places, orders, election.k, in_target)
 
 
 def sweep_distances(
@@ -294,35 +392,46 @@ def sweep_distances(
     it, scored by Borda over the partial profile; the top ``k`` committee is
     compared with ``target``, which must hold ``k`` distinct candidate ids.
     The voter order, the strategy, every budget and the target are checked,
-    in that order, before the first row. The grid is elicited once and the
-    order scored from its runs, the two steps that :func:`run_budget_sweep`
-    takes once per strategy and once per voter order.
+    in that order, before the first row. It is the per-election step of
+    :func:`run_budget_sweep` for one strategy and one voter order.
     """
-    places = election._places[_voter_order(election.n, voter_order)]
-    grid = _elicit_grid(kind, policy, cost, election.m, election.n, budgets)
-    in_target = _target_mask(target, election.m, election.k)
-    yield from zip(grid.budgets, _distances(grid, places, election.k, in_target), grid.spent)
+    order = _voter_order(election.n, voter_order)
+    strategy = [(kind, policy)]
+    sweep, distances = _order_distances(election, strategy, cost, budgets, order[None], target)
+    grid = sweep.grids[0]
+    spent = (_spend(grid.scale, units) for units in grid.units)
+    yield from zip(grid.budgets, distances, spent)
 
 
 def _election_rows(args) -> list[ResultRow]:
-    config, grids, culture_index, election_index = args
+    """The per-election step of a sweep: the election generated, its k-Borda
+    target checked, all its voter orders seeded in one pass, and every
+    strategy x order x budget cell scored by :func:`_distances`."""
+    config, sweep, culture_index, election_index = args
     spec = config.cultures[culture_index]
     seed = derive_seed(config.master_seed, _ELECTION_TAG, spec.seed, election_index)
     election = generate(spec.with_seed(seed), config.m, config.n, config.k)
     in_target = _target_mask(k_borda(election), config.m, config.k)
+    repeats = config.voter_order_repeats
+    streams = _streams(
+        config.master_seed,
+        (_ORDER_TAG, culture_index, election_index),
+        (len(config.strategies), repeats),
+    )
+    orders = np.array([rng.permutation(config.n) for rng in streams])
+    distances = _distances(sweep, election._places, orders, config.k, in_target)
     label = spec.label()
+    budgets = [float(budget) for budget in sweep.grids[0].budgets]
+    cells = len(budgets)
     rows = []
-    for strategy_index, ((kind, policy), grid) in enumerate(zip(config.strategies, grids)):
+    for strategy_index, ((kind, policy), grid) in enumerate(zip(config.strategies, sweep.grids)):
         name = strategy_label(kind, policy)
-        for repeat in range(config.voter_order_repeats):
-            order_rng = substream(
-                config.master_seed, _ORDER_TAG, culture_index, election_index, strategy_index, repeat
-            )
-            places = election._places[order_rng.permutation(config.n)]
-            distances = _distances(grid, places, config.k, in_target)
+        for repeat in range(repeats):
+            at = (strategy_index * repeats + repeat) * cells
+            cell_distances = distances[at : at + cells]
             rows += (
-                ResultRow(label, election_index, name, float(budget), repeat, distance, spent)
-                for budget, distance, spent in zip(grid.budgets, distances, grid.row_spent)
+                ResultRow(label, election_index, name, budget, repeat, distance, spent)
+                for budget, distance, spent in zip(budgets, cell_distances, grid.row_spent)
             )
     return rows
 
@@ -339,12 +448,9 @@ def run_budget_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]
     budgets = config.budget_grid
     if budgets is None:
         budgets = _default_grid(config.m, config.n, config.cost)
-    grids = [
-        _elicit_grid(kind, policy, config.cost, config.m, config.n, budgets)
-        for kind, policy in config.strategies
-    ]
+    sweep = _elicit_sweep(config.strategies, config.cost, config.m, config.n, budgets)
     tasks = [
-        (config, grids, culture_index, election_index)
+        (config, sweep, culture_index, election_index)
         for culture_index in range(len(config.cultures))
         for election_index in range(config.elections_per_culture)
     ]

@@ -7,16 +7,18 @@ every platform, and distinct paths yield non-overlapping streams, so work
 keyed by path (one voter, one experiment cell) can be filled in parallel
 without changing the result.
 
-The private :func:`_streams` yields the streams ``substream(seed, 1, v)``
-of voters ``v = 0..count-1`` in one pass: it runs ``SeedSequence``'s entropy
-mixing and state generation for every voter at once over uint32 arrays, and
-finishes PCG64's seeding in Python ints, so each stream is bit-identical to
-its ``substream`` without building a ``SeedSequence``, ``PCG64`` and
-``Generator`` per voter.
+The private :func:`_streams` yields the streams ``substream(seed, *prefix,
+*index)`` for every index of a shape in one pass: the voters ``(1, v)`` of
+an election, or the voter orders ``(si, repeat)`` of one election of a sweep.
+It runs ``SeedSequence``'s entropy mixing and state generation for every
+index at once over uint32 arrays, and each index's ``PCG64`` seeds itself
+from its four state words, so each stream is bit-identical to its
+``substream`` without building a ``SeedSequence`` per index.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -34,20 +36,29 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _POOL_SIZE, _XSHIFT = 4, np.uint32(16)
 _MASK32 = (1 << 32) - 1
-# PCG64's 128-bit LCG multiplier.
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _hash_constants(start: int, mult: int, count: int) -> np.ndarray:
     return np.array([start * pow(mult, k, 1 << 32) & _MASK32 for k in range(count)], np.uint32)
 
 
-# Enough hashmix calls for an entropy of at most 4 words (seed, tag 1, voter).
-_HASH_A = _hash_constants(_INIT_A, _MULT_A, 4 + 12 + 1)
+def _hashmixes(words: int) -> int:
+    """The hashmix calls of one pool mixing of ``words`` entropy words: one per
+    pool word, one per (source, target) pair of pool words, and one per pool
+    word for each entropy word beyond the pool."""
+    return _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(words - _POOL_SIZE, 0)
+
+
+# Enough hashmix constants for an entropy of up to 16 words; a longer one
+# computes its own.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _hashmixes(16) + 1)
 _HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1)
-# The pool words each pool word is mixed into, by source.
-_TARGETS = [[dst for dst in range(_POOL_SIZE) if dst != src] for src in range(_POOL_SIZE)]
+# The constants of the hashmix call that mixes pool word src into pool word
+# dst, at [src, dst]: the calls run over the sources, then their other pool
+# words, from call 4 on. A source is not mixed into itself; that entry is unused.
+_SRC, _DST = np.indices((_POOL_SIZE, _POOL_SIZE))
+_CALLS = _POOL_SIZE + (_POOL_SIZE - 1) * _SRC + _DST - (_DST > _SRC)
+_CROSS_XOR, _CROSS_MULT = _HASH_A[_CALLS], _HASH_A[_CALLS + 1]
 # generate_state(4, uint64) takes 8 uint32 words, cycling through the pool.
 _CYCLE = [*range(_POOL_SIZE)] * 2
 
@@ -78,10 +89,10 @@ def _words(value: int) -> list[int]:
     return words
 
 
-def _hashmix(values: np.ndarray, at: int, width: int) -> np.ndarray:
-    """SeedSequence's hashmix of column j of ``values`` (broadcast to ``width``
-    columns) as its ``at + j``-th call."""
-    values = (values ^ _HASH_A[at : at + width]) * _HASH_A[at + 1 : at + width + 1]
+def _hashmix(values: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of ``values``, broadcast against the calls'
+    constants ``xor`` and ``mult``."""
+    values = (values ^ xor) * mult
     return values ^ values >> _XSHIFT
 
 
@@ -90,45 +101,78 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> _XSHIFT
 
 
-def _streams(seed: int, count: int) -> Iterator[np.random.Generator]:
-    """The generators ``substream(seed, 1, v)`` for ``v = 0..count-1``, in order.
+class _State:
+    """The words a ``SeedSequence`` would give ``PCG64`` to seed from.
 
-    Each voter's entropy is the words of the masked seed, the tag 1 and the
-    voter id: at most four words, all in the pool, and only the voter's word
-    differs. So one pass of ``SeedSequence``'s pool mixing and
-    ``generate_state(4, uint64)``, over a row of uint32 words per voter,
-    gives every voter's PCG64 seed; each yield sets the ``(state, inc)``
-    that ``PCG64`` derives from that seed on one reused bit generator.
-
-    The same ``Generator`` object is yielded every time, so draw from it
-    before asking for the next: ``list(_streams(...))`` holds ``count``
-    references to one generator in the state of the last voter.
+    :func:`_streams` registers it as numpy's ``ISeedSequence`` when it first
+    runs, so that importing the package does not load ``numpy.random``.
     """
-    words = _words(_whole("seed", seed) & _MASK) + [1, 0]
-    # The pool takes the words, padded with zeros, each hashed in turn.
-    pool = np.zeros((count, _POOL_SIZE), np.uint32)
-    pool[:, : len(words)] = words
-    pool[:, len(words) - 1] = np.arange(count, dtype=np.uint32)
-    pool, at = _hashmix(pool, 0, _POOL_SIZE), _POOL_SIZE
-    # Every pool word is mixed into every other, in order of source then
-    # target; a source word does not change while it is mixed in.
-    for src, targets in enumerate(_TARGETS):
-        pool[:, targets] = _mix(pool[:, targets], _hashmix(pool[:, src, None], at, len(targets)))
-        at += len(targets)
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != len(self.words) or np.dtype(dtype) != self.words.dtype:
+            raise ValueError(f"holds {len(self.words)} {self.words.dtype} words")
+        return self.words
+
+
+def _streams(
+    seed: int, prefix: tuple[int, ...], shape: tuple[int, ...]
+) -> Iterator[np.random.Generator]:
+    """The generators ``substream(seed, *prefix, *index)`` for every index of
+    ``shape``, in C order.
+
+    Each entropy is the words of the masked seed and prefix (the head), then
+    one word per index entry, and only the index words differ. The first
+    four words fill the pool, padded with zeros, and are mixed with each
+    other; each word beyond them is then mixed into every pool word. When
+    the head fills the pool, one ``SeedSequence`` of the head gives the pool
+    that every index shares; otherwise the pool is mixed for every index at
+    once, over a row of uint32 words per index. The index words beyond the
+    pool and ``generate_state(4, uint64)`` are likewise taken for every
+    index at once, and each index's ``PCG64`` seeds itself from its own
+    four words, as it does from its ``SeedSequence``. Those words are all a
+    yielded generator holds of its seed, so unlike a ``substream`` it cannot
+    ``spawn``.
+    """
+    head = _words(_whole("seed", seed) & _MASK)
+    for tag in prefix:
+        head += _words(_whole("path", tag) & _MASK)
+    count = math.prod(shape)
+    # Every index entry is below 2**32, so one word.
+    index = np.indices(shape, np.uint32).reshape(len(shape), count).T
+    words = len(head) + len(shape)
+    hash_a = _HASH_A
+    if _hashmixes(words) >= len(hash_a):
+        hash_a = _hash_constants(_INIT_A, _MULT_A, _hashmixes(words) + 1)
+    if len(head) >= _POOL_SIZE:
+        pool, beyond = np.random.SeedSequence(head).pool[None], index
+    else:
+        entropy = np.zeros((count, max(words, _POOL_SIZE)), np.uint32)
+        entropy[:, : len(head)] = head
+        entropy[:, len(head) : words] = index
+        pool = _hashmix(entropy[:, :_POOL_SIZE], hash_a[:_POOL_SIZE], hash_a[1 : _POOL_SIZE + 1])
+        beyond = entropy[:, _POOL_SIZE:words]
+        # Every pool word is mixed into every other, in order of source then
+        # target; a source word does not change while it is mixed in.
+        for src in range(_POOL_SIZE):
+            mixed = _mix(pool, _hashmix(pool[:, src, None], _CROSS_XOR[src], _CROSS_MULT[src]))
+            mixed[:, src] = pool[:, src]
+            pool = mixed
+    at = _hashmixes(words - beyond.shape[1])
+    for column in beyond.T:
+        constants = hash_a[at : at + _POOL_SIZE + 1]
+        pool = _mix(pool, _hashmix(column[:, None], constants[:-1], constants[1:]))
+        at += _POOL_SIZE
     hashed = (pool[:, _CYCLE] ^ _HASH_B[:-1]) * _HASH_B[1:]
     hashed ^= hashed >> _XSHIFT
-    # generate_state's uint64 words are its uint32 words in little-endian pairs.
-    seeds = hashed.astype("<u4", order="C").view("<u8").tolist()
-    bit_generator = np.random.PCG64(0)
-    generator = np.random.Generator(bit_generator)
-    for high_state, low_state, high_seq, low_seq in seeds:
-        # PCG64 seeds with inc = seq << 1 | 1, then steps, adds the state and steps.
-        inc = ((high_seq << 64 | low_seq) << 1 | 1) & _MASK128
-        state = ((inc + (high_state << 64 | low_state)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield generator
+    # generate_state's uint64 words are its uint32 words in pairs, low first;
+    # PCG64 reads each index's four from memory, so the rows are C-contiguous.
+    seeds = hashed[:, 1::2].astype(np.uint64) << np.uint64(32) | hashed[:, ::2]
+    seeds = np.ascontiguousarray(seeds)
+    np.random.bit_generator.ISeedSequence.register(_State)
+    for state in seeds:
+        yield np.random.Generator(np.random.PCG64(_State(state)))

@@ -8,8 +8,8 @@ scoring.
 Every total is added by one scorer, :func:`_totals`, from a table of shares
 by row and place whose classes are filled by :func:`_fill`. It scores a
 batch of cells, one row of table rows per cell, in one gather; a budget
-sweep hands it many cells of one voter order at once, and
-:func:`partial_scores` hands it one. A profile returned by
+sweep hands it the cells of many strategies and voter orders of one election
+at once, and :func:`partial_scores` hands it one. A profile returned by
 :func:`~queryvote.strategies.run_elicitation` reads the cached
 :func:`_share_table` of its schedule at each voter's level, as a budget sweep
 does. Any other profile is checked first, one candidate id at a time, and
@@ -81,18 +81,22 @@ def _cached_share_table(schedule, scoring: ScoringVector, spelling) -> np.ndarra
 
 
 def _totals(table: np.ndarray, rows, places: np.ndarray) -> np.ndarray:
-    """``totals[i, c]``: candidate c's total of ``table[rows[i, v], places[v, c]]``
+    """``totals[..., c]``: candidate c's total of ``table[rows[..., v], places[..., v, c]]``
     over the voters v, added from 0.0 one voter at a time, in voter order.
 
-    ``rows`` is a cells x n array of table rows; the gather holds
-    cells x n x m shares at once.
+    ``rows`` is an array ``(..., n)`` of table rows, one row of them per
+    cell, and ``places`` an array ``(..., n, m)`` that broadcasts against
+    ``rows[..., None]``, such as ``(G, B, n)`` rows with ``(G, 1, n, m)``
+    places; the gather holds the broadcast shape's shares at once.
     """
-    shares = table[np.asarray(rows, dtype=np.intp)[:, :, None], places]
-    if places.shape[1] == 1:
+    shares = table[np.asarray(rows, dtype=np.intp)[..., None], places]
+    if shares.shape[-1] == 1:
         # numpy adds a lone column pairwise, so each one is added in Python.
-        return np.array([[reduce(add, cell, 0.0)] for cell in shares[:, :, 0].tolist()])
+        lead, n = shares.shape[:-2], shares.shape[-2]
+        cells = shares[..., 0].reshape(math.prod(lead), n).tolist()
+        return np.array([reduce(add, cell, 0.0) for cell in cells]).reshape(*lead, 1)
     # With two or more columns, a reduce adds voter after voter.
-    return np.add.reduce(shares, axis=1)
+    return np.add.reduce(shares, axis=-2)
 
 
 def partial_scores(profile: Sequence[OrderedPartition], scoring: Sequence) -> list[float]:

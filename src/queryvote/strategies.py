@@ -34,7 +34,9 @@ each budget is computed on its own in time linear in schedule and voters:
   voter refused at level r stays refused, since the spend only grows and
   the price of question r is fixed, and so is every later voter at level r.
   So round r asks the first ``j_r = min(j_{r-1}, (cap - spent) // price_r)``
-  voters of the order, all at level r: one run of levels per round.
+  voters of the order, all at level r: one run of levels per round. Under
+  exact prices the rounds that ask every voter are found by one search of
+  the running prices, and only the rounds after them are walked.
 * ``FCFS``: fully resolve the first voter before touching the second, and so
   on; the run ends the moment the current voter's next question does not fit
   in the remaining budget (partial progress on that voter is kept). So the
@@ -51,7 +53,11 @@ are summed one at a time in the order charged, as a running sum searched
 once for the budget itself: no int count reproduces a sum of rounded
 additions. One search, :func:`_afford`, serves both policies: ``EQUAL``
 runs it on each round's prices, ``FCFS`` on the prices tiled voter after
-voter.
+voter. :func:`_elicit_units` gives a run's spend in units, and
+:func:`_spend` turns it into the prices' type, a ``Fraction(units, D)``
+under Fraction prices; a sweep keeps the units and writes each row's float
+as ``units / D``, one correctly rounded division, the bits of the
+Fraction's float.
 
 Every spending bound is read by one rule, :func:`_budget`: a value whose type
 passes :func:`~queryvote.core._is_real_type` and is ``>= 0`` (not NaN), or
@@ -196,20 +202,33 @@ def _elicit(
     schedule: Schedule, policy: BudgetPolicy, n: int, cap
 ) -> tuple[list[tuple[int, int]], object]:
     """The runs ``(level, count)`` of levels along an order of ``n`` voters
-    under the read budget ``cap``, and the spend.
+    under the read budget ``cap``, and the spend, as :func:`_spend` gives it."""
+    runs, units = _elicit_units(schedule, policy, n, cap)
+    return runs, _spend(schedule.scale, units)
 
-    The counts add up to ``n``; a count may be 0. The spend is the int 0
-    before any charge, then the sum in the prices' type. With int units the
-    cap is ``floor(budget * D)`` units, or all n voters' questions under an
+
+def _elicit_units(
+    schedule: Schedule, policy: BudgetPolicy, n: int, cap
+) -> tuple[list[tuple[int, int]], object]:
+    """The runs of :func:`_elicit`, and the spend in the schedule's units.
+
+    The counts add up to ``n``; a count may be 0. With int units the cap is
+    ``floor(budget * D)`` units, or all n voters' questions under an
     unlimited budget; else the budget itself.
     """
     if schedule.exact:
         cap = n * schedule.cum[-1] if cap == UNLIMITED else _units_cap(cap, schedule.scale or 1)
-    runs, units = _DRIVERS[policy](schedule, n, cap)
+    return _DRIVERS[policy](schedule, n, cap)
+
+
+def _spend(scale: int | None, units):
+    """A spend of ``units`` in the prices' type, under the schedule ``scale``:
+    the int 0 before any charge, then the sum of the prices, a
+    ``Fraction(units, scale)`` when they are Fractions."""
     # Every registry price is positive, so no units means no charge yet.
-    if schedule.scale is None or not units:
-        return runs, units
-    return runs, Fraction(units, schedule.scale)
+    if scale is None or not units:
+        return units
+    return Fraction(units, scale)
 
 
 def _levels(runs) -> np.ndarray:
@@ -252,8 +271,14 @@ def _afford(prices, units, cap) -> tuple[int, object]:
 
 def _equal(schedule: Schedule, n: int, cap) -> tuple[list[tuple[int, int]], object]:
     """``EQUAL``: the runs of levels along the voter order, and the spend in units."""
-    counts, units, asking = [n], 0, n
-    for price in schedule.units:
+    counts, units, asking, full = [n], 0, n, 0
+    if schedule.exact:
+        # Every voter answers the first ``full`` questions, the most whose
+        # price for all n voters, n * cum[full] units, fits in the cap.
+        full = bisect_right(schedule.cum, cap // n) - 1
+        counts += [n] * full
+        units = n * schedule.cum[full]
+    for price in schedule.units[full:]:
         if schedule.exact:
             asking = min(asking, (cap - units) // price)
             units += asking * price

@@ -130,7 +130,12 @@ def test_readme_python_runs_and_names_only_public_api():
 
 
 # Public names that no package code reads, with the reason each stays.
-UNREAD_ALLOWED: set[str] = set()
+UNREAD_ALLOWED: set[str] = {
+    # The sweep's per-election step for one strategy and one voter order,
+    # with its spend in the prices' type; `queryvote sweep` scores every
+    # strategy and order in one step instead.
+    "sweep_distances",
+}
 
 
 def test_every_public_name_is_exported_or_read():

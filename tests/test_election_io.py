@@ -164,17 +164,17 @@ NOT_A_PERMUTATION = "ranking is not a permutation"
         ("x.elec", "3 2 1\n0 1 2\n0 1 1\n", None, 3, f"voter 1 {NOT_A_PERMUTATION}"),
         ("x.elec", "\n3 3 1\n\n2 1 0\n\n0 2\n1 1 2\n", None, 6, f"voter 1 {NOT_A_PERMUTATION}"),
         ("x.elec", "3 2 1\n0 1 3\n0 1 2\n", None, 2, f"voter 0 {NOT_A_PERMUTATION}"),
-        # PrefLib: the first copy of the first bad order, counted over the
-        # expanded voters and in 0-based ids; the file names the order's line.
+        # PrefLib: the first bad order, named by its line and in the file's
+        # 1-based ids.
         (
             "x.soc", "2\n1,A\n2,B\n2,2,2\n1,1,2\n1,1,1\n",
-            1, 6, f"voter 1 {NOT_A_PERMUTATION} of ints 0..1",
+            1, 6, f"order {NOT_A_PERMUTATION} of ints 1..2",
         ),
         (
             "x.soc", "3\n1,A\n2,B\n3,C\n6,6,3\n3,1,2,3\n2,2,2,1\n1,3,1,4\n",
-            1, 7, f"voter 3 {NOT_A_PERMUTATION}",
+            1, 7, f"order {NOT_A_PERMUTATION} of ints 1..3",
         ),
-        ("x.soc", "2\n1,A\n\n2,B\n3,3,2\n\n1,2\n2,1,2\n", 2, 7, f"voter 0 {NOT_A_PERMUTATION}"),
+        ("x.soc", "2\n1,A\n\n2,B\n3,3,2\n\n1,2\n2,1,2\n", 2, 7, f"order {NOT_A_PERMUTATION} of ints 1..2"),
         # Any other refusal names the file only, even with a bad ranking in it.
         ("x.elec", "3 2 4\n0 1 2\n0 1 1\n", None, None, "committee size k=4 outside [1, 3]"),
         ("x.elec", "3 0 1\n", None, None, "election needs at least one voter"),
@@ -215,12 +215,17 @@ def line_parser_load(path):
     return reference_election(path, m, voters, k, [number for number, _ in lines[1:]])
 
 
-def reference_election(path, m, voters, k, numbers):
+def reference_election(path, m, voters, k, numbers, preflib=False):
     """The election of ``voters``, voter i read from line ``numbers[i]``, or its
-    refusal: a bad ranking names its line, and any other refusal the file."""
+    refusal: a bad ranking names its line, and any other refusal the file.
+    A PrefLib order is refused as the file states it, in 1-based ids."""
     if 1 <= k <= m:
         for v, (voter, number) in enumerate(zip(voters, numbers)):
             if sorted(voter) != list(range(m)):
+                if preflib:
+                    raise ValueError(
+                        f"{path}:{number}: order ranking is not a permutation of ints 1..{m}"
+                    )
                 raise ValueError(
                     f"{path}:{number}: voter {v} ranking is not a permutation of ints 0..{m - 1}"
                 )
@@ -326,7 +331,7 @@ def per_voter_preflib_load(path, k):
         voters.extend([tuple(c - 1 for c in ranking)] * count)
         numbers.extend([number] * count)
     assert len(voters) == n
-    return reference_election(path, m, tuple(voters), k, numbers)
+    return reference_election(path, m, tuple(voters), k, numbers, preflib=True)
 
 
 def test_preflib_orders_make_the_election_their_voters_make(tmp_path):

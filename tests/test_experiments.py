@@ -5,6 +5,7 @@ import math
 import pickle
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,13 @@ from queryvote import (
     select_top_k,
 )
 import queryvote.experiments
-from queryvote.experiments import CSV_COLUMNS, _elicit_grid, parse_config, sweep_distances
+from queryvote.experiments import (
+    CSV_COLUMNS,
+    _elicit_grid,
+    _full_cost,
+    parse_config,
+    sweep_distances,
+)
 from queryvote.rng import derive_seed, substream
 from queryvote.scoring import (
     _share_table,
@@ -45,6 +52,7 @@ from queryvote.strategies import (
     ALL_STRATEGIES,
     _elicit,
     _schedule_of,
+    _spend,
     run_elicitation,
     strategy_label,
 )
@@ -754,3 +762,106 @@ def test_a_bad_budget_anywhere_in_the_grid_fails_before_any_row():
         swept = sweep_distances(e, "S", "EQ", "variance_aware", grid, None, k_borda(e))
         with pytest.raises(ValueError, match="budget"):
             next(iter(swept))
+
+
+def test_row_spends_are_the_floats_of_the_exact_spends():
+    """Under every exact registry cost, each cell's row spend, ``units / D``,
+    has the bits of the float of its exact spend, which is the spend of
+    ``_elicit``; and ``units / D`` is ``float(Fraction(units, D))`` for
+    random units up to 2**80."""
+    rng = substream(64)
+    for cost in COST_FUNCTIONS:
+        for m in (1, 2, 7, 20):
+            for kind, policy in ALL_STRATEGIES:
+                schedule = _schedule_of(kind, cost, m)
+                if not schedule.exact:
+                    continue
+                n = int(rng.integers(1, 30))
+                full = _full_cost(kind, cost, m, n)
+                grid = [0, full / 3, full / 3, full, UNLIMITED, *rng.uniform(0, 1.2 * full + 1, size=3)]
+                elicited = _elicit_grid(kind, policy, cost, m, n, grid)
+                for budget, units, row_spent in zip(grid, elicited.units, elicited.row_spent, strict=True):
+                    _, spent = _elicit(schedule, policy, n, budget)
+                    assert _spend(elicited.scale, units) == spent
+                    assert type(_spend(elicited.scale, units)) is type(spent)
+                    assert row_spent.hex() == float(spent).hex()
+                scale = schedule.scale or 1
+                highs, lows = rng.integers(1, 2**62, size=50), rng.integers(1, 2**18, size=50)
+                for units in (int(high) * int(low) for high, low in zip(highs, lows)):
+                    assert (units / scale).hex() == float(Fraction(units, scale)).hex()
+
+
+def recorded_totals(monkeypatch):
+    """Every batch the sweep hands ``_totals``, as ``(rows shape, totals by cell)``."""
+    batches = []
+
+    def recorded(table, rows, places):
+        totals = _totals(table, rows, places)
+        batches.append((np.shape(rows), totals.reshape(-1, totals.shape[-1])))
+        return totals
+
+    monkeypatch.setattr(queryvote.experiments, "_totals", recorded)
+    return batches
+
+
+@pytest.mark.parametrize("cost", ["variance_aware", "computational"])
+@pytest.mark.parametrize("m, n, repeats", [(1, 1, 1), (1, 6, 2), (5, 1, 3), (9, 4, 2), (4, 7, 3)])
+def test_per_election_rows_match_the_one_row_reference(monkeypatch, cost, m, n, repeats):
+    """Each row of a sweep over 2 elections x 8 strategies x ``repeats`` voter
+    orders and a grid with 0, a repeated budget and unlimited, every election
+    scored in one gather: its totals are, by ``float.hex``, the one-row
+    ``_totals`` of its cell's levels under its voter order, and its distance
+    is their committee's; ``jobs=2`` gives the same rows."""
+    batches = recorded_totals(monkeypatch)
+    k, seed, spec = max(1, m // 2), 77, CultureSpec("Mallows", seed=2, params={"phi": 0.5})
+    full = max(_full_cost(kind, cost, m, n) for kind in QuestionType)
+    grid = [0, full / 3, full / 3, full, UNLIMITED]
+    config = ExperimentConfig(
+        cultures=[spec], m=m, n=n, k=k, elections_per_culture=2, cost=cost,
+        budget_grid=grid, voter_order_repeats=repeats, master_seed=seed,
+    )
+    rows = run_budget_sweep(config)
+    assert [shape for shape, _ in batches] == [(8 * repeats, len(grid), n)] * 2
+    totals = np.concatenate([totals for _, totals in batches])
+    assert len(rows) == len(totals) == 2 * 8 * repeats * len(grid)
+    elections = [generate(spec.with_seed(derive_seed(seed, 0, spec.seed, e)), m, n, k) for e in (0, 1)]
+    labels = [strategy_label(*strategy) for strategy in ALL_STRATEGIES]
+    for row, batched in zip(rows, totals.tolist()):
+        e = elections[row.election]
+        strategy_index = labels.index(row.strategy)
+        kind, policy = ALL_STRATEGIES[strategy_index]
+        order = substream(seed, 1, 0, row.election, strategy_index, row.repeat).permutation(n)
+        schedule = _schedule_of(kind, cost, m)
+        runs, spent = _elicit(schedule, policy, n, grid[grid.index(row.budget)])
+        table = _share_table(schedule, borda_vector(m))
+        reference = _totals(table, [expanded(runs)], e._places[order])[0].tolist()
+        assert [x.hex() for x in batched] == [x.hex() for x in reference]
+        assert row.distance == hamming(select_top_k(reference, k), k_borda(e))
+        assert row.spent.hex() == float(spent).hex()
+    assert run_budget_sweep(config, jobs=2) == rows
+
+
+def test_gather_bound_groups_whole_blocks_or_splits_one():
+    """One sweep under four gather bounds: every block in one gather, three
+    whole blocks per gather, two cells of one block, one cell. The batches
+    take exactly the pinned shapes, and the rows are the same."""
+    m, n, repeats = 6, 5, 2
+    config = ExperimentConfig(
+        cultures=[CultureSpec("Urn", seed=3)], m=m, n=n, k=2, elections_per_culture=2,
+        budget_grid=[0, 20, 20, 80, UNLIMITED], voter_order_repeats=repeats, master_seed=9,
+    )
+    cells, blocks = 5, 8 * repeats
+    layouts = {
+        2**20: [(blocks, cells, n)],
+        3 * cells * n * m: [(3, cells, n)] * 5 + [(1, cells, n)],
+        2 * n * m: [(2, n), (2, n), (1, n)] * blocks,
+        1: [(1, n)] * cells * blocks,
+    }
+    swept = []
+    for bound, layout in layouts.items():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(queryvote.experiments, "_GATHER_SHARES", bound)
+            batches = recorded_totals(patch)
+            swept.append(run_budget_sweep(config))
+        assert [shape for shape, _ in batches] == layout * 2
+    assert all(rows == swept[0] for rows in swept)

@@ -305,3 +305,25 @@ def test_batched_totals_add_each_cell_voter_by_voter(cells, n, m):
                 total += float(table[level, places[v, c]])
             expected.append(total)
         assert [x.hex() for x in got] == [x.hex() for x in expected]
+
+
+@pytest.mark.parametrize("blocks, cells, n, m", [(3, 4, 50, 6), (2, 3, 7, 1), (4, 1, 1, 3), (1, 5, 9, 2)])
+def test_broadcast_totals_add_each_cell_voter_by_voter(blocks, cells, n, m):
+    """``(G, B, n)`` rows with ``(G, 1, n, m)`` places, float shares over many
+    magnitudes: every cell of every block is added from 0.0 one voter at a
+    time, in voter order, bit for bit, against its own block's places."""
+    rng = substream(65, blocks, cells, n, m)
+    table = rng.random((6, m)) * 10.0 ** rng.uniform(-6, 6, (6, m))
+    rows = rng.integers(0, 6, (blocks, cells, n))
+    places = np.array([[rng.permutation(m) for _ in range(n)] for _ in range(blocks)])
+    totals = queryvote.scoring._totals(table, rows, places[:, None])
+    assert totals.shape == (blocks, cells, m)
+    for block_rows, block_places, block_totals in zip(rows.tolist(), places, totals.tolist()):
+        for row, got in zip(block_rows, block_totals, strict=True):
+            expected = []
+            for c in range(m):
+                total = 0.0
+                for v, level in enumerate(row):
+                    total += float(table[level, block_places[v, c]])
+                expected.append(total)
+            assert [x.hex() for x in got] == [x.hex() for x in expected]

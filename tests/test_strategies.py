@@ -37,6 +37,7 @@ from queryvote.rng import substream
 from queryvote.scoring import _share_table, borda_vector, partial_scores, query_based_committee
 from queryvote.strategies import (
     _elicit,
+    _equal,
     _levels,
     _schedule_of,
     _singletons,
@@ -719,6 +720,25 @@ def equal_loop(schedule, n, cap):
             break
         counts.append(asking)
     return [sum(count > i for count in counts) for i in range(n)], units
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 20])
+def test_exact_equal_by_one_search_matches_the_loop(m):
+    """Every question type under every exact cost: the full rounds found by
+    one search, then the rounds after them, give the loop's levels and units
+    at caps 0, 1, one unit either side of the full cost, and random caps."""
+    rng = substream(63, m)
+    for cost in COST_FUNCTIONS:
+        for kind in QuestionType:
+            schedule = _schedule_of(kind, cost, m)
+            if not schedule.exact:
+                continue
+            for n in (1, 2, 5, 20):
+                full = n * schedule.cum[-1]
+                caps = [0, 1, full - 1, full, full + 1, *map(int, rng.integers(0, full + 2, size=8))]
+                for cap in filter(lambda cap: cap >= 0, caps):
+                    runs, units = _equal(schedule, n, cap)
+                    assert (_levels(runs).tolist(), units) == equal_loop(schedule, n, cap)
 
 
 def fcfs_loop(schedule, n, cap):
