@@ -11,8 +11,10 @@ so a run under one budget is one level per voter: the number of questions it
 answered, in closed form (see :mod:`queryvote.strategies`). Each budget of a
 grid is its own run, and its runs of levels and its spend depend on the
 budget and the number of voters only. So :func:`run_budget_sweep` elicits
-each strategy's grid once, and keeps it as runs, not as levels, with one
-table of Borda shares by level and place that stacks every strategy's.
+every (strategy, budget) cell once, into one record, :class:`_Sweep`: the
+read budgets, each cell's runs (not one level per voter) and spend, and one
+table of Borda shares by level and place, with one block per distinct
+schedule, which EQ and FCFS of a question type share.
 
 Each election is then one pass (:func:`_election_rows`): it is generated,
 its k-Borda target is checked, and all its strategies x repeats voter
@@ -21,9 +23,10 @@ bit-identical to its ``substream``. Every (strategy, order) block of
 budgets is scored by :func:`_distances`: the runs of a range of cells,
 expanded by one ``np.repeat``, form their arrays of levels, which the one
 scorer of :func:`~queryvote.scoring.partial_scores` gathers from the
-stacked table. A gather holds as many whole blocks as fit under a bound
-of shares, or, when one block does not, a run of its cells; one stable
-sort then picks every committee of the batch. So the rows equal those of
+record's table. One loop takes the blocks a group at a time: as many
+whole blocks as fit under a bound of shares, or one block a run of its
+cells at a time; one stable sort then picks every committee of the
+batch. So the rows equal those of
 :func:`~queryvote.scoring.query_based_committee` under each budget.
 ``queryvote sweep`` and :func:`sweep_distances` take the same step, with
 their own voter orders.
@@ -34,9 +37,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence, get_type_hints
@@ -224,57 +226,27 @@ _GATHER_SHARES = 2**20
 
 
 @dataclass(frozen=True)
-class _Grid:
-    """One strategy's budget grid, elicited once for the ``n`` voters of a sweep.
+class _Sweep:
+    """Every strategy's grid of a sweep, elicited once for its ``n`` voters:
+    the one record that a sweep scores and writes rows from.
 
-    Cell i's budget, as the budget rule reads it, is ``budgets[i]``; its runs
-    ``(level, count)`` are ``runs[i]``; its spend is ``units[i]`` in the
-    schedule's units and ``row_spent[i]`` as a float, ``units[i] / scale``.
-    ``table`` holds the schedule's Borda shares by level and place. A cell
-    has at most max(m, 3) runs, so the grid takes O(budgets x m) memory
-    whatever n is.
+    ``budgets`` are the grid's budgets as the budget rule reads them, and
+    cell ``s * len(budgets) + i`` is strategy s under ``budgets[i]``. Its
+    spend is ``units[c]`` in its schedule's units and ``row_spent[c]`` as a
+    float, ``units[c] / scales[s]``, with ``scales[s]`` the scale of the
+    strategy's schedule (read as 1 when None). ``table`` holds one block of
+    Borda shares by level and place per distinct schedule, in order of first
+    use, so EQ and FCFS of a question type share theirs. Cell c's runs are
+    ``levels[at[c]:at[c + 1]]`` and ``counts[at[c]:at[c + 1]]``, each level
+    offset to its schedule's block of ``table``, so expanding a range of
+    cells is one ``np.repeat``. A cell has at most max(m, 3) runs, so the
+    record takes O(cells x m) memory whatever n is.
     """
 
-    table: np.ndarray
-    scale: int | None
     budgets: list
-    runs: list
+    scales: list
     units: list
     row_spent: list
-
-
-def _elicit_grid(kind, policy, cost, m: int, n: int, budgets: Sequence) -> _Grid:
-    """Every budget of a grid read, then elicited once for ``n`` voters over
-    ``m`` candidates: the per-strategy step of a sweep."""
-    schedule = _schedule_of(kind, cost, m)
-    _, policy = _named(BudgetPolicy, policy, "budget policy")
-    budgets = [_budget(budget) for budget in budgets]
-    cells = [_elicit_units(schedule, policy, n, budget) for budget in budgets]
-    units = [spent for _, spent in cells]
-    # One correctly rounded division: the float of Fraction(units, scale).
-    scale = schedule.scale or 1
-    return _Grid(
-        table=_share_table(schedule, borda_vector(schedule.m)),
-        scale=schedule.scale,
-        budgets=budgets,
-        runs=[runs for runs, _ in cells],
-        units=units,
-        row_spent=[spent / scale for spent in units],
-    )
-
-
-@dataclass(frozen=True)
-class _Sweep:
-    """Every strategy's grid of a sweep, elicited once and scored as one.
-
-    ``table`` stacks the strategies' share tables, in strategy order. The
-    runs of every cell, strategy after strategy and budget after budget, are
-    ``levels`` and ``counts``, each level offset to its strategy's rows of
-    ``table``; cell c's runs are ``at[c]:at[c + 1]``. So expanding a range of
-    cells is one ``np.repeat``.
-    """
-
-    grids: list
     table: np.ndarray
     levels: np.ndarray
     counts: np.ndarray
@@ -282,21 +254,37 @@ class _Sweep:
 
 
 def _elicit_sweep(strategies, cost, m: int, n: int, budgets: Sequence) -> _Sweep:
-    """Each strategy's grid elicited once (:func:`_elicit_grid`), and stacked."""
-    grids = [_elicit_grid(kind, policy, cost, m, n, budgets) for kind, policy in strategies]
-    offsets = accumulate((len(grid.table) for grid in grids), initial=0)
-    cells = [
-        [(level + offset, count) for level, count in runs]
-        for grid, offset in zip(grids, offsets)
-        for runs in grid.runs
-    ]
-    flat = np.array(list(chain.from_iterable(cells)), dtype=np.intp).reshape(-1, 2)
+    """Every strategy's schedule and policy read, then every budget, and each
+    (strategy, budget) cell elicited once for ``n`` voters over ``m``
+    candidates, straight into the flat runs of the record."""
+    schedules, policies = [], []
+    for kind, policy in strategies:
+        schedules.append(_schedule_of(kind, cost, m))
+        policies.append(_named(BudgetPolicy, policy, "budget policy")[1])
+    budgets = [_budget(budget) for budget in budgets]
+    tables = {schedule: _share_table(schedule, borda_vector(m)) for schedule in schedules}
+    offsets = dict(zip(tables, accumulate(map(len, tables.values()), initial=0)))
+    levels, counts, at, units, row_spent = [], [], [0], [], []
+    for schedule, policy in zip(schedules, policies):
+        offset, scale = offsets[schedule], schedule.scale or 1
+        for budget in budgets:
+            runs, spent = _elicit_units(schedule, policy, n, budget)
+            for level, count in runs:
+                levels.append(level + offset)
+                counts.append(count)
+            at.append(len(levels))
+            units.append(spent)
+            # One correctly rounded division: the float of Fraction(units, scale).
+            row_spent.append(spent / scale)
     return _Sweep(
-        grids=grids,
-        table=np.concatenate([grid.table for grid in grids]),
-        levels=flat[:, 0].copy(),
-        counts=flat[:, 1].copy(),
-        at=list(accumulate(map(len, cells), initial=0)),
+        budgets=budgets,
+        scales=[schedule.scale for schedule in schedules],
+        units=units,
+        row_spent=row_spent,
+        table=np.concatenate(list(tables.values())),
+        levels=np.array(levels, dtype=np.intp),
+        counts=np.array(counts, dtype=np.intp),
+        at=at,
     )
 
 
@@ -318,49 +306,41 @@ def _distances(
     """The Hamming distance from the target at every cell of ``sweep`` under
     every voter order, block after block and cell after cell: block j is
     ``orders[j]`` scored by strategy ``j // repeats``, ``repeats =
-    len(orders) // len(sweep.grids)``, and ``places`` are the election's.
+    len(orders) // len(sweep.scales)``, and ``places`` are the election's.
 
-    Each batch is one :func:`~queryvote.scoring._totals` gather of at most
-    ``_GATHER_SHARES`` shares, and one top-k pick and count of hits: as many
-    whole blocks as fit, ``(g, cells, n)`` rows with ``(g, 1, n, m)``
-    places, or, when one block does not fit, a run of that block's cells,
-    ``(b, n)`` rows with its ``(n, m)`` places.
+    One loop takes the blocks a group at a time: as many whole blocks as fit
+    under ``_GATHER_SHARES`` shares, or, when one block does not fit, one
+    block a run of its cells at a time. Each batch is one
+    :func:`~queryvote.scoring._totals` gather from the record's table, and
+    one top-k pick and count of hits: whole blocks gather ``(g, cells, n)``
+    rows with ``(g, 1, n, m)`` places, a run of one block's cells ``(b, n)``
+    rows with its ``(n, m)`` places.
     """
     (blocks, n), m = orders.shape, places.shape[1]
-    cells = (len(sweep.at) - 1) // len(sweep.grids)
+    cells = len(sweep.budgets)
     if not cells:
         return []
-    repeats = blocks // len(sweep.grids)
-    distances = []
-
-    def rows(first: int, last: int) -> np.ndarray:
-        """The table rows of cells ``first..last-1``, strategy after strategy."""
-        runs = slice(sweep.at[first], sweep.at[last])
-        return np.repeat(sweep.levels[runs], sweep.counts[runs]).reshape(-1, n)
-
-    def score(batch_rows: np.ndarray, batch_places: np.ndarray) -> None:
-        # The voters are added in run order, not id order. That gives the
-        # totals of partial_scores: every Borda share is a half-integer and
-        # every partial sum is far below 2**52, so each addition is exact.
-        totals = _totals(sweep.table, batch_rows, batch_places).reshape(-1, m)
-        hits = in_target[_top_k_rows(totals, k)].sum(axis=1)
-        distances.extend((2 * (k - hits)).tolist())
-
+    repeats = blocks // len(sweep.scales)
     fit = _GATHER_SHARES // (cells * n * m)
-    if fit:
-        for start in range(0, blocks, fit):
-            stop = min(start + fit, blocks)
-            first, last = start // repeats, (stop - 1) // repeats + 1
-            by_strategy = rows(first * cells, last * cells).reshape(-1, cells, n)
-            picked = by_strategy[np.arange(start, stop) // repeats - first]
-            score(picked, places[orders[start:stop]][:, None])
-        return distances
-    batch = max(1, _GATHER_SHARES // (n * m))
-    for block, order in enumerate(orders):
-        first = block // repeats * cells
-        order_places = places[order]
-        for start in range(first, first + cells, batch):
-            score(rows(start, min(start + batch, first + cells)), order_places)
+    group, batch = (fit, cells) if fit else (1, max(1, _GATHER_SHARES // (n * m)))
+    distances = []
+    for start in range(0, blocks, group):
+        stop = min(start + group, blocks)
+        first, last = start // repeats, (stop - 1) // repeats + 1
+        # Each block's strategy, counted from the group's first.
+        pick = np.arange(start, stop) // repeats - first
+        group_places = places[orders[start:stop]][:, None] if fit else places[orders[start]]
+        for low in range(0, cells, batch):
+            high = min(low + batch, cells)
+            runs = slice(sweep.at[first * cells + low], sweep.at[(last - 1) * cells + high])
+            rows = np.repeat(sweep.levels[runs], sweep.counts[runs])
+            rows = rows.reshape(last - first, high - low, n)[pick] if fit else rows.reshape(-1, n)
+            # The voters are added in run order, not id order. That gives the
+            # totals of partial_scores: every Borda share is a half-integer and
+            # every partial sum is far below 2**52, so each addition is exact.
+            totals = _totals(sweep.table, rows, group_places)
+            hits = in_target[_top_k_rows(totals.reshape(-1, m), k)].sum(axis=1)
+            distances.extend((2 * (k - hits)).tolist())
     return distances
 
 
@@ -398,9 +378,8 @@ def sweep_distances(
     order = _voter_order(election.n, voter_order)
     strategy = [(kind, policy)]
     sweep, distances = _order_distances(election, strategy, cost, budgets, order[None], target)
-    grid = sweep.grids[0]
-    spent = (_spend(grid.scale, units) for units in grid.units)
-    yield from zip(grid.budgets, distances, spent)
+    spent = (_spend(sweep.scales[0], units) for units in sweep.units)
+    yield from zip(sweep.budgets, distances, spent)
 
 
 def _election_rows(args) -> list[ResultRow]:
@@ -421,17 +400,18 @@ def _election_rows(args) -> list[ResultRow]:
     orders = np.array([rng.permutation(config.n) for rng in streams])
     distances = _distances(sweep, election._places, orders, config.k, in_target)
     label = spec.label()
-    budgets = [float(budget) for budget in sweep.grids[0].budgets]
+    budgets = [float(budget) for budget in sweep.budgets]
     cells = len(budgets)
     rows = []
-    for strategy_index, ((kind, policy), grid) in enumerate(zip(config.strategies, sweep.grids)):
+    for strategy_index, (kind, policy) in enumerate(config.strategies):
         name = strategy_label(kind, policy)
+        row_spent = sweep.row_spent[strategy_index * cells : (strategy_index + 1) * cells]
         for repeat in range(repeats):
             at = (strategy_index * repeats + repeat) * cells
             cell_distances = distances[at : at + cells]
             rows += (
                 ResultRow(label, election_index, name, budget, repeat, distance, spent)
-                for budget, distance, spent in zip(budgets, cell_distances, grid.row_spent)
+                for budget, distance, spent in zip(budgets, cell_distances, row_spent)
             )
     return rows
 
@@ -456,6 +436,9 @@ def run_budget_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]
     ]
     if jobs == 1:
         return [row for task in tasks for row in _election_rows(task)]
+    # The pool loads multiprocessing and its modules, which a jobs=1 run does without.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return [row for chunk in pool.map(_election_rows, tasks) for row in chunk]
 

@@ -35,7 +35,7 @@ from queryvote import (
 import queryvote.experiments
 from queryvote.experiments import (
     CSV_COLUMNS,
-    _elicit_grid,
+    _elicit_sweep,
     _full_cost,
     parse_config,
     sweep_distances,
@@ -51,8 +51,10 @@ from queryvote.scoring import (
 from queryvote.strategies import (
     ALL_STRATEGIES,
     _elicit,
+    _elicit_units,
     _schedule_of,
     _spend,
+    parse_strategy,
     run_elicitation,
     strategy_label,
 )
@@ -716,18 +718,18 @@ def test_an_empty_grid_checks_its_target_and_yields_nothing():
 
 
 def test_an_elicited_grid_holds_runs_whatever_the_voter_count():
-    """A grid keeps each cell's runs, never one level per voter: at 3 voters
+    """A sweep keeps each cell's runs, never one level per voter: at 3 voters
     and at a million, at most max(m, 3) runs per cell, whose counts add up
     to the voters."""
     m = 12
     grid = [0, 10, 10, 500, 10**9, UNLIMITED]
     for kind, policy in ALL_STRATEGIES:
         for n in (3, 10**6):
-            elicited = _elicit_grid(kind, policy, "variance_aware", m, n, grid)
-            assert len(elicited.runs) == len(grid)
-            for runs in elicited.runs:
-                assert len(runs) <= max(m, 3)
-                assert sum(count for _, count in runs) == n
+            elicited = _elicit_sweep([(kind, policy)], "variance_aware", m, n, grid)
+            assert len(elicited.at) - 1 == len(grid)
+            for first, last in itertools.pairwise(elicited.at):
+                assert last - first <= max(m, 3)
+                assert elicited.counts[first:last].sum() == n
 
 
 def test_sweep_checks_its_target_before_any_row():
@@ -779,11 +781,11 @@ def test_row_spends_are_the_floats_of_the_exact_spends():
                 n = int(rng.integers(1, 30))
                 full = _full_cost(kind, cost, m, n)
                 grid = [0, full / 3, full / 3, full, UNLIMITED, *rng.uniform(0, 1.2 * full + 1, size=3)]
-                elicited = _elicit_grid(kind, policy, cost, m, n, grid)
+                elicited = _elicit_sweep([(kind, policy)], cost, m, n, grid)
                 for budget, units, row_spent in zip(grid, elicited.units, elicited.row_spent, strict=True):
                     _, spent = _elicit(schedule, policy, n, budget)
-                    assert _spend(elicited.scale, units) == spent
-                    assert type(_spend(elicited.scale, units)) is type(spent)
+                    assert _spend(elicited.scales[0], units) == spent
+                    assert type(_spend(elicited.scales[0], units)) is type(spent)
                     assert row_spent.hex() == float(spent).hex()
                 scale = schedule.scale or 1
                 highs, lows = rng.integers(1, 2**62, size=50), rng.integers(1, 2**18, size=50)
@@ -802,6 +804,32 @@ def recorded_totals(monkeypatch):
 
     monkeypatch.setattr(queryvote.experiments, "_totals", recorded)
     return batches
+
+
+def assert_rows_are_the_one_row_reference(config, rows, totals):
+    """Each row of a one-culture sweep, with its batched ``totals``: they are,
+    by ``float.hex``, the one-row ``_totals`` of its cell's levels under its
+    voter order, its distance is their committee's, and its spend is the
+    float of ``_elicit``'s."""
+    (spec,), m, n, k, seed = config.cultures, config.m, config.n, config.k, config.master_seed
+    grid, strategies = config.budget_grid, config.strategies
+    elections = [
+        generate(spec.with_seed(derive_seed(seed, 0, spec.seed, e)), m, n, k)
+        for e in range(config.elections_per_culture)
+    ]
+    labels = [strategy_label(*strategy) for strategy in strategies]
+    for row, batched in zip(rows, totals.tolist(), strict=True):
+        e = elections[row.election]
+        strategy_index = labels.index(row.strategy)
+        kind, policy = strategies[strategy_index]
+        order = substream(seed, 1, 0, row.election, strategy_index, row.repeat).permutation(n)
+        schedule = _schedule_of(kind, config.cost, m)
+        runs, spent = _elicit(schedule, policy, n, grid[grid.index(row.budget)])
+        table = _share_table(schedule, borda_vector(m))
+        reference = _totals(table, [expanded(runs)], e._places[order])[0].tolist()
+        assert [x.hex() for x in batched] == [x.hex() for x in reference]
+        assert row.distance == hamming(select_top_k(reference, k), k_borda(e))
+        assert row.spent.hex() == float(spent).hex()
 
 
 @pytest.mark.parametrize("cost", ["variance_aware", "computational"])
@@ -824,27 +852,76 @@ def test_per_election_rows_match_the_one_row_reference(monkeypatch, cost, m, n, 
     assert [shape for shape, _ in batches] == [(8 * repeats, len(grid), n)] * 2
     totals = np.concatenate([totals for _, totals in batches])
     assert len(rows) == len(totals) == 2 * 8 * repeats * len(grid)
-    elections = [generate(spec.with_seed(derive_seed(seed, 0, spec.seed, e)), m, n, k) for e in (0, 1)]
-    labels = [strategy_label(*strategy) for strategy in ALL_STRATEGIES]
-    for row, batched in zip(rows, totals.tolist()):
-        e = elections[row.election]
-        strategy_index = labels.index(row.strategy)
-        kind, policy = ALL_STRATEGIES[strategy_index]
-        order = substream(seed, 1, 0, row.election, strategy_index, row.repeat).permutation(n)
-        schedule = _schedule_of(kind, cost, m)
-        runs, spent = _elicit(schedule, policy, n, grid[grid.index(row.budget)])
-        table = _share_table(schedule, borda_vector(m))
-        reference = _totals(table, [expanded(runs)], e._places[order])[0].tolist()
-        assert [x.hex() for x in batched] == [x.hex() for x in reference]
-        assert row.distance == hamming(select_top_k(reference, k), k_borda(e))
-        assert row.spent.hex() == float(spent).hex()
+    assert_rows_are_the_one_row_reference(config, rows, totals)
     assert run_budget_sweep(config, jobs=2) == rows
 
 
+@pytest.mark.parametrize("m", [1, 2, 7])
+@pytest.mark.parametrize("n", [1, 5])
+def test_the_sweep_record_holds_each_cells_own_run(m, n):
+    """Every strategy under every registry cost, over a grid with 0, a
+    repeated budget and unlimited: the record holds the read budgets, each
+    strategy's scale and one table block per question type, in order of
+    first use; and each cell's runs, less its block's offset, its units, its
+    exact spend (value and type) and its row float (by ``float.hex``) are
+    those of ``_elicit``."""
+    for cost in COST_FUNCTIONS:
+        full = max(_full_cost(kind, cost, m, n) for kind in QuestionType)
+        grid = [0, full / 3, full / 3, full, UNLIMITED]
+        sweep = _elicit_sweep(ALL_STRATEGIES, cost, m, n, grid)
+        assert sweep.budgets == grid
+        assert len(sweep.at) == len(ALL_STRATEGIES) * len(grid) + 1
+        offsets, offset = {}, 0
+        for kind, _ in ALL_STRATEGIES:
+            schedule = _schedule_of(kind, cost, m)
+            if schedule not in offsets:
+                offsets[schedule] = offset
+                table = _share_table(schedule, borda_vector(m))
+                assert np.array_equal(sweep.table[offset : offset + len(table)], table)
+                offset += len(table)
+        assert len(offsets) == len(QuestionType) and len(sweep.table) == offset
+        cell = 0
+        for (kind, policy), scale in zip(ALL_STRATEGIES, sweep.scales, strict=True):
+            schedule = _schedule_of(kind, cost, m)
+            assert scale == schedule.scale
+            for budget in grid:
+                first, last = sweep.at[cell], sweep.at[cell + 1]
+                levels = (sweep.levels[first:last] - offsets[schedule]).tolist()
+                runs, spent = _elicit(schedule, policy, n, budget)
+                assert list(zip(levels, sweep.counts[first:last].tolist())) == list(runs)
+                assert sweep.units[cell] == _elicit_units(schedule, policy, n, budget)[1]
+                assert _spend(scale, sweep.units[cell]) == spent
+                assert type(_spend(scale, sweep.units[cell])) is type(spent)
+                assert sweep.row_spent[cell].hex() == float(spent).hex()
+                cell += 1
+
+
+@pytest.mark.parametrize("cost", ["variance_aware", "computational"])
+def test_strategies_apart_that_share_a_schedule_share_its_table_block(monkeypatch, cost):
+    """S-EQ and S-FCFS, with N-FCFS between them, read one table block of the
+    split schedule, so the record holds 2 blocks; every row of their sweep is
+    still the one-row reference's."""
+    m, n = 7, 5
+    strategies = [parse_strategy(label) for label in ("S-EQ", "N-FCFS", "S-FCFS")]
+    full = max(_full_cost(kind, cost, m, n) for kind in QuestionType)
+    grid = [0, full / 3, full / 3, full, UNLIMITED]
+    blocks = [_share_table(_schedule_of(kind, cost, m), borda_vector(m)) for kind in ("S", "N")]
+    assert np.array_equal(_elicit_sweep(strategies, cost, m, n, grid).table, np.concatenate(blocks))
+    batches = recorded_totals(monkeypatch)
+    config = ExperimentConfig(
+        cultures=[CultureSpec("Urn", seed=4)], m=m, n=n, k=3, elections_per_culture=2,
+        strategies=strategies, cost=cost, budget_grid=grid, voter_order_repeats=2, master_seed=12,
+    )
+    rows = run_budget_sweep(config)
+    assert len(rows) == 2 * 3 * 2 * len(grid)
+    assert_rows_are_the_one_row_reference(config, rows, np.concatenate([t for _, t in batches]))
+
+
 def test_gather_bound_groups_whole_blocks_or_splits_one():
-    """One sweep under four gather bounds: every block in one gather, three
-    whole blocks per gather, two cells of one block, one cell. The batches
-    take exactly the pinned shapes, and the rows are the same."""
+    """One sweep under five gather bounds: every block in one gather, three
+    whole blocks per gather, two cells of one block, one cell, and exactly
+    one whole block, the least bound that still gathers whole blocks. The
+    batches take exactly the pinned shapes, and the rows are the same."""
     m, n, repeats = 6, 5, 2
     config = ExperimentConfig(
         cultures=[CultureSpec("Urn", seed=3)], m=m, n=n, k=2, elections_per_culture=2,
@@ -856,6 +933,7 @@ def test_gather_bound_groups_whole_blocks_or_splits_one():
         3 * cells * n * m: [(3, cells, n)] * 5 + [(1, cells, n)],
         2 * n * m: [(2, n), (2, n), (1, n)] * blocks,
         1: [(1, n)] * cells * blocks,
+        cells * n * m: [(1, cells, n)] * blocks,
     }
     swept = []
     for bound, layout in layouts.items():

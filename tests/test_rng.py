@@ -129,9 +129,12 @@ def test_seeds_and_paths_that_are_not_ints_are_refused(bad):
 
 def test_importing_the_package_leaves_numpy_random_unloaded():
     """numpy loads ``numpy.random`` on first use; importing the package does
-    not use it, so a process that draws nothing does not pay for it."""
+    not use it, so a process that draws nothing does not pay for it. Nor does
+    it load the process pool's modules, which only a sweep with ``jobs > 1``
+    uses."""
     src = Path(queryvote.__file__).parent.parent
-    code = "import sys, queryvote; print('numpy.random' in sys.modules)"
+    modules = ["numpy.random", "concurrent.futures", "multiprocessing"]
+    code = f"import sys, queryvote; print(*(name in sys.modules for name in {modules}))"
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert result.stdout.split() == ["False"], result.stderr
+    assert result.stdout.split() == ["False"] * len(modules), result.stderr
