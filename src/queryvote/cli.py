@@ -23,7 +23,8 @@ from .cultures import KINDS, CultureSpec, generate
 from .experiments import (
     _GRID_POINTS,
     _default_grid,
-    _order_distances,
+    _distances,
+    _elicit_sweep,
     difficulty_scores,
     emit_csv,
     load_config,
@@ -173,17 +174,14 @@ def _cmd_sweep(args) -> int:
     else:
         budgets = _default_grid(election.m, election.n, args.cost, args.points)
     # Every strategy's grid is elicited once and scored under each repeat's
-    # voter order, the orders tiled over the strategies.
+    # voter order, one order per repeat for all the strategies.
     orders = [substream(args.seed, r).permutation(election.n) for r in range(args.repeats)]
-    tiled = np.tile(orders, (len(ALL_STRATEGIES), 1))
-    _, distances = _order_distances(election, ALL_STRATEGIES, args.cost, budgets, tiled, target)
+    sweep = _elicit_sweep(ALL_STRATEGIES, args.cost, election.m, election.n, budgets)
+    shape = (len(ALL_STRATEGIES), args.repeats, election.n)
+    distances = _distances(sweep, election, np.broadcast_to(orders, shape), target)
     # The table is printed whole, so a rejected budget leaves stdout empty.
     table = ["strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)]
-    cells = len(budgets)
-    for strategy_index, (kind, policy) in enumerate(ALL_STRATEGIES):
-        at = strategy_index * args.repeats * cells
-        by_repeat = [distances[at + r * cells : at + (r + 1) * cells] for r in range(args.repeats)]
-        means = [sum(column) / args.repeats for column in zip(*by_repeat)]
+    for (kind, policy), means in zip(ALL_STRATEGIES, distances.mean(axis=1)):
         table.append(
             strategy_label(kind, policy).ljust(9) + "".join(f"{value:10.2f}" for value in means)
         )

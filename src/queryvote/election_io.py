@@ -44,9 +44,13 @@ def write_native(election: Election, path) -> None:
 def _read_lines(path) -> list[tuple[int, str]]:
     """The file's non-blank lines, stripped, each with its 1-based line number.
 
-    A file without any is an error.
+    A file that is not UTF-8 text, or has no such line, is an error.
     """
-    numbered = enumerate(Path(path).read_text().splitlines(), 1)
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: not UTF-8 text: {err}") from None
+    numbered = enumerate(text.splitlines(), 1)
     lines = [(number, line.strip()) for number, line in numbered if line.strip()]
     if not lines:
         raise ValueError(f"{path}: empty election file")

@@ -17,19 +17,21 @@ table of Borda shares by level and place, with one block per distinct
 schedule, which EQ and FCFS of a question type share.
 
 Each election is then one pass (:func:`_election_rows`): it is generated,
-its k-Borda target is checked, and all its strategies x repeats voter
-orders are seeded in one pass of :func:`~queryvote.rng._streams`, each
-bit-identical to its ``substream``. Every (strategy, order) block of
-budgets is scored by :func:`_distances`: the runs of a range of cells,
+and all its strategies x repeats voter orders are seeded in one pass of
+:func:`~queryvote.rng._streams`, each bit-identical to its ``substream``,
+into one array ``(strategies, repeats, n)``. :func:`_distances` checks the
+k-Borda target and scores every (strategy, repeat) block of budgets into
+one array ``(strategies, repeats, budgets)``: the runs of a range of cells,
 expanded by one ``np.repeat``, form their arrays of levels, which the one
 scorer of :func:`~queryvote.scoring.partial_scores` gathers from the
-record's table. One loop takes the blocks a group at a time: as many
-whole blocks as fit under a bound of shares, or one block a run of its
-cells at a time; one stable sort then picks every committee of the
-batch. So the rows equal those of
-:func:`~queryvote.scoring.query_based_committee` under each budget.
-``queryvote sweep`` and :func:`sweep_distances` take the same step, with
-their own voter orders.
+record's table. One loop takes the blocks a group at a time, as many whole
+blocks as fit under a bound of shares, and a block's cells a batch at a
+time, all of them unless one block does not fit; every gather has one
+shape, and one stable sort picks every committee of the batch. So the rows
+equal those of :func:`~queryvote.scoring.query_based_committee` under each
+budget. ``queryvote sweep`` and :func:`sweep_distances` take the same two
+calls, :func:`_elicit_sweep` and then :func:`_distances`, with their own
+voter orders.
 """
 
 from __future__ import annotations
@@ -300,59 +302,50 @@ def _target_mask(target: Committee, m: int, k: int) -> np.ndarray:
     return in_target
 
 
-def _distances(
-    sweep: _Sweep, places: np.ndarray, orders: np.ndarray, k: int, in_target: np.ndarray
-) -> list[int]:
-    """The Hamming distance from the target at every cell of ``sweep`` under
-    every voter order, block after block and cell after cell: block j is
-    ``orders[j]`` scored by strategy ``j // repeats``, ``repeats =
-    len(orders) // len(sweep.scales)``, and ``places`` are the election's.
+def _distances(sweep: _Sweep, election: Election, orders: np.ndarray, target: Committee) -> np.ndarray:
+    """The Hamming distance from ``target``, checked first, at every cell of
+    ``sweep`` under every voter order of ``election``: ``orders[s, r]`` is
+    repeat r's order for strategy s, and the result is an int array
+    ``(strategies, repeats, budgets)``.
 
-    One loop takes the blocks a group at a time: as many whole blocks as fit
-    under ``_GATHER_SHARES`` shares, or, when one block does not fit, one
-    block a run of its cells at a time. Each batch is one
-    :func:`~queryvote.scoring._totals` gather from the record's table, and
-    one top-k pick and count of hits: whole blocks gather ``(g, cells, n)``
-    rows with ``(g, 1, n, m)`` places, a run of one block's cells ``(b, n)``
-    rows with its ``(n, m)`` places.
+    One loop takes the (strategy, repeat) blocks ``group`` at a time and their
+    cells ``batch`` at a time: whole blocks, as many as fit under
+    ``_GATHER_SHARES`` shares, or, when one block does not fit, one block a
+    run of its cells at a time. Each batch is one
+    :func:`~queryvote.scoring._totals` gather of ``(g, b, n)`` rows with
+    ``(g, 1, n, m)`` places from the record's table, and one top-k pick and
+    count of hits.
     """
-    (blocks, n), m = orders.shape, places.shape[1]
+    m, k = election.m, election.k
+    in_target = _target_mask(target, m, k)
+    strategies, repeats, n = orders.shape
     cells = len(sweep.budgets)
+    distances = np.empty((strategies, repeats, cells), dtype=np.intp)
     if not cells:
-        return []
-    repeats = blocks // len(sweep.scales)
-    fit = _GATHER_SHARES // (cells * n * m)
-    group, batch = (fit, cells) if fit else (1, max(1, _GATHER_SHARES // (n * m)))
-    distances = []
-    for start in range(0, blocks, group):
-        stop = min(start + group, blocks)
+        return distances
+    blocks, by_block = orders.reshape(-1, n), distances.reshape(-1, cells)
+    # A group of two or more blocks has every cell in one batch, so the runs
+    # of a batch are always one range of the record.
+    group = max(1, _GATHER_SHARES // (cells * n * m))
+    batch = min(cells, max(1, _GATHER_SHARES // (n * m)))
+    for start in range(0, len(blocks), group):
+        stop = min(start + group, len(blocks))
         first, last = start // repeats, (stop - 1) // repeats + 1
         # Each block's strategy, counted from the group's first.
         pick = np.arange(start, stop) // repeats - first
-        group_places = places[orders[start:stop]][:, None] if fit else places[orders[start]]
+        places = election._places[blocks[start:stop]][:, None]
         for low in range(0, cells, batch):
             high = min(low + batch, cells)
             runs = slice(sweep.at[first * cells + low], sweep.at[(last - 1) * cells + high])
             rows = np.repeat(sweep.levels[runs], sweep.counts[runs])
-            rows = rows.reshape(last - first, high - low, n)[pick] if fit else rows.reshape(-1, n)
+            rows = rows.reshape(last - first, high - low, n)[pick]
             # The voters are added in run order, not id order. That gives the
             # totals of partial_scores: every Borda share is a half-integer and
             # every partial sum is far below 2**52, so each addition is exact.
-            totals = _totals(sweep.table, rows, group_places)
+            totals = _totals(sweep.table, rows, places)
             hits = in_target[_top_k_rows(totals.reshape(-1, m), k)].sum(axis=1)
-            distances.extend((2 * (k - hits)).tolist())
+            by_block[start:stop, low:high] = (2 * (k - hits)).reshape(stop - start, -1)
     return distances
-
-
-def _order_distances(
-    election: Election, strategies, cost, budgets: Sequence, orders: np.ndarray, target: Committee
-) -> tuple[_Sweep, list[int]]:
-    """Each strategy's grid elicited once for ``election``, the target checked,
-    and the distance from ``target`` at every cell under every voter order
-    (rows of ``orders``, the orders of one strategy after another)."""
-    sweep = _elicit_sweep(strategies, cost, election.m, election.n, budgets)
-    in_target = _target_mask(target, election.m, election.k)
-    return sweep, _distances(sweep, election._places, orders, election.k, in_target)
 
 
 def sweep_distances(
@@ -376,29 +369,24 @@ def sweep_distances(
     :func:`run_budget_sweep` for one strategy and one voter order.
     """
     order = _voter_order(election.n, voter_order)
-    strategy = [(kind, policy)]
-    sweep, distances = _order_distances(election, strategy, cost, budgets, order[None], target)
+    sweep = _elicit_sweep([(kind, policy)], cost, election.m, election.n, budgets)
+    distances = _distances(sweep, election, order[None, None], target)[0, 0].tolist()
     spent = (_spend(sweep.scales[0], units) for units in sweep.units)
     yield from zip(sweep.budgets, distances, spent)
 
 
 def _election_rows(args) -> list[ResultRow]:
-    """The per-election step of a sweep: the election generated, its k-Borda
-    target checked, all its voter orders seeded in one pass, and every
-    strategy x order x budget cell scored by :func:`_distances`."""
+    """The per-election step of a sweep: the election generated, all its voter
+    orders seeded in one pass, and every strategy x repeat x budget cell
+    scored by :func:`_distances` against its k-Borda target."""
     config, sweep, culture_index, election_index = args
     spec = config.cultures[culture_index]
     seed = derive_seed(config.master_seed, _ELECTION_TAG, spec.seed, election_index)
     election = generate(spec.with_seed(seed), config.m, config.n, config.k)
-    in_target = _target_mask(k_borda(election), config.m, config.k)
-    repeats = config.voter_order_repeats
-    streams = _streams(
-        config.master_seed,
-        (_ORDER_TAG, culture_index, election_index),
-        (len(config.strategies), repeats),
-    )
-    orders = np.array([rng.permutation(config.n) for rng in streams])
-    distances = _distances(sweep, election._places, orders, config.k, in_target)
+    shape = (len(config.strategies), config.voter_order_repeats)
+    streams = _streams(config.master_seed, (_ORDER_TAG, culture_index, election_index), shape)
+    orders = np.array([rng.permutation(config.n) for rng in streams]).reshape(*shape, config.n)
+    distances = _distances(sweep, election, orders, k_borda(election)).tolist()
     label = spec.label()
     budgets = [float(budget) for budget in sweep.budgets]
     cells = len(budgets)
@@ -406,9 +394,7 @@ def _election_rows(args) -> list[ResultRow]:
     for strategy_index, (kind, policy) in enumerate(config.strategies):
         name = strategy_label(kind, policy)
         row_spent = sweep.row_spent[strategy_index * cells : (strategy_index + 1) * cells]
-        for repeat in range(repeats):
-            at = (strategy_index * repeats + repeat) * cells
-            cell_distances = distances[at : at + cells]
+        for repeat, cell_distances in enumerate(distances[strategy_index]):
             rows += (
                 ResultRow(label, election_index, name, budget, repeat, distance, spent)
                 for budget, distance, spent in zip(budgets, cell_distances, row_spent)
@@ -574,4 +560,6 @@ def load_config(path) -> ExperimentConfig:
         raise OSError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ValueError(f"{path} is not valid JSON: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path} is not UTF-8 text: {err}") from err
     return parse_config(data)

@@ -214,6 +214,11 @@ def test_sweep_prints_table(tmp_path, capsys):
             ["--cost", "computational", "--budgets", "0,9,inf,3"],
             "9bd54c37f95f489fd8778abc4a23a6cb4f9bd864b6b9f2cdb6fdaa3e9a511261",
         ),
+        # Means over 3 repeats, which are not dyadic.
+        (
+            ["--repeats", 3, "--points", 5],
+            "fc9b03aeb7acbe70e03f089c0509c08f851248cf579d046c20f2879a754dc41e",
+        ),
     ],
 )
 def test_sweep_table_is_pinned(tmp_path, capsys, options, digest):

@@ -180,13 +180,14 @@ NOT_A_PERMUTATION = "ranking is not a permutation"
         ("x.elec", "3 0 1\n", None, None, "election needs at least one voter"),
         ("x.soc", "2\n1,A\n2,B\n2,2,2\n1,1,2\n1,1,1\n", 3, None, "committee size k=3 outside [1, 2]"),
         ("x.soc", "0\n0,0,0\n", 1, None, "need at least one candidate, got m=0"),
+        ("x.elec", b"\xff3 2 1\n0 1 2\n0 1 2\n", None, None, "not UTF-8 text: 'utf-8' codec"),
     ],
 )
 def test_a_refused_election_names_its_file_and_the_line_of_a_bad_ranking(
     tmp_path, name, text, k, line, message
 ):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=re.escape(message)) as err:
         load_election(path, k=k)
     assert str(err.value).startswith(f"{path}: " if line is None else f"{path}:{line}: ")

@@ -608,6 +608,9 @@ def test_result_and_config_files_name_the_file_they_fail_on(tmp_path):
     config.write_text('{"m": 4,')
     with pytest.raises(ValueError, match=re.escape(f"{config} is not valid JSON: ")):
         load_config(config)
+    config.write_bytes(b'\xff{"m": 4}')
+    with pytest.raises(ValueError, match=re.escape(f"{config} is not UTF-8 text: 'utf-8' codec")):
+        load_config(config)
 
 
 @pytest.mark.parametrize("m, n", [(1, 9), (1, 13), (5, 1), (1, 1), (9, 4), (12, 7)])
@@ -617,14 +620,7 @@ def test_batched_sweep_totals_match_the_one_cell_reference(monkeypatch, m, n):
     is, by ``float.hex``, the one-row gather of that cell's levels, expanded
     one place at a time, and each distance is that row's committee's."""
     monkeypatch.setattr(queryvote.experiments, "_GATHER_SHARES", 3 * n * m)
-    batches = []
-
-    def recorded(table, rows, places):
-        totals = _totals(table, rows, places)
-        batches.append((np.asarray(rows), totals))
-        return totals
-
-    monkeypatch.setattr(queryvote.experiments, "_totals", recorded)
+    batches = recorded_totals(monkeypatch)
     rng = substream(61, m, n)
     voters = tuple(tuple(int(c) for c in rng.permutation(m)) for _ in range(n))
     e = Election(m=m, voters=voters, k=int(rng.integers(1, m + 1)))
@@ -638,8 +634,8 @@ def test_batched_sweep_totals_match_the_one_cell_reference(monkeypatch, m, n):
             table = _share_table(schedule, borda_vector(m))
             batches.clear()
             swept = list(sweep_distances(e, kind, policy, cost, grid, order, target))
-            assert [len(rows) for rows, _ in batches] == [3, 3, 1]
-            rows = np.concatenate([rows for rows, _ in batches])
+            assert [levels.shape for levels, _ in batches] == [(1, 3, n), (1, 3, n), (1, 1, n)]
+            rows = np.concatenate([levels.reshape(-1, n) for levels, _ in batches])
             totals = np.concatenate([totals for _, totals in batches])
             cells = zip(grid, swept, rows.tolist(), totals.tolist(), strict=True)
             for budget, (_, distance, spent), levels, batched in cells:
@@ -661,13 +657,7 @@ def test_run_budget_sweep_rows_are_one_run_per_cell(monkeypatch, cost):
     the same rows."""
     m, n, k, seed = 7, 9, 3, 41
     monkeypatch.setattr(queryvote.experiments, "_GATHER_SHARES", 2 * n * m)
-    batches = []
-
-    def recorded(table, rows, places):
-        batches.append(len(rows))
-        return _totals(table, rows, places)
-
-    monkeypatch.setattr(queryvote.experiments, "_totals", recorded)
+    batches = recorded_totals(monkeypatch)
     probe = generate(CultureSpec("IC", seed=0), m, n, k)
     full = max(full_resolution_cost(probe, kind, cost) for kind in QuestionType)
     grid = [0, full / 5, full / 2, full / 2, full, UNLIMITED]
@@ -678,7 +668,7 @@ def test_run_budget_sweep_rows_are_one_run_per_cell(monkeypatch, cost):
     )
     rows = run_budget_sweep(config)
     # Every voter order's 6 cells span 3 batches.
-    assert batches == [2, 2, 2] * (2 * 2 * 8 * 2)
+    assert [levels.shape for levels, _ in batches] == [(1, 2, n)] * 3 * (2 * 2 * 8 * 2)
     expected = []
     for culture_index, spec in enumerate(cultures):
         for election_index in range(2):
@@ -794,12 +784,12 @@ def test_row_spends_are_the_floats_of_the_exact_spends():
 
 
 def recorded_totals(monkeypatch):
-    """Every batch the sweep hands ``_totals``, as ``(rows shape, totals by cell)``."""
+    """Every batch the sweep hands ``_totals``, as ``(rows of levels, totals by cell)``."""
     batches = []
 
     def recorded(table, rows, places):
         totals = _totals(table, rows, places)
-        batches.append((np.shape(rows), totals.reshape(-1, totals.shape[-1])))
+        batches.append((np.asarray(rows), totals.reshape(-1, totals.shape[-1])))
         return totals
 
     monkeypatch.setattr(queryvote.experiments, "_totals", recorded)
@@ -849,7 +839,7 @@ def test_per_election_rows_match_the_one_row_reference(monkeypatch, cost, m, n, 
         budget_grid=grid, voter_order_repeats=repeats, master_seed=seed,
     )
     rows = run_budget_sweep(config)
-    assert [shape for shape, _ in batches] == [(8 * repeats, len(grid), n)] * 2
+    assert [levels.shape for levels, _ in batches] == [(8 * repeats, len(grid), n)] * 2
     totals = np.concatenate([totals for _, totals in batches])
     assert len(rows) == len(totals) == 2 * 8 * repeats * len(grid)
     assert_rows_are_the_one_row_reference(config, rows, totals)
@@ -931,8 +921,8 @@ def test_gather_bound_groups_whole_blocks_or_splits_one():
     layouts = {
         2**20: [(blocks, cells, n)],
         3 * cells * n * m: [(3, cells, n)] * 5 + [(1, cells, n)],
-        2 * n * m: [(2, n), (2, n), (1, n)] * blocks,
-        1: [(1, n)] * cells * blocks,
+        2 * n * m: [(1, 2, n), (1, 2, n), (1, 1, n)] * blocks,
+        1: [(1, 1, n)] * cells * blocks,
         cells * n * m: [(1, cells, n)] * blocks,
     }
     swept = []
@@ -941,5 +931,5 @@ def test_gather_bound_groups_whole_blocks_or_splits_one():
             patch.setattr(queryvote.experiments, "_GATHER_SHARES", bound)
             batches = recorded_totals(patch)
             swept.append(run_budget_sweep(config))
-        assert [shape for shape, _ in batches] == layout * 2
+        assert [levels.shape for levels, _ in batches] == layout * 2
     assert all(rows == swept[0] for rows in swept)
