@@ -108,6 +108,12 @@ def _read_ints(args) -> None:
                 _whole(f"--{name}", text)
 
 
+def _at_least_1(name: str, value: int) -> None:
+    """Refuse a count below 1, naming its option as the command line spells it."""
+    if value < 1:
+        raise ValueError(f"--{name} must be at least 1, got {value}")
+
+
 def _parse_params(pairs: list[str]) -> dict:
     params = {}
     for pair in pairs:
@@ -134,6 +140,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    _at_least_1("jobs", args.jobs)
     config = load_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
@@ -152,6 +159,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    _at_least_1("trials", args.trials)
     grid = audit_grid(trials=args.trials, seed=args.seed)
     print(format_audit_table(grid))
     if args.csv:
@@ -165,13 +173,13 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.repeats < 1:
-        raise ValueError(f"--repeats must be at least 1, got {args.repeats}")
+    _at_least_1("repeats", args.repeats)
     election = election_io.load_election(args.election, k=args.k)
     target = k_borda(election)
     if args.budgets is not None:
         budgets = [parse_budget(item) for item in args.budgets.split(",")]
     else:
+        _at_least_1("points", args.points)
         budgets = _default_grid(election.m, election.n, args.cost, args.points)
     # Every strategy's grid is elicited once and scored under each repeat's
     # voter order, one order per repeat for all the strategies.

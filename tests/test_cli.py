@@ -290,7 +290,18 @@ def test_sweep_rejects_non_positive_points(tmp_path, capsys):
     run_cli("generate", "IC", "--m", 4, "--n", 3, "--k", 2, "--seed", 5, "--out", elec)
     capsys.readouterr()
     assert run_cli("sweep", elec, "--points", -3) == 1
-    assert "error: points must be at least 1" in capsys.readouterr().err
+    assert "error: --points must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [(["run", "c.json", "--out", "r.csv"], "--jobs"), (["audit-costs"], "--trials")],
+)
+@pytest.mark.parametrize("value", [0, -2])
+def test_a_count_below_1_exits_1_naming_its_option(capsys, command, option, value):
+    assert run_cli(*command, option, value) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {option} must be at least 1, got {value}\n" and captured.out == ""
 
 
 def test_sweep_default_grid_is_the_run_grid(tmp_path, capsys):

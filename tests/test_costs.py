@@ -20,7 +20,7 @@ from queryvote import (
     variance,
 )
 from queryvote.costs import COST_FUNCTIONS, audit_csv_rows, format_audit_table
-from queryvote.rng import substream
+from queryvote.rng import _Draws, substream
 
 
 def q(size, *ratios):
@@ -167,7 +167,7 @@ def test_audit_rejects_bad_trials():
 def test_closed_forms_equal_registry_costs(axiom):
     # The audit prices registry costs in closed form on the sampled class
     # sizes; each must equal the function on the query those sizes describe.
-    rng = substream(41, list(Axiom).index(axiom))
+    rng = _Draws(substream(41, list(Axiom).index(axiom)))
     degenerate = 0
     for _ in range(2000):
         for size, classes in costs._SAMPLERS[axiom](rng):
