@@ -9,12 +9,21 @@ so ``"Variance-Aware"`` names the ``COST_FUNCTIONS`` entry ``variance_aware``.
 The audit machinery samples query pairs satisfying each axiom's hypothesis
 and checks the conclusion, replaying a set of stored counterexamples first so
 known violations are found regardless of the sampling seed. A sampled query
-is drawn as its candidate count and integer class sizes. Registry costs are
-audited in closed form on those integers, and the query pair is built only to
-report a violation; custom callables are priced on real queries. The samplers
-draw through :class:`~queryvote.rng._Draws`, which makes the draws of
-``Generator.integers`` and ``Generator.choice`` bit-identical to numpy's from
-the generator's raw words, without numpy's fixed cost per call.
+is drawn as its candidate count and integer class sizes.
+
+The trials of an audit cell are sampled a chunk at a time, as arrays. The
+sampler fetches the 32-bit halves of its generator's raw words
+(:func:`~queryvote.rng._raw_halves`) and lays the chunk's draws out on them:
+a trial's draw count follows from its first one or two draws, so it is read
+at every position and the trials' starts follow by chasing those counts.
+Each draw maps its half by Lemire's method (:func:`~queryvote.rng._lemire`)
+to the int that numpy's ``Generator.integers`` or ``Generator.choice(...,
+replace=False)`` would give; a half that numpy would reject is dropped and
+the chunk laid out again, as numpy retries with the next half. Registry
+costs are then evaluated in closed form on the chunk's class sizes, and the
+query pair is built only to report a violation; custom callables are priced
+on real queries, one pair at a time. Chunks have a fixed size, so memory
+stays bounded and a violation stops the sampling at its chunk.
 """
 
 from __future__ import annotations
@@ -25,9 +34,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable
 
+import numpy as np
+
 from .core import _named, _whole
 from .queries import RefinementQuery
-from .rng import _Draws, derive_seed, substream
+from .rng import _lemire, _raw_halves, derive_seed, substream
 
 CostValue = object  # int, Fraction, or float depending on the inputs
 CostFunction = Callable[[RefinementQuery], CostValue]
@@ -169,118 +180,296 @@ VARIANCE_COUNTEREXAMPLES: dict[str, tuple[RefinementQuery, RefinementQuery]] = {
 }
 
 
-def _below(a, b, factor=1) -> bool:
+def _below(a, b, factor=1):
     """Whether cost ``a`` is strictly below ``factor * b``.
 
     Closed-form exact costs are ``(numerator, denominator)`` pairs with
     positive denominators and compare by integer cross-multiplication. When
-    either side is a float, the comparison keeps the relative slack.
+    either side is a float, the comparison keeps the relative slack. Closed
+    forms are arrays, one entry per sampled pair, and compare elementwise.
     """
     if isinstance(a, tuple):
         return a[0] * b[1] < factor * b[0] * a[1]
     b = factor * b
+    if isinstance(a, np.ndarray):
+        return a < b - _FLOAT_SLACK * np.maximum(1.0, np.abs(b))
     if isinstance(a, float) or isinstance(b, float):
         return a < b - _FLOAT_SLACK * max(1.0, abs(b))
     return a < b
 
 
-def _closed_variance_aware(size: int, classes: list[int]) -> tuple[int, int]:
-    # size * parts * (1 - spread / (parts^3 * size^2)) over the denominator parts^2 * size.
-    parts = len(classes)
-    spread = sum((parts * x - size) ** 2 for x in classes)
+def _closed_variance_aware(size, classes, parts):
+    # size * parts * (1 - spread / (parts^3 * size^2)) over the denominator
+    # parts^2 * size, where spread = sum((parts * x - size)^2) over the
+    # classes x, which is parts * (parts * sum(x^2) - size^2) as the x sum to size.
+    spread = parts * (parts * (classes * classes).sum(axis=1) - size * size)
     return parts**3 * size**2 - spread, parts**2 * size
 
 
-# Each registry cost of a query that is not degenerate, from its candidate
-# count and integer class sizes: exact costs as (numerator, denominator),
-# ``computational`` as the same float that cost_computational returns.
+def _last_class(classes, parts):
+    return classes[np.arange(len(parts)), parts - 1]
+
+
+# math.log2 of each class count a sampler draws, so that size * log2(parts)
+# is the float product cost_computational makes.
+_LOG2 = np.array([0.0, *(math.log2(parts) for parts in range(1, 8))])
+
+# Each registry cost of the queries that are not degenerate, from their
+# candidate counts, zero-padded class sizes and class counts as arrays: exact
+# costs as (numerators, denominators), ``computational`` as the floats that
+# cost_computational returns.
 _CLOSED_FORMS = {
-    cost_candidates: lambda size, classes: (size, 1),
-    cost_last_bucket: lambda size, classes: (size - classes[-1], 1),
-    cost_bucket_count: lambda size, classes: ((size - classes[-1]) * (len(classes) - 1), 1),
+    cost_candidates: lambda size, classes, parts: (size, 1),
+    cost_last_bucket: lambda size, classes, parts: (size - _last_class(classes, parts), 1),
+    cost_bucket_count: lambda size, classes, parts: (
+        (size - _last_class(classes, parts)) * (parts - 1), 1
+    ),
     cost_variance_aware: _closed_variance_aware,
-    cost_computational: lambda size, classes: size * math.log2(len(classes)),
+    cost_computational: lambda size, classes, parts: size * _LOG2[parts],
 }
 
 
-def _closed_cost(fn: CostFunction, size: int, classes: list[int]) -> tuple[int, int] | float:
-    """Registry cost ``fn`` of the query that splits ``size`` candidates into
-    classes of these sizes, computed without building the query."""
-    if len(classes) <= 1 or size <= 1:
-        return 0.0 if fn is cost_computational else (0, 1)
-    return _CLOSED_FORMS[fn](size, classes)
+def _closed_costs(fn: CostFunction, size: np.ndarray, classes: np.ndarray):
+    """Registry cost ``fn`` of each query that splits ``size`` candidates
+    into classes of these sizes (a row each, zero-padded), computed without
+    building the queries."""
+    parts = np.count_nonzero(classes, axis=1)
+    # Classes are positive, so one class is the only degenerate case.
+    plain = parts > 1
+    cost = _CLOSED_FORMS[fn](size, classes, parts)
+    if isinstance(cost, tuple):
+        return np.where(plain, cost[0], 0), np.where(plain, cost[1], 1)
+    return np.where(plain, cost, 0.0)
 
 
 def _sized_query(size: int, classes: list[int]) -> RefinementQuery:
     return _query(size, (Fraction(x, size) for x in classes))
 
 
-# The samplers below draw query pairs as (candidate count, integer class sizes).
+# The samplers below draw query pairs as (candidate count, integer class
+# sizes), many trials at once. Each draw is the int that numpy's
+# Generator.integers(low, high) or choice(pop, size, replace=False) would
+# make from substream(seed, 0), in the same order, with a single-value range
+# taking no draw. Each sampler lays ``count`` attempts out on a chunk's
+# halves and returns their pairs as arrays (first sizes, first zero-padded
+# class rows, second sizes, second rows), which attempts are trials, and the
+# attempts' bounds. An attempt's draw count is a function of its first one or
+# two draws, so it is read at every position of the halves, and the
+# attempts' starts follow by chasing those counts from the first position.
 
 
-def _composition(rng: _Draws, total: int, parts: int) -> list[int]:
-    """A uniform composition of ``total`` into ``parts`` positive integers."""
-    if parts == 1:
-        return [total]
-    cuts = sorted(cut + 1 for cut in rng.choice(total - 1, parts - 1))
-    bounds = [0, *cuts, total]
-    return [bounds[i + 1] - bounds[i] for i in range(parts)]
+class _Chunk:
+    """The draws of one chunk of trials from its 32-bit ``halves``.
+
+    Every draw goes through :meth:`take`, which keeps the first position
+    whose half Lemire's method rejects. Everything drawn after it is wrong,
+    and numpy would retry that draw with the next half: dropping the
+    rejected half and laying the chunk out again gives numpy's ints.
+    """
+
+    __slots__ = ("halves", "rejected")
+
+    def __init__(self, halves: np.ndarray):
+        self.halves = halves
+        self.rejected = len(halves)
+
+    def read(self, at, span) -> np.ndarray:
+        """The draws at positions ``at`` with ranges of ``span`` values, before
+        the starts are known; positions past the halves read the last one."""
+        return _lemire(self.halves.take(at, mode="clip"), span)[0]
+
+    def take(self, at, span, drawn=True) -> np.ndarray:
+        """The draws at positions ``at`` with ranges of ``span`` values, each
+        only where ``drawn``."""
+        values, rejected = _lemire(self.halves.take(at, mode="clip"), span)
+        rejected &= drawn
+        if rejected.any():
+            self.rejected = min(self.rejected, int(at[rejected].min()))
+        return values
 
 
-def _sample_prefix_pair(rng: _Draws):
-    """A pair where the first query's class sizes are a strict prefix of the
-    second's, which is the prefix-monotonicity hypothesis."""
-    head = [rng.integers(1, 9) for _ in range(rng.integers(1, 4))]
-    tail = [rng.integers(1, 9) for _ in range(rng.integers(1, 4))]
-    small = sum(head)
-    return (small, head), (small + sum(tail), head + tail)
+def _chase(lengths: np.ndarray, count: int) -> np.ndarray:
+    """The bounds of ``count`` trials laid end to end from position 0, when
+    a trial starting at ``i`` is ``lengths[i]`` halves long: ``count + 1``
+    positions, each trial's start and then the end of the last."""
+    bounds = [0] * (count + 1)
+    steps = lengths.tolist()
+    at = 0
+    for i in range(count):
+        at += steps[at]
+        bounds[i + 1] = at
+    return np.array(bounds)
 
 
-def _sample_multiple_pair(rng: _Draws):
+def _composition_draws(size: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Draws of a uniform composition of ``size`` into ``parts`` parts, taken
+    as numpy's choice(size - 1, parts - 1, replace=False): one per Floyd
+    pick, save a first pick from a single value, then ``parts - 2`` for the
+    shuffle. One part takes none."""
+    picks = parts - 1
+    return np.where(picks > 0, 2 * picks - 1 - (size == parts), 0)
+
+
+def _composition(chunk: _Chunk, at, size, parts, width: int):
+    """Uniform compositions of ``size`` into ``parts`` positive ints, as rows
+    of ``width`` class sizes padded with zeros, the draws of each taken from
+    position ``at`` on.
+
+    The cuts are the picks plus 1 of Floyd's algorithm over ``range(size -
+    1)``: the pick at top ``t`` is a draw in ``[0, t]``, or ``t`` itself when
+    the draw was picked before, and the first top is 0 when ``size ==
+    parts``, a single value that takes no draw. The shuffle that numpy then
+    applies is drawn too, from the last position down, though sorted cuts do
+    not read its order.
+    """
+    picks = (parts - 1)[:, None]
+    first_free = ((size == parts) & (picks[:, 0] > 0))[:, None]
+    column = np.arange(width - 1)
+    top = (size - parts)[:, None] + column
+    active = column < picks
+    drawn = active & ((column > 0) | ~first_free)
+    floyd = chunk.take(at[:, None] + column - first_free, top + 1, drawn)
+    chosen = np.where(drawn, floyd, 0)
+    for j in range(1, width - 1):
+        seen = (chosen[:, j, None] == chosen[:, :j]).any(axis=1)
+        chosen[:, j] = np.where(seen, top[:, j], chosen[:, j])
+    shuffle = picks - column[:-1]
+    chunk.take(at[:, None] + picks - first_free + column[:-1], np.maximum(shuffle, 1), shuffle > 1)
+    bounds = np.zeros((len(size), width + 1), np.int64)
+    bounds[:, 1:-1] = np.where(active, chosen + 1, size[:, None])
+    bounds[:, 1:-1].sort(axis=1)
+    bounds[:, -1] = size
+    return np.diff(bounds, axis=1)
+
+
+def _prefix_pairs(chunk: _Chunk, count: int):
+    """Pairs where the first query's class sizes are a strict prefix of the
+    second's, which is the prefix-monotonicity hypothesis: a head of 1 to 3
+    classes of 1 to 8 candidates, then a tail like it."""
+    heads = 1 + chunk.read(np.arange(len(chunk.halves)), 3)
+    tails = heads.take(np.arange(len(heads)) + 1 + heads, mode="clip")
+    bounds = _chase(2 + heads + tails, count)
+    start = bounds[:-1]
+    head = 1 + chunk.take(start, 3)
+    tail = 1 + chunk.take(start + 1 + head, 3)
+    column = np.arange(6)
+    used = column < (head + tail)[:, None]
+    # The tail's length is drawn between the head's classes and its own.
+    at = start[:, None] + 1 + column + (column >= head[:, None])
+    second = np.where(used, 1 + chunk.take(at, 8, used), 0)
+    first = np.where(column[:3] < head[:, None], second[:, :3], 0)
+    pairs = first.sum(axis=1), first, second.sum(axis=1), second
+    return pairs, np.ones(count, bool), bounds
+
+
+def _split_attempts(chunk: _Chunk, count: int, fewest: int, compositions: int, after: int):
+    """Lay out attempts that draw a class count in ``[fewest, fewest + 5)``, a
+    size of up to 24 candidates more, then ``compositions`` compositions of
+    the size into the classes and ``after`` more draws: each attempt's start,
+    class count and size, and the bounds of the attempts."""
+    every = np.arange(len(chunk.halves))
+    parts = fewest + chunk.read(every, 5)
+    size = parts + chunk.read(every + 1, 25)
+    bounds = _chase(2 + compositions * _composition_draws(size, parts) + after, count)
+    start = bounds[:-1]
+    parts = fewest + chunk.take(start, 5)
+    return start, parts, parts + chunk.take(start + 1, 25), bounds
+
+
+def _multiple_pairs(chunk: _Chunk, count: int):
     """A query and the query with every class scaled by an integer factor:
     the same ratios over a multiple of the subset size."""
-    parts = rng.integers(1, 6)
-    size = rng.integers(parts, parts + 25)
-    classes = _composition(rng, size, parts)
-    factor = rng.integers(2, 9)
-    return (size, classes), (factor * size, [factor * x for x in classes])
+    start, parts, size, bounds = _split_attempts(chunk, count, 1, 1, 1)
+    classes = _composition(chunk, start + 2, size, parts, 5)
+    factor = 2 + chunk.take(start + 2 + _composition_draws(size, parts), 7)
+    pairs = size, classes, factor * size, factor[:, None] * classes
+    return pairs, np.ones(count, bool), bounds
 
 
-def _sample_variance_pair(rng: _Draws):
+def _variance_pairs(chunk: _Chunk, count: int):
     """Two same-length, same-subset queries with distinct bucket variance,
-    ordered so the first has the larger variance."""
-    for _ in range(64):
-        parts = rng.integers(2, 7)
-        size = rng.integers(parts, parts + 25)
-        first = _composition(rng, size, parts)
-        second = _composition(rng, size, parts)
-        # Var((x_j / size)) compares like the integer spread sum((parts*x_j - size)^2).
-        spread_first = sum((parts * x - size) ** 2 for x in first)
-        spread_second = sum((parts * x - size) ** 2 for x in second)
-        if spread_first == spread_second:
-            continue
-        if spread_first < spread_second:
-            first, second = second, first
-        return (size, first), (size, second)
-    raise RuntimeError("could not sample bucket vectors with distinct variance")
+    ordered so the first has the larger variance. An attempt that draws two
+    of equal variance is not kept as a trial."""
+    start, parts, size, bounds = _split_attempts(chunk, count, 2, 2, 0)
+    first = _composition(chunk, start + 2, size, parts, 6)
+    second = _composition(chunk, start + 2 + _composition_draws(size, parts), size, parts, 6)
+    # At one size and class count, Var((x_j / size)) compares like sum(x_j^2).
+    spread_first = (first * first).sum(axis=1)
+    spread_second = (second * second).sum(axis=1)
+    swap = (spread_first < spread_second)[:, None]
+    high, low = np.where(swap, second, first), np.where(swap, first, second)
+    return (size, high, size, low), spread_first != spread_second, bounds
 
 
+# Per axiom: its sampler, the most halves one attempt takes, and the share
+# of spare attempts a chunk lays out past the trials it still needs. About a
+# fifth of the variance attempts draw two compositions of equal variance.
 _SAMPLERS = {
-    Axiom.PREFIX_MONOTONICITY: _sample_prefix_pair,
-    Axiom.MULTIPLE_MONOTONICITY: _sample_multiple_pair,
-    Axiom.VARIANCE_MONOTONICITY: _sample_variance_pair,
+    Axiom.PREFIX_MONOTONICITY: (_prefix_pairs, 8, 0),
+    Axiom.MULTIPLE_MONOTONICITY: (_multiple_pairs, 10, 0),
+    Axiom.VARIANCE_MONOTONICITY: (_variance_pairs, 20, 0.3),
 }
+# Attempts laid out at once: a chunk holds at most this many times an
+# attempt's halves, and a violation stops the sampling at its chunk.
+_CHUNK = 2048
+# Equal-variance attempts in a row that end the variance sampler.
+_EQUAL_ATTEMPTS = 64
+
+
+def _sampled_pairs(axiom: Axiom, generator: np.random.Generator, trials: int):
+    """Yield the query pairs of the first ``trials`` trials of ``axiom``'s
+    sampler, drawn from ``generator``, a chunk at a time: the number of
+    trials before the chunk, then the chunk's first queries' sizes and
+    zero-padded class rows and its second queries' sizes and rows.
+
+    Raises ``RuntimeError``, after yielding the trials before it, when 64
+    variance attempts in a row draw equal variances.
+    """
+    sample, longest, spare = _SAMPLERS[axiom]
+    halves = np.empty(0, np.uint64)
+    done, equal = 0, 0
+    while done < trials:
+        attempts = min(_CHUNK, trials - done + math.ceil(spare * (trials - done + 64)))
+        while True:
+            short = attempts * longest - len(halves)
+            if short > 0:
+                halves = np.concatenate((halves, _raw_halves(generator, (short + 1) // 2)))
+            chunk = _Chunk(halves)
+            pairs, kept, bounds = sample(chunk, attempts)
+            if chunk.rejected == len(halves):
+                break
+            halves = np.delete(halves, chunk.rejected)
+        trial_at = np.flatnonzero(kept)[: trials - done]
+        # Equal attempts in a row before each trial, then after the last one.
+        runs = np.diff(trial_at, prepend=-1 - equal, append=attempts) - 1
+        if len(trial_at) == trials - done:
+            runs = runs[:-1]
+        stuck = np.flatnonzero(runs >= _EQUAL_ATTEMPTS)
+        if len(stuck):
+            trial_at = trial_at[: stuck[0]]
+        yield done, tuple(part[trial_at] for part in pairs)
+        if len(stuck):
+            raise RuntimeError("could not sample bucket vectors with distinct variance")
+        done += len(trial_at)
+        equal = runs[-1]
+        halves = halves[bounds[-1] :]
+
+
+def _query_at(sizes: np.ndarray, classes: np.ndarray, i: int) -> RefinementQuery:
+    """The query of row ``i`` of a chunk's sizes and zero-padded class rows."""
+    return _sized_query(int(sizes[i]), [x for x in classes[i].tolist() if x])
 
 
 def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> AxiomVerdict:
     """Search for a violation of ``axiom`` by the given cost function.
 
     Stored counterexamples are replayed first; then ``trials`` random query
-    pairs satisfying the axiom's hypothesis are checked. The verdict records
-    the first violating pair, if any, together with both costs. Registry
-    costs are evaluated in closed form on the sampled class sizes; the
-    query pair is built, and priced by the cost function, only to report a
-    violation. Other callables are priced on the queries of every pair.
+    pairs satisfying the axiom's hypothesis are checked, a chunk of trials
+    at a time. The verdict records the first violating pair, if any,
+    together with both costs. Registry costs are evaluated in closed form
+    on the sampled class sizes, a chunk at once; the query pair is built,
+    and priced by the cost function, only to report a violation. Other
+    callables are priced on the queries of every pair, one at a time.
     ``axiom`` is an :class:`Axiom` or its value, such as ``"prefix_monotonicity"``,
     read by the name rule.
     """
@@ -290,9 +479,9 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
     _, axiom = _named(Axiom, axiom, "axiom")
     name, fn = resolve_cost(cost)
 
-    def holds(low, high, factor) -> bool:
+    def holds(low, high, factor):
         if axiom is Axiom.MULTIPLE_MONOTONICITY:
-            return not _below(high, low, factor)
+            return np.logical_not(_below(high, low, factor))
         return _below(low, high)
 
     def violation(q_low, q_high, checked) -> AxiomVerdict:
@@ -304,20 +493,20 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
         if not holds(fn(high_var), fn(low_var), 1):
             return violation(high_var, low_var, 0)
 
-    if fn in _CLOSED_FORMS:
-        def price(pair):
-            return _closed_cost(fn, *pair)
-    else:
-        def price(pair):
-            return fn(_sized_query(*pair))
-
-    sample = _SAMPLERS[axiom]
-    rng = _Draws(substream(seed, 0))
-    for t in range(1, trials + 1):
-        low, high = sample(rng)
+    for done, (low_size, low, high_size, high) in _sampled_pairs(axiom, substream(seed, 0), trials):
         # The subset sizes of a multiple pair differ by its integer factor.
-        if not holds(price(low), price(high), high[0] // low[0]):
-            return violation(_sized_query(*low), _sized_query(*high), t)
+        factor = high_size // low_size
+        if fn in _CLOSED_FORMS:
+            ok = holds(_closed_costs(fn, low_size, low), _closed_costs(fn, high_size, high), factor)
+            failed = iter(np.flatnonzero(~ok).tolist())
+        else:
+            failed = (
+                i for i, f in enumerate(factor.tolist())
+                if not holds(fn(_query_at(low_size, low, i)), fn(_query_at(high_size, high, i)), f)
+            )
+        i = next(failed, None)
+        if i is not None:
+            return violation(_query_at(low_size, low, i), _query_at(high_size, high, i), done + i + 1)
     return AxiomVerdict(axiom, holds=True, counterexample=None, trials=trials)
 
 

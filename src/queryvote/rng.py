@@ -15,13 +15,14 @@ index at once over uint32 arrays, and each index's ``PCG64`` seeds itself
 from its four state words, so each stream is bit-identical to its
 ``substream`` without building a ``SeedSequence`` per index.
 
-The private :class:`_Draws` makes the draws the cost audit takes, scalar
-``integers(low, high)`` and ``choice(pop, size, replace=False)``, from a
-``PCG64`` generator's raw 64-bit words, fetched in blocks. It maps the words
-to ints as numpy does: 32-bit halves, low first, then Lemire's multiply and
-reject, and for ``choice`` Floyd's algorithm and a Fisher-Yates shuffle. So
-its draws are bit-identical to the generator's, without numpy's fixed cost
-of several microseconds per call for a handful of ints.
+The private :func:`_raw_halves` and :func:`_lemire` let the cost audit
+sample many trials at once as arrays. A ``PCG64`` generator makes its
+bounded ints from 32-bit draws: the halves of its raw 64-bit words, low
+first. :func:`_raw_halves` fetches those halves in that order, and
+:func:`_lemire` maps arrays of them to bounded ints by Lemire's multiply,
+marking the draws that numpy's ``integers`` would reject and retry with the
+next half. A caller that lays out which half each draw takes, and drops a
+rejected half, gets the ints ``integers`` and ``choice(replace=False)`` give.
 """
 
 from __future__ import annotations
@@ -186,76 +187,31 @@ def _streams(
         yield np.random.Generator(np.random.PCG64(_State(state)))
 
 
-# Raw words a _Draws fetches at once. A fetch costs about 1 us, plus about
-# 40 ns per word to make its two halves Python ints; a cell of the audit
-# takes 1000 to 100000 words, and blocks of 64 to 512 timed the same.
-_BLOCK = 256
+def _raw_halves(generator: np.random.Generator, words: int) -> np.ndarray:
+    """The next 32-bit draws of a ``PCG64`` generator, in the order its
+    ``next_uint32`` makes them, as uint64: a high half that an earlier draw
+    left buffered, if there is one, then the low and the high half of each of
+    its next ``words`` raw words. The generator is left after them."""
+    bits = generator.bit_generator
+    state = bits.state
+    if state["bit_generator"] != "PCG64":
+        raise ValueError(f"draws copy PCG64 only, got {state['bit_generator']}")
+    raw = bits.random_raw(words).astype("<u8", copy=False)
+    halves = raw.view("<u4").astype(np.uint64)
+    if state["has_uint32"]:
+        bits.state = {**bits.state, "has_uint32": 0, "uinteger": 0}
+        halves = np.concatenate((np.array([state["uinteger"]], np.uint64), halves))
+    return halves
 
 
-def _halves(bits, first: int | None) -> Iterator[int]:
-    """The 32-bit draws of the bit generator ``bits`` in the order its
-    ``next_uint32`` makes them: ``first``, a high half buffered by an earlier
-    draw, if there is one; then the low and the high half of each raw word."""
-    if first is not None:
-        yield first
-    while True:
-        # Little-endian 32-bit halves of each word: low half first.
-        yield from bits.random_raw(_BLOCK).astype("<u8", copy=False).view("<u4").tolist()
+def _lemire(halves: np.ndarray, spans) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's map of the 32-bit draws ``halves`` to ints in ``[0, span)``,
+    elementwise against ``spans``, and which draws it rejects.
 
-
-class _Draws:
-    """The draws of a ``PCG64`` ``Generator``, made as numpy makes them.
-
-    ``integers(low, high)`` equals ``generator.integers(low, high)``, and
-    ``choice(pop, size)`` equals ``generator.choice(pop, size,
-    replace=False).tolist()``, both with their default ``int64`` dtype; a
-    sequence of them draws the same ints as the generator would, in order.
-    Anything that numpy draws another way is refused: a range of ``2**32``
-    or more values, and a ``choice`` that numpy makes by shuffling the tail
-    of the whole population (``pop > 10000`` and ``size > pop // 50``). The
-    words are fetched from the generator in blocks, so once wrapped it
-    belongs to the ``_Draws``: it is left up to a block ahead of the draws
-    made.
+    ``Generator.integers`` maps a draw the same way, and retries a rejected
+    one with its next draw: the low 32 bits of ``half * span`` below ``2**32
+    % span`` would bias the high ones. A span of 1 maps any draw to 0.
     """
-
-    __slots__ = ("_next",)
-
-    def __init__(self, generator: np.random.Generator):
-        bits = generator.bit_generator
-        state = bits.state
-        if state["bit_generator"] != "PCG64":
-            raise ValueError(f"draws copy PCG64 only, got {state['bit_generator']}")
-        self._next = _halves(bits, state["uinteger"] if state["has_uint32"] else None).__next__
-
-    def integers(self, low: int, high: int) -> int:
-        """A uniform int in ``[low, high)`` by Lemire's method; a single value
-        takes no draw."""
-        span = high - low
-        if span == 1:
-            return low
-        if not 1 < span < 1 << 32:
-            raise ValueError(f"draws copy ranges of 1 to 2**32 - 1 values, got [{low}, {high})")
-        product = self._next() * span
-        if product & _MASK32 < span:
-            # The low words below 2**32 mod span would bias the high word.
-            threshold = (1 << 32) % span
-            while product & _MASK32 < threshold:
-                product = self._next() * span
-        return low + (product >> 32)
-
-    def choice(self, pop: int, size: int) -> list[int]:
-        """``size`` distinct ints of ``range(pop)``: Floyd's algorithm, then
-        the picks shuffled, from the last position down."""
-        if not 0 <= size <= pop < 1 << 32 or (pop > 10000 and size > pop // 50):
-            raise ValueError(f"draws copy Floyd's choice only, got {size} of {pop}")
-        picks, seen = [], set()
-        for top in range(pop - size, pop):
-            pick = self.integers(0, top + 1)
-            if pick in seen:
-                pick = top
-            seen.add(pick)
-            picks.append(pick)
-        for i in range(size - 1, 0, -1):
-            j = self.integers(0, i + 1)
-            picks[i], picks[j] = picks[j], picks[i]
-        return picks
+    spans = np.asarray(spans, np.uint64)
+    product = halves * spans
+    return (product >> 32).astype(np.int64), product & _MASK32 < (1 << 32) % spans

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import queryvote
-from queryvote.rng import _Draws, _streams, derive_seed, substream
+from half_draws import HalfDraws, edge_halves
+from queryvote.rng import _lemire, _raw_halves, _streams, derive_seed, substream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, derive_seed(0, 3), derive_seed(2**40, 1, 7)]
 
@@ -140,9 +141,20 @@ def test_importing_the_package_leaves_numpy_random_unloaded():
     assert result.stdout.split() == ["False"] * len(modules), result.stderr
 
 
+def drawn_from(generator: np.random.Generator) -> HalfDraws:
+    """The plain reference draws, read from the generator's 32-bit draws as
+    :func:`_raw_halves` fetches them, a block of words at a time."""
+
+    def halves():
+        while True:
+            yield from _raw_halves(generator, 256).tolist()
+
+    return HalfDraws(halves())
+
+
 def mixed_calls(control: np.random.Generator, count: int):
     """``count`` random calls ``(method, args)`` of the kinds the cost audit
-    makes and the edges of what ``_Draws`` copies."""
+    makes and the edges of what ``HalfDraws`` copies."""
     calls = []
     for _ in range(count):
         kind = int(control.integers(7))
@@ -177,7 +189,7 @@ def numpy_draw(rng: np.random.Generator, method: str, args: tuple):
     return rng.choice(pop, size=size, replace=False).tolist()
 
 
-def copied_draw(draws: _Draws, method: str, args: tuple):
+def copied_draw(draws: HalfDraws, method: str, args: tuple):
     if method == "size":
         low, high, size = args
         return [draws.integers(low, high) for _ in range(size)]
@@ -187,12 +199,13 @@ def copied_draw(draws: _Draws, method: str, args: tuple):
 @pytest.mark.parametrize("block", range(4))
 def test_draws_equal_numpy_over_mixed_call_sequences(block):
     """On 120 seeds, each a random sequence of scalar and sized integers and
-    Floyd's choice, the copied draws equal numpy's; afterwards both streams
-    are at the same position, so their next draws are equal too."""
+    Floyd's choice, the plain reference draws made from the raw halves equal
+    numpy's; afterwards both streams are at the same position, so their next
+    draws are equal too."""
     control = substream(2026, 34, block)
     for seed in range(30 * block, 30 * block + 30):
         reference = substream(seed, 0)
-        draws = _Draws(substream(seed, 0))
+        draws = drawn_from(substream(seed, 0))
         for method, args in mixed_calls(control, 60):
             expected = numpy_draw(reference, method, args)
             assert copied_draw(draws, method, args) == expected, (seed, method, args)
@@ -201,16 +214,49 @@ def test_draws_equal_numpy_over_mixed_call_sequences(block):
 
 
 def test_draws_continue_a_buffered_half_word():
-    """A generator whose last draw left the high half of a word buffered is
-    continued from that half, as numpy continues it."""
+    """A generator whose last draw left the high half of a word buffered
+    gives that half first, as numpy continues from it, and is left after the
+    halves it gave."""
     for seed in range(20):
         reference, wrapped = substream(seed, 1), substream(seed, 1)
         for rng in (reference, wrapped):
             rng.integers(0, 10, size=seed % 3 + 1)
         assert wrapped.bit_generator.state["has_uint32"] == (seed % 3 + 1) % 2
-        draws = _Draws(wrapped)
+        halves = _raw_halves(wrapped, 20)
+        assert len(halves) == 40 + (seed % 3 + 1) % 2
+        draws = HalfDraws(halves.tolist())
         assert [draws.integers(0, 1000) for _ in range(5)] == reference.integers(0, 1000, 5).tolist()
         assert draws.choice(30, 6) == reference.choice(30, size=6, replace=False).tolist()
+        skipped = len(halves) - len(draws.log)
+        reference.integers(0, 2**32, size=skipped, dtype=np.uint32)
+        assert wrapped.integers(0, 2**20, size=4).tolist() == reference.integers(0, 2**20, size=4).tolist()
+
+
+def test_raw_halves_are_the_generators_32_bit_draws_in_order():
+    """numpy's full-range uint32 draws are its 32-bit draws themselves."""
+    for seed, words in ((0, 1), (1, 7), (2, 300)):
+        expected = substream(seed, 0).integers(0, 2**32, size=2 * words, dtype=np.uint32)
+        halves = _raw_halves(substream(seed, 0), words)
+        assert halves.dtype == np.uint64 and halves.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("span", [2, 3, 5, 6, 7, 8, 24, 25, 2**31 + 1, 2**32 - 1])
+def test_lemire_maps_and_rejects_each_half_as_the_reference_draws(span):
+    """On random halves and on those at the rejection edge, ``_lemire`` gives
+    the value of every half the reference accepts and marks every half it
+    rejects."""
+    halves = [0, 1, 2**31, 2**32 - 1, *substream(35, span).integers(0, 2**32, size=200).tolist()]
+    if span & (span - 1):
+        halves += edge_halves(span)
+    values, rejected = _lemire(np.array(halves, np.uint64), span)
+    assert values.dtype == np.int64
+    for half, value, refused in zip(halves, values.tolist(), rejected.tolist()):
+        draws = HalfDraws([half])
+        try:
+            assert draws.integers(0, span) == value and not refused, half
+        except StopIteration:
+            assert refused, half
+    assert bool(rejected.any()) is bool(span & (span - 1))
 
 
 @pytest.mark.parametrize(
@@ -229,15 +275,16 @@ def test_draws_continue_a_buffered_half_word():
     ],
 )
 def test_draws_refuse_what_numpy_draws_another_way(method, args):
-    """Out of the copied domain a call is refused before it draws anything."""
-    reference, draws = substream(5, 0), _Draws(substream(5, 0))
+    """Out of the copied domain a reference call is refused before it draws
+    anything, so no test compares with a draw that numpy makes another way."""
+    reference, draws = substream(5, 0), drawn_from(substream(5, 0))
     with pytest.raises(ValueError, match="^draws copy "):
         getattr(draws, method)(*args)
     assert draws.integers(0, 2**31 + 1) == int(reference.integers(0, 2**31 + 1))
 
 
 def test_draws_at_the_edges_of_floyds_choice_equal_numpy():
-    reference, draws = substream(6, 0), _Draws(substream(6, 0))
+    reference, draws = substream(6, 0), drawn_from(substream(6, 0))
     for pop, size in ((20_000, 400), (10_001, 200), (10_000, 10_000), (2**32 - 1, 3), (0, 0)):
         assert draws.choice(pop, size) == reference.choice(pop, size=size, replace=False).tolist()
     assert draws.integers(0, 5) == int(reference.integers(0, 5))
@@ -245,4 +292,4 @@ def test_draws_at_the_edges_of_floyds_choice_equal_numpy():
 
 def test_draws_refuse_a_generator_other_than_pcg64():
     with pytest.raises(ValueError, match="^draws copy PCG64 only, got MT19937$"):
-        _Draws(np.random.Generator(np.random.MT19937(0)))
+        _raw_halves(np.random.Generator(np.random.MT19937(0)), 1)
