@@ -11,19 +11,16 @@ and checks the conclusion, replaying a set of stored counterexamples first so
 known violations are found regardless of the sampling seed. A sampled query
 is drawn as its candidate count and integer class sizes.
 
-The trials of an audit cell are sampled a chunk at a time, as arrays. The
-sampler fetches the 32-bit halves of its generator's raw words
-(:func:`~queryvote.rng._raw_halves`) and lays the chunk's draws out on them:
-a trial's draw count follows from its first one or two draws, so it is read
-at every position and the trials' starts follow by chasing those counts.
-Each draw maps its half by Lemire's method (:func:`~queryvote.rng._lemire`)
-to the int that numpy's ``Generator.integers`` or ``Generator.choice(...,
-replace=False)`` would give; a half that numpy would reject is dropped and
-the chunk laid out again, as numpy retries with the next half. Registry
-costs are then evaluated in closed form on the chunk's class sizes, and the
-query pair is built only to report a violation; custom callables are priced
-on real queries, one pair at a time. Chunks have a fixed size, so memory
-stays bounded and a violation stops the sampling at its chunk.
+The trials of an audit cell are sampled a chunk at a time, as arrays that
+numpy's ``Generator`` draws from the cell's ``substream(seed, 0)``: bounded
+ints for class counts, sizes, class sizes and factors, and random keys that
+pick each composition's cut points. Registry costs are then evaluated in
+closed form on the chunk's class sizes, and the query pair is built only to
+report a violation; custom callables are priced on real queries, one pair at
+a time. Chunks have a fixed size, so memory stays bounded and a violation
+stops the sampling at its chunk. No registry verdict depends on the draws:
+every registry cost holds each axiom over the whole sampled domain, save the
+cells of the stored counterexamples, and a test enumerates that domain.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ import numpy as np
 
 from .core import _named, _whole
 from .queries import RefinementQuery
-from .rng import _lemire, _raw_halves, derive_seed, substream
+from .rng import derive_seed, substream
 
 CostValue = object  # int, Fraction, or float depending on the inputs
 CostFunction = Callable[[RefinementQuery], CostValue]
@@ -246,171 +243,72 @@ def _sized_query(size: int, classes: list[int]) -> RefinementQuery:
     return _query(size, (Fraction(x, size) for x in classes))
 
 
-# The samplers below draw query pairs as (candidate count, integer class
-# sizes), many trials at once. Each draw is the int that numpy's
-# Generator.integers(low, high) or choice(pop, size, replace=False) would
-# make from substream(seed, 0), in the same order, with a single-value range
-# taking no draw. Each sampler lays ``count`` attempts out on a chunk's
-# halves and returns their pairs as arrays (first sizes, first zero-padded
-# class rows, second sizes, second rows), which attempts are trials, and the
-# attempts' bounds. An attempt's draw count is a function of its first one or
-# two draws, so it is read at every position of the halves, and the
-# attempts' starts follow by chasing those counts from the first position.
+# The samplers below draw ``count`` attempts at once from a numpy generator,
+# as (candidate count, integer class sizes), and return their pairs as arrays
+# (first sizes, first zero-padded class rows, second sizes, second rows) and
+# which attempts are trials.
 
 
-class _Chunk:
-    """The draws of one chunk of trials from its 32-bit ``halves``.
-
-    Every draw goes through :meth:`take`, which keeps the first position
-    whose half Lemire's method rejects. Everything drawn after it is wrong,
-    and numpy would retry that draw with the next half: dropping the
-    rejected half and laying the chunk out again gives numpy's ints.
-    """
-
-    __slots__ = ("halves", "rejected")
-
-    def __init__(self, halves: np.ndarray):
-        self.halves = halves
-        self.rejected = len(halves)
-
-    def read(self, at, span) -> np.ndarray:
-        """The draws at positions ``at`` with ranges of ``span`` values, before
-        the starts are known; positions past the halves read the last one."""
-        return _lemire(self.halves.take(at, mode="clip"), span)[0]
-
-    def take(self, at, span, drawn=True) -> np.ndarray:
-        """The draws at positions ``at`` with ranges of ``span`` values, each
-        only where ``drawn``."""
-        values, rejected = _lemire(self.halves.take(at, mode="clip"), span)
-        rejected &= drawn
-        if rejected.any():
-            self.rejected = min(self.rejected, int(at[rejected].min()))
-        return values
-
-
-def _chase(lengths: np.ndarray, count: int) -> np.ndarray:
-    """The bounds of ``count`` trials laid end to end from position 0, when
-    a trial starting at ``i`` is ``lengths[i]`` halves long: ``count + 1``
-    positions, each trial's start and then the end of the last."""
-    bounds = [0] * (count + 1)
-    steps = lengths.tolist()
-    at = 0
-    for i in range(count):
-        at += steps[at]
-        bounds[i + 1] = at
-    return np.array(bounds)
-
-
-def _composition_draws(size: np.ndarray, parts: np.ndarray) -> np.ndarray:
-    """Draws of a uniform composition of ``size`` into ``parts`` parts, taken
-    as numpy's choice(size - 1, parts - 1, replace=False): one per Floyd
-    pick, save a first pick from a single value, then ``parts - 2`` for the
-    shuffle. One part takes none."""
-    picks = parts - 1
-    return np.where(picks > 0, 2 * picks - 1 - (size == parts), 0)
-
-
-def _composition(chunk: _Chunk, at, size, parts, width: int):
+def _composition(generator: np.random.Generator, size, parts, width: int) -> np.ndarray:
     """Uniform compositions of ``size`` into ``parts`` positive ints, as rows
-    of ``width`` class sizes padded with zeros, the draws of each taken from
-    position ``at`` on.
-
-    The cuts are the picks plus 1 of Floyd's algorithm over ``range(size -
-    1)``: the pick at top ``t`` is a draw in ``[0, t]``, or ``t`` itself when
-    the draw was picked before, and the first top is 0 when ``size ==
-    parts``, a single value that takes no draw. The shuffle that numpy then
-    applies is drawn too, from the last position down, though sorted cuts do
-    not read its order.
-    """
-    picks = (parts - 1)[:, None]
-    first_free = ((size == parts) & (picks[:, 0] > 0))[:, None]
-    column = np.arange(width - 1)
-    top = (size - parts)[:, None] + column
-    active = column < picks
-    drawn = active & ((column > 0) | ~first_free)
-    floyd = chunk.take(at[:, None] + column - first_free, top + 1, drawn)
-    chosen = np.where(drawn, floyd, 0)
-    for j in range(1, width - 1):
-        seen = (chosen[:, j, None] == chosen[:, :j]).any(axis=1)
-        chosen[:, j] = np.where(seen, top[:, j], chosen[:, j])
-    shuffle = picks - column[:-1]
-    chunk.take(at[:, None] + picks - first_free + column[:-1], np.maximum(shuffle, 1), shuffle > 1)
-    bounds = np.zeros((len(size), width + 1), np.int64)
-    bounds[:, 1:-1] = np.where(active, chosen + 1, size[:, None])
-    bounds[:, 1:-1].sort(axis=1)
-    bounds[:, -1] = size
-    return np.diff(bounds, axis=1)
+    of ``width`` class sizes padded with zeros. The cuts are the ``parts - 1``
+    of the ``size - 1`` inner points with the smallest random keys; a size is
+    at most 24 above its class count, which is at most ``width``."""
+    points = np.arange(width + 23)
+    keys = generator.random((len(size), len(points)))
+    keys[points >= size[:, None] - 1] = np.inf
+    cuts = 1 + np.argsort(keys, axis=1)[:, : width - 1]
+    cuts = np.where(points[: width - 1] < parts[:, None] - 1, cuts, size[:, None])
+    cuts.sort(axis=1)
+    return np.diff(cuts, axis=1, prepend=0, append=size[:, None])
 
 
-def _prefix_pairs(chunk: _Chunk, count: int):
+def _prefix_pairs(generator: np.random.Generator, count: int):
     """Pairs where the first query's class sizes are a strict prefix of the
     second's, which is the prefix-monotonicity hypothesis: a head of 1 to 3
     classes of 1 to 8 candidates, then a tail like it."""
-    heads = 1 + chunk.read(np.arange(len(chunk.halves)), 3)
-    tails = heads.take(np.arange(len(heads)) + 1 + heads, mode="clip")
-    bounds = _chase(2 + heads + tails, count)
-    start = bounds[:-1]
-    head = 1 + chunk.take(start, 3)
-    tail = 1 + chunk.take(start + 1 + head, 3)
+    head, tail = generator.integers(1, 4, (2, count))
     column = np.arange(6)
-    used = column < (head + tail)[:, None]
-    # The tail's length is drawn between the head's classes and its own.
-    at = start[:, None] + 1 + column + (column >= head[:, None])
-    second = np.where(used, 1 + chunk.take(at, 8, used), 0)
+    second = np.where(column < (head + tail)[:, None], generator.integers(1, 9, (count, 6)), 0)
     first = np.where(column[:3] < head[:, None], second[:, :3], 0)
-    pairs = first.sum(axis=1), first, second.sum(axis=1), second
-    return pairs, np.ones(count, bool), bounds
+    return (first.sum(axis=1), first, second.sum(axis=1), second), np.ones(count, bool)
 
 
-def _split_attempts(chunk: _Chunk, count: int, fewest: int, compositions: int, after: int):
-    """Lay out attempts that draw a class count in ``[fewest, fewest + 5)``, a
-    size of up to 24 candidates more, then ``compositions`` compositions of
-    the size into the classes and ``after`` more draws: each attempt's start,
-    class count and size, and the bounds of the attempts."""
-    every = np.arange(len(chunk.halves))
-    parts = fewest + chunk.read(every, 5)
-    size = parts + chunk.read(every + 1, 25)
-    bounds = _chase(2 + compositions * _composition_draws(size, parts) + after, count)
-    start = bounds[:-1]
-    parts = fewest + chunk.take(start, 5)
-    return start, parts, parts + chunk.take(start + 1, 25), bounds
+def _multiple_pairs(generator: np.random.Generator, count: int):
+    """A query of 1 to 5 classes and up to 24 more candidates, and the query
+    with every class scaled by a factor of 2 to 8: the same ratios over a
+    multiple of the subset size."""
+    parts = generator.integers(1, 6, count)
+    size = parts + generator.integers(0, 25, count)
+    factor = generator.integers(2, 9, count)
+    classes = _composition(generator, size, parts, 5)
+    return (size, classes, factor * size, factor[:, None] * classes), np.ones(count, bool)
 
 
-def _multiple_pairs(chunk: _Chunk, count: int):
-    """A query and the query with every class scaled by an integer factor:
-    the same ratios over a multiple of the subset size."""
-    start, parts, size, bounds = _split_attempts(chunk, count, 1, 1, 1)
-    classes = _composition(chunk, start + 2, size, parts, 5)
-    factor = 2 + chunk.take(start + 2 + _composition_draws(size, parts), 7)
-    pairs = size, classes, factor * size, factor[:, None] * classes
-    return pairs, np.ones(count, bool), bounds
-
-
-def _variance_pairs(chunk: _Chunk, count: int):
-    """Two same-length, same-subset queries with distinct bucket variance,
-    ordered so the first has the larger variance. An attempt that draws two
-    of equal variance is not kept as a trial."""
-    start, parts, size, bounds = _split_attempts(chunk, count, 2, 2, 0)
-    first = _composition(chunk, start + 2, size, parts, 6)
-    second = _composition(chunk, start + 2 + _composition_draws(size, parts), size, parts, 6)
+def _variance_pairs(generator: np.random.Generator, count: int):
+    """Two queries of the same 2 to 6 classes and up to 24 more candidates,
+    with distinct bucket variance, ordered so the first has the larger
+    variance. An attempt that draws two of equal variance is not a trial."""
+    parts = generator.integers(2, 7, count)
+    size = parts + generator.integers(0, 25, count)
+    first, second = (_composition(generator, size, parts, 6) for _ in range(2))
     # At one size and class count, Var((x_j / size)) compares like sum(x_j^2).
     spread_first = (first * first).sum(axis=1)
     spread_second = (second * second).sum(axis=1)
     swap = (spread_first < spread_second)[:, None]
     high, low = np.where(swap, second, first), np.where(swap, first, second)
-    return (size, high, size, low), spread_first != spread_second, bounds
+    return (size, high, size, low), spread_first != spread_second
 
 
-# Per axiom: its sampler, the most halves one attempt takes, and the share
-# of spare attempts a chunk lays out past the trials it still needs. About a
-# fifth of the variance attempts draw two compositions of equal variance.
+# Per axiom: its sampler, and the share of spare attempts a chunk draws past
+# the trials it still needs. About a fifth of the variance attempts draw two
+# compositions of equal variance.
 _SAMPLERS = {
-    Axiom.PREFIX_MONOTONICITY: (_prefix_pairs, 8, 0),
-    Axiom.MULTIPLE_MONOTONICITY: (_multiple_pairs, 10, 0),
-    Axiom.VARIANCE_MONOTONICITY: (_variance_pairs, 20, 0.3),
+    Axiom.PREFIX_MONOTONICITY: (_prefix_pairs, 0),
+    Axiom.MULTIPLE_MONOTONICITY: (_multiple_pairs, 0),
+    Axiom.VARIANCE_MONOTONICITY: (_variance_pairs, 0.3),
 }
-# Attempts laid out at once: a chunk holds at most this many times an
-# attempt's halves, and a violation stops the sampling at its chunk.
+# Attempts drawn at once: a violation stops the sampling at its chunk.
 _CHUNK = 2048
 # Equal-variance attempts in a row that end the variance sampler.
 _EQUAL_ATTEMPTS = 64
@@ -425,20 +323,11 @@ def _sampled_pairs(axiom: Axiom, generator: np.random.Generator, trials: int):
     Raises ``RuntimeError``, after yielding the trials before it, when 64
     variance attempts in a row draw equal variances.
     """
-    sample, longest, spare = _SAMPLERS[axiom]
-    halves = np.empty(0, np.uint64)
+    sample, spare = _SAMPLERS[axiom]
     done, equal = 0, 0
     while done < trials:
         attempts = min(_CHUNK, trials - done + math.ceil(spare * (trials - done + 64)))
-        while True:
-            short = attempts * longest - len(halves)
-            if short > 0:
-                halves = np.concatenate((halves, _raw_halves(generator, (short + 1) // 2)))
-            chunk = _Chunk(halves)
-            pairs, kept, bounds = sample(chunk, attempts)
-            if chunk.rejected == len(halves):
-                break
-            halves = np.delete(halves, chunk.rejected)
+        pairs, kept = sample(generator, attempts)
         trial_at = np.flatnonzero(kept)[: trials - done]
         # Equal attempts in a row before each trial, then after the last one.
         runs = np.diff(trial_at, prepend=-1 - equal, append=attempts) - 1
@@ -452,7 +341,6 @@ def _sampled_pairs(axiom: Axiom, generator: np.random.Generator, trials: int):
             raise RuntimeError("could not sample bucket vectors with distinct variance")
         done += len(trial_at)
         equal = runs[-1]
-        halves = halves[bounds[-1] :]
 
 
 def _query_at(sizes: np.ndarray, classes: np.ndarray, i: int) -> RefinementQuery:

@@ -14,15 +14,6 @@ It runs ``SeedSequence``'s entropy mixing and state generation for every
 index at once over uint32 arrays, and each index's ``PCG64`` seeds itself
 from its four state words, so each stream is bit-identical to its
 ``substream`` without building a ``SeedSequence`` per index.
-
-The private :func:`_raw_halves` and :func:`_lemire` let the cost audit
-sample many trials at once as arrays. A ``PCG64`` generator makes its
-bounded ints from 32-bit draws: the halves of its raw 64-bit words, low
-first. :func:`_raw_halves` fetches those halves in that order, and
-:func:`_lemire` maps arrays of them to bounded ints by Lemire's multiply,
-marking the draws that numpy's ``integers`` would reject and retry with the
-next half. A caller that lays out which half each draw takes, and drops a
-rejected half, gets the ints ``integers`` and ``choice(replace=False)`` give.
 """
 
 from __future__ import annotations
@@ -185,33 +176,3 @@ def _streams(
     np.random.bit_generator.ISeedSequence.register(_State)
     for state in seeds:
         yield np.random.Generator(np.random.PCG64(_State(state)))
-
-
-def _raw_halves(generator: np.random.Generator, words: int) -> np.ndarray:
-    """The next 32-bit draws of a ``PCG64`` generator, in the order its
-    ``next_uint32`` makes them, as uint64: a high half that an earlier draw
-    left buffered, if there is one, then the low and the high half of each of
-    its next ``words`` raw words. The generator is left after them."""
-    bits = generator.bit_generator
-    state = bits.state
-    if state["bit_generator"] != "PCG64":
-        raise ValueError(f"draws copy PCG64 only, got {state['bit_generator']}")
-    raw = bits.random_raw(words).astype("<u8", copy=False)
-    halves = raw.view("<u4").astype(np.uint64)
-    if state["has_uint32"]:
-        bits.state = {**bits.state, "has_uint32": 0, "uinteger": 0}
-        halves = np.concatenate((np.array([state["uinteger"]], np.uint64), halves))
-    return halves
-
-
-def _lemire(halves: np.ndarray, spans) -> tuple[np.ndarray, np.ndarray]:
-    """Lemire's map of the 32-bit draws ``halves`` to ints in ``[0, span)``,
-    elementwise against ``spans``, and which draws it rejects.
-
-    ``Generator.integers`` maps a draw the same way, and retries a rejected
-    one with its next draw: the low 32 bits of ``half * span`` below ``2**32
-    % span`` would bias the high ones. A span of 1 maps any draw to 0.
-    """
-    spans = np.asarray(spans, np.uint64)
-    product = halves * spans
-    return (product >> 32).astype(np.int64), product & _MASK32 < (1 << 32) % spans

@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import io
+import itertools
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
@@ -22,16 +24,6 @@ from queryvote import (
 )
 from queryvote.costs import COST_FUNCTIONS, audit_csv_rows, format_audit_table
 from queryvote.rng import substream
-
-from half_draws import (
-    HalfDraws,
-    edge_halves,
-    half_for,
-    multiple_pair,
-    prefix_pair,
-    variance_attempt,
-    variance_pair,
-)
 
 
 def q(size, *ratios):
@@ -237,9 +229,9 @@ AUDIT_CSV_DIGESTS = [
     (0, True, "a1daec6f7d45bdd41db6fdaeb0ee698c79ec70d0536cb411711afdfbe1759caa"),
     (3, True, "a1daec6f7d45bdd41db6fdaeb0ee698c79ec70d0536cb411711afdfbe1759caa"),
     (9, True, "a1daec6f7d45bdd41db6fdaeb0ee698c79ec70d0536cb411711afdfbe1759caa"),
-    (0, False, "6bc177acbafac57a53c8bb2418ba1f5be5859063d8b033e7fca0152cd88e0049"),
-    (3, False, "3460e51b7759d1463b573f91adb3025ef00eb8c5d61e93f3a12ed5ec3f981c78"),
-    (9, False, "cd1d9935a60c785fe60dd7adafee05f5155078f8c88beb569a3abe9908c2f46d"),
+    (0, False, "7bccbc9337410549495afcec90071c77b5cdee1cf1609e1398482de51668d8a8"),
+    (3, False, "caa5693c54b17d1f0db4baeec30439f761abe885913177e0aa7e0703665fdace"),
+    (9, False, "45850525892d02ac4b798495ed1c64933a5b1d1ebda4225b461bbe007518dc43"),
 ]
 
 
@@ -259,53 +251,156 @@ def test_audit_reads_the_axiom_by_its_name():
         audit_axiom("candidates", "prefix", trials=50)
 
 
-REFERENCE = {
-    Axiom.PREFIX_MONOTONICITY: prefix_pair,
-    Axiom.MULTIPLE_MONOTONICITY: multiple_pair,
-    Axiom.VARIANCE_MONOTONICITY: variance_pair,
-}
+class Recorded:
+    """A generator that keeps a copy of every array its ``integers`` and
+    ``random`` return, in call order. ``force(low, high, values)``, if given,
+    may rewrite an ``integers`` draw before it is kept and returned."""
+
+    def __init__(self, generator, force=None):
+        self.generator, self.force, self.calls = generator, force, []
+
+    def integers(self, low, high, size):
+        values = self.generator.integers(low, high, size)
+        if self.force is not None:
+            values = self.force(low, high, values)
+        self.calls.append(values.copy())
+        return values
+
+    def random(self, size):
+        values = self.generator.random(size)
+        self.calls.append(values.copy())
+        return values
+
+
+def composition(keys, size, parts):
+    """The class sizes whose cuts are the ``parts - 1`` of the ``size - 1``
+    inner points with the smallest keys."""
+    points = sorted(range(size - 1), key=lambda point: keys[point])[: parts - 1]
+    cuts = [0, *sorted(point + 1 for point in points), size]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
+
+
+def rebuilt(axiom, calls):
+    """Every attempt drawn in the recorded ``calls``, rebuilt in plain Python
+    chunk by chunk as ``((size, classes), (size, classes))``, or ``None`` for
+    an attempt of two compositions of equal variance."""
+    calls, attempts = iter(calls), []
+    for first in calls:
+        if axiom is Axiom.PREFIX_MONOTONICITY:
+            (heads, tails), drawn = first.tolist(), next(calls).tolist()
+            for head, tail, row in zip(heads, tails, drawn):
+                classes = row[: head + tail]
+                attempts.append(((sum(classes[:head]), classes[:head]), (sum(classes), classes)))
+        elif axiom is Axiom.MULTIPLE_MONOTONICITY:
+            extra, factors, keys = (next(calls).tolist() for _ in range(3))
+            for parts, more, factor, row in zip(first.tolist(), extra, factors, keys):
+                classes = composition(row, parts + more, parts)
+                attempts.append(((parts + more, classes), (factor * (parts + more), [factor * x for x in classes])))
+        else:
+            extra, keys_first, keys_second = (next(calls).tolist() for _ in range(3))
+            for parts, more, one, other in zip(first.tolist(), extra, keys_first, keys_second):
+                size = parts + more
+                pair = [(size, composition(one, size, parts)), (size, composition(other, size, parts))]
+                pair.sort(key=lambda query: sum(x * x for x in query[1]), reverse=True)
+                spreads = {sum(x * x for x in classes) for _, classes in pair}
+                attempts.append(tuple(pair) if len(spreads) == 2 else None)
+    return attempts
+
+
+def reference_trials(axiom, calls, trials):
+    """The first ``trials`` trials of the rebuilt attempts, and whether 64
+    equal-variance attempts in a row came before them."""
+    pairs, equal = [], 0
+    for attempt in rebuilt(axiom, calls):
+        if len(pairs) == trials:
+            break
+        equal = 0 if attempt else equal + 1
+        if equal == 64:
+            return pairs, True
+        if attempt:
+            pairs.append(attempt)
+    return pairs, False
+
+
+def rows(chunk):
+    """A chunk of sampled pairs as ``((size, classes), (size, classes))``."""
+    low_size, low, high_size, high = (part.tolist() for part in chunk)
+    return [
+        ((a, [x for x in first if x]), (b, [x for x in second if x]))
+        for a, first, b, second in zip(low_size, low, high_size, high)
+    ]
 
 
 def sampled(axiom, generator, trials):
-    """Every pair the audit's sampler yields, as ``((size, classes), (size, classes))``."""
     pairs = []
-    for done, (low_size, low, high_size, high) in costs._sampled_pairs(axiom, generator, trials):
+    for done, chunk in costs._sampled_pairs(axiom, generator, trials):
         assert done == len(pairs)
-        for i in range(len(low_size)):
-            first, second = costs._query_at(low_size, low, i), costs._query_at(high_size, high, i)
-            pairs.append(tuple((len(q.subset), [int(b * len(q.subset)) for b in q.buckets]) for q in (first, second)))
+        pairs += rows(chunk)
     return pairs
 
 
-def numpy_pairs(axiom, seed, trials):
-    reference = substream(seed, 0)
-    return [REFERENCE[axiom](reference) for _ in range(trials)]
+# The values each sampler's trials draw: a prefix pair's head and tail class
+# counts and its class sizes; a multiple pair's class count, candidates beyond
+# it and factor; a variance pair's class count and candidates beyond it. A
+# variance attempt with 0 or 1 candidates beyond its class count is never a
+# trial: all its compositions have one sum of squares.
+DOMAIN = {
+    Axiom.PREFIX_MONOTONICITY: (range(1, 4), range(1, 4), range(1, 9)),
+    Axiom.MULTIPLE_MONOTONICITY: (range(1, 6), range(25), range(2, 9)),
+    Axiom.VARIANCE_MONOTONICITY: (range(2, 7), range(2, 25)),
+}
+
+
+def drawn_values(axiom, pair):
+    """The values a pair drew, as ``DOMAIN`` lists them, once the pair is
+    checked to meet ``axiom``'s hypothesis."""
+    (size, classes), (other_size, other) = pair
+    assert size == sum(classes) and other_size == sum(other)
+    assert min(classes) >= 1 and min(other) >= 1
+    if axiom is Axiom.PREFIX_MONOTONICITY:
+        assert other[: len(classes)] == classes
+        return {len(classes)}, {len(other) - len(classes)}, set(other)
+    if axiom is Axiom.MULTIPLE_MONOTONICITY:
+        factor = other_size // size
+        assert other == [factor * x for x in classes]
+        return {len(classes)}, {size - len(classes)}, {factor}
+    assert len(classes) == len(other) and size == other_size
+    assert sum(x * x for x in classes) > sum(x * x for x in other)
+    return {len(classes)}, {size - len(classes)}
 
 
 @pytest.mark.parametrize("axiom", list(Axiom))
 def test_sampled_pairs_equal_numpys_draws(monkeypatch, axiom):
-    """On 100 seeds every pair equals the reference sampler's, drawn by
-    numpy's own integers and choice calls: at 1 to 200 trials in one chunk,
-    then past the first chunk and its fetch, then across many chunks of 7
-    attempts, where equal-variance attempts run over chunk boundaries."""
-    for seed in range(100):
-        trials = (1, 7, 60, 200)[seed % 4]
-        assert sampled(axiom, substream(seed, 0), trials) == numpy_pairs(axiom, seed, trials), seed
-    trials = costs._CHUNK + 60
-    assert sampled(axiom, substream(100, 0), trials) == numpy_pairs(axiom, 100, trials)
-    monkeypatch.setattr(costs, "_CHUNK", 7)
-    for seed in range(101, 106):
-        assert sampled(axiom, substream(seed, 0), 90) == numpy_pairs(axiom, seed, 90), seed
+    """Every sampled pair is the pair rebuilt from the arrays numpy drew, in
+    one chunk, past the first full chunk, and across chunks of 7 attempts,
+    where equal-variance attempts run over chunk boundaries. Each pair meets
+    the axiom's hypothesis, and the pairs draw every value of the domain and
+    no other."""
+    seen = [set() for _ in DOMAIN[axiom]]
+    for chunk, seeds, trials in ((costs._CHUNK, range(4), costs._CHUNK + 60), (7, range(4, 10), 90)):
+        monkeypatch.setattr(costs, "_CHUNK", chunk)
+        for seed in seeds:
+            generator = Recorded(substream(seed, 0))
+            pairs = sampled(axiom, generator, trials)
+            # Two arrays a chunk for prefix pairs, four for the others.
+            assert len(generator.calls) > (2 if axiom is Axiom.PREFIX_MONOTONICITY else 4)
+            assert (pairs, False) == reference_trials(axiom, generator.calls, trials), seed
+            for pair in pairs:
+                for values, drawn in zip(seen, drawn_values(axiom, pair)):
+                    values |= drawn
+    assert seen == [set(values) for values in DOMAIN[axiom]]
 
 
-def test_sampled_pairs_cover_the_draws_that_take_no_half():
-    """The seeds above reach one class (no composition drawn) and a size
-    equal to the class count (a first Floyd pick from one value). A variance
-    attempt of that size draws two compositions of all ones, so it is never a
-    trial; the equal attempts below take it."""
-    pairs = numpy_pairs(Axiom.MULTIPLE_MONOTONICITY, 0, 200)
-    assert any(len(classes) == 1 for (_, classes), _ in pairs)
-    assert any(len(classes) == size > 1 for (size, classes), _ in pairs)
+def test_compositions_are_uniform():
+    """Each of the 10 compositions of 6 into 3 parts is drawn with a share
+    within 5 standard errors of a tenth."""
+    count = 20_000
+    drawn = costs._composition(substream(36, 0), np.full(count, 6), np.full(count, 3), 6)
+    seen = Counter(tuple(x for x in row if x) for row in drawn.tolist())
+    assert sorted(seen) == sorted(c for c in itertools.product(range(1, 5), repeat=3) if sum(c) == 6)
+    error = (0.1 * 0.9 / count) ** 0.5
+    for classes, times in seen.items():
+        assert abs(times / count - 0.1) < 5 * error, classes
 
 
 def below(a, b):
@@ -314,11 +409,10 @@ def below(a, b):
     return a < b
 
 
-def reference_verdict(name, axiom, trials, seed):
-    """``reported`` of the audit drawn by numpy's calls and priced on queries."""
-    fn, rng = COST_FUNCTIONS[name], substream(seed, 0)
-    for t in range(1, trials + 1):
-        (small, first), (large, second) = REFERENCE[axiom](rng)
+def reference_verdict(name, axiom, pairs):
+    """``reported`` of the plain audit of these pairs, priced on queries."""
+    fn = COST_FUNCTIONS[name]
+    for t, ((small, first), (large, second)) in enumerate(pairs, 1):
         q1, q2 = q(small, *(F(x, small) for x in first)), q(large, *(F(x, large) for x in second))
         c1, c2 = fn(q1), fn(q2)
         if axiom is Axiom.MULTIPLE_MONOTONICITY:
@@ -327,184 +421,92 @@ def reference_verdict(name, axiom, trials, seed):
             holds = below(c1, c2)
         if not holds:
             return t, q1, q2, (c1, type(c1)), (c2, type(c2))
-    return trials, None
+    return len(pairs), None
+
+
+def recording(monkeypatch, force=None):
+    """Make the audit draw through ``Recorded`` generators, kept in the list returned."""
+    generators = []
+
+    def recorded(seed, *path):
+        generators.append(Recorded(substream(seed, *path), force))
+        return generators[-1]
+
+    monkeypatch.setattr(costs, "substream", recorded)
+    return generators
 
 
 @pytest.mark.parametrize("name", list(COST_FUNCTIONS))
 def test_audit_verdicts_equal_the_reference(monkeypatch, name):
     """Every cell's verdict, counterexample and costs with their types equal
-    the reference audit's, sampled violations included; also with chunks of
-    5 attempts, so a violation can lie past the first chunk."""
+    those of a plain audit of the pairs rebuilt from numpy's draws, sampled
+    violations included; also with chunks of 5 attempts, so a violation can
+    lie past the first chunk."""
     monkeypatch.setattr(costs, "VARIANCE_COUNTEREXAMPLES", {})
+    generators = recording(monkeypatch)
     for chunk in (costs._CHUNK, 5):
         monkeypatch.setattr(costs, "_CHUNK", chunk)
         for axiom in Axiom:
             for seed in range(12):
-                expected = reference_verdict(name, axiom, 40, seed)
-                assert reported(audit_axiom(name, axiom, trials=40, seed=seed)) == expected
+                verdict = reported(audit_axiom(name, axiom, trials=40, seed=seed))
+                pairs = reference_trials(axiom, generators[-1].calls, 40)[0]
+                assert verdict == reference_verdict(name, axiom, pairs)
 
 
-def fed(monkeypatch, stream):
-    """Make the samplers read ``stream`` as their generator's 32-bit draws."""
-    position = 0
+def forcing(first, count):
+    """Rewrite ``integers`` draws so that variance attempts ``first`` to
+    ``first + count - 1`` draw 2 classes of 2 candidates, twice ``[1, 1]``:
+    each call's draws are counted from the first call with its bounds."""
+    drawn = {}
 
-    def fetch(generator, words):
-        nonlocal position
-        position += 2 * words
-        assert position <= len(stream)
-        return np.array(stream[position - 2 * words : position], np.uint64)
+    def force(low, high, values):
+        at = drawn.get((low, high), 0)
+        drawn[(low, high)] = at + len(values)
+        attempt = at + np.arange(len(values))
+        return np.where((attempt >= first) & (attempt < first + count), low, values)
 
-    monkeypatch.setattr(costs, "_raw_halves", fetch)
-
-
-def natural(seed, count):
-    """The first ``count`` 32-bit draws of ``substream(seed, 0)``."""
-    return substream(seed, 0).integers(0, 2**32, size=count, dtype=np.uint32).tolist()
-
-
-def drawn(axiom, stream, trials):
-    """The reference draws of ``trials`` pairs from ``stream``, and the pairs."""
-    draws = HalfDraws(stream)
-    return draws, [REFERENCE[axiom](draws) for _ in range(trials)]
-
-
-@pytest.mark.parametrize(
-    "axiom, kind",
-    [
-        (Axiom.PREFIX_MONOTONICITY, ("integers", 3)),  # a head or tail length
-        (Axiom.MULTIPLE_MONOTONICITY, ("integers", 5)),  # the class count
-        (Axiom.MULTIPLE_MONOTONICITY, ("integers", 25)),  # the size
-        (Axiom.MULTIPLE_MONOTONICITY, ("integers", 7)),  # the factor
-        (Axiom.MULTIPLE_MONOTONICITY, "floyd"),
-        (Axiom.MULTIPLE_MONOTONICITY, "shuffle"),
-        (Axiom.VARIANCE_MONOTONICITY, ("integers", 5)),
-        (Axiom.VARIANCE_MONOTONICITY, ("integers", 25)),
-        (Axiom.VARIANCE_MONOTONICITY, "floyd"),
-        (Axiom.VARIANCE_MONOTONICITY, "shuffle"),
-    ],
-)
-def test_a_rejected_half_is_redrawn_on_every_kind_of_draw(monkeypatch, axiom, kind):
-    """A draw of this kind takes the first half Lemire's method accepts, then
-    a later one takes the last half it rejects, which numpy redraws from the
-    next half; the sampler must follow."""
-    for seed in range(3):
-        stream, at = natural(seed, 4000), -1
-        for edge in (1, 0):
-            log = drawn(axiom, stream, 40)[0].log
-            at = next(
-                i for i, (taken, span) in enumerate(log)
-                if i > at and kind in (taken, (taken, span)) and span & (span - 1)
-            )
-            stream[at] = edge_halves(log[at][1])[edge]
-        draws, expected = drawn(axiom, stream, 40)
-        assert draws.rejected[:1] == [at]
-        fed(monkeypatch, stream)
-        assert sampled(axiom, None, 40) == expected, seed
-
-
-@pytest.mark.parametrize("axiom", [Axiom.MULTIPLE_MONOTONICITY, Axiom.VARIANCE_MONOTONICITY])
-def test_a_rejected_last_half_of_a_chunk_is_redrawn(monkeypatch, axiom):
-    """Chunks of 4 attempts: the last half of the first chunk whose last draw
-    can be rejected is its last rejected half, so numpy's redraw reads past
-    the chunk's end."""
-    monkeypatch.setattr(costs, "_CHUNK", 4)
-    attempt = multiple_pair if axiom is Axiom.MULTIPLE_MONOTONICITY else variance_attempt
-    for seed in range(3):
-        stream = natural(seed, 4000)
-        draws, ends = HalfDraws(stream), []
-        for _ in range(40):
-            attempt(draws)
-            ends.append(len(draws.log))
-        last = next(end - 1 for end in ends[3::4] if draws.log[end - 1][1] & (draws.log[end - 1][1] - 1))
-        stream[last] = edge_halves(draws.log[last][1])[0]
-        draws, expected = drawn(axiom, stream, 30)
-        assert draws.rejected[:1] == [last]
-        fed(monkeypatch, stream)
-        assert sampled(axiom, None, 30) == expected, seed
-
-
-def halves_for(*draws):
-    return [half_for(value, span) for value, span in draws]
-
-
-def test_hand_drawn_pairs_take_no_half_for_a_single_value(monkeypatch):
-    """Halves chosen draw by draw, with the pairs worked out by hand: one
-    class draws no composition; a size equal to the class count makes the
-    first Floyd pick without a draw; a repeated pick takes its top; the
-    shuffle's draw is taken though it does not change the cuts."""
-    filler = natural(0, 4000)
-    prefix = halves_for((1, 3), (2, 8), (4, 8), (0, 3), (6, 8))
-    multiple = halves_for(
-        (0, 5), (3, 25), (0, 7),  # one class of 4, factor 2
-        (2, 5), (0, 25), (0, 2), (1, 2), (5, 7),  # 3 classes of 3: picks 0 (no draw), 0 -> 1; factor 7
-        (1, 5), (0, 25), (6, 7),  # 2 classes of 2: pick 0 (no draw), no shuffle; factor 8
-    )
-    variance = halves_for(
-        (0, 5), (0, 25),  # 2 classes of 2, twice [1, 1]: equal, no trial
-        (0, 5), (2, 25), (0, 3), (2, 3),  # [1, 3] and [3, 1]: equal
-        (1, 5), (2, 25), (0, 3), (1, 4), (0, 2), (1, 3), (3, 4), (1, 2),  # [1, 1, 3] and [2, 2, 1]
-        (1, 5), (2, 25), (1, 3), (3, 4), (0, 2), (0, 3), (1, 4), (1, 2),  # [2, 2, 1] and [1, 1, 3]
-    )
-    cases = [
-        (Axiom.PREFIX_MONOTONICITY, prefix, [((8, [3, 5]), (15, [3, 5, 7]))]),
-        (
-            Axiom.MULTIPLE_MONOTONICITY,
-            multiple,
-            [((4, [4]), (8, [8])), ((3, [1, 1, 1]), (21, [7, 7, 7])), ((2, [1, 1]), (16, [8, 8]))],
-        ),
-        (Axiom.VARIANCE_MONOTONICITY, variance, [((5, [1, 1, 3]), (5, [2, 2, 1]))] * 2),
-    ]
-    for axiom, halves, expected in cases:
-        draws, pairs = drawn(axiom, halves + filler, len(expected))
-        assert pairs == expected and len(draws.log) == len(halves)
-        fed(monkeypatch, halves + filler)
-        assert sampled(axiom, None, len(expected)) == expected
-
-
-EQUAL = halves_for((0, 5), (0, 25))  # 2 classes of 2: twice [1, 1], equal variance
+    return force
 
 
 @pytest.mark.parametrize("chunk", [2048, 5])
 def test_64_equal_variance_attempts_in_a_row_stop_the_sampler(monkeypatch, chunk):
-    """63 equal attempts in a row roll into the next trial; 64 before any
-    violation raise, as the reference does, across chunk boundaries too."""
+    """63 equal attempts in a row roll into the next trial; 64 raise after
+    the trials before them are yielded, across chunk boundaries too. At seed
+    7 the attempts on either side of the forced run draw distinct variances,
+    at both chunk sizes, so the run is exactly as long as forced."""
     monkeypatch.setattr(costs, "_CHUNK", chunk)
-    filler = natural(1, 4000)
     for equal in (63, 64):
-        stream = filler[:40] + EQUAL * equal + filler
+        generator, pairs = Recorded(substream(7, 0), forcing(10, equal)), []
         try:
-            expected = drawn(Axiom.VARIANCE_MONOTONICITY, stream, 20)[1]
-        except RuntimeError:
-            expected = RuntimeError
-        fed(monkeypatch, stream)
-        if expected is RuntimeError:
-            assert equal == 64
-            with pytest.raises(RuntimeError, match="distinct variance"):
-                sampled(Axiom.VARIANCE_MONOTONICITY, None, 20)
+            for _, drawn in costs._sampled_pairs(Axiom.VARIANCE_MONOTONICITY, generator, 20):
+                pairs += rows(drawn)
+        except RuntimeError as error:
+            assert str(error) == "could not sample bucket vectors with distinct variance"
+            stuck = True
         else:
-            assert sampled(Axiom.VARIANCE_MONOTONICITY, None, 20) == expected
+            stuck = False
+        assert (pairs, stuck) == reference_trials(Axiom.VARIANCE_MONOTONICITY, generator.calls, 20)
+        assert stuck is (equal == 64)
+        assert 0 < len(pairs) < 20 if stuck else len(pairs) == 20
     # A violation found before the run ends the audit first.
     monkeypatch.setattr(costs, "VARIANCE_COUNTEREXAMPLES", {})
-    stream = halves_for((0, 5), (2, 25), (0, 3), (1, 3)) + EQUAL * 64 + filler
-    fed(monkeypatch, stream)
-    verdict = audit_axiom("candidates", Axiom.VARIANCE_MONOTONICITY, trials=10)
+    recording(monkeypatch, forcing(1, 64))
+    verdict = audit_axiom("candidates", Axiom.VARIANCE_MONOTONICITY, trials=10, seed=7)
     assert verdict.trials == 1 and not verdict.holds
-    fed(monkeypatch, stream)
+    recording(monkeypatch, forcing(1, 64))
     with pytest.raises(RuntimeError, match="distinct variance"):
-        audit_axiom("variance_aware", Axiom.VARIANCE_MONOTONICITY, trials=10)
+        audit_axiom("variance_aware", Axiom.VARIANCE_MONOTONICITY, trials=10, seed=7)
 
 
 @pytest.mark.parametrize("name", [n for n in COST_FUNCTIONS if n != "variance_aware"])
 def test_a_violation_stops_the_sampling_at_its_chunk(monkeypatch, name):
-    """Without the stored pairs, a billion trials give the verdict of 300,
-    and only the chunk that holds the violating trial is drawn."""
+    """Without the stored pairs, a billion trials give the verdict of 2000,
+    whose first chunk is full too, and only that chunk is drawn: four arrays
+    of ``_CHUNK`` attempts."""
     monkeypatch.setattr(costs, "VARIANCE_COUNTEREXAMPLES", {})
-    fetched, fetch = [], costs._raw_halves
-    monkeypatch.setattr(costs, "_raw_halves", lambda g, words: fetched.append(words) or fetch(g, words))
-    _, longest, _ = costs._SAMPLERS[Axiom.VARIANCE_MONOTONICITY]
+    generators = recording(monkeypatch)
     for seed in (0, 3, 9, 17):
-        expected = reported(audit_axiom(name, Axiom.VARIANCE_MONOTONICITY, trials=300, seed=seed))
-        fetched.clear()
+        expected = reported(audit_axiom(name, Axiom.VARIANCE_MONOTONICITY, trials=2000, seed=seed))
         verdict = audit_axiom(name, Axiom.VARIANCE_MONOTONICITY, trials=10**9, seed=seed)
         assert reported(verdict) == expected and not verdict.holds
-        assert fetched == [costs._CHUNK * longest // 2]
+        assert [len(drawn) for drawn in generators[-1].calls] == [costs._CHUNK] * 4

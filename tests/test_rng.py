@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 import queryvote
-from half_draws import HalfDraws, edge_halves
-from queryvote.rng import _lemire, _raw_halves, _streams, derive_seed, substream
+from queryvote.rng import _streams, derive_seed, substream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, derive_seed(0, 3), derive_seed(2**40, 1, 7)]
 
@@ -139,157 +138,3 @@ def test_importing_the_package_leaves_numpy_random_unloaded():
     env = {**os.environ, "PYTHONPATH": str(src)}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.stdout.split() == ["False"] * len(modules), result.stderr
-
-
-def drawn_from(generator: np.random.Generator) -> HalfDraws:
-    """The plain reference draws, read from the generator's 32-bit draws as
-    :func:`_raw_halves` fetches them, a block of words at a time."""
-
-    def halves():
-        while True:
-            yield from _raw_halves(generator, 256).tolist()
-
-    return HalfDraws(halves())
-
-
-def mixed_calls(control: np.random.Generator, count: int):
-    """``count`` random calls ``(method, args)`` of the kinds the cost audit
-    makes and the edges of what ``HalfDraws`` copies."""
-    calls = []
-    for _ in range(count):
-        kind = int(control.integers(7))
-        low = int(control.integers(-40, 40))
-        if kind == 0:  # a small range, one value (no draw) included
-            calls.append(("integers", (low, low + int(control.integers(1, 30)))))
-        elif kind == 1:  # just above 2**31 values, about half of all draws rejected
-            calls.append(("integers", (low, low + 2**31 + int(control.integers(-2, 9)))))
-        elif kind == 2:  # up to the widest range copied, 2**32 - 1 values
-            calls.append(("integers", (low, low + 2**32 - int(control.integers(1, 2**20)))))
-        elif kind == 3:  # the audit's integers(1, 9, size=k), k of them
-            calls.append(("size", (1, 9, int(control.integers(0, 6)))))
-        elif kind == 4:  # Floyd's choice, size near pop, where picks collide
-            pop = int(control.integers(0, 12))
-            calls.append(("choice", (pop, int(control.integers(max(pop - 3, 0), pop + 1)))))
-        elif kind == 5:
-            pop = int(control.integers(1, 60))
-            calls.append(("choice", (pop, int(control.integers(0, pop + 1)))))
-        else:  # Floyd's choice from a large population
-            pop = int(control.integers(10001, 2**32))
-            calls.append(("choice", (pop, int(control.integers(0, min(pop // 50, 40) + 1)))))
-    return calls
-
-
-def numpy_draw(rng: np.random.Generator, method: str, args: tuple):
-    if method == "integers":
-        return int(rng.integers(*args))
-    if method == "size":
-        low, high, size = args
-        return rng.integers(low, high, size=size).tolist()
-    pop, size = args
-    return rng.choice(pop, size=size, replace=False).tolist()
-
-
-def copied_draw(draws: HalfDraws, method: str, args: tuple):
-    if method == "size":
-        low, high, size = args
-        return [draws.integers(low, high) for _ in range(size)]
-    return getattr(draws, method)(*args)
-
-
-@pytest.mark.parametrize("block", range(4))
-def test_draws_equal_numpy_over_mixed_call_sequences(block):
-    """On 120 seeds, each a random sequence of scalar and sized integers and
-    Floyd's choice, the plain reference draws made from the raw halves equal
-    numpy's; afterwards both streams are at the same position, so their next
-    draws are equal too."""
-    control = substream(2026, 34, block)
-    for seed in range(30 * block, 30 * block + 30):
-        reference = substream(seed, 0)
-        draws = drawn_from(substream(seed, 0))
-        for method, args in mixed_calls(control, 60):
-            expected = numpy_draw(reference, method, args)
-            assert copied_draw(draws, method, args) == expected, (seed, method, args)
-        assert draws.integers(0, 2**31 + 1) == int(reference.integers(0, 2**31 + 1))
-        assert draws.integers(0, 7) == int(reference.integers(0, 7))
-
-
-def test_draws_continue_a_buffered_half_word():
-    """A generator whose last draw left the high half of a word buffered
-    gives that half first, as numpy continues from it, and is left after the
-    halves it gave."""
-    for seed in range(20):
-        reference, wrapped = substream(seed, 1), substream(seed, 1)
-        for rng in (reference, wrapped):
-            rng.integers(0, 10, size=seed % 3 + 1)
-        assert wrapped.bit_generator.state["has_uint32"] == (seed % 3 + 1) % 2
-        halves = _raw_halves(wrapped, 20)
-        assert len(halves) == 40 + (seed % 3 + 1) % 2
-        draws = HalfDraws(halves.tolist())
-        assert [draws.integers(0, 1000) for _ in range(5)] == reference.integers(0, 1000, 5).tolist()
-        assert draws.choice(30, 6) == reference.choice(30, size=6, replace=False).tolist()
-        skipped = len(halves) - len(draws.log)
-        reference.integers(0, 2**32, size=skipped, dtype=np.uint32)
-        assert wrapped.integers(0, 2**20, size=4).tolist() == reference.integers(0, 2**20, size=4).tolist()
-
-
-def test_raw_halves_are_the_generators_32_bit_draws_in_order():
-    """numpy's full-range uint32 draws are its 32-bit draws themselves."""
-    for seed, words in ((0, 1), (1, 7), (2, 300)):
-        expected = substream(seed, 0).integers(0, 2**32, size=2 * words, dtype=np.uint32)
-        halves = _raw_halves(substream(seed, 0), words)
-        assert halves.dtype == np.uint64 and halves.tolist() == expected.tolist()
-
-
-@pytest.mark.parametrize("span", [2, 3, 5, 6, 7, 8, 24, 25, 2**31 + 1, 2**32 - 1])
-def test_lemire_maps_and_rejects_each_half_as_the_reference_draws(span):
-    """On random halves and on those at the rejection edge, ``_lemire`` gives
-    the value of every half the reference accepts and marks every half it
-    rejects."""
-    halves = [0, 1, 2**31, 2**32 - 1, *substream(35, span).integers(0, 2**32, size=200).tolist()]
-    if span & (span - 1):
-        halves += edge_halves(span)
-    values, rejected = _lemire(np.array(halves, np.uint64), span)
-    assert values.dtype == np.int64
-    for half, value, refused in zip(halves, values.tolist(), rejected.tolist()):
-        draws = HalfDraws([half])
-        try:
-            assert draws.integers(0, span) == value and not refused, half
-        except StopIteration:
-            assert refused, half
-    assert bool(rejected.any()) is bool(span & (span - 1))
-
-
-@pytest.mark.parametrize(
-    "method, args",
-    [
-        ("integers", (0, 2**32)),  # numpy takes a plain 32-bit draw
-        ("integers", (-(2**31), 2**31)),
-        ("integers", (0, 2**40)),  # numpy's 64-bit method
-        ("integers", (3, 3)),
-        ("integers", (4, 2)),
-        ("choice", (20_000, 401)),  # numpy shuffles the population's tail
-        ("choice", (10_001, 201)),
-        ("choice", (2**32, 1)),
-        ("choice", (3, 4)),
-        ("choice", (3, -1)),
-    ],
-)
-def test_draws_refuse_what_numpy_draws_another_way(method, args):
-    """Out of the copied domain a reference call is refused before it draws
-    anything, so no test compares with a draw that numpy makes another way."""
-    reference, draws = substream(5, 0), drawn_from(substream(5, 0))
-    with pytest.raises(ValueError, match="^draws copy "):
-        getattr(draws, method)(*args)
-    assert draws.integers(0, 2**31 + 1) == int(reference.integers(0, 2**31 + 1))
-
-
-def test_draws_at_the_edges_of_floyds_choice_equal_numpy():
-    reference, draws = substream(6, 0), drawn_from(substream(6, 0))
-    for pop, size in ((20_000, 400), (10_001, 200), (10_000, 10_000), (2**32 - 1, 3), (0, 0)):
-        assert draws.choice(pop, size) == reference.choice(pop, size=size, replace=False).tolist()
-    assert draws.integers(0, 5) == int(reference.integers(0, 5))
-
-
-def test_draws_refuse_a_generator_other_than_pcg64():
-    with pytest.raises(ValueError, match="^draws copy PCG64 only, got MT19937$"):
-        _raw_halves(np.random.Generator(np.random.MT19937(0)), 1)
