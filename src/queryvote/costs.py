@@ -14,13 +14,15 @@ is drawn as its candidate count and integer class sizes.
 The trials of an audit cell are sampled a chunk at a time, as arrays that
 numpy's ``Generator`` draws from the cell's ``substream(seed, 0)``: bounded
 ints for class counts, sizes, class sizes and factors, and random keys that
-pick each composition's cut points. Registry costs are then evaluated in
-closed form on the chunk's class sizes, and the query pair is built only to
-report a violation; custom callables are priced on real queries, one pair at
-a time. Chunks have a fixed size, so memory stays bounded and a violation
-stops the sampling at its chunk. No registry verdict depends on the draws:
-every registry cost holds each axiom over the whole sampled domain, save the
-cells of the stored counterexamples, and a test enumerates that domain.
+pick each composition's cut points. A sampler returns only its trials: a
+variance attempt of two equal variances is dropped. Registry costs are
+evaluated in closed form on the chunk's class sizes, and the query pair is
+built only to report a violation; custom callables are priced on real
+queries, one pair at a time. Chunks have a fixed size, so memory stays
+bounded and a violation stops the sampling at its chunk. No registry verdict
+depends on the draws: every registry cost holds each axiom over the whole
+sampled domain, save the cells of the stored counterexamples, and a test
+enumerates that domain.
 """
 
 from __future__ import annotations
@@ -239,14 +241,9 @@ def _closed_costs(fn: CostFunction, size: np.ndarray, classes: np.ndarray):
     return np.where(plain, cost, 0.0)
 
 
-def _sized_query(size: int, classes: list[int]) -> RefinementQuery:
-    return _query(size, (Fraction(x, size) for x in classes))
-
-
 # The samplers below draw ``count`` attempts at once from a numpy generator,
-# as (candidate count, integer class sizes), and return their pairs as arrays
-# (first sizes, first zero-padded class rows, second sizes, second rows) and
-# which attempts are trials.
+# as (candidate count, integer class sizes), and return their trials' pairs as
+# arrays (first sizes, first zero-padded class rows, second sizes, second rows).
 
 
 def _composition(generator: np.random.Generator, size, parts, width: int) -> np.ndarray:
@@ -271,7 +268,7 @@ def _prefix_pairs(generator: np.random.Generator, count: int):
     column = np.arange(6)
     second = np.where(column < (head + tail)[:, None], generator.integers(1, 9, (count, 6)), 0)
     first = np.where(column[:3] < head[:, None], second[:, :3], 0)
-    return (first.sum(axis=1), first, second.sum(axis=1), second), np.ones(count, bool)
+    return first.sum(axis=1), first, second.sum(axis=1), second
 
 
 def _multiple_pairs(generator: np.random.Generator, count: int):
@@ -282,22 +279,23 @@ def _multiple_pairs(generator: np.random.Generator, count: int):
     size = parts + generator.integers(0, 25, count)
     factor = generator.integers(2, 9, count)
     classes = _composition(generator, size, parts, 5)
-    return (size, classes, factor * size, factor[:, None] * classes), np.ones(count, bool)
+    return size, classes, factor * size, factor[:, None] * classes
 
 
 def _variance_pairs(generator: np.random.Generator, count: int):
     """Two queries of the same 2 to 6 classes and up to 24 more candidates,
     with distinct bucket variance, ordered so the first has the larger
-    variance. An attempt that draws two of equal variance is not a trial."""
+    variance. An attempt that draws two of equal variance is dropped."""
     parts = generator.integers(2, 7, count)
     size = parts + generator.integers(0, 25, count)
     first, second = (_composition(generator, size, parts, 6) for _ in range(2))
     # At one size and class count, Var((x_j / size)) compares like sum(x_j^2).
     spread_first = (first * first).sum(axis=1)
     spread_second = (second * second).sum(axis=1)
+    distinct = spread_first != spread_second
     swap = (spread_first < spread_second)[:, None]
-    high, low = np.where(swap, second, first), np.where(swap, first, second)
-    return (size, high, size, low), spread_first != spread_second
+    high, low = np.where(swap, second, first)[distinct], np.where(swap, first, second)[distinct]
+    return size[distinct], high, size[distinct], low
 
 
 # Per axiom: its sampler, and the share of spare attempts a chunk draws past
@@ -310,42 +308,27 @@ _SAMPLERS = {
 }
 # Attempts drawn at once: a violation stops the sampling at its chunk.
 _CHUNK = 2048
-# Equal-variance attempts in a row that end the variance sampler.
-_EQUAL_ATTEMPTS = 64
 
 
 def _sampled_pairs(axiom: Axiom, generator: np.random.Generator, trials: int):
     """Yield the query pairs of the first ``trials`` trials of ``axiom``'s
-    sampler, drawn from ``generator``, a chunk at a time: the number of
-    trials before the chunk, then the chunk's first queries' sizes and
-    zero-padded class rows and its second queries' sizes and rows.
-
-    Raises ``RuntimeError``, after yielding the trials before it, when 64
-    variance attempts in a row draw equal variances.
-    """
+    sampler, drawn from ``generator`` in chunks of at most ``_CHUNK``
+    attempts: the number of trials before the chunk, then the chunk's first
+    queries' sizes and zero-padded class rows and its second queries' sizes
+    and rows."""
     sample, spare = _SAMPLERS[axiom]
-    done, equal = 0, 0
+    done = 0
     while done < trials:
-        attempts = min(_CHUNK, trials - done + math.ceil(spare * (trials - done + 64)))
-        pairs, kept = sample(generator, attempts)
-        trial_at = np.flatnonzero(kept)[: trials - done]
-        # Equal attempts in a row before each trial, then after the last one.
-        runs = np.diff(trial_at, prepend=-1 - equal, append=attempts) - 1
-        if len(trial_at) == trials - done:
-            runs = runs[:-1]
-        stuck = np.flatnonzero(runs >= _EQUAL_ATTEMPTS)
-        if len(stuck):
-            trial_at = trial_at[: stuck[0]]
-        yield done, tuple(part[trial_at] for part in pairs)
-        if len(stuck):
-            raise RuntimeError("could not sample bucket vectors with distinct variance")
-        done += len(trial_at)
-        equal = runs[-1]
+        need = trials - done
+        pairs = sample(generator, min(_CHUNK, need + math.ceil(spare * (need + 64))))
+        yield done, tuple(part[:need] for part in pairs)
+        done += len(pairs[0])
 
 
 def _query_at(sizes: np.ndarray, classes: np.ndarray, i: int) -> RefinementQuery:
     """The query of row ``i`` of a chunk's sizes and zero-padded class rows."""
-    return _sized_query(int(sizes[i]), [x for x in classes[i].tolist() if x])
+    size = int(sizes[i])
+    return _query(size, (Fraction(x, size) for x in classes[i].tolist() if x))
 
 
 def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> AxiomVerdict:
@@ -376,7 +359,8 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
         found = (q_low, q_high, fn(q_low), fn(q_high))
         return AxiomVerdict(axiom, holds=False, counterexample=found, trials=checked)
 
-    if axiom is Axiom.VARIANCE_MONOTONICITY and name in VARIANCE_COUNTEREXAMPLES:
+    # A stored pair is replayed for its registry cost, not for a callable of its name.
+    if axiom is Axiom.VARIANCE_MONOTONICITY and fn in _CLOSED_FORMS and name in VARIANCE_COUNTEREXAMPLES:
         high_var, low_var = VARIANCE_COUNTEREXAMPLES[name]
         if not holds(fn(high_var), fn(low_var), 1):
             return violation(high_var, low_var, 0)

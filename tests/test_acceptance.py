@@ -401,3 +401,54 @@ def test_criterion_8_csv_determinism_across_jobs(tmp_path):
         outputs.append(out.read_bytes())
     ok = outputs[0] == outputs[1] and len(outputs[0]) > 0
     report(8, "results CSV is byte-identical across --jobs", ok, time.perf_counter() - start, None)
+
+
+def test_criterion_9_split_dominates_at_paper_scale():
+    """The paper's headline at its scale: in each of four cultures the best
+    split strategy beats the best other strategy, by mean distance over the
+    default grid, by at least 2 standard errors of the paired gap over the
+    20 (election, voter order) pairs."""
+    start = time.perf_counter()
+    config = qv.ExperimentConfig(
+        cultures=[
+            qv.CultureSpec("IC", seed=1),
+            qv.CultureSpec("Euclidean2D", seed=2),
+            qv.CultureSpec("Urn", seed=3),
+            qv.CultureSpec("Mallows", seed=4, params={"phi": 0.5}),
+        ],
+        m=100, n=250, k=10,
+        elections_per_culture=4,
+        cost="variance_aware",
+        voter_order_repeats=5,
+        master_seed=0,
+    )
+    cells = {}
+    for row in qv.run_budget_sweep(config):
+        cells.setdefault((row.culture, row.strategy, row.election, row.repeat), []).append(row.distance)
+    pairs = sorted({key[2:] for key in cells})
+    assert len(pairs) == 20
+
+    strategies = list(dict.fromkeys(key[1] for key in cells))
+    splits = [s for s in strategies if s.startswith("S-")]
+    others = [s for s in strategies if s not in splits]
+    points = len(cells[next(iter(cells))])
+    ok, margins = True, []
+    for culture in dict.fromkeys(key[0] for key in cells):
+        # Each pair's distance summed over the grid: strategies rank by their
+        # total, exactly, and every other strategy tied for best is compared.
+        totals = {s: [sum(cells[(culture, s, *pair)]) for pair in pairs] for s in strategies}
+        split = min(splits, key=lambda s: sum(totals[s]))
+        best = min(sum(totals[s]) for s in others)
+        for other in (s for s in others if sum(totals[s]) == best):
+            gaps = [(o - s) / points for o, s in zip(totals[other], totals[split])]
+            gap, error = mean(gaps), standard_error(gaps)
+            margins.append(f"{culture} {split} vs {other} {gap:.3f} ± {error:.3f}")
+            ok = ok and gap > 0 and gap >= 2 * error
+    report(
+        9,
+        "best split beats the best other strategy by 2 SE at 100x250 in every culture "
+        f"({'; '.join(margins)})",
+        ok,
+        time.perf_counter() - start,
+        300.0,
+    )
