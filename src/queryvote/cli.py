@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import election_io
-from .core import _named, _whole, k_borda
+from .core import _count, _named, _whole, k_borda
 from .costs import audit_csv_rows, audit_grid, format_audit_table
 from .cultures import KINDS, CultureSpec, generate
 from .experiments import (
@@ -98,20 +98,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_ints(args) -> None:
-    """Read each int option given on the command line by the int rule of core."""
+    """Read each int option given on the command line by the rules of core:
+    ``--k`` and ``--seed`` by the int rule, every other one by the count rule."""
     for name in ("m", "n", "k", "seed", "jobs", "trials", "points", "repeats"):
-        text = getattr(args, name, None)
-        if isinstance(text, str):
+        value = getattr(args, name, None)
+        if isinstance(value, str):
+            read = _whole if name in ("k", "seed") else _count
             try:
-                setattr(args, name, int(text))
+                value = int(value)
             except ValueError:
-                _whole(f"--{name}", text)
-
-
-def _at_least_1(name: str, value: int) -> None:
-    """Refuse a count below 1, naming its option as the command line spells it."""
-    if value < 1:
-        raise ValueError(f"--{name} must be at least 1, got {value}")
+                pass
+            setattr(args, name, read(f"--{name}", value))
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -140,7 +137,6 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    _at_least_1("jobs", args.jobs)
     config = load_config(args.config)
     if args.seed is not None:
         config.master_seed = args.seed
@@ -159,7 +155,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    _at_least_1("trials", args.trials)
     grid = audit_grid(trials=args.trials, seed=args.seed)
     print(format_audit_table(grid))
     if args.csv:
@@ -173,13 +168,11 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _at_least_1("repeats", args.repeats)
     election = election_io.load_election(args.election, k=args.k)
     target = k_borda(election)
     if args.budgets is not None:
         budgets = [parse_budget(item) for item in args.budgets.split(",")]
     else:
-        _at_least_1("points", args.points)
         budgets = _default_grid(election.m, election.n, args.cost, args.points)
     # Every strategy's grid is elicited once and scored under each repeat's
     # voter order, one order per repeat for all the strategies.

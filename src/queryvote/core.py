@@ -42,6 +42,15 @@ def _whole(name: str, value) -> int:
     return operator.index(value)
 
 
+def _count(name: str, value) -> int:
+    """The one rule for a count a caller hands the package: an int by
+    :func:`_whole` and at least 1, or a ``ValueError`` naming the field."""
+    value = _whole(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def _fold(name: str) -> str:
     return name.strip().lower().replace("-", "").replace("_", "")
 
@@ -148,10 +157,8 @@ class Election:
     _rankings: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _whole("m", self.m))
+        object.__setattr__(self, "m", _count("m", self.m))
         object.__setattr__(self, "k", _whole("k", self.k))
-        if self.m < 1:
-            raise ValueError(f"need at least one candidate, got m={self.m}")
         if not 1 <= self.k <= self.m:
             raise ValueError(f"committee size k={self.k} outside [1, {self.m}]")
         rankings, bad = _id_table(self.__dict__.pop("voters"), self.m)
@@ -229,7 +236,13 @@ def hamming(a: Committee, b: Committee) -> int:
     """Symmetric-difference distance between two equal-size committees.
 
     Always an even integer in ``[0, 2k]``; a single member swap counts 2.
+    Each input is read as a frozenset; one that repeats a member is refused.
     """
-    if len(a) != len(b):
-        raise ValueError(f"committees differ in size: {len(a)} vs {len(b)}")
-    return len(frozenset(a) ^ frozenset(b))
+    a_set, b_set = frozenset(a), frozenset(b)
+    for given, members in ((a, a_set), (b, b_set)):
+        if len(members) < len(given):
+            repeat = next(c for c in members if operator.countOf(given, c) > 1)
+            raise ValueError(f"committee {given!r} repeats candidate {repeat!r}")
+    if len(a_set) != len(b_set):
+        raise ValueError(f"committees differ in size: {len(a_set)} vs {len(b_set)}")
+    return len(a_set ^ b_set)

@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import _named, _whole
+from .core import _count, _named
 from .queries import RefinementQuery
 from .rng import derive_seed, substream
 
@@ -344,9 +344,7 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
     ``axiom`` is an :class:`Axiom` or its value, such as ``"prefix_monotonicity"``,
     read by the name rule.
     """
-    trials = _whole("trials", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    trials = _count("trials", trials)
     _, axiom = _named(Axiom, axiom, "axiom")
     name, fn = resolve_cost(cost)
 

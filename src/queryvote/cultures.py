@@ -55,7 +55,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import Election, PreferenceOrder, _id_table, _is_int_type, _is_real_type, _named, _whole
+from .core import (
+    Election, PreferenceOrder, _count, _id_table, _is_int_type, _is_real_type, _named, _whole
+)
 from .rng import _streams, substream
 
 DEFAULT_URN_ALPHA = 0.5  # copies added per draw, as a multiple of m!
@@ -302,8 +304,6 @@ def generate(spec: CultureSpec, m: int, n: int, k: int) -> Election:
     """
     if not isinstance(spec, CultureSpec):
         raise ValueError(f"{spec!r} is not a CultureSpec")
-    m, n = _whole("m", m), _whole("n", n)
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    m, n = _count("m", m), _count("n", n)
     generator, _ = _CULTURES[spec.kind]
     return Election(m=m, voters=generator(spec.seed, m, n, **spec.params), k=k)

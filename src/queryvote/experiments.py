@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import Committee, Election, _is_int_type, _named, _top_k_rows, _whole, k_borda
+from .core import Committee, Election, _count, _is_int_type, _named, _top_k_rows, _whole, k_borda
 from .costs import COST_FUNCTIONS
 from .cultures import CultureSpec, generate
 from .rng import _streams, derive_seed, substream
@@ -118,12 +118,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("m", "n", "k", "elections_per_culture", "voter_order_repeats", "master_seed"):
-            setattr(self, name, _whole(name, getattr(self, name)))
+            read = _whole if name in ("k", "master_seed") else _count
+            setattr(self, name, read(name, getattr(self, name)))
         if not self.cultures:
             raise ValueError("config needs at least one culture")
-        for name in ("elections_per_culture", "voter_order_repeats"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
         if not self.strategies:
             raise ValueError("config needs at least one strategy")
         for spec in self.cultures:
@@ -159,10 +157,10 @@ class ExperimentConfig:
                     f"two cultures share the label {label!r}; give them different "
                     "kinds or parameters (the label leaves out seed and center)"
                 )
-        # Surface bad culture parameters and impossible sizes before any work;
-        # no culture's check depends on the voter count beyond n >= 1.
+        # Surface bad culture parameters and an impossible m or k before any
+        # work. One voter is enough: no culture's check reads the voter count.
         for spec in self.cultures:
-            generate(spec.with_seed(0), self.m, min(self.n, 1), self.k)
+            generate(spec.with_seed(0), self.m, 1, self.k)
 
 
 def full_resolution_cost(election: Election, kind: QuestionType, cost) -> float:
@@ -200,9 +198,7 @@ def default_budget_grid(
     full_cost = _budget(full_cost, "full-resolution cost")
     if not math.isfinite(full_cost):
         raise ValueError(f"full-resolution cost must be finite, got {full_cost}")
-    points = _whole("points", points)
-    if points < 1:
-        raise ValueError(f"points must be at least 1, got {points}")
+    points = _count("points", points)
     grid = []
     if full_cost > 0:
         low = _GRID_LOW * full_cost
@@ -365,8 +361,8 @@ def sweep_distances(
     it, scored by Borda over the partial profile; the top ``k`` committee is
     compared with ``target``, which must hold ``k`` distinct candidate ids.
     The voter order, the strategy, every budget and the target are checked,
-    in that order, before the first row. It is the per-election step of
-    :func:`run_budget_sweep` for one strategy and one voter order.
+    in that order, before the first row: the public form of the sweep step for
+    one strategy and one voter order, with its spend in the prices' type.
     """
     order = _voter_order(election.n, voter_order)
     sweep = _elicit_sweep([(kind, policy)], cost, election.m, election.n, budgets)
@@ -408,9 +404,7 @@ def run_budget_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]
     Each strategy's grid is elicited once, and every election and voter
     order is scored from its runs.
     """
-    jobs = _whole("jobs", jobs)
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = _count("jobs", jobs)
     budgets = config.budget_grid
     if budgets is None:
         budgets = _default_grid(config.m, config.n, config.cost)
@@ -443,7 +437,8 @@ def expected_random_distance(m: int, k: int) -> float:
     mean k*k/m, so the distance averages 2k(1 - k/m).
     """
     m, k = _whole("m", m), _whole("k", k)
-    if not 1 <= k <= m:
+    # A k below 1 is named as a committee size even when m is below 1 too.
+    if k < 1 or k > _count("m", m):
         raise ValueError(f"committee size k={k} outside [1, {m}]")
     return 2.0 * k * (1.0 - k / m)
 

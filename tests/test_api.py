@@ -131,9 +131,9 @@ def test_readme_python_runs_and_names_only_public_api():
 
 # Public names that no package code reads, with the reason each stays.
 UNREAD_ALLOWED: set[str] = {
-    # The sweep's per-election step for one strategy and one voter order,
-    # with its spend in the prices' type; `queryvote sweep` scores every
-    # strategy and order in one step instead.
+    # The public form of the sweep step for one strategy and one voter order,
+    # with its spend in the prices' type; `run_budget_sweep` and `queryvote
+    # sweep` score every strategy and order in one step instead.
     "sweep_distances",
 }
 
@@ -219,7 +219,7 @@ def loaded_k(k):
 # Every public entry point that takes an int, as (row id, parameter, a call
 # that hands the value over as that parameter and returns what it made of it).
 INT_PARAMETERS = [
-    ("Election.m", "m", lambda v: qv.Election(m=v, voters=[(0, 1)], k=1).m),
+    ("Election.m", "m", lambda v: qv.Election(m=v, voters=[(0,) if v == 1 else (0, 1)], k=1).m),
     ("Election.k", "k", lambda v: qv.Election(m=2, voters=[(0, 1)], k=v).k),
     ("generate.m", "m", lambda v: qv.generate(qv.CultureSpec("IC"), v, 2, 1)),
     ("generate.n", "n", lambda v: qv.generate(qv.CultureSpec("IC"), 2, v, 1)),
@@ -257,6 +257,31 @@ def test_every_int_parameter_takes_ints_only(parameter, call):
         with pytest.raises(ValueError, match=re.escape(f"{parameter} must be an int, got {bad!r}")):
             call(bad)
     assert repr(call(np.int64(2))) == repr(call(2))
+
+
+INT_ROWS = {row[0]: row[1:] for row in INT_PARAMETERS}
+# The rows of INT_PARAMETERS whose int is a count, read by the count rule.
+COUNT_PARAMETERS = [
+    "Election.m", "generate.m", "generate.n", "ExperimentConfig.m", "ExperimentConfig.n",
+    "ExperimentConfig.elections_per_culture", "ExperimentConfig.voter_order_repeats",
+    "audit_axiom.trials", "audit_grid.trials", "default_budget_grid.points",
+    "run_budget_sweep.jobs", "expected_random_distance.m",
+]
+
+
+@pytest.mark.parametrize(
+    "parameter, call",
+    [INT_ROWS[name] for name in COUNT_PARAMETERS],
+    ids=COUNT_PARAMETERS,
+)
+def test_every_count_parameter_is_at_least_1(parameter, call):
+    """0 or a negative count is an error naming the parameter and the value;
+    1 is read, as a numpy int as well as a Python one."""
+    for bad in (0, -1):
+        message = f"{parameter} must be at least 1, got {bad}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(bad)
+    assert repr(call(np.int64(1))) == repr(call(1))
 
 
 BUDGET_ELECTION = qv.generate(qv.CultureSpec("IC", seed=3), 6, 5, 2)

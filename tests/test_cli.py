@@ -295,10 +295,22 @@ def test_sweep_rejects_non_positive_points(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, option",
-    [(["run", "c.json", "--out", "r.csv"], "--jobs"), (["audit-costs"], "--trials")],
+    [
+        (["run", "c.json", "--out", "r.csv"], "--jobs"),
+        (["audit-costs"], "--trials"),
+        (["generate", "IC", "--n", 3, "--k", 1, "--out", "e0.elec"], "--m"),
+        (["generate", "IC", "--m", 3, "--k", 1, "--out", "e0.elec"], "--n"),
+        (["sweep", "e.elec"], "--repeats"),
+        (["sweep", "e.elec"], "--points"),
+        # A given grid does not read --points, but a count below 1 is still refused.
+        (["sweep", "e.elec", "--budgets", "1,2"], "--points"),
+    ],
 )
 @pytest.mark.parametrize("value", [0, -2])
-def test_a_count_below_1_exits_1_naming_its_option(capsys, command, option, value):
+def test_a_count_below_1_exits_1_naming_its_option(
+    tmp_path, monkeypatch, capsys, command, option, value
+):
+    monkeypatch.chdir(tmp_path)
     assert run_cli(*command, option, value) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: {option} must be at least 1, got {value}\n" and captured.out == ""

@@ -158,6 +158,11 @@ def test_hamming_examples():
 def test_hamming_rejects_size_mismatch():
     with pytest.raises(ValueError):
         hamming(frozenset({0}), frozenset({0, 1}))
+    # A repeated id would shrink one set and give an odd distance.
+    with pytest.raises(ValueError, match=r"^committee \[0, 0\] repeats candidate 0$"):
+        hamming([0, 0], [1, 2])
+    with pytest.raises(ValueError, match=r"^committee \(1, 2, 2\) repeats candidate 2$"):
+        hamming(frozenset({0, 1, 2}), (1, 2, 2))
 
 
 def test_hamming_metric_axioms():

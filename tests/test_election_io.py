@@ -179,7 +179,7 @@ NOT_A_PERMUTATION = "ranking is not a permutation"
         ("x.elec", "3 2 4\n0 1 2\n0 1 1\n", None, None, "committee size k=4 outside [1, 3]"),
         ("x.elec", "3 0 1\n", None, None, "election needs at least one voter"),
         ("x.soc", "2\n1,A\n2,B\n2,2,2\n1,1,2\n1,1,1\n", 3, None, "committee size k=3 outside [1, 2]"),
-        ("x.soc", "0\n0,0,0\n", 1, None, "need at least one candidate, got m=0"),
+        ("x.soc", "0\n0,0,0\n", 1, None, "m must be at least 1, got 0"),
         ("x.elec", b"\xff3 2 1\n0 1 2\n0 1 2\n", None, None, "not UTF-8 text: 'utf-8' codec"),
     ],
 )

@@ -340,8 +340,11 @@ def test_config_validation():
         small_config(cost="bogus")
     with pytest.raises(ValueError):
         small_config(m=7, cultures=[CultureSpec("ST", seed=1)])  # odd m
-    with pytest.raises(ValueError, match="need m >= 1 and n >= 1, got m=6, n=0"):
+    with pytest.raises(ValueError, match="n must be at least 1, got 0"):
         small_config(n=0)
+    # The config reads m itself, not through its one-voter probe election.
+    with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
+        small_config(m=0, n=2)
     # A JSON budget is a number that is not a bool, or a word for unlimited.
     base = {"m": 4, "n": 3, "k": 2, "elections_per_culture": 1, "cultures": ["IC"]}
     grid = [0, 2.5, "inf", " Unlimited", "infinity"]
