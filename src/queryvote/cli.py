@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -139,7 +140,7 @@ def _cmd_generate(args) -> int:
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
-        config.master_seed = args.seed
+        config = dataclasses.replace(config, master_seed=args.seed)
     rows = run_budget_sweep(config, jobs=args.jobs)
     emit_csv(rows, args.out)
     print(f"wrote {len(rows)} result rows to {args.out}")

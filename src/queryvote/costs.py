@@ -15,18 +15,27 @@ The trials of an audit cell are sampled a chunk at a time, as arrays that
 numpy's ``Generator`` draws from the cell's ``substream(seed, 0)``: bounded
 ints for class counts, sizes, class sizes and factors, and random keys that
 pick each composition's cut points. A sampler returns only its trials: a
-variance attempt of two equal variances is dropped. Registry costs are
-evaluated in closed form on the chunk's class sizes, and the query pair is
-built only to report a violation; custom callables are priced on real
-queries, one pair at a time. Chunks have a fixed size, so memory stays
-bounded and a violation stops the sampling at its chunk. No registry verdict
-depends on the draws: every registry cost holds each axiom over the whole
-sampled domain, save the cells of the stored counterexamples, and a test
-enumerates that domain.
+variance attempt of two equal variances is dropped. With each query's class
+sizes it returns the class count and the pair's factor it drew, so nothing
+is counted twice; its class rows are column-major, as the audit reduces
+along them. Registry costs are evaluated in closed form on the chunk's
+class sizes and counts, and the query pair is built only to report a
+violation; custom callables are priced on real queries, one pair at a time.
+Chunks have a fixed size, so memory stays bounded and a violation stops the
+sampling at its chunk. No registry verdict depends on the draws: every
+registry cost holds each axiom over the whole sampled domain, save the cells
+of the stored counterexamples, and a test enumerates that domain.
+
+:func:`audit_grid` seeds its cells through the vectorised seed mix that
+:mod:`queryvote.rng` shares with its one-pass streams, without a
+``SeedSequence`` per cell, and :func:`audit_axiom` and the grid check a
+cell through one routine.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -37,7 +46,7 @@ import numpy as np
 
 from .core import _count, _named
 from .queries import RefinementQuery
-from .rng import derive_seed, substream
+from .rng import _derived_states, _generator, substream
 
 CostValue = object  # int, Fraction, or float depending on the inputs
 CostFunction = Callable[[RefinementQuery], CostValue]
@@ -228,11 +237,10 @@ _CLOSED_FORMS = {
 }
 
 
-def _closed_costs(fn: CostFunction, size: np.ndarray, classes: np.ndarray):
+def _closed_costs(fn: CostFunction, size: np.ndarray, classes: np.ndarray, parts: np.ndarray):
     """Registry cost ``fn`` of each query that splits ``size`` candidates
-    into classes of these sizes (a row each, zero-padded), computed without
-    building the queries."""
-    parts = np.count_nonzero(classes, axis=1)
+    into ``parts`` classes of these sizes (a row each, zero-padded),
+    computed without building the queries."""
     # Classes are positive, so one class is the only degenerate case.
     plain = parts > 1
     cost = _CLOSED_FORMS[fn](size, classes, parts)
@@ -243,21 +251,26 @@ def _closed_costs(fn: CostFunction, size: np.ndarray, classes: np.ndarray):
 
 # The samplers below draw ``count`` attempts at once from a numpy generator,
 # as (candidate count, integer class sizes), and return their trials' pairs as
-# arrays (first sizes, first zero-padded class rows, second sizes, second rows).
+# arrays: the first queries' sizes, zero-padded class rows and class counts,
+# the second queries' likewise, and each pair's factor, the ratio of its
+# second size to its first. Counts and factors are values the sampler drew.
+# Class rows are column-major: the audit sums along rows of 3 to 6 classes,
+# which numpy does faster down contiguous columns.
 
 
 def _composition(generator: np.random.Generator, size, parts, width: int) -> np.ndarray:
-    """Uniform compositions of ``size`` into ``parts`` positive ints, as rows
-    of ``width`` class sizes padded with zeros. The cuts are the ``parts - 1``
-    of the ``size - 1`` inner points with the smallest random keys; a size is
-    at most 24 above its class count, which is at most ``width``."""
+    """Uniform compositions of ``size`` into ``parts`` positive ints, as
+    column-major rows of ``width`` class sizes padded with zeros. The cuts
+    are the ``parts - 1`` of the ``size - 1`` inner points with the smallest
+    random keys; a size is at most 24 above its class count, which is at
+    most ``width``."""
     points = np.arange(width + 23)
     keys = generator.random((len(size), len(points)))
     keys[points >= size[:, None] - 1] = np.inf
     cuts = 1 + np.argsort(keys, axis=1)[:, : width - 1]
     cuts = np.where(points[: width - 1] < parts[:, None] - 1, cuts, size[:, None])
     cuts.sort(axis=1)
-    return np.diff(cuts, axis=1, prepend=0, append=size[:, None])
+    return np.asfortranarray(np.diff(cuts, axis=1, prepend=0, append=size[:, None]))
 
 
 def _prefix_pairs(generator: np.random.Generator, count: int):
@@ -265,10 +278,12 @@ def _prefix_pairs(generator: np.random.Generator, count: int):
     second's, which is the prefix-monotonicity hypothesis: a head of 1 to 3
     classes of 1 to 8 candidates, then a tail like it."""
     head, tail = generator.integers(1, 4, (2, count))
-    column = np.arange(6)
-    second = np.where(column < (head + tail)[:, None], generator.integers(1, 9, (count, 6)), 0)
-    first = np.where(column[:3] < head[:, None], second[:, :3], 0)
-    return first.sum(axis=1), first, second.sum(axis=1), second
+    parts = head + tail
+    # Built as columns of class slots, transposed back to column-major rows.
+    column = np.arange(6)[:, None]
+    second = np.where(column < parts, generator.integers(1, 9, (count, 6)).T, 0).T
+    first = np.where(column[:3] < head, second[:, :3].T, 0).T
+    return first.sum(axis=1), first, head, second.sum(axis=1), second, parts, np.ones_like(head)
 
 
 def _multiple_pairs(generator: np.random.Generator, count: int):
@@ -279,7 +294,7 @@ def _multiple_pairs(generator: np.random.Generator, count: int):
     size = parts + generator.integers(0, 25, count)
     factor = generator.integers(2, 9, count)
     classes = _composition(generator, size, parts, 5)
-    return size, classes, factor * size, factor[:, None] * classes
+    return size, classes, parts, factor * size, factor[:, None] * classes, parts, factor
 
 
 def _variance_pairs(generator: np.random.Generator, count: int):
@@ -294,8 +309,10 @@ def _variance_pairs(generator: np.random.Generator, count: int):
     spread_second = (second * second).sum(axis=1)
     distinct = spread_first != spread_second
     swap = (spread_first < spread_second)[:, None]
-    high, low = np.where(swap, second, first)[distinct], np.where(swap, first, second)[distinct]
-    return size[distinct], high, size[distinct], low
+    high = np.asfortranarray(np.where(swap, second, first)[distinct])
+    low = np.asfortranarray(np.where(swap, first, second)[distinct])
+    size, parts = size[distinct], parts[distinct]
+    return size, high, parts, size, low, parts, np.ones_like(size)
 
 
 # Per axiom: its sampler, and the share of spare attempts a chunk draws past
@@ -313,9 +330,8 @@ _CHUNK = 2048
 def _sampled_pairs(axiom: Axiom, generator: np.random.Generator, trials: int):
     """Yield the query pairs of the first ``trials`` trials of ``axiom``'s
     sampler, drawn from ``generator`` in chunks of at most ``_CHUNK``
-    attempts: the number of trials before the chunk, then the chunk's first
-    queries' sizes and zero-padded class rows and its second queries' sizes
-    and rows."""
+    attempts: the number of trials before the chunk, then the chunk's arrays
+    as the samplers return them."""
     sample, spare = _SAMPLERS[axiom]
     done = 0
     while done < trials:
@@ -336,17 +352,27 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
 
     Stored counterexamples are replayed first; then ``trials`` random query
     pairs satisfying the axiom's hypothesis are checked, a chunk of trials
-    at a time. The verdict records the first violating pair, if any,
-    together with both costs. Registry costs are evaluated in closed form
-    on the sampled class sizes, a chunk at once; the query pair is built,
-    and priced by the cost function, only to report a violation. Other
-    callables are priced on the queries of every pair, one at a time.
-    ``axiom`` is an :class:`Axiom` or its value, such as ``"prefix_monotonicity"``,
-    read by the name rule.
+    at a time, drawn from ``substream(seed, 0)``. The verdict records the
+    first violating pair, if any, together with both costs. Registry costs
+    are evaluated in closed form on the sampled class sizes, a chunk at
+    once; the query pair is built, and priced by the cost function, only to
+    report a violation. Other callables are priced on the queries of every
+    pair, one at a time. ``axiom`` is an :class:`Axiom` or its value, such
+    as ``"prefix_monotonicity"``, read by the name rule.
     """
     trials = _count("trials", trials)
     _, axiom = _named(Axiom, axiom, "axiom")
     name, fn = resolve_cost(cost)
+    return _audit_cell(name, fn, axiom, trials, lambda: substream(seed, 0))
+
+
+def _audit_cell(
+    name: str, fn: CostFunction, axiom: Axiom, trials: int,
+    generator: Callable[[], np.random.Generator],
+) -> AxiomVerdict:
+    """:func:`audit_axiom` of arguments already read, sampling from the
+    generator that ``generator()`` returns, which a cell that fails on its
+    stored counterexample never calls."""
 
     def holds(low, high, factor):
         if axiom is Axiom.MULTIPLE_MONOTONICITY:
@@ -363,11 +389,11 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
         if not holds(fn(high_var), fn(low_var), 1):
             return violation(high_var, low_var, 0)
 
-    for done, (low_size, low, high_size, high) in _sampled_pairs(axiom, substream(seed, 0), trials):
-        # The subset sizes of a multiple pair differ by its integer factor.
-        factor = high_size // low_size
+    for done, chunk in _sampled_pairs(axiom, generator(), trials):
+        low_size, low, low_parts, high_size, high, high_parts, factor = chunk
         if fn in _CLOSED_FORMS:
-            ok = holds(_closed_costs(fn, low_size, low), _closed_costs(fn, high_size, high), factor)
+            low_cost = _closed_costs(fn, low_size, low, low_parts)
+            ok = holds(low_cost, _closed_costs(fn, high_size, high, high_parts), factor)
             failed = iter(np.flatnonzero(~ok).tolist())
         else:
             failed = (
@@ -381,14 +407,20 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
 
 
 def audit_grid(trials: int = 10_000, seed: int = 0) -> dict[tuple[str, Axiom], AxiomVerdict]:
-    """Audit every registered cost function against every axiom."""
-    grid = {}
-    for fi, name in enumerate(COST_FUNCTIONS):
-        for ai, axiom in enumerate(ALL_AXIOMS):
-            grid[(name, axiom)] = audit_axiom(
-                name, axiom, trials=trials, seed=derive_seed(seed, fi, ai)
-            )
-    return grid
+    """Audit every registered cost function against every axiom.
+
+    Cell ``(fi, ai)``, the ``fi``-th cost function against the ``ai``-th
+    axiom, is ``audit_axiom(name, axiom, trials, derive_seed(seed, fi,
+    ai))``. The cells are seeded in one pass of
+    :func:`~queryvote.rng._derived_states`.
+    """
+    states = _derived_states(seed, (len(COST_FUNCTIONS), len(ALL_AXIOMS)))
+    trials = _count("trials", trials)
+    cells = itertools.product(COST_FUNCTIONS.items(), ALL_AXIOMS)
+    return {
+        (name, axiom): _audit_cell(name, fn, axiom, trials, functools.partial(_generator, state))
+        for ((name, fn), axiom), state in zip(cells, states)
+    }
 
 
 def format_audit_table(grid: dict[tuple[str, Axiom], AxiomVerdict]) -> str:

@@ -89,7 +89,7 @@ CSV_COLUMNS = tuple(f.name for f in fields(ResultRow))
 _row_values = attrgetter(*CSV_COLUMNS)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to reproduce a sweep.
 
@@ -101,6 +101,9 @@ class ExperimentConfig:
     four question types' full-resolution costs, plus 0 and unlimited. Each
     budget caps the spend of every strategy alike, so a cheaper question
     type reaches full resolution earlier in the grid.
+
+    A config is frozen, so a field cannot skip the checks by being set after
+    construction; ``dataclasses.replace`` makes a changed copy, checked anew.
     """
 
     cultures: list[CultureSpec]
@@ -119,7 +122,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("m", "n", "k", "elections_per_culture", "voter_order_repeats", "master_seed"):
             read = _whole if name in ("k", "master_seed") else _count
-            setattr(self, name, read(name, getattr(self, name)))
+            object.__setattr__(self, name, read(name, getattr(self, name)))
         if not self.cultures:
             raise ValueError("config needs at least one culture")
         if not self.strategies:
@@ -137,7 +140,7 @@ class ExperimentConfig:
         for label in strategies:
             if strategies.count(label) > 1:
                 raise ValueError(f"the strategy {label!r} is listed twice")
-        self.cost, _ = _named(COST_FUNCTIONS, self.cost, "cost function")
+        object.__setattr__(self, "cost", _named(COST_FUNCTIONS, self.cost, "cost function")[0])
         if self.budget_grid is not None:
             try:
                 grid = [_budget(b) for b in self.budget_grid]
@@ -147,7 +150,7 @@ class ExperimentConfig:
                 raise ValueError("budget_grid must not be empty")
             if grid != sorted(grid):
                 raise ValueError("budget_grid must be sorted ascending")
-            self.budget_grid = grid
+            object.__setattr__(self, "budget_grid", grid)
         # Rows carry only the label, which leaves out the seed and a Mallows
         # center; two cultures that share one could not be told apart.
         labels = [spec.label() for spec in self.cultures]

@@ -7,13 +7,16 @@ every platform, and distinct paths yield non-overlapping streams, so work
 keyed by path (one voter, one experiment cell) can be filled in parallel
 without changing the result.
 
-The private :func:`_streams` yields the streams ``substream(seed, *prefix,
-*index)`` for every index of a shape in one pass: the voters ``(1, v)`` of
-an election, or the voter orders ``(si, repeat)`` of one election of a sweep.
-It runs ``SeedSequence``'s entropy mixing and state generation for every
-index at once over uint32 arrays, and each index's ``PCG64`` seeds itself
-from its four state words, so each stream is bit-identical to its
-``substream`` without building a ``SeedSequence`` per index.
+One vectorised seed mix, the private :func:`_states`, runs
+``SeedSequence``'s entropy mixing and state generation for many entropies at
+once over uint32 arrays; each stream's ``PCG64`` then seeds itself from its
+four state words, bit-identical to its ``SeedSequence`` without building
+one. Two callers use it. :func:`_streams` yields the streams ``substream(seed,
+*prefix, *index)`` for every index of a shape in one pass: the voters ``(1,
+v)`` of an election, or the voter orders ``(si, repeat)`` of one election of
+a sweep. :func:`_derived_states` seeds the cost audit's cells, the streams
+``substream(derive_seed(seed, fi, ai), 0)``, in two passes: one for the
+derived seeds and one for their substreams.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _State:
     """The words a ``SeedSequence`` would give ``PCG64`` to seed from.
 
-    :func:`_streams` registers it as numpy's ``ISeedSequence`` when it first
+    :func:`_states` registers it as numpy's ``ISeedSequence`` when it first
     runs, so that importing the package does not load ``numpy.random``.
     """
 
@@ -119,60 +122,95 @@ class _State:
         return self.words
 
 
-def _streams(
-    seed: int, prefix: tuple[int, ...], shape: tuple[int, ...]
-) -> Iterator[np.random.Generator]:
-    """The generators ``substream(seed, *prefix, *index)`` for every index of
-    ``shape``, in C order.
+def _states(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row of a
+    ``(streams, words)`` uint32 entropy array, as C-contiguous rows: the
+    four words each stream's ``PCG64`` seeds itself from.
 
-    Each entropy is the words of the masked seed and prefix (the head), then
-    one word per index entry, and only the index words differ. The first
-    four words fill the pool, padded with zeros, and are mixed with each
-    other; each word beyond them is then mixed into every pool word. When
-    the head fills the pool, one ``SeedSequence`` of the head gives the pool
-    that every index shares; otherwise the pool is mixed for every index at
-    once, over a row of uint32 words per index. The index words beyond the
-    pool and ``generate_state(4, uint64)`` are likewise taken for every
-    index at once, and each index's ``PCG64`` seeds itself from its own
-    four words, as it does from its ``SeedSequence``. Those words are all a
-    yielded generator holds of its seed, so unlike a ``substream`` it cannot
-    ``spawn``.
+    A row has at least four words. The first four fill the pool and are
+    mixed with each other; each word beyond them is then mixed into every
+    pool word. ``SeedSequence`` pads a shorter entropy with zeros to fill
+    the pool, so a row may end in zeros up to the pool size: ``[w, 0, 0,
+    0]`` is the entropy ``[w]`` too. The pool is mixed for every row at
+    once, over a row of uint32 words each, or by one ``SeedSequence`` when
+    all rows share its words; the words beyond it and ``generate_state``
+    are taken for every row at once.
     """
-    head = _words(_whole("seed", seed) & _MASK)
-    for tag in prefix:
-        head += _words(_whole("path", tag) & _MASK)
-    count = math.prod(shape)
-    # Every index entry is below 2**32, so one word.
-    index = np.indices(shape, np.uint32).reshape(len(shape), count).T
-    words = len(head) + len(shape)
+    words = entropy.shape[1]
     hash_a = _HASH_A
     if _hashmixes(words) >= len(hash_a):
         hash_a = _hash_constants(_INIT_A, _MULT_A, _hashmixes(words) + 1)
-    if len(head) >= _POOL_SIZE:
-        pool, beyond = np.random.SeedSequence(head).pool[None], index
+    pool = entropy[:, :_POOL_SIZE]
+    if words > _POOL_SIZE and len(pool) > 1 and (pool == pool[0]).all():
+        # The rows share the words of the pool, as a sweep's voter orders
+        # do: one SeedSequence of them mixes it faster than the arrays do,
+        # and the words beyond it then broadcast it to every row.
+        pool = np.random.SeedSequence(pool[0]).pool[None]
     else:
-        entropy = np.zeros((count, max(words, _POOL_SIZE)), np.uint32)
-        entropy[:, : len(head)] = head
-        entropy[:, len(head) : words] = index
-        pool = _hashmix(entropy[:, :_POOL_SIZE], hash_a[:_POOL_SIZE], hash_a[1 : _POOL_SIZE + 1])
-        beyond = entropy[:, _POOL_SIZE:words]
+        pool = _hashmix(pool, hash_a[:_POOL_SIZE], hash_a[1 : _POOL_SIZE + 1])
         # Every pool word is mixed into every other, in order of source then
         # target; a source word does not change while it is mixed in.
         for src in range(_POOL_SIZE):
             mixed = _mix(pool, _hashmix(pool[:, src, None], _CROSS_XOR[src], _CROSS_MULT[src]))
             mixed[:, src] = pool[:, src]
             pool = mixed
-    at = _hashmixes(words - beyond.shape[1])
-    for column in beyond.T:
+    at = _hashmixes(_POOL_SIZE)
+    for column in entropy[:, _POOL_SIZE:].T:
         constants = hash_a[at : at + _POOL_SIZE + 1]
         pool = _mix(pool, _hashmix(column[:, None], constants[:-1], constants[1:]))
         at += _POOL_SIZE
     hashed = (pool[:, _CYCLE] ^ _HASH_B[:-1]) * _HASH_B[1:]
     hashed ^= hashed >> _XSHIFT
     # generate_state's uint64 words are its uint32 words in pairs, low first;
-    # PCG64 reads each index's four from memory, so the rows are C-contiguous.
+    # PCG64 reads each row's four from memory, so the rows are C-contiguous.
     seeds = hashed[:, 1::2].astype(np.uint64) << np.uint64(32) | hashed[:, ::2]
-    seeds = np.ascontiguousarray(seeds)
+    # The rows reach PCG64 through _State, registered once per pass.
     np.random.bit_generator.ISeedSequence.register(_State)
-    for state in seeds:
-        yield np.random.Generator(np.random.PCG64(_State(state)))
+    return np.ascontiguousarray(seeds)
+
+
+def _indexed(seed: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """The entropies of ``(seed, *prefix, *index)`` for every index of
+    ``shape``, in C order, as rows for :func:`_states`: the words of the
+    masked seed and prefix (the head), then one word per index entry."""
+    head = [word for value in _entropy(seed, prefix) for word in _words(value)]
+    count = math.prod(shape)
+    words = len(head) + len(shape)
+    entropy = np.zeros((count, max(words, _POOL_SIZE)), np.uint32)
+    entropy[:, : len(head)] = head
+    # Every index entry is below 2**32, so one word.
+    entropy[:, len(head) : words] = np.indices(shape, np.uint32).reshape(len(shape), count).T
+    return entropy
+
+
+def _generator(state: np.ndarray) -> np.random.Generator:
+    """The generator whose ``PCG64`` seeds itself from a row of :func:`_states`.
+
+    Those words are all it holds of its seed, so unlike a ``substream`` it
+    cannot ``spawn``.
+    """
+    return np.random.Generator(np.random.PCG64(_State(state)))
+
+
+def _streams(
+    seed: int, prefix: tuple[int, ...], shape: tuple[int, ...]
+) -> Iterator[np.random.Generator]:
+    """The generators ``substream(seed, *prefix, *index)`` for every index of
+    ``shape``, in C order, seeded in one pass of :func:`_states`."""
+    return map(_generator, _states(_indexed(seed, prefix, shape)))
+
+
+def _derived_states(seed: int, shape: tuple[int, ...]) -> np.ndarray:
+    """The :func:`_states` rows of ``substream(derive_seed(seed, *index), 0)``
+    for every index of ``shape``, in C order, in two passes.
+
+    A derived seed is the first uint64 word of its entropy's state. Its
+    substream's entropy is the seed's low and high words, then the path's
+    0: ``[low, high, 0, 0]`` on a row of four, which is also the entropy
+    ``[low, 0]`` of a seed below 2**32.
+    """
+    derived = _states(_indexed(seed, (), shape))[:, 0]
+    entropy = np.zeros((len(derived), _POOL_SIZE), np.uint32)
+    entropy[:, 0] = (derived & np.uint64(_MASK32)).astype(np.uint32)
+    entropy[:, 1] = (derived >> np.uint64(32)).astype(np.uint32)
+    return _states(entropy)

@@ -136,6 +136,15 @@ def test_run_seed_override_changes_rows(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+def test_run_seed_override_equals_the_seed_in_the_config(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    overridden, configured = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli("run", config_file(tmp_path / "a", master_seed=0), "--out", overridden, "--seed", 7) == 0
+    assert run_cli("run", config_file(tmp_path / "b", master_seed=7), "--out", configured) == 0
+    assert overridden.read_bytes() == configured.read_bytes()
+
+
 def test_run_difficulty_summary(tmp_path, capsys):
     config = config_file(tmp_path)
     assert run_cli("run", config, "--out", tmp_path / "r.csv", "--difficulty") == 0

@@ -173,8 +173,8 @@ def test_closed_forms_equal_registry_costs(axiom):
     generator = substream(41, list(Axiom).index(axiom))
     degenerate = 0
     for _, chunk in costs._sampled_pairs(axiom, generator, 2000):
-        for sizes, classes in (chunk[:2], chunk[2:]):
-            closed = [(fn, costs._closed_costs(fn, sizes, classes)) for fn in COST_FUNCTIONS.values()]
+        for sizes, classes, parts in (chunk[:3], chunk[3:6]):
+            closed = [(fn, costs._closed_costs(fn, sizes, classes, parts)) for fn in COST_FUNCTIONS.values()]
             for i in range(len(sizes)):
                 query = costs._query_at(sizes, classes, i)
                 degenerate += len(query.buckets) == 1
@@ -334,7 +334,7 @@ def reference_trials(axiom, calls, trials):
 
 def rows(chunk):
     """A chunk of sampled pairs as ``((size, classes), (size, classes))``."""
-    low_size, low, high_size, high = (part.tolist() for part in chunk)
+    low_size, low, _, high_size, high, _, _ = (part.tolist() for part in chunk)
     return [
         ((a, [x for x in first if x]), (b, [x for x in second if x]))
         for a, first, b, second in zip(low_size, low, high_size, high)
@@ -401,6 +401,28 @@ def test_sampled_pairs_equal_numpys_draws(monkeypatch, axiom):
                     values |= drawn
     assert seen == [set(values) for values in DOMAIN[axiom]]
     assert ends_equal is (axiom is Axiom.VARIANCE_MONOTONICITY)
+
+
+@pytest.mark.parametrize("axiom", list(Axiom))
+def test_samplers_carry_the_class_counts_and_factors_they_drew(monkeypatch, axiom):
+    """The class counts a sampler returns are those of its class rows, and
+    its factor is the second size over the first of a multiple pair and 1
+    for the others, in one chunk, past the first full chunk and across
+    chunks of 7."""
+    for chunk, seeds, trials in ((costs._CHUNK, range(3), costs._CHUNK + 60), (7, range(3, 9), 90)):
+        monkeypatch.setattr(costs, "_CHUNK", chunk)
+        for seed in seeds:
+            for _, pairs in costs._sampled_pairs(axiom, substream(seed, 0), trials):
+                low_size, low, low_parts, high_size, high, high_parts, factor = pairs
+                assert np.array_equal(low_parts, np.count_nonzero(low, axis=1))
+                assert np.array_equal(high_parts, np.count_nonzero(high, axis=1))
+                if axiom is Axiom.PREFIX_MONOTONICITY:
+                    # The second query adds classes, so its size is no multiple of the first.
+                    assert (factor == 1).all()
+                else:
+                    assert np.array_equal(factor, high_size // low_size)
+                    assert np.array_equal(high_size, factor * low_size)
+                    assert bool((factor == 1).all()) is (axiom is Axiom.VARIANCE_MONOTONICITY)
 
 
 def test_compositions_are_uniform():

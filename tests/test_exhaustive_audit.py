@@ -35,7 +35,7 @@ def compositions(parts: int) -> np.ndarray:
 
 def priced(fn, classes):
     """The closed-form costs of the queries with these class rows."""
-    return costs._closed_costs(fn, classes.sum(axis=1), classes)
+    return costs._closed_costs(fn, classes.sum(axis=1), classes, np.count_nonzero(classes, axis=1))
 
 
 def prefix_pairs():

@@ -4,7 +4,7 @@ import json
 import math
 import pickle
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -436,6 +436,18 @@ def test_parse_config_rejects_nan_contagion():
     )
     with pytest.raises(ValueError, match="urn contagion must be non-negative, got nan"):
         parse_config(data)
+
+
+def test_a_built_config_is_frozen():
+    """No field can be set after construction, where it would skip the
+    checks: a repeat count of 0 would make the sweep return no rows."""
+    config = small_config()
+    for field in fields(config):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, field.name, 0)
+    assert len(run_budget_sweep(config)) == 2 * 2 * 2 * 2 * 3
+    with pytest.raises(ValueError, match="voter_order_repeats must be at least 1, got 0"):
+        replace(config, voter_order_repeats=0)
 
 
 def test_parse_config_round_trip():

@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 import queryvote
-from queryvote.rng import _streams, derive_seed, substream
+from queryvote import costs
+from queryvote.costs import (
+    ALL_AXIOMS, COST_FUNCTIONS, VARIANCE_COUNTEREXAMPLES, Axiom, audit_grid,
+)
+from queryvote.rng import _derived_states, _generator, _streams, derive_seed, substream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, derive_seed(0, 3), derive_seed(2**40, 1, 7)]
 
@@ -125,6 +129,37 @@ def test_seeds_and_paths_that_are_not_ints_are_refused(bad):
     for call in (substream, derive_seed):
         with pytest.raises(ValueError, match=re.escape(f"path must be an int, got {bad!r}")):
             call(7, 0, bad)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_audit_grid_samples_each_cell_from_its_derived_substream(monkeypatch, seed):
+    """The grid seeds its 15 cells in one pass: each row is the state of
+    ``substream(derive_seed(seed, fi, ai), 0)``, and each sampled cell draws
+    from the generator of its row. The four cells that fail on a stored
+    counterexample sample nothing."""
+    cells = list(itertools.product(enumerate(COST_FUNCTIONS), enumerate(ALL_AXIOMS)))
+    expected = [substream(derive_seed(seed, fi, ai), 0).bit_generator.state for (fi, _), (ai, _) in cells]
+    shape = (len(COST_FUNCTIONS), len(ALL_AXIOMS))
+    assert [_generator(state).bit_generator.state for state in _derived_states(seed, shape)] == expected
+    drawn, sample = [], costs._sampled_pairs
+
+    def recorded(axiom, generator, trials):
+        drawn.append((axiom, generator.bit_generator.state))
+        return sample(axiom, generator, trials)
+
+    monkeypatch.setattr(costs, "_sampled_pairs", recorded)
+    audit_grid(trials=3, seed=seed)
+    sampled = [
+        (axiom, state) for ((_, name), (_, axiom)), state in zip(cells, expected)
+        if axiom is not Axiom.VARIANCE_MONOTONICITY or name not in VARIANCE_COUNTEREXAMPLES
+    ]
+    assert len(sampled) == 11 and drawn == sampled
+
+
+@pytest.mark.parametrize("bad", [2.5, "1"])
+def test_audit_grid_refuses_a_seed_that_is_not_an_int(bad):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an int, got {bad!r}")):
+        audit_grid(trials=3, seed=bad)
 
 
 def test_importing_the_package_leaves_numpy_random_unloaded():
