@@ -17,8 +17,7 @@ ints for class counts, sizes, class sizes and factors, and random keys that
 pick each composition's cut points. A sampler returns only its trials: a
 variance attempt of two equal variances is dropped. With each query's class
 sizes it returns the class count and the pair's factor it drew, so nothing
-is counted twice; its class rows are column-major, as the audit reduces
-along them. Registry costs are evaluated in closed form on the chunk's
+is counted twice. Registry costs are evaluated in closed form on the chunk's
 class sizes and counts, and the query pair is built only to report a
 violation; custom callables are priced on real queries, one pair at a time.
 Chunks have a fixed size, so memory stays bounded and a violation stops the
@@ -26,15 +25,16 @@ sampling at its chunk. No registry verdict depends on the draws: every
 registry cost holds each axiom over the whole sampled domain, save the cells
 of the stored counterexamples, and a test enumerates that domain.
 
-:func:`audit_grid` seeds its cells through the vectorised seed mix that
-:mod:`queryvote.rng` shares with its one-pass streams, without a
-``SeedSequence`` per cell, and :func:`audit_axiom` and the grid check a
-cell through one routine.
+:func:`audit_axiom` and :func:`audit_grid` check a cell through one
+routine, which is handed the cell's generator: ``substream(seed, 0)``,
+built before any stored counterexample is replayed so that every cell
+reads its seed by the int rule, or for a grid cell the generator of its
+row of the vectorised seed mix that :mod:`queryvote.rng` shares with its
+one-pass streams, without a ``SeedSequence`` per cell.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -254,23 +254,20 @@ def _closed_costs(fn: CostFunction, size: np.ndarray, classes: np.ndarray, parts
 # arrays: the first queries' sizes, zero-padded class rows and class counts,
 # the second queries' likewise, and each pair's factor, the ratio of its
 # second size to its first. Counts and factors are values the sampler drew.
-# Class rows are column-major: the audit sums along rows of 3 to 6 classes,
-# which numpy does faster down contiguous columns.
 
 
 def _composition(generator: np.random.Generator, size, parts, width: int) -> np.ndarray:
-    """Uniform compositions of ``size`` into ``parts`` positive ints, as
-    column-major rows of ``width`` class sizes padded with zeros. The cuts
-    are the ``parts - 1`` of the ``size - 1`` inner points with the smallest
-    random keys; a size is at most 24 above its class count, which is at
-    most ``width``."""
+    """Uniform compositions of ``size`` into ``parts`` positive ints, as rows
+    of ``width`` class sizes padded with zeros. The cuts are the ``parts -
+    1`` of the ``size - 1`` inner points with the smallest random keys; a
+    size is at most 24 above its class count, which is at most ``width``."""
     points = np.arange(width + 23)
     keys = generator.random((len(size), len(points)))
     keys[points >= size[:, None] - 1] = np.inf
     cuts = 1 + np.argsort(keys, axis=1)[:, : width - 1]
     cuts = np.where(points[: width - 1] < parts[:, None] - 1, cuts, size[:, None])
     cuts.sort(axis=1)
-    return np.asfortranarray(np.diff(cuts, axis=1, prepend=0, append=size[:, None]))
+    return np.diff(cuts, axis=1, prepend=0, append=size[:, None])
 
 
 def _prefix_pairs(generator: np.random.Generator, count: int):
@@ -279,10 +276,9 @@ def _prefix_pairs(generator: np.random.Generator, count: int):
     classes of 1 to 8 candidates, then a tail like it."""
     head, tail = generator.integers(1, 4, (2, count))
     parts = head + tail
-    # Built as columns of class slots, transposed back to column-major rows.
-    column = np.arange(6)[:, None]
-    second = np.where(column < parts, generator.integers(1, 9, (count, 6)).T, 0).T
-    first = np.where(column[:3] < head, second[:, :3].T, 0).T
+    slot = np.arange(6)
+    second = np.where(slot < parts[:, None], generator.integers(1, 9, (count, 6)), 0)
+    first = np.where(slot[:3] < head[:, None], second[:, :3], 0)
     return first.sum(axis=1), first, head, second.sum(axis=1), second, parts, np.ones_like(head)
 
 
@@ -309,8 +305,8 @@ def _variance_pairs(generator: np.random.Generator, count: int):
     spread_second = (second * second).sum(axis=1)
     distinct = spread_first != spread_second
     swap = (spread_first < spread_second)[:, None]
-    high = np.asfortranarray(np.where(swap, second, first)[distinct])
-    low = np.asfortranarray(np.where(swap, first, second)[distinct])
+    high = np.where(swap, second, first)[distinct]
+    low = np.where(swap, first, second)[distinct]
     size, parts = size[distinct], parts[distinct]
     return size, high, parts, size, low, parts, np.ones_like(size)
 
@@ -363,16 +359,13 @@ def audit_axiom(cost, axiom: Axiom, trials: int = 10_000, seed: int = 0) -> Axio
     trials = _count("trials", trials)
     _, axiom = _named(Axiom, axiom, "axiom")
     name, fn = resolve_cost(cost)
-    return _audit_cell(name, fn, axiom, trials, lambda: substream(seed, 0))
+    return _audit_cell(name, fn, axiom, trials, substream(seed, 0))
 
 
 def _audit_cell(
-    name: str, fn: CostFunction, axiom: Axiom, trials: int,
-    generator: Callable[[], np.random.Generator],
+    name: str, fn: CostFunction, axiom: Axiom, trials: int, generator: np.random.Generator
 ) -> AxiomVerdict:
-    """:func:`audit_axiom` of arguments already read, sampling from the
-    generator that ``generator()`` returns, which a cell that fails on its
-    stored counterexample never calls."""
+    """:func:`audit_axiom` of arguments already read, sampling from ``generator``."""
 
     def holds(low, high, factor):
         if axiom is Axiom.MULTIPLE_MONOTONICITY:
@@ -389,7 +382,7 @@ def _audit_cell(
         if not holds(fn(high_var), fn(low_var), 1):
             return violation(high_var, low_var, 0)
 
-    for done, chunk in _sampled_pairs(axiom, generator(), trials):
+    for done, chunk in _sampled_pairs(axiom, generator, trials):
         low_size, low, low_parts, high_size, high, high_parts, factor = chunk
         if fn in _CLOSED_FORMS:
             low_cost = _closed_costs(fn, low_size, low, low_parts)
@@ -418,7 +411,7 @@ def audit_grid(trials: int = 10_000, seed: int = 0) -> dict[tuple[str, Axiom], A
     trials = _count("trials", trials)
     cells = itertools.product(COST_FUNCTIONS.items(), ALL_AXIOMS)
     return {
-        (name, axiom): _audit_cell(name, fn, axiom, trials, functools.partial(_generator, state))
+        (name, axiom): _audit_cell(name, fn, axiom, trials, _generator(state))
         for ((name, fn), axiom), state in zip(cells, states)
     }
 

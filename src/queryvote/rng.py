@@ -9,14 +9,15 @@ without changing the result.
 
 One vectorised seed mix, the private :func:`_states`, runs
 ``SeedSequence``'s entropy mixing and state generation for many entropies at
-once over uint32 arrays; each stream's ``PCG64`` then seeds itself from its
-four state words, bit-identical to its ``SeedSequence`` without building
-one. Two callers use it. :func:`_streams` yields the streams ``substream(seed,
-*prefix, *index)`` for every index of a shape in one pass: the voters ``(1,
-v)`` of an election, or the voter orders ``(si, repeat)`` of one election of
-a sweep. :func:`_derived_states` seeds the cost audit's cells, the streams
-``substream(derive_seed(seed, fi, ai), 0)``, in two passes: one for the
-derived seeds and one for their substreams.
+once, each a head of words every stream shares and a tail of its own;
+each stream's ``PCG64`` then seeds itself from its four state words,
+bit-identical to its ``SeedSequence`` without building one. Two callers use
+it, with the words of a seed and a path prefix as the head. :func:`_streams`
+yields the streams ``substream(seed, *prefix, *index)`` for every index of a
+shape in one pass: the voters ``(1, v)`` of an election, or the voter orders
+``(si, repeat)`` of one election of a sweep. :func:`_derived_states` seeds
+the cost audit's cells, the streams ``substream(derive_seed(seed, fi, ai),
+0)``, in two passes: one for the derived seeds and one for their substreams.
 """
 
 from __future__ import annotations
@@ -84,11 +85,14 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(np.random.SeedSequence(_entropy(seed, path)).generate_state(1, np.uint64)[0])
 
 
-def _words(value: int) -> list[int]:
-    """``value`` as ``SeedSequence`` reads an int: 32-bit words, low first; 0 is ``[0]``."""
-    words = [value & _MASK32]
-    while value := value >> 32:
+def _words(values: list[int]) -> list[int]:
+    """``values`` as ``SeedSequence`` reads a list of ints: each one's 32-bit
+    words, low first, and 0 as ``[0]``."""
+    words = []
+    for value in values:
         words.append(value & _MASK32)
+        while value := value >> 32:
+            words.append(value & _MASK32)
     return words
 
 
@@ -122,31 +126,35 @@ class _State:
         return self.words
 
 
-def _states(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row of a
-    ``(streams, words)`` uint32 entropy array, as C-contiguous rows: the
-    four words each stream's ``PCG64`` seeds itself from.
+def _states(head: list[int], tails: np.ndarray) -> np.ndarray:
+    """``SeedSequence(head + row).generate_state(4, np.uint64)`` of every row
+    of a ``(streams, k)`` uint32 array ``tails``, as C-contiguous rows: the
+    four words each stream's ``PCG64`` seeds itself from. ``head`` is the
+    uint32 words every stream's entropy starts with.
 
-    A row has at least four words. The first four fill the pool and are
-    mixed with each other; each word beyond them is then mixed into every
-    pool word. ``SeedSequence`` pads a shorter entropy with zeros to fill
-    the pool, so a row may end in zeros up to the pool size: ``[w, 0, 0,
-    0]`` is the entropy ``[w]`` too. The pool is mixed for every row at
-    once, over a row of uint32 words each, or by one ``SeedSequence`` when
-    all rows share its words; the words beyond it and ``generate_state``
-    are taken for every row at once.
+    The first four words of an entropy fill the pool and are mixed with
+    each other; each word beyond them is then mixed into every pool word.
+    ``SeedSequence`` pads a shorter entropy with zeros to fill the pool, so
+    ``[w]`` and ``[w, 0, 0, 0]`` mix alike. A head of four or more words
+    fills the pool alone: one ``SeedSequence`` of it mixes the pool, and
+    any head words beyond it, once for every stream. Otherwise the pool is
+    mixed for every stream at once, over a row of uint32 words each. The
+    tail words beyond the pool and ``generate_state`` are taken for every
+    stream at once.
     """
-    words = entropy.shape[1]
+    streams, words = len(tails), len(head) + tails.shape[1]
     hash_a = _HASH_A
     if _hashmixes(words) >= len(hash_a):
         hash_a = _hash_constants(_INIT_A, _MULT_A, _hashmixes(words) + 1)
-    pool = entropy[:, :_POOL_SIZE]
-    if words > _POOL_SIZE and len(pool) > 1 and (pool == pool[0]).all():
-        # The rows share the words of the pool, as a sweep's voter orders
-        # do: one SeedSequence of them mixes it faster than the arrays do,
-        # and the words beyond it then broadcast it to every row.
-        pool = np.random.SeedSequence(pool[0]).pool[None]
+    # How many tail words lie in the pool.
+    room = max(_POOL_SIZE - len(head), 0)
+    if not room:
+        pool = np.random.SeedSequence(np.array(head, np.uint32)).pool
+        pool = np.broadcast_to(pool, (streams, _POOL_SIZE))
     else:
+        pool = np.zeros((streams, _POOL_SIZE), np.uint32)
+        pool[:, : len(head)] = head
+        pool[:, len(head) : words] = tails[:, :room]
         pool = _hashmix(pool, hash_a[:_POOL_SIZE], hash_a[1 : _POOL_SIZE + 1])
         # Every pool word is mixed into every other, in order of source then
         # target; a source word does not change while it is mixed in.
@@ -154,8 +162,8 @@ def _states(entropy: np.ndarray) -> np.ndarray:
             mixed = _mix(pool, _hashmix(pool[:, src, None], _CROSS_XOR[src], _CROSS_MULT[src]))
             mixed[:, src] = pool[:, src]
             pool = mixed
-    at = _hashmixes(_POOL_SIZE)
-    for column in entropy[:, _POOL_SIZE:].T:
+    at = _hashmixes(len(head))
+    for column in tails[:, room:].T:
         constants = hash_a[at : at + _POOL_SIZE + 1]
         pool = _mix(pool, _hashmix(column[:, None], constants[:-1], constants[1:]))
         at += _POOL_SIZE
@@ -169,18 +177,10 @@ def _states(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(seeds)
 
 
-def _indexed(seed: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
-    """The entropies of ``(seed, *prefix, *index)`` for every index of
-    ``shape``, in C order, as rows for :func:`_states`: the words of the
-    masked seed and prefix (the head), then one word per index entry."""
-    head = [word for value in _entropy(seed, prefix) for word in _words(value)]
-    count = math.prod(shape)
-    words = len(head) + len(shape)
-    entropy = np.zeros((count, max(words, _POOL_SIZE)), np.uint32)
-    entropy[:, : len(head)] = head
-    # Every index entry is below 2**32, so one word.
-    entropy[:, len(head) : words] = np.indices(shape, np.uint32).reshape(len(shape), count).T
-    return entropy
+def _index_words(shape: tuple[int, ...]) -> np.ndarray:
+    """Every index of ``shape``, in C order, as a row of uint32 words: every
+    index entry is below 2**32, so one word."""
+    return np.indices(shape, np.uint32).reshape(len(shape), math.prod(shape)).T
 
 
 def _generator(state: np.ndarray) -> np.random.Generator:
@@ -196,8 +196,9 @@ def _streams(
     seed: int, prefix: tuple[int, ...], shape: tuple[int, ...]
 ) -> Iterator[np.random.Generator]:
     """The generators ``substream(seed, *prefix, *index)`` for every index of
-    ``shape``, in C order, seeded in one pass of :func:`_states`."""
-    return map(_generator, _states(_indexed(seed, prefix, shape)))
+    ``shape``, in C order, seeded in one pass of :func:`_states`: the words
+    of the masked seed and prefix are the head, each index the tail."""
+    return map(_generator, _states(_words(_entropy(seed, prefix)), _index_words(shape)))
 
 
 def _derived_states(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -206,11 +207,9 @@ def _derived_states(seed: int, shape: tuple[int, ...]) -> np.ndarray:
 
     A derived seed is the first uint64 word of its entropy's state. Its
     substream's entropy is the seed's low and high words, then the path's
-    0: ``[low, high, 0, 0]`` on a row of four, which is also the entropy
-    ``[low, 0]`` of a seed below 2**32.
+    0: ``[low, high, 0]``, or ``[low, 0]`` for a seed below 2**32, which
+    both pad to the pool as ``[low, high]`` does.
     """
-    derived = _states(_indexed(seed, (), shape))[:, 0]
-    entropy = np.zeros((len(derived), _POOL_SIZE), np.uint32)
-    entropy[:, 0] = (derived & np.uint64(_MASK32)).astype(np.uint32)
-    entropy[:, 1] = (derived >> np.uint64(32)).astype(np.uint32)
-    return _states(entropy)
+    derived = _states(_words(_entropy(seed, ())), _index_words(shape))[:, 0]
+    halves = derived[:, None] >> np.uint64([0, 32]) & np.uint64(_MASK32)
+    return _states([], halves.astype(np.uint32))

@@ -192,10 +192,11 @@ def _schedule_of(kind, cost, m: int) -> Schedule:
     return _schedule(_named(QuestionType, kind, "question type")[1], cost_name, m)
 
 
-@lru_cache(maxsize=1024)
 def _units_cap(budget, scale: int) -> int:
-    """``floor(budget * scale)`` over the exact value of ``budget``."""
-    return math.floor(Fraction(budget) * scale)
+    """``floor(budget * scale)`` over the exact value of ``budget``, an int,
+    a float or a Fraction."""
+    numerator, denominator = budget.as_integer_ratio()
+    return numerator * scale // denominator
 
 
 def _elicit(

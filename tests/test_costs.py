@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -164,6 +165,15 @@ def test_audit_rejects_bad_trials():
     for trials in (0, -3, 2.5, 10.0, True, False, "10", None):
         with pytest.raises(ValueError, match="trials"):
             audit_axiom("candidates", Axiom.PREFIX_MONOTONICITY, trials=trials)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, "3", None])
+@pytest.mark.parametrize("name", [*costs.VARIANCE_COUNTEREXAMPLES, "variance_aware"])
+def test_audit_reads_the_seed_before_replaying_a_stored_counterexample(name, seed):
+    """A cell that fails on its stored counterexample refuses a seed that is
+    not an int, as a sampled cell does."""
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an int, got {seed!r}")):
+        audit_axiom(name, "variance_monotonicity", trials=3, seed=seed)
 
 
 @pytest.mark.parametrize("axiom", list(Axiom))

@@ -13,7 +13,7 @@ from queryvote import costs
 from queryvote.costs import (
     ALL_AXIOMS, COST_FUNCTIONS, VARIANCE_COUNTEREXAMPLES, Axiom, audit_grid,
 )
-from queryvote.rng import _derived_states, _generator, _streams, derive_seed, substream
+from queryvote.rng import _derived_states, _generator, _states, _streams, derive_seed, substream
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, derive_seed(0, 3), derive_seed(2**40, 1, 7)]
 
@@ -49,6 +49,8 @@ def test_streams_match_their_substreams(seed, as_numpy, count):
         ((2**64 - 1, 2**33), (3, 1, 2)),
         ((), ()),  # one stream, no index words
         ((1, 2), (0, 3)),  # no streams
+        ((1, 0, 3), ()),  # one stream whose head fills the pool
+        ((1, 2**40, 3), ()),
     ],
 )
 def test_streams_over_a_shape_match_their_substreams(seed, prefix, shape):
@@ -71,6 +73,22 @@ def test_streams_of_long_entropies_match_their_substreams():
         states = [g.bit_generator.state for g in _streams(seed, prefix, shape)]
         indexes = itertools.product(*map(range, shape))
         assert states == [substream(seed, *prefix, *index).bit_generator.state for index in indexes]
+
+
+@pytest.mark.parametrize("streams", [1, 24])
+@pytest.mark.parametrize("tail_words", range(4))
+@pytest.mark.parametrize("head_words", range(7))
+def test_states_match_their_seed_sequences(head_words, tail_words, streams):
+    """Each row of ``_states(head, tails)`` is the state of
+    ``SeedSequence(head + row)``, whether the pool is mixed over the rows or,
+    from a head of 4 words on, by one ``SeedSequence`` of the head."""
+    rng = substream(2026, 40, head_words, tail_words, streams)
+    head = rng.integers(2**32, size=head_words, dtype=np.uint32).tolist()
+    tails = rng.integers(2**32, size=(streams, tail_words), dtype=np.uint32)
+    states = _states(head, tails)
+    expected = [np.random.SeedSequence(head + row).generate_state(4, np.uint64) for row in tails.tolist()]
+    assert states.flags.c_contiguous
+    assert states.tolist() == [state.tolist() for state in expected]
 
 
 def test_streams_refuse_a_prefix_tag_that_is_not_an_int():

@@ -538,6 +538,24 @@ def test_spend_in_units_of_a_large_denominator_stays_exact():
             assert run.spent <= budget
 
 
+def test_units_cap_is_the_floor_of_the_exact_product():
+    """``_units_cap`` against ``floor(Fraction(budget) * scale)`` on floats
+    from subnormal to 1e300, ints and Fractions, at scale 1 and at the
+    135-bit ``variance_aware`` scale of m=100."""
+    scales = [1, _schedule_of(QuestionType.NEXT, "variance_aware", 100).scale]
+    assert scales[1].bit_length() == 135
+    rng = substream(2026, 40)
+    floats = [0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, 2.5, 1e300]
+    floats += np.ldexp(rng.random(300), rng.integers(-1074, 997, 300)).tolist()
+    ints = [0, 1, 7, 2**64 + 3, *rng.integers(10**9, size=50).tolist()]
+    fractions = [F(1, 3), F(10**40 + 1, 3**90)]
+    fractions += [F(a, b) for a, b in rng.integers(1, 2**62, (50, 2)).tolist()]
+    assert all(0 <= budget <= 1e300 for budget in floats)
+    for scale in scales:
+        for budget in floats + ints + fractions:
+            assert _units_cap(budget, scale) == math.floor(F(budget) * scale), (budget, scale)
+
+
 def test_float_cap_between_two_float_spends():
     """``computational`` budgets strictly between consecutive spends of the trace."""
     rng = substream(56)
