@@ -51,6 +51,7 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -68,22 +69,30 @@ DEFAULT_MALLOWS_PHI = 0.8
 _ENUMERATION_LIMIT = 50_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class CultureSpec:
-    """A culture kind, its parameters, and the seed that fixes the election."""
+    """A culture kind, its parameters, and the seed that fixes the election.
+
+    A frozen value, so it hashes: ``params`` is a read-only copy, left out of the hash.
+    """
 
     kind: str
     seed: int = 0
-    params: Mapping[str, object] = field(default_factory=dict)
+    params: Mapping[str, object] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        _, self.kind = _named(_KIND_NAMES, self.kind, "culture kind")
-        self.seed = _whole("seed", self.seed)
+        object.__setattr__(self, "kind", _named(_KIND_NAMES, self.kind, "culture kind")[1])
+        object.__setattr__(self, "seed", _whole("seed", self.seed))
         if not isinstance(self.params, Mapping):
             raise ValueError(f"params must be a mapping, got {self.params!r}")
         unknown = sorted(set(self.params) - set(_CULTURES[self.kind][1]), key=str)
         if unknown:
             raise ValueError(f"{self.kind} culture does not take parameters {unknown}")
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle, and a process pool pickles specs.
+        return CultureSpec, (self.kind, self.seed, dict(self.params))
 
     def with_seed(self, seed: int) -> "CultureSpec":
         return replace(self, seed=seed)

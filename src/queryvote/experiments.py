@@ -39,11 +39,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, get_type_hints
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -93,29 +93,32 @@ _row_values = attrgetter(*CSV_COLUMNS)
 class ExperimentConfig:
     """Everything needed to reproduce a sweep.
 
-    ``cost`` is stored as its registry name, read by the name rule of
-    :func:`~queryvote.core._named`, and each ``budget_grid`` entry as the
-    budget rule of :mod:`queryvote.strategies` reads it. ``budget_grid`` may
-    be None, in which case every strategy gets the one grid of ``m``, ``n``
-    and ``cost``: 12 geometric points from 1% to 120% of the heaviest of the
-    four question types' full-resolution costs, plus 0 and unlimited. Each
-    budget caps the spend of every strategy alike, so a cheaper question
-    type reaches full resolution earlier in the grid.
+    The constructor is the one reader of every field, in Python and for
+    :func:`parse_config` alike. A ``cultures`` entry is a
+    :class:`~queryvote.cultures.CultureSpec`, a kind name or a mapping of a
+    spec's fields; a ``strategies`` entry is read by
+    :func:`~queryvote.strategies.parse_strategy`; ``cost`` is stored as its
+    registry name, read by the name rule of :func:`~queryvote.core._named`;
+    and each ``budget_grid`` entry as the budget rule of
+    :mod:`queryvote.strategies` reads it. The list fields are stored as
+    tuples, so a config is a value: no part of it changes after the checks,
+    and it hashes. ``dataclasses.replace`` makes a changed copy, checked anew.
 
-    A config is frozen, so a field cannot skip the checks by being set after
-    construction; ``dataclasses.replace`` makes a changed copy, checked anew.
+    ``budget_grid`` may be None, in which case every strategy gets the one
+    grid of ``m``, ``n`` and ``cost``: 12 geometric points from 1% to 120% of
+    the heaviest of the four question types' full-resolution costs, plus 0
+    and unlimited. Each budget caps the spend of every strategy alike, so a
+    cheaper question type reaches full resolution earlier in the grid.
     """
 
-    cultures: list[CultureSpec]
+    cultures: tuple[CultureSpec, ...]
     m: int
     n: int
     k: int
     elections_per_culture: int
-    strategies: list[tuple[QuestionType, BudgetPolicy]] = field(
-        default_factory=lambda: list(ALL_STRATEGIES)
-    )
+    strategies: tuple[tuple[QuestionType, BudgetPolicy], ...] = ALL_STRATEGIES
     cost: str = "variance_aware"
-    budget_grid: list[float] | None = None
+    budget_grid: tuple | None = None
     voter_order_repeats: int = 5
     master_seed: int = 0
 
@@ -123,18 +126,12 @@ class ExperimentConfig:
         for name in ("m", "n", "k", "elections_per_culture", "voter_order_repeats", "master_seed"):
             read = _whole if name in ("k", "master_seed") else _count
             object.__setattr__(self, name, read(name, getattr(self, name)))
+        object.__setattr__(self, "cultures", _each("cultures", self.cultures, _culture))
         if not self.cultures:
             raise ValueError("config needs at least one culture")
+        object.__setattr__(self, "strategies", _each("strategies", self.strategies, parse_strategy))
         if not self.strategies:
             raise ValueError("config needs at least one strategy")
-        for spec in self.cultures:
-            if not isinstance(spec, CultureSpec):
-                raise ValueError(f"cultures: {spec!r} is not a CultureSpec")
-        for strategy in self.strategies:
-            if strategy not in ALL_STRATEGIES:
-                raise ValueError(
-                    f"strategies: {strategy!r} is not a (QuestionType, BudgetPolicy) pair"
-                )
         # Rows carry only the strategy's label, so a repeat could not be told apart.
         strategies = [strategy_label(kind, policy) for kind, policy in self.strategies]
         for label in strategies:
@@ -142,13 +139,10 @@ class ExperimentConfig:
                 raise ValueError(f"the strategy {label!r} is listed twice")
         object.__setattr__(self, "cost", _named(COST_FUNCTIONS, self.cost, "cost function")[0])
         if self.budget_grid is not None:
-            try:
-                grid = [_budget(b) for b in self.budget_grid]
-            except ValueError as err:
-                raise ValueError(f"budget_grid: {err}") from None
+            grid = _each("budget_grid", self.budget_grid, _budget)
             if not grid:
                 raise ValueError("budget_grid must not be empty")
-            if grid != sorted(grid):
+            if list(grid) != sorted(grid):
                 raise ValueError("budget_grid must be sorted ascending")
             object.__setattr__(self, "budget_grid", grid)
         # Rows carry only the label, which leaves out the seed and a Mallows
@@ -164,6 +158,23 @@ class ExperimentConfig:
         # work. One voter is enough: no culture's check reads the voter count.
         for spec in self.cultures:
             generate(spec.with_seed(0), self.m, 1, self.k)
+
+
+def _each(name: str, entries, read) -> tuple:
+    """A list field as the tuple of its entries read by ``read``; any error names the field."""
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{name}: expected a list, got {entries!r}")
+    try:
+        return tuple(map(read, entries))
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from None
+
+
+def _culture(entry) -> CultureSpec:
+    """A ``cultures`` entry: a spec as it is, a kind name, or a mapping of a spec's fields."""
+    if isinstance(entry, str):
+        entry = CultureSpec(entry)
+    return entry if isinstance(entry, CultureSpec) else _from_json(CultureSpec, entry, "culture entry")
 
 
 def full_resolution_cost(election: Election, kind: QuestionType, cost) -> float:
@@ -486,17 +497,19 @@ def parse_config(data: dict) -> ExperimentConfig:
     """Build a config from parsed JSON, with friendly validation errors.
 
     The keys are the fields of :class:`ExperimentConfig`: an omitted key takes
-    its field's default, and an unknown key is an error.
+    its field's default, and an unknown key is an error. Every value is read
+    by the constructor, as in Python.
     """
     return _from_json(ExperimentConfig, data, "config")
 
 
 def _from_json(schema, data, what: str):
-    """A ``schema`` dataclass from a JSON object, each value parsed by its field's type."""
+    """A ``schema`` dataclass from a JSON object: its keys checked, and a whole
+    number in an int field read as an int (JSON may write 4 as ``4.0``)."""
     if not isinstance(data, dict):
         raise ValueError(f"{what} must be a JSON object, got {data!r}")
     known = {f.name: f for f in fields(schema)}
-    unknown = sorted(set(data) - set(known))
+    unknown = sorted(set(data) - set(known), key=str)
     if unknown:
         raise ValueError(f"{what} has unknown keys {unknown}; known keys: {list(known)}")
     missing = [
@@ -505,42 +518,13 @@ def _from_json(schema, data, what: str):
     ]
     if missing:
         raise ValueError(f"{what} is missing required keys: {missing}")
-    types = get_type_hints(schema)
-    values = {}
+    values = dict(data)
     for name, value in data.items():
-        try:
-            values[name] = _PARSERS.get(types[name], lambda given: given)(value)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"{what} key {name!r}: {err}") from None
+        if known[name].type in ("int", int):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+                raise ValueError(f"{what} key {name!r}: expected an integer, got {value!r}")
+            values[name] = int(value)
     return schema(**values)
-
-
-def _parse_int(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def _parse_culture(entry) -> CultureSpec:
-    if isinstance(entry, str):
-        return CultureSpec(kind=entry)
-    return _from_json(CultureSpec, entry, "culture entry")
-
-
-def _parse_each(parse, entries) -> list:
-    """A JSON array read entry by entry with ``parse``; any other value is an error."""
-    if not isinstance(entries, list):
-        raise ValueError(f"expected a list, got {entries!r}")
-    return [parse(entry) for entry in entries]
-
-
-# How a JSON value is read into a field, by its type; other fields take it as it is.
-_PARSERS = {
-    int: _parse_int,
-    list[CultureSpec]: lambda entries: _parse_each(_parse_culture, entries),
-    list[tuple[QuestionType, BudgetPolicy]]: lambda labels: _parse_each(parse_strategy, labels),
-    list[float] | None: lambda grid: None if grid is None else _parse_each(_budget, grid),
-}
 
 
 def parse_budget(text: str):

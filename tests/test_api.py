@@ -360,7 +360,7 @@ def test_the_budget_rule():
         assert read == plain and type(read) is type(plain)
     # A config stores each entry as the rule reads it, so a Fraction stays exact.
     grid = tiny_config(budget_grid=[np.int64(3), Fraction(7, 2)]).budget_grid
-    assert grid == [3, Fraction(7, 2)] and list(map(type, grid)) == [int, Fraction]
+    assert grid == (3, Fraction(7, 2)) and list(map(type, grid)) == [int, Fraction]
     with pytest.raises(ValueError, match="^full-resolution cost must be non-negative, got -1$"):
         _budget(-1, "full-resolution cost")
     with pytest.raises(ValueError, match="^expected a number or one of .* for budget, got 'nan'$"):

@@ -381,7 +381,7 @@ def test_spec_refuses_params_that_are_not_a_mapping():
             CultureSpec("Mallows", params=params)
     # A JSON "params": null meets the same check, under the config key it sits in.
     data = {"cultures": [{"kind": "IC", "params": None}], "m": 3, "n": 2, "k": 1, "elections_per_culture": 1}
-    with pytest.raises(ValueError, match=re.escape("config key 'cultures': params must be a mapping, got None")):
+    with pytest.raises(ValueError, match=re.escape("cultures: params must be a mapping, got None")):
         parse_config(data)
 
 

@@ -348,10 +348,10 @@ def test_config_validation():
     # A JSON budget is a number that is not a bool, or a word for unlimited.
     base = {"m": 4, "n": 3, "k": 2, "elections_per_culture": 1, "cultures": ["IC"]}
     grid = [0, 2.5, "inf", " Unlimited", "infinity"]
-    assert parse_config({**base, "budget_grid": grid}).budget_grid == [0, 2.5, *[UNLIMITED] * 3]
+    assert parse_config({**base, "budget_grid": grid}).budget_grid == (0, 2.5, *[UNLIMITED] * 3)
     assert parse_config({**base, "budget_grid": None}).budget_grid is None
     for bad in ([True, 5], ["5"], [1, "nan"], [None], [[3]]):
-        with pytest.raises(ValueError, match="config key 'budget_grid': expected a number"):
+        with pytest.raises(ValueError, match="^budget_grid: expected a number"):
             parse_config({**base, "budget_grid": bad})
     with pytest.raises(ValueError, match="^budget_grid must not be empty$"):
         parse_config({**base, "budget_grid": []})
@@ -359,7 +359,7 @@ def test_config_validation():
     for bad in ([True, "5"], ["5"], [1, "nan"], [None]):
         with pytest.raises(ValueError, match="^budget_grid: expected a number"):
             small_config(budget_grid=bad)
-    assert small_config(budget_grid=[0, 2.5, " Unlimited"]).budget_grid == [0.0, 2.5, UNLIMITED]
+    assert small_config(budget_grid=[0, 2.5, " Unlimited"]).budget_grid == (0.0, 2.5, UNLIMITED)
     with pytest.raises(ValueError, match="^config needs at least one strategy$"):
         small_config(strategies=[])
 
@@ -412,12 +412,9 @@ def test_config_rejects_a_strategy_listed_twice():
 @pytest.mark.parametrize(
     "overrides, message",
     [
-        ({"strategies": ["S-EQ"]}, "strategies: 'S-EQ' is not a (QuestionType, BudgetPolicy) pair"),
-        (
-            {"strategies": [("S", "EQ")]},
-            "strategies: ('S', 'EQ') is not a (QuestionType, BudgetPolicy) pair",
-        ),
-        ({"cultures": ["IC"]}, "cultures: 'IC' is not a CultureSpec"),
+        ({"strategies": [5]}, "strategies: unknown strategy 5; choose one of: "),
+        ({"strategies": [("S", "EQ")]}, "strategies: unknown strategy ('S', 'EQ'); choose one of: "),
+        ({"cultures": [("IC", 1)]}, "cultures: culture entry must be a JSON object, got ('IC', 1)"),
         ({"n": 3.5}, "n must be an int, got 3.5"),
         ({"elections_per_culture": True}, "elections_per_culture must be an int, got True"),
         ({"voter_order_repeats": 1.5}, "voter_order_repeats must be an int, got 1.5"),
@@ -450,6 +447,72 @@ def test_a_built_config_is_frozen():
         replace(config, voter_order_repeats=0)
 
 
+def test_a_config_is_a_value_all_the_way_down():
+    """Neither a list field nor a spec of a checked config can change after
+    the checks: an appended culture that shares a label, or a repeated
+    strategy, gave rows whose keys could not be told apart, and a late seed
+    of 2.5 was refused only at generation, under the wrong name."""
+    config = small_config()
+    extra = {
+        "cultures": CultureSpec("IC", seed=2),
+        "strategies": (QuestionType.SPLIT, BudgetPolicy.EQUAL),
+        "budget_grid": 30.0,
+    }
+    for name, entry in extra.items():
+        assert type(getattr(config, name)) is tuple
+        with pytest.raises(AttributeError):
+            getattr(config, name).append(entry)
+    with pytest.raises(FrozenInstanceError):
+        config.cultures[0].seed = 2.5
+    params = {"phi": 0.5}
+    spec = CultureSpec("Mallows", params=params)
+    params["phi"] = 2  # the spec keeps its own copy
+    with pytest.raises(TypeError):
+        spec.params["phi"] = 2
+    assert spec.params == {"phi": 0.5}
+    assert hash(config) == hash(replace(config)) and {config: 1}[replace(config)] == 1
+
+
+def test_parse_config_equals_and_hashes_as_its_python_twin():
+    center = [5, 4, 3, 2, 1, 0]
+    data = {
+        "m": 6, "n": 4, "k": 2, "elections_per_culture": 1,
+        "cultures": ["IC", {"kind": "Mallows", "seed": 4.0, "params": {"phi": 0.5, "center": center}}],
+        "strategies": ["S-EQ", "NL-FCFS"],
+        "budget_grid": [0, 10, "unlimited"],
+    }
+    twin = ExperimentConfig(
+        cultures=[CultureSpec("IC"), CultureSpec("Mallows", seed=4, params={"phi": 0.5, "center": center})],
+        m=6, n=4, k=2, elections_per_culture=1,
+        strategies=[(QuestionType.SPLIT, BudgetPolicy.EQUAL), (QuestionType.NEXT_AND_LAST, BudgetPolicy.FCFS)],
+        budget_grid=[0, 10, UNLIMITED],
+    )
+    config = parse_config(data)
+    assert config == twin and hash(config) == hash(twin)
+    assert pickle.loads(pickle.dumps(config)) == config
+
+
+def test_a_mallows_center_sweeps_alike_at_two_jobs():
+    """A process pool pickles the config; each spec's read-only params are
+    rebuilt from a plain copy, center list included."""
+    center = CultureSpec("Mallows", seed=3, params={"phi": 0.5, "center": [5, 4, 3, 2, 1, 0]})
+    config = small_config(cultures=[CultureSpec("IC", seed=1), center])
+    assert run_budget_sweep(config, jobs=2) == run_budget_sweep(config, jobs=1)
+
+
+def test_a_python_config_reads_names_as_json_does():
+    pair = (QuestionType.NEXT_AND_LAST, BudgetPolicy.FCFS)
+    read = [small_config(strategies=[name]).strategies for name in ("NL-FCFS", " nl_fcfs ", pair)]
+    assert read == [(pair,)] * 3
+    assert small_config(cultures=["impartial"]) == small_config(cultures=[CultureSpec("IC")])
+
+
+def test_a_python_culture_mapping_names_unknown_keys_whatever_their_types():
+    # A Python mapping may hold an int key beside a str one, which sorting gave a bare TypeError.
+    with pytest.raises(ValueError, match=re.escape("cultures: culture entry has unknown keys [1, 'a']")):
+        small_config(cultures=[{"kind": "IC", 1: 2, "a": 3}])
+
+
 def test_parse_config_round_trip():
     data = {
         "m": 6, "n": 4, "k": 2,
@@ -464,11 +527,11 @@ def test_parse_config_round_trip():
     config = parse_config(data)
     assert config.m == 6 and config.k == 2
     assert config.cultures[1].params["phi"] == 0.5
-    assert config.strategies == [
+    assert config.strategies == (
         (QuestionType.SPLIT, BudgetPolicy.EQUAL),
         (QuestionType.NEXT_AND_LAST, BudgetPolicy.FCFS),
-    ]
-    assert config.budget_grid == [0.0, 10.0, UNLIMITED]
+    )
+    assert config.budget_grid == (0.0, 10.0, UNLIMITED)
     with pytest.raises(ValueError):
         parse_config({"m": 3})
 
@@ -517,7 +580,7 @@ def test_parse_config_rejects_non_integral_integers(key):
 def test_parse_config_list_keys_take_json_arrays_only(key, entry, shape):
     # Read entry by entry, a string gives its characters and an object its keys.
     value = {"string": entry, "object": {entry: 1}, "number": 5}[shape]
-    message = f"config key {key!r}: expected a list, got {value!r}"
+    message = f"{key}: expected a list, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_config({**MINIMAL_CONFIG, key: value})
     assert parse_config({**MINIMAL_CONFIG, key: [entry]})

@@ -245,6 +245,18 @@ def test_equal_skips_unaffordable_voters():
     assert [entry.voter for entry in run.log] == [0, 0]
 
 
+def test_a_larger_equal_budget_can_leave_a_voter_knowing_less():
+    """EQ is not monotone in the budget, by its documented rule: at 799 round
+    0 asks three voters and round 1 voter 0 again; at 800 round 0 asks four
+    and nothing is left for round 1."""
+    e = generate(CultureSpec("IC", seed=1), 100, 250, 10)
+    seen = {}
+    for budget in (799, 800):
+        run = run_elicitation(e, SPLIT, EQ, "variance_aware", budget, range(250), record_log=False)
+        seen[budget] = [len(classes) for classes in run.profile[:5]], run.spent
+    assert seen == {799: ([3, 2, 2, 1, 1], 700), 800: ([2, 2, 2, 2, 1], 800)}
+
+
 def test_voter_order_is_respected(worked_election):
     run = run_elicitation(worked_election, SPLIT, EQ, "variance_aware", 24, voter_order=[1, 0])
     assert [entry.voter for entry in run.log] == [1, 0, 1, 0]
