@@ -216,6 +216,10 @@ def select_top_k(scores: Sequence[float], k: int) -> Committee:
     # listed with floats, and negating an int dtype can wrap. As Python
     # objects, ints, Fractions and mixed scores compare exactly.
     row = np.asarray(scores) if floats else np.array(scores, dtype=object)
+    # NaN compares false with every score, so no order could rank it.
+    nan = row != row
+    if nan.any():
+        raise ValueError(f"score of candidate {int(nan.argmax())} is NaN")
     return frozenset(_top_k_rows(row[None], k)[0].tolist())
 
 

@@ -88,7 +88,8 @@ class CultureSpec:
         unknown = sorted(set(self.params) - set(_CULTURES[self.kind][1]), key=str)
         if unknown:
             raise ValueError(f"{self.kind} culture does not take parameters {unknown}")
-        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
+        params = {key: _frozen(value) for key, value in self.params.items()}
+        object.__setattr__(self, "params", MappingProxyType(params))
 
     def __reduce__(self):
         # A mappingproxy does not pickle, and a process pool pickles specs.
@@ -104,6 +105,13 @@ class CultureSpec:
             return self.kind
         inner = ",".join(f"{k}={v}" for k, v in shown.items())
         return f"{self.kind}[{inner}]"
+
+
+def _frozen(value):
+    """A ``params`` value with every list, tuple or ndarray in it read as a tuple."""
+    if isinstance(value, np.ndarray) and value.ndim:
+        value = value.tolist()
+    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
 
 
 def _permutation(rng: np.random.Generator, m: int) -> PreferenceOrder:

@@ -19,19 +19,18 @@ schedule, which EQ and FCFS of a question type share.
 Each election is then one pass (:func:`_election_rows`): it is generated,
 and all its strategies x repeats voter orders are seeded in one pass of
 :func:`~queryvote.rng._streams`, each bit-identical to its ``substream``,
-into one array ``(strategies, repeats, n)``. :func:`_distances` checks the
-k-Borda target and scores every (strategy, repeat) block of budgets into
-one array ``(strategies, repeats, budgets)``: the runs of a range of cells,
-expanded by one ``np.repeat``, form their arrays of levels, which the one
-scorer of :func:`~queryvote.scoring.partial_scores` gathers from the
+into one array ``(strategies, repeats, n)``. :func:`_distances` scores every
+(strategy, repeat) block of budgets against the election's k-Borda committee
+into one array ``(strategies, repeats, budgets)``: the runs of a range of
+cells, expanded by one ``np.repeat``, form their arrays of levels, which the
+one scorer of :func:`~queryvote.scoring.partial_scores` gathers from the
 record's table. One loop takes the blocks a group at a time, as many whole
 blocks as fit under a bound of shares, and a block's cells a batch at a
-time, all of them unless one block does not fit; every gather has one
-shape, and one stable sort picks every committee of the batch. So the rows
-equal those of :func:`~queryvote.scoring.query_based_committee` under each
-budget. ``queryvote sweep`` and :func:`sweep_distances` take the same two
-calls, :func:`_elicit_sweep` and then :func:`_distances`, with their own
-voter orders.
+time, all of them unless one block does not fit; every gather has one shape,
+and one stable sort picks every committee of the batch. So the rows equal
+those of :func:`~queryvote.scoring.query_based_committee` under each budget.
+``queryvote sweep`` takes the same two calls, :func:`_elicit_sweep` and then
+:func:`_distances`, with one voter order per repeat for every strategy.
 """
 
 from __future__ import annotations
@@ -43,11 +42,11 @@ from dataclasses import MISSING, dataclass, fields
 from itertools import accumulate
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Committee, Election, _count, _is_int_type, _named, _top_k_rows, _whole, k_borda
+from .core import Committee, Election, _count, _named, _top_k_rows, _whole, k_borda
 from .costs import COST_FUNCTIONS
 from .cultures import CultureSpec, generate
 from .rng import _streams, derive_seed, substream
@@ -61,8 +60,6 @@ from .strategies import (
     _elicit,
     _elicit_units,
     _schedule_of,
-    _spend,
-    _voter_order,
     parse_strategy,
     strategy_label,
 )
@@ -300,23 +297,11 @@ def _elicit_sweep(strategies, cost, m: int, n: int, budgets: Sequence) -> _Sweep
     )
 
 
-def _target_mask(target: Committee, m: int, k: int) -> np.ndarray:
-    """``target`` as a mask over the m candidates, checked to hold k distinct candidate ids."""
-    if len(target) != k:
-        raise ValueError(f"committees differ in size: {k} vs {len(target)}")
-    members = set(target)
-    if len(members) != k or not all(_is_int_type(type(c)) and 0 <= c < m for c in members):
-        raise ValueError(f"target must hold k={k} distinct candidate ids 0..{m - 1}, got {target!r}")
-    in_target = np.zeros(m, dtype=bool)
-    in_target[list(members)] = True
-    return in_target
-
-
 def _distances(sweep: _Sweep, election: Election, orders: np.ndarray, target: Committee) -> np.ndarray:
-    """The Hamming distance from ``target``, checked first, at every cell of
-    ``sweep`` under every voter order of ``election``: ``orders[s, r]`` is
-    repeat r's order for strategy s, and the result is an int array
-    ``(strategies, repeats, budgets)``.
+    """The Hamming distance from ``target``, the election's k-Borda committee,
+    at every cell of ``sweep`` under every voter order of ``election``:
+    ``orders[s, r]`` is repeat r's order for strategy s, and the result is an
+    int array ``(strategies, repeats, budgets)``.
 
     One loop takes the (strategy, repeat) blocks ``group`` at a time and their
     cells ``batch`` at a time: whole blocks, as many as fit under
@@ -327,12 +312,11 @@ def _distances(sweep: _Sweep, election: Election, orders: np.ndarray, target: Co
     count of hits.
     """
     m, k = election.m, election.k
-    in_target = _target_mask(target, m, k)
+    in_target = np.zeros(m, dtype=bool)
+    in_target[list(target)] = True
     strategies, repeats, n = orders.shape
     cells = len(sweep.budgets)
     distances = np.empty((strategies, repeats, cells), dtype=np.intp)
-    if not cells:
-        return distances
     blocks, by_block = orders.reshape(-1, n), distances.reshape(-1, cells)
     # A group of two or more blocks has every cell in one batch, so the runs
     # of a batch are always one range of the record.
@@ -356,33 +340,6 @@ def _distances(sweep: _Sweep, election: Election, orders: np.ndarray, target: Co
             hits = in_target[_top_k_rows(totals.reshape(-1, m), k)].sum(axis=1)
             by_block[start:stop, low:high] = (2 * (k - hits)).reshape(stop - start, -1)
     return distances
-
-
-def sweep_distances(
-    election: Election,
-    kind: QuestionType,
-    policy: BudgetPolicy,
-    cost,
-    budgets: Sequence,
-    voter_order: Sequence[int],
-    target: Committee,
-) -> Iterator[tuple[object, int, object]]:
-    """Hamming distance from ``target`` at every budget of a grid, in grid order.
-
-    Yields ``(budget, distance, spent)`` per entry of ``budgets``, the budget
-    as :func:`~queryvote.strategies._budget` reads it: each budget is its own
-    run, with the spend of :func:`~queryvote.strategies.run_elicitation` under
-    it, scored by Borda over the partial profile; the top ``k`` committee is
-    compared with ``target``, which must hold ``k`` distinct candidate ids.
-    The voter order, the strategy, every budget and the target are checked,
-    in that order, before the first row: the public form of the sweep step for
-    one strategy and one voter order, with its spend in the prices' type.
-    """
-    order = _voter_order(election.n, voter_order)
-    sweep = _elicit_sweep([(kind, policy)], cost, election.m, election.n, budgets)
-    distances = _distances(sweep, election, order[None, None], target)[0, 0].tolist()
-    spent = (_spend(sweep.scales[0], units) for units in sweep.units)
-    yield from zip(sweep.budgets, distances, spent)
 
 
 def _election_rows(args) -> list[ResultRow]:

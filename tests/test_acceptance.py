@@ -157,7 +157,7 @@ def test_criterion_4_random_baseline_calibration():
     )
 
 
-def _sweep_distances(config):
+def _distance_table(config):
     """distances[(strategy, budget_index)] -> per-election distance list."""
     rows = qv.run_budget_sweep(config)
     grid = list(config.budget_grid)
@@ -190,7 +190,7 @@ def test_criterion_5_split_dominates_at_desk_scale():
         voter_order_repeats=1,
         master_seed=2025,
     )
-    table, grid = _sweep_distances(config)
+    table, grid = _distance_table(config)
 
     ok = True
     worst = None
@@ -239,7 +239,7 @@ def test_criterion_6_budget_policy_culture_effect():
             voter_order_repeats=1,
             master_seed=77,
         )
-        table, _ = _sweep_distances(config)
+        table, _ = _distance_table(config)
         return table
 
     ok = True

@@ -24,9 +24,11 @@ import queryvote as qv
 from queryvote import cli
 from queryvote.core import _named
 from queryvote.cultures import _KIND_NAMES
-from queryvote.experiments import parse_config, sweep_distances
+from queryvote.experiments import parse_config
 from queryvote.rng import derive_seed, substream
 from queryvote.strategies import _STRATEGIES, _budget, parse_strategy
+
+from sweep_step import sweep_step
 
 PUBLIC_API = [
     "ALL_STRATEGIES",
@@ -130,18 +132,13 @@ def test_readme_python_runs_and_names_only_public_api():
 
 
 # Public names that no package code reads, with the reason each stays.
-UNREAD_ALLOWED: set[str] = {
-    # The public form of the sweep step for one strategy and one voter order,
-    # with its spend in the prices' type; `run_budget_sweep` and `queryvote
-    # sweep` score every strategy and order in one step instead.
-    "sweep_distances",
-}
+UNREAD_ALLOWED: set[str] = set()
 
 
-def test_every_public_name_is_exported_or_read():
-    """A top-level name without a leading underscore is either in ``__all__``
-    or read by package code outside the statement that defines it. The AST is
-    read, so a name mentioned only in a docstring or comment counts as unread."""
+def unread_top_level_names() -> list[str]:
+    """Every top-level name of the package that no package statement reads
+    outside the statement that defines it. The AST is read, so a name
+    mentioned only in a docstring or comment counts as unread."""
     package = Path(__file__).parent.parent / "src" / "queryvote"
     defined, statements = {}, []
     for path in sorted(package.glob("*.py")):
@@ -162,14 +159,26 @@ def test_every_public_name_is_exported_or_read():
                 elif isinstance(part, ast.Attribute):
                     reads.add(part.attr)
             statements.append((node, reads))
-    unread = sorted(
+    return sorted(
         name
         for name, definition in defined.items()
-        if not name.startswith("_")
-        and name not in qv.__all__
-        and not any(name in reads for node, reads in statements if node is not definition)
+        if not any(name in reads for node, reads in statements if node is not definition)
     )
+
+
+def test_every_public_name_is_exported_or_read():
+    """A top-level name without a leading underscore is either in ``__all__``
+    or read by package code outside the statement that defines it."""
+    unread = [name for name in unread_top_level_names() if not name.startswith("_") and name not in qv.__all__]
     assert unread == sorted(UNREAD_ALLOWED), unread
+
+
+def test_every_private_name_is_read_by_the_package():
+    """A top-level name with a leading underscore, other than a module dunder
+    such as ``__all__``, is read by package code outside the statement that
+    defines it: no private function lives in the package for the tests alone."""
+    unread = [name for name in unread_top_level_names() if name.startswith("_") and not name.endswith("__")]
+    assert unread == [], unread
 
 
 ROLE = re.compile(r":(?:func|class|mod|data|attr):`~?([\w.]+?)(?:\(\))?`")
@@ -299,13 +308,8 @@ def committee(budget, cost):
 
 
 def swept(budget, cost):
-    target = qv.k_borda(BUDGET_ELECTION)
     return [
-        (read, distance, spent)
-        for policy in (EQ, FCFS)
-        for read, distance, spent in sweep_distances(
-            BUDGET_ELECTION, SPLIT, policy, cost, [budget], range(5), target
-        )
+        row for policy in (EQ, FCFS) for row in sweep_step(BUDGET_ELECTION, SPLIT, policy, cost, [budget])
     ]
 
 
@@ -320,7 +324,7 @@ def json_grid(budget, cost):
 BUDGET_PARAMETERS = [
     ("run_elicitation", elicited),
     ("query_based_committee", committee),
-    ("sweep_distances", swept),
+    ("sweep_step", swept),
     (
         "ExperimentConfig.budget_grid",
         lambda v, cost: tiny_config(budget_grid=[0, v], cost=cost).budget_grid,
@@ -369,16 +373,12 @@ def test_the_budget_rule():
     with pytest.raises(ValueError, match="for budget, got Decimal"):
         _budget(Decimal(30))
     # A sweep yields each budget as the rule reads it, which run.budget also holds.
-    target = qv.k_borda(BUDGET_ELECTION)
     budgets = [np.float32(30), " unlimited "]
-    yielded = [budget for budget, _, _ in sweep_distances(
-        BUDGET_ELECTION, SPLIT, EQ, "variance_aware", budgets, range(5), target
-    )]
+    yielded = [budget for budget, _, _ in sweep_step(BUDGET_ELECTION, SPLIT, EQ, "variance_aware", budgets)]
     assert yielded == [30.0, qv.UNLIMITED] and list(map(type, yielded)) == [float, float]
     assert [elicited(budget, "variance_aware")[0] for budget in budgets] == yielded
 
 
-NAME_TARGET = qv.k_borda(BUDGET_ELECTION)
 VARIANCE_AWARE = ["variance_aware", " Variance-Aware ", "VARIANCEAWARE", qv.cost_variance_aware]
 SPLIT_NAMES = ["S", " s ", SPLIT]
 FCFS_NAMES = ["FCFS", " fcfs ", "F_C-FS", FCFS]
@@ -402,7 +402,7 @@ def name_config(cost):
 
 
 def swept_by(kind=SPLIT, policy=EQ, cost="variance_aware"):
-    return list(sweep_distances(BUDGET_ELECTION, kind, policy, cost, [0, 30], range(5), NAME_TARGET))
+    return sweep_step(BUDGET_ELECTION, kind, policy, cost, [0, 30])
 
 
 def elicited_by(kind=SPLIT, policy=EQ, cost="variance_aware"):
@@ -419,9 +419,9 @@ NAME_PARAMETERS = [
     ("run_elicitation.kind", SPLIT_NAMES, lambda v: elicited_by(kind=v)),
     ("run_elicitation.policy", FCFS_NAMES, lambda v: elicited_by(policy=v)),
     ("run_elicitation.cost", VARIANCE_AWARE, lambda v: elicited_by(cost=v)),
-    ("sweep_distances.kind", SPLIT_NAMES, lambda v: swept_by(kind=v)),
-    ("sweep_distances.policy", FCFS_NAMES, lambda v: swept_by(policy=v)),
-    ("sweep_distances.cost", VARIANCE_AWARE, lambda v: swept_by(cost=v)),
+    ("sweep_step.kind", SPLIT_NAMES, lambda v: swept_by(kind=v)),
+    ("sweep_step.policy", FCFS_NAMES, lambda v: swept_by(policy=v)),
+    ("sweep_step.cost", VARIANCE_AWARE, lambda v: swept_by(cost=v)),
     ("full_resolution_cost.kind", SPLIT_NAMES, lambda v: qv.full_resolution_cost(BUDGET_ELECTION, v, "computational")),
     ("full_resolution_cost.cost", VARIANCE_AWARE, lambda v: qv.full_resolution_cost(BUDGET_ELECTION, SPLIT, v)),
     (

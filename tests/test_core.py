@@ -1,3 +1,4 @@
+import math
 import operator
 import pickle
 from dataclasses import fields, replace
@@ -60,6 +61,16 @@ def test_select_top_k_examples():
 def test_select_top_k_rejects_large_k():
     with pytest.raises(ValueError):
         select_top_k([1.0, 2.0], 3)
+
+
+def test_select_top_k_refuses_a_nan_score():
+    """NaN compares false with every score: sorted as floats it went last and
+    as objects first, so one list picked {0, 2} or {0, 1} by its other types."""
+    for scores in ([1.0, math.nan, 0.5], [1, math.nan, 0.5]):
+        with pytest.raises(ValueError, match="^score of candidate 1 is NaN$"):
+            select_top_k(scores, 2)
+    with pytest.raises(ValueError, match="^score of candidate 2 is NaN$"):
+        select_top_k(np.array([1.0, 0.5, math.nan, math.nan]), 1)
 
 
 def test_select_top_k_affine_invariance():

@@ -385,6 +385,23 @@ def test_spec_refuses_params_that_are_not_a_mapping():
         parse_config(data)
 
 
+def test_a_spec_holds_no_list_a_caller_can_change():
+    """A sequence in ``params`` is stored as a tuple: reversing the caller's
+    center list after construction changed the votes the spec gave, while
+    its label, its hash and a config's checks did not see it."""
+    center = [0, 1, 2, 3]
+    spec = CultureSpec("Mallows", seed=1, params={"phi": 0.5, "center": center})
+    votes = generate(spec, 4, 3, 2).voters
+    center.reverse()
+    assert generate(spec, 4, 3, 2).voters == votes
+    assert spec.params["center"] == (0, 1, 2, 3) and type(spec.params["center"]) is tuple
+    twin = CultureSpec("Mallows", seed=1, params={"phi": 0.5, "center": (0, 1, 2, 3)})
+    assert spec == twin and hash(spec) == hash(twin)
+    # An array is read through tolist(), so its entries are plain ints.
+    array = CultureSpec("Mallows", seed=1, params={"phi": 0.5, "center": np.arange(4)})
+    assert array == twin and type(array.params["center"][0]) is int
+
+
 def test_spec_names_unknown_params_whatever_their_key_types():
     # Sorting an int key against a str key gave a bare TypeError.
     with pytest.raises(ValueError, match=re.escape("IC culture does not take parameters [1, 'a']")):

@@ -38,7 +38,6 @@ from queryvote.experiments import (
     _elicit_sweep,
     _full_cost,
     parse_config,
-    sweep_distances,
 )
 from queryvote.rng import derive_seed, substream
 from queryvote.scoring import (
@@ -60,6 +59,7 @@ from queryvote.strategies import (
 )
 
 from results_csv import read_csv_rows
+from sweep_step import sweep_step
 
 
 def small_config(**overrides):
@@ -620,13 +620,13 @@ def test_one_candidate_config_derives_the_endpoint_grid():
     assert all(row.distance == 0 and row.spent == 0 for row in rows)
 
 
-def test_sweep_distances_match_one_committee_per_budget():
+def test_the_sweep_step_matches_one_committee_per_budget():
     election = generate(CultureSpec("Mallows", seed=3, params={"phi": 0.5}), 7, 6, 3)
     target = k_borda(election)
     grid = [0.0, 5.0, 30.0, 30.0, 120.0, UNLIMITED]
     order = [int(v) for v in substream(8).permutation(election.n)]
     for kind, policy in ALL_STRATEGIES:
-        swept = sweep_distances(election, kind, policy, "variance_aware", grid, order, target)
+        swept = sweep_step(election, kind, policy, "variance_aware", grid, order)
         for budget, (swept_budget, distance, spent) in zip(grid, swept, strict=True):
             committee, run = query_based_committee(
                 election, kind, policy, "variance_aware", budget, voter_order=order,
@@ -660,7 +660,7 @@ def test_sweep_totals_are_partial_scores_of_the_plain_profile():
                     grid = [0, 0, UNLIMITED, UNLIMITED, *map(float, points), float(points[0])]
                     schedule = _schedule_of(kind, cost, m)
                     table = _share_table(schedule, borda_vector(m))
-                    swept = sweep_distances(e, kind, policy, cost, grid, order, target)
+                    swept = sweep_step(e, kind, policy, cost, grid, order)
                     for budget, (_, distance, _) in zip(grid, swept, strict=True):
                         runs, _ = _elicit(schedule, policy, n, budget)
                         totals = _totals(table, [expanded(runs)], e._places[order])[0].tolist()
@@ -711,7 +711,7 @@ def test_batched_sweep_totals_match_the_one_cell_reference(monkeypatch, m, n):
             schedule = _schedule_of(kind, cost, m)
             table = _share_table(schedule, borda_vector(m))
             batches.clear()
-            swept = list(sweep_distances(e, kind, policy, cost, grid, order, target))
+            swept = sweep_step(e, kind, policy, cost, grid, order)
             assert [levels.shape for levels, _ in batches] == [(1, 3, n), (1, 3, n), (1, 1, n)]
             rows = np.concatenate([levels.reshape(-1, n) for levels, _ in batches])
             totals = np.concatenate([totals for _, totals in batches])
@@ -774,17 +774,6 @@ def test_run_budget_sweep_rows_are_one_run_per_cell(monkeypatch, cost):
     assert run_budget_sweep(config, jobs=2) == rows
 
 
-def test_an_empty_grid_checks_its_target_and_yields_nothing():
-    e = generate(CultureSpec("IC", seed=4), 6, 5, 2)
-    for cost in ("variance_aware", "computational"):
-        for kind, policy in ALL_STRATEGIES:
-            with pytest.raises(ValueError, match="^target must hold k=2 distinct candidate ids 0..5"):
-                list(sweep_distances(e, kind, policy, cost, [], None, {9, 0}))
-            with pytest.raises(ValueError, match="^committees differ in size: 2 vs 1$"):
-                list(sweep_distances(e, kind, policy, cost, [], None, {0}))
-            assert list(sweep_distances(e, kind, policy, cost, [], None, k_borda(e))) == []
-
-
 def test_an_elicited_grid_holds_runs_whatever_the_voter_count():
     """A sweep keeps each cell's runs, never one level per voter: at 3 voters
     and at a million, at most max(m, 3) runs per cell, whose counts add up
@@ -800,38 +789,11 @@ def test_an_elicited_grid_holds_runs_whatever_the_voter_count():
                 assert elicited.counts[first:last].sum() == n
 
 
-def test_sweep_checks_its_target_before_any_row():
-    e = generate(CultureSpec("IC", seed=4), 20, 6, 2)
-    sweep = lambda target: next(iter(sweep_distances(e, "S", "EQ", "candidates", [5], None, target)))
-    for target in ({99, 0}, {-1, 0}, {True, 3}, {1.0, 3}, [3, 3]):
-        with pytest.raises(ValueError, match="^target must hold k=2 distinct candidate ids 0..19"):
-            sweep(target)
-    with pytest.raises(ValueError, match="^committees differ in size: 2 vs 1$"):
-        sweep({0})
-    assert sweep({np.int64(19), 0})[1] in (0, 2, 4)
-
-
-def test_a_bad_voter_order_is_reported_before_any_other_bad_input():
-    e = generate(CultureSpec("IC", seed=4), 5, 3, 2)
-    target = k_borda(e)
-    for kind, policy, cost, grid, target in (
-        ("bogus", "EQ", "variance_aware", [5], target),
-        ("S", "bogus", "variance_aware", [5], target),
-        ("S", "EQ", "bogus", [5], target),
-        ("S", "EQ", "variance_aware", [5, -1], target),
-        ("S", "EQ", "variance_aware", [5], {9, 0}),
-    ):
-        swept = sweep_distances(e, kind, policy, cost, grid, [0, 0, 1], target)
-        with pytest.raises(ValueError, match="^voter_order must be a permutation"):
-            next(iter(swept))
-
-
 def test_a_bad_budget_anywhere_in_the_grid_fails_before_any_row():
     e = generate(CultureSpec("IC", seed=4), 5, 3, 2)
     for grid in ([5, -1], [5, math.nan], [5, "lots"]):
-        swept = sweep_distances(e, "S", "EQ", "variance_aware", grid, None, k_borda(e))
         with pytest.raises(ValueError, match="budget"):
-            next(iter(swept))
+            sweep_step(e, "S", "EQ", "variance_aware", grid)
 
 
 def test_row_spends_are_the_floats_of_the_exact_spends():

@@ -31,7 +31,7 @@ from queryvote import (
     strategy_label,
 )
 from queryvote.cultures import KINDS
-from queryvote.experiments import full_resolution_cost, sweep_distances
+from queryvote.experiments import full_resolution_cost
 from queryvote.queries import OrderedPartition
 from queryvote.rng import substream
 from queryvote.scoring import _share_table, borda_vector, partial_scores, query_based_committee
@@ -44,6 +44,8 @@ from queryvote.strategies import (
     _units_cap,
     parse_strategy,
 )
+
+from sweep_step import sweep_step
 
 SPLIT, EQ, FCFS = QuestionType.SPLIT, BudgetPolicy.EQUAL, BudgetPolicy.FCFS
 
@@ -68,12 +70,12 @@ def test_strategy_labels_round_trip():
         assert run.question is SPLIT and run.policy is EQ
         assert run == run_elicitation(e, SPLIT, EQ, "variance_aware", UNLIMITED)
         assert full_resolution_cost(e, "S", "variance_aware") == float(run.spent)
-        swept = sweep_distances(e, "S", "FCFS", "variance_aware", [UNLIMITED], [0], {0})
+        swept = sweep_step(e, "S", "FCFS", "variance_aware", [UNLIMITED], [0])
         assert [distance for _, distance, _ in swept] == [0]
         calls = [
             lambda: run_elicitation(e, "bogus", EQ, "variance_aware", UNLIMITED),
             lambda: full_resolution_cost(e, "bogus", "variance_aware"),
-            lambda: list(sweep_distances(e, "bogus", EQ, "variance_aware", [0], [0], {0})),
+            lambda: sweep_step(e, "bogus", EQ, "variance_aware", [0], [0]),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="bogus"):
@@ -311,9 +313,7 @@ def test_elicitation_rejects_a_custom_cost(worked_election):
     """A callable outside the registry may price by the candidates shown, which no schedule holds."""
     calls = [
         lambda: run_elicitation(worked_election, SPLIT, EQ, charge_for_zero, UNLIMITED),
-        lambda: list(
-            sweep_distances(worked_election, SPLIT, FCFS, charge_for_zero, [0, 8], [0, 1], {0})
-        ),
+        lambda: sweep_step(worked_election, SPLIT, FCFS, charge_for_zero, [0, 8], [0, 1]),
         lambda: full_resolution_cost(worked_election, SPLIT, charge_for_zero),
         lambda: query_based_committee(worked_election, SPLIT, EQ, charge_for_zero, 24),
     ]
@@ -351,7 +351,7 @@ def test_sweep_matches_a_fresh_run_at_every_budget():
             for kind, policy in ALL_STRATEGIES:
                 unlimited = run_elicitation(e, kind, policy, cost, UNLIMITED, voter_order=order)
                 grid = budget_grid(rng, [entry.cost for entry in unlimited.log])
-                swept = list(sweep_distances(e, kind, policy, cost, grid, order, target))
+                swept = sweep_step(e, kind, policy, cost, grid, order)
                 assert [budget for budget, _, _ in swept] == grid
                 for budget, distance, spent in swept:
                     committee, fresh = query_based_committee(
@@ -366,10 +366,10 @@ def test_sweep_rejects_bad_grids(worked_election):
     target = k_borda(worked_election)
     for bad in ([-1, 8], [8, math.nan]):
         with pytest.raises(ValueError, match="budget must be non-negative"):
-            list(sweep_distances(worked_election, SPLIT, EQ, "variance_aware", bad, [0, 1], target))
+            sweep_step(worked_election, SPLIT, EQ, "variance_aware", bad, [0, 1])
     # An unsorted grid with a repeated budget is no bad grid: each budget is its own run.
     grid = [24, 8, 24, 0, 8.5]
-    swept = sweep_distances(worked_election, SPLIT, EQ, "variance_aware", grid, [1, 0], target)
+    swept = sweep_step(worked_election, SPLIT, EQ, "variance_aware", grid, [1, 0])
     for budget, (swept_budget, distance, spent) in zip(grid, swept, strict=True):
         committee, run = query_based_committee(
             worked_election, SPLIT, EQ, "variance_aware", budget, voter_order=[1, 0]
@@ -510,7 +510,7 @@ def random_election(rng):
 def check_against_reference(e, kind, policy, cost, grid, order):
     """Single runs and the sweep's distances over ``grid`` equal the reference run's, in budget."""
     target = k_borda(e)
-    swept = sweep_distances(e, kind, policy, cost, grid, order, target)
+    swept = sweep_step(e, kind, policy, cost, grid, order)
     for budget, (swept_budget, distance, spent) in zip(grid, swept, strict=True):
         run = run_elicitation(e, kind, policy, cost, budget, voter_order=order, record_log=False)
         reference = reference_run(e, kind, policy, cost, budget, order)
