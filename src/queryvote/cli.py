@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import election_io
-from .core import _count, _named, _whole, k_borda
+from .core import _count, _named, _whole
 from .costs import audit_csv_rows, audit_grid, format_audit_table
 from .cultures import KINDS, CultureSpec, generate
 from .experiments import (
@@ -160,7 +160,7 @@ def _cmd_audit(args) -> int:
     print(format_audit_table(grid))
     if args.csv:
         rows = audit_csv_rows(grid)
-        with Path(args.csv).open("w", newline="") as handle:
+        with Path(args.csv).open("w", encoding="utf-8", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
@@ -170,7 +170,6 @@ def _cmd_audit(args) -> int:
 
 def _cmd_sweep(args) -> int:
     election = election_io.load_election(args.election, k=args.k)
-    target = k_borda(election)
     if args.budgets is not None:
         budgets = [parse_budget(item) for item in args.budgets.split(",")]
     else:
@@ -180,7 +179,7 @@ def _cmd_sweep(args) -> int:
     orders = [substream(args.seed, r).permutation(election.n) for r in range(args.repeats)]
     sweep = _elicit_sweep(ALL_STRATEGIES, args.cost, election.m, election.n, budgets)
     shape = (len(ALL_STRATEGIES), args.repeats, election.n)
-    distances = _distances(sweep, election, np.broadcast_to(orders, shape), target)
+    distances = _distances(sweep, election, np.broadcast_to(orders, shape))
     # The table is printed whole, so a rejected budget leaves stdout empty.
     table = ["strategy".ljust(9) + "".join(_fmt_budget(b).rjust(10) for b in budgets)]
     for (kind, policy), means in zip(ALL_STRATEGIES, distances.mean(axis=1)):

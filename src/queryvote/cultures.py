@@ -52,7 +52,7 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -108,10 +108,14 @@ class CultureSpec:
 
 
 def _frozen(value):
-    """A ``params`` value with every list, tuple or ndarray in it read as a tuple."""
+    """A ``params`` value with every iterable in it other than a str, bytes or
+    mapping read as a tuple, an ndarray through ``tolist()``; a 0-d array is
+    kept as it is."""
     if isinstance(value, np.ndarray) and value.ndim:
         value = value.tolist()
-    return tuple(map(_frozen, value)) if isinstance(value, (list, tuple)) else value
+    if isinstance(value, (str, bytes, Mapping, np.ndarray)) or not isinstance(value, Iterable):
+        return value
+    return tuple(map(_frozen, value))
 
 
 def _permutation(rng: np.random.Generator, m: int) -> PreferenceOrder:

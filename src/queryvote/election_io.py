@@ -38,7 +38,7 @@ def write_native(election: Election, path) -> None:
     lines = [f"{election.m} {election.n} {election.k}"]
     names = np.array([str(c) for c in range(election.m)], dtype=object)
     lines.extend(map(" ".join, names[election._rankings].tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
 def _read_lines(path) -> list[tuple[int, str]]:
@@ -47,7 +47,7 @@ def _read_lines(path) -> list[tuple[int, str]]:
     A file that is not UTF-8 text, or has no such line, is an error.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ValueError(f"{path}: not UTF-8 text: {err}") from None
     numbered = enumerate(text.splitlines(), 1)
@@ -115,7 +115,7 @@ def write_preflib(election: Election, path, names: Sequence[str] | None = None) 
     lines.append(f"{election.n},{election.n},{len(counts)}")
     for ranking, count in sorted(counts.items(), key=lambda item: (-item[1], item[0])):
         lines.append(f"{count}," + ",".join(str(c + 1) for c in ranking))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
 def _parse_preflib(path, lines: list[tuple[int, str]], k: int) -> Election:

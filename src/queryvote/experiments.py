@@ -16,19 +16,20 @@ read budgets, each cell's runs (not one level per voter) and spend, and one
 table of Borda shares by level and place, with one block per distinct
 schedule, which EQ and FCFS of a question type share.
 
-Each election is then one pass (:func:`_election_rows`): it is generated,
-and all its strategies x repeats voter orders are seeded in one pass of
-:func:`~queryvote.rng._streams`, each bit-identical to its ``substream``,
-into one array ``(strategies, repeats, n)``. :func:`_distances` scores every
-(strategy, repeat) block of budgets against the election's k-Borda committee
-into one array ``(strategies, repeats, budgets)``: the runs of a range of
-cells, expanded by one ``np.repeat``, form their arrays of levels, which the
-one scorer of :func:`~queryvote.scoring.partial_scores` gathers from the
-record's table. One loop takes the blocks a group at a time, as many whole
-blocks as fit under a bound of shares, and a block's cells a batch at a
-time, all of them unless one block does not fit; every gather has one shape,
-and one stable sort picks every committee of the batch. So the rows equal
-those of :func:`~queryvote.scoring.query_based_committee` under each budget.
+Every voter order of the sweep, each bit-identical to its ``substream``, is
+seeded in one pass of :func:`~queryvote.rng._stream_states` over the index
+(culture, election, strategy, repeat). Each election is then one pass
+(:func:`_election_rows`): it is generated, its block of rows draws its orders
+into one array ``(strategies, repeats, n)``, and :func:`_distances` scores
+every (strategy, repeat) block of budgets against the election's k-Borda
+committee into one array ``(strategies, repeats, budgets)``: the runs of a
+range of cells, expanded by one ``np.repeat``, form their arrays of levels,
+which the one scorer of :func:`~queryvote.scoring.partial_scores` gathers from
+the record's table. One loop takes the blocks a group at a time, as many whole
+blocks as fit under a bound of shares, and a block's cells a batch at a time,
+all of them unless one block does not fit; every gather has one shape, and one
+stable sort picks every committee of the batch. So the rows equal those of
+:func:`~queryvote.scoring.query_based_committee` under each budget.
 ``queryvote sweep`` takes the same two calls, :func:`_elicit_sweep` and then
 :func:`_distances`, with one voter order per repeat for every strategy.
 """
@@ -49,7 +50,7 @@ import numpy as np
 from .core import Committee, Election, _count, _named, _top_k_rows, _whole, k_borda
 from .costs import COST_FUNCTIONS
 from .cultures import CultureSpec, generate
-from .rng import _streams, derive_seed, substream
+from .rng import _generator, _stream_states, derive_seed, substream
 from .scoring import _share_table, _totals, borda_vector
 from .strategies import (
     ALL_STRATEGIES,
@@ -297,11 +298,11 @@ def _elicit_sweep(strategies, cost, m: int, n: int, budgets: Sequence) -> _Sweep
     )
 
 
-def _distances(sweep: _Sweep, election: Election, orders: np.ndarray, target: Committee) -> np.ndarray:
-    """The Hamming distance from ``target``, the election's k-Borda committee,
-    at every cell of ``sweep`` under every voter order of ``election``:
-    ``orders[s, r]`` is repeat r's order for strategy s, and the result is an
-    int array ``(strategies, repeats, budgets)``.
+def _distances(sweep: _Sweep, election: Election, orders: np.ndarray) -> np.ndarray:
+    """The Hamming distance from the k-Borda committee of ``election``, read
+    from the election itself, at every cell of ``sweep`` under every voter
+    order: ``orders[s, r]`` is repeat r's order for strategy s, and the
+    result is an int array ``(strategies, repeats, budgets)``.
 
     One loop takes the (strategy, repeat) blocks ``group`` at a time and their
     cells ``batch`` at a time: whole blocks, as many as fit under
@@ -313,7 +314,7 @@ def _distances(sweep: _Sweep, election: Election, orders: np.ndarray, target: Co
     """
     m, k = election.m, election.k
     in_target = np.zeros(m, dtype=bool)
-    in_target[list(target)] = True
+    in_target[list(k_borda(election))] = True
     strategies, repeats, n = orders.shape
     cells = len(sweep.budgets)
     distances = np.empty((strategies, repeats, cells), dtype=np.intp)
@@ -343,17 +344,15 @@ def _distances(sweep: _Sweep, election: Election, orders: np.ndarray, target: Co
 
 
 def _election_rows(args) -> list[ResultRow]:
-    """The per-election step of a sweep: the election generated, all its voter
-    orders seeded in one pass, and every strategy x repeat x budget cell
-    scored by :func:`_distances` against its k-Borda target."""
-    config, sweep, culture_index, election_index = args
+    """The per-election step of a sweep: the election generated, its voter
+    orders drawn from its (strategy, repeat) block of state rows, and every
+    strategy x repeat x budget cell scored by :func:`_distances`."""
+    config, sweep, culture_index, election_index, states = args
     spec = config.cultures[culture_index]
     seed = derive_seed(config.master_seed, _ELECTION_TAG, spec.seed, election_index)
     election = generate(spec.with_seed(seed), config.m, config.n, config.k)
-    shape = (len(config.strategies), config.voter_order_repeats)
-    streams = _streams(config.master_seed, (_ORDER_TAG, culture_index, election_index), shape)
-    orders = np.array([rng.permutation(config.n) for rng in streams]).reshape(*shape, config.n)
-    distances = _distances(sweep, election, orders, k_borda(election)).tolist()
+    orders = np.array([[_generator(row).permutation(config.n) for row in rows] for rows in states])
+    distances = _distances(sweep, election, orders).tolist()
     label = spec.label()
     budgets = [float(budget) for budget in sweep.budgets]
     cells = len(budgets)
@@ -372,19 +371,19 @@ def _election_rows(args) -> list[ResultRow]:
 def run_budget_sweep(config: ExperimentConfig, jobs: int = 1) -> list[ResultRow]:
     """Run every cell of the sweep; output is independent of ``jobs``.
 
-    Each strategy's grid is elicited once, and every election and voter
-    order is scored from its runs.
+    Each strategy's grid is elicited once, every voter order is seeded in
+    one pass, and every election and voter order is scored from the runs.
     """
     jobs = _count("jobs", jobs)
     budgets = config.budget_grid
     if budgets is None:
         budgets = _default_grid(config.m, config.n, config.cost)
     sweep = _elicit_sweep(config.strategies, config.cost, config.m, config.n, budgets)
-    tasks = [
-        (config, sweep, culture_index, election_index)
-        for culture_index in range(len(config.cultures))
-        for election_index in range(config.elections_per_culture)
-    ]
+    # Voter order (ci, ei, si, r) is substream(master_seed, _ORDER_TAG, ci, ei, si, r).
+    elections = (len(config.cultures), config.elections_per_culture)
+    shape = (*elections, len(config.strategies), config.voter_order_repeats)
+    states = _stream_states(config.master_seed, (_ORDER_TAG,), shape).reshape(*shape, 4)
+    tasks = [(config, sweep, *index, states[index]) for index in np.ndindex(elections)]
     if jobs == 1:
         return [row for task in tasks for row in _election_rows(task)]
     # The pool loads multiprocessing and its modules, which a jobs=1 run does without.
@@ -442,7 +441,7 @@ def difficulty_scores(rows: Iterable[ResultRow]) -> dict[tuple[str, str, int], f
 def emit_csv(rows: Iterable[ResultRow], path) -> None:
     """Write rows with the stable column set; floats round-trip exactly."""
     try:
-        with Path(path).open("w", newline="") as handle:
+        with Path(path).open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             writer.writerows(map(_row_values, rows))
@@ -494,7 +493,7 @@ def parse_budget(text: str):
 
 def load_config(path) -> ExperimentConfig:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as err:
         raise OSError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:

@@ -9,19 +9,20 @@ without changing the result.
 
 One vectorised seed mix, the private :func:`_states`, runs
 ``SeedSequence``'s entropy mixing and state generation for many entropies at
-once, each a head of words every stream shares and a tail of its own;
-each stream's ``PCG64`` then seeds itself from its four state words,
-bit-identical to its ``SeedSequence`` without building one. Two callers use
-it, with the words of a seed and a path prefix as the head. :func:`_streams`
-yields the streams ``substream(seed, *prefix, *index)`` for every index of a
-shape in one pass: the voters ``(1, v)`` of an election, or the voter orders
-``(si, repeat)`` of one election of a sweep. :func:`_derived_states` seeds
-the cost audit's cells, the streams ``substream(derive_seed(seed, fi, ai),
-0)``, in two passes: one for the derived seeds and one for their substreams.
+once, each a head of words every stream shares and a tail of its own; each
+stream's ``PCG64`` then seeds itself from its four state words,
+bit-identical to its ``SeedSequence`` without building one. With the seed
+and prefix words as the head, :func:`_stream_states` gives the rows of
+``substream(seed, *prefix, *index)`` for every index of a shape, and
+:func:`_streams` their generators: the voters ``(1,), (n,)`` of an election,
+or a sweep's voter orders ``(1,), (cultures, elections, strategies,
+repeats)``. :func:`_derived_states` seeds the cost audit's cells, the
+streams ``substream(derive_seed(seed, fi, ai), 0)``, in two passes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator
 
@@ -111,8 +112,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 class _State:
     """The words a ``SeedSequence`` would give ``PCG64`` to seed from.
 
-    :func:`_states` registers it as numpy's ``ISeedSequence`` when it first
-    runs, so that importing the package does not load ``numpy.random``.
+    :func:`_generator` registers it as numpy's ``ISeedSequence`` once per
+    process, and not on import, which would load ``numpy.random``.
     """
 
     __slots__ = ("words",)
@@ -126,6 +127,11 @@ class _State:
         return self.words
 
 
+@functools.cache
+def _register() -> None:
+    np.random.bit_generator.ISeedSequence.register(_State)
+
+
 def _states(head: list[int], tails: np.ndarray) -> np.ndarray:
     """``SeedSequence(head + row).generate_state(4, np.uint64)`` of every row
     of a ``(streams, k)`` uint32 array ``tails``, as C-contiguous rows: the
@@ -135,45 +141,33 @@ def _states(head: list[int], tails: np.ndarray) -> np.ndarray:
     The first four words of an entropy fill the pool and are mixed with
     each other; each word beyond them is then mixed into every pool word.
     ``SeedSequence`` pads a shorter entropy with zeros to fill the pool, so
-    ``[w]`` and ``[w, 0, 0, 0]`` mix alike. A head of four or more words
-    fills the pool alone: one ``SeedSequence`` of it mixes the pool, and
-    any head words beyond it, once for every stream. Otherwise the pool is
-    mixed for every stream at once, over a row of uint32 words each. The
-    tail words beyond the pool and ``generate_state`` are taken for every
-    stream at once.
+    ``[w]`` and ``[w, 0, 0, 0]`` mix alike. Every step is taken for every
+    stream at once, over its entropy as a row of uint32 words, so a head of
+    any length mixes alike.
     """
-    streams, words = len(tails), len(head) + tails.shape[1]
+    words = len(head) + tails.shape[1]
     hash_a = _HASH_A
     if _hashmixes(words) >= len(hash_a):
         hash_a = _hash_constants(_INIT_A, _MULT_A, _hashmixes(words) + 1)
-    # How many tail words lie in the pool.
-    room = max(_POOL_SIZE - len(head), 0)
-    if not room:
-        pool = np.random.SeedSequence(np.array(head, np.uint32)).pool
-        pool = np.broadcast_to(pool, (streams, _POOL_SIZE))
-    else:
-        pool = np.zeros((streams, _POOL_SIZE), np.uint32)
-        pool[:, : len(head)] = head
-        pool[:, len(head) : words] = tails[:, :room]
-        pool = _hashmix(pool, hash_a[:_POOL_SIZE], hash_a[1 : _POOL_SIZE + 1])
-        # Every pool word is mixed into every other, in order of source then
-        # target; a source word does not change while it is mixed in.
-        for src in range(_POOL_SIZE):
-            mixed = _mix(pool, _hashmix(pool[:, src, None], _CROSS_XOR[src], _CROSS_MULT[src]))
-            mixed[:, src] = pool[:, src]
-            pool = mixed
-    at = _hashmixes(len(head))
-    for column in tails[:, room:].T:
-        constants = hash_a[at : at + _POOL_SIZE + 1]
+    entropy = np.zeros((len(tails), max(words, _POOL_SIZE)), np.uint32)
+    entropy[:, : len(head)] = head
+    entropy[:, len(head) : words] = tails
+    pool = _hashmix(entropy[:, :_POOL_SIZE], hash_a[:_POOL_SIZE], hash_a[1 : _POOL_SIZE + 1])
+    # Every pool word is mixed into every other, in order of source then
+    # target; a source word does not change while it is mixed in.
+    for src in range(_POOL_SIZE):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], _CROSS_XOR[src], _CROSS_MULT[src]))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    # Word i beyond the pool takes the hashmix calls after those of the first i.
+    for i, column in enumerate(entropy.T[_POOL_SIZE:], _POOL_SIZE):
+        constants = hash_a[_hashmixes(i) : _hashmixes(i + 1) + 1]
         pool = _mix(pool, _hashmix(column[:, None], constants[:-1], constants[1:]))
-        at += _POOL_SIZE
     hashed = (pool[:, _CYCLE] ^ _HASH_B[:-1]) * _HASH_B[1:]
     hashed ^= hashed >> _XSHIFT
     # generate_state's uint64 words are its uint32 words in pairs, low first;
     # PCG64 reads each row's four from memory, so the rows are C-contiguous.
     seeds = hashed[:, 1::2].astype(np.uint64) << np.uint64(32) | hashed[:, ::2]
-    # The rows reach PCG64 through _State, registered once per pass.
-    np.random.bit_generator.ISeedSequence.register(_State)
     return np.ascontiguousarray(seeds)
 
 
@@ -184,21 +178,27 @@ def _index_words(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _generator(state: np.ndarray) -> np.random.Generator:
-    """The generator whose ``PCG64`` seeds itself from a row of :func:`_states`.
-
+    """The generator whose ``PCG64`` seeds itself from a row of :func:`_states`,
+    made in this process or another: a sweep's workers are handed theirs.
     Those words are all it holds of its seed, so unlike a ``substream`` it
     cannot ``spawn``.
     """
+    _register()
     return np.random.Generator(np.random.PCG64(_State(state)))
+
+
+def _stream_states(seed: int, prefix: tuple[int, ...], shape: tuple[int, ...]) -> np.ndarray:
+    """The :func:`_states` rows of ``substream(seed, *prefix, *index)`` for
+    every index of ``shape``, in C order, in one pass: the words of the
+    masked seed and prefix are the head, each index the tail."""
+    return _states(_words(_entropy(seed, prefix)), _index_words(shape))
 
 
 def _streams(
     seed: int, prefix: tuple[int, ...], shape: tuple[int, ...]
 ) -> Iterator[np.random.Generator]:
-    """The generators ``substream(seed, *prefix, *index)`` for every index of
-    ``shape``, in C order, seeded in one pass of :func:`_states`: the words
-    of the masked seed and prefix are the head, each index the tail."""
-    return map(_generator, _states(_words(_entropy(seed, prefix)), _index_words(shape)))
+    """The generators of :func:`_stream_states`' rows."""
+    return map(_generator, _stream_states(seed, prefix, shape))
 
 
 def _derived_states(seed: int, shape: tuple[int, ...]) -> np.ndarray:
@@ -210,6 +210,6 @@ def _derived_states(seed: int, shape: tuple[int, ...]) -> np.ndarray:
     0: ``[low, high, 0]``, or ``[low, 0]`` for a seed below 2**32, which
     both pad to the pool as ``[low, high]`` does.
     """
-    derived = _states(_words(_entropy(seed, ())), _index_words(shape))[:, 0]
+    derived = _stream_states(seed, (), shape)[:, 0]
     halves = derived[:, None] >> np.uint64([0, 32]) & np.uint64(_MASK32)
     return _states([], halves.astype(np.uint32))

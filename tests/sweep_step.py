@@ -6,7 +6,6 @@ order of an election in two calls, ``experiments._elicit_sweep`` and then
 ``experiments._distances``; this makes the same two calls for one of each.
 """
 
-from queryvote import k_borda
 from queryvote.experiments import _distances, _elicit_sweep
 from queryvote.strategies import _spend, _voter_order
 
@@ -18,6 +17,6 @@ def sweep_step(election, kind, policy, cost, budgets, voter_order=None) -> list[
     ``run_elicitation`` gives under that budget."""
     sweep = _elicit_sweep([(kind, policy)], cost, election.m, election.n, budgets)
     order = _voter_order(election.n, voter_order)
-    distances = _distances(sweep, election, order[None, None], k_borda(election))[0, 0].tolist()
+    distances = _distances(sweep, election, order[None, None])[0, 0].tolist()
     spent = [_spend(sweep.scales[0], units) for units in sweep.units]
     return list(zip(sweep.budgets, distances, spent))

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import queryvote
 from queryvote import CultureSpec, generate
 from queryvote.cli import _fmt_budget, main
 from queryvote.election_io import load_election, write_native
@@ -430,3 +435,19 @@ def test_sweep_reads_the_cost_by_the_name_rule(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: unknown cost function 'bogus'; choose one of: candidates, ")
+
+
+def test_sweep_reads_a_utf_8_file_whatever_the_locale(tmp_path):
+    """``queryvote sweep`` under the C locale, with Python's UTF-8 mode and
+    locale coercion off, on a PrefLib file naming the candidate Zoë: it
+    exits 0 with its table, where reading in the locale's ASCII refused the
+    file as ``not UTF-8 text``."""
+    path = tmp_path / "z.soc"
+    path.write_bytes("2\n1,Zoë\n2,Bo\n3,3,2\n2,1,2\n1,2,1\n".encode())
+    code = "import sys\nfrom queryvote.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = Path(queryvote.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    args = ["sweep", str(path), "--k", "1", "--budgets", "0,inf"]
+    result = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[0].split() == ["strategy", "0.00", "inf"]

@@ -2,7 +2,8 @@ import hashlib
 import itertools
 import math
 import re
-from collections import Counter
+from collections import Counter, deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from queryvote import (
     k_borda,
 )
 from queryvote.cultures import _rank_by_distance
-from queryvote.experiments import parse_config
+from queryvote.experiments import ExperimentConfig, parse_config, run_budget_sweep
 from queryvote.rng import substream
 
 
@@ -400,6 +401,27 @@ def test_a_spec_holds_no_list_a_caller_can_change():
     # An array is read through tolist(), so its entries are plain ints.
     array = CultureSpec("Mallows", seed=1, params={"phi": 0.5, "center": np.arange(4)})
     assert array == twin and type(array.params["center"][0]) is int
+
+
+def test_a_spec_reads_every_iterable_param_as_a_tuple():
+    """A deque or a generator ``params`` value is stored as a tuple too.
+    Reversing a deque center after construction changed the votes the spec
+    gave, and the config's probe generation used a generator center up, so
+    the sweep then refused it as no permutation."""
+    center = deque([0, 1, 2, 3])
+    spec = CultureSpec("Mallows", seed=1, params={"phi": 0.5, "center": center})
+    votes = generate(spec, 4, 3, 2).voters
+    center.reverse()
+    assert generate(spec, 4, 3, 2).voters == votes
+    twin = CultureSpec("Mallows", seed=1, params={"phi": 0.5, "center": (0, 1, 2, 3)})
+    assert spec == twin and type(spec.params["center"]) is tuple
+    drawn = CultureSpec("Mallows", seed=1, params={"phi": 0.5, "center": iter(range(4))})
+    assert drawn == twin
+    config = ExperimentConfig(
+        cultures=[drawn], m=4, n=3, k=2, elections_per_culture=2, budget_grid=[0, 10, "unlimited"],
+        voter_order_repeats=1,
+    )
+    assert run_budget_sweep(config) == run_budget_sweep(replace(config, cultures=[twin]))
 
 
 def test_spec_names_unknown_params_whatever_their_key_types():

@@ -1,8 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import queryvote
 from queryvote import KINDS, CultureSpec, Election, generate
 from queryvote.election_io import load_election, write_native, write_preflib
 from queryvote.rng import substream
@@ -392,3 +396,27 @@ def test_write_preflib_needs_one_name_per_candidate(tmp_path, election):
     with pytest.raises(ValueError, match="^need 5 candidate names, got 2$"):
         write_preflib(election, tmp_path / "e.soc", names=["A", "B"])
     assert not (tmp_path / "e.soc").exists()
+
+
+def test_files_are_utf_8_with_lf_line_ends_whatever_the_locale(tmp_path):
+    """Under the C locale, with Python's UTF-8 mode and locale coercion off,
+    the locale's encoding is ASCII. A PrefLib file naming the candidate Zoë
+    is still written as UTF-8 with ``\\n`` line ends, and read back; in the
+    locale's encoding the write raised ``UnicodeEncodeError`` and the read
+    refused the file as ``not UTF-8 text``."""
+    path = tmp_path / "z.soc"
+    code = (
+        "import sys\n"
+        "from queryvote import Election\n"
+        "from queryvote.election_io import load_election, write_native, write_preflib\n"
+        "election = Election(m=2, voters=((0, 1), (0, 1), (1, 0)), k=1)\n"
+        "write_preflib(election, sys.argv[1], names=['Zo\\u00eb', 'Bo'])\n"
+        "write_native(election, sys.argv[1] + '.elec')\n"
+        "print(load_election(sys.argv[1], k=1) == election == load_election(sys.argv[1] + '.elec'))\n"
+    )
+    src = Path(queryvote.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    result = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
+    assert result.stdout.split() == ["True"], result.stderr
+    assert path.read_bytes() == "2\n1,Zoë\n2,Bo\n3,3,2\n2,1,2\n1,2,1\n".encode()
+    assert (tmp_path / "z.soc.elec").read_bytes() == b"2 3 1\n0 1\n0 1\n1 0\n"

@@ -2,10 +2,14 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import pickle
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -837,22 +841,24 @@ def recorded_totals(monkeypatch):
 
 
 def assert_rows_are_the_one_row_reference(config, rows, totals):
-    """Each row of a one-culture sweep, with its batched ``totals``: they are,
-    by ``float.hex``, the one-row ``_totals`` of its cell's levels under its
-    voter order, its distance is their committee's, and its spend is the
-    float of ``_elicit``'s."""
-    (spec,), m, n, k, seed = config.cultures, config.m, config.n, config.k, config.master_seed
+    """Each row of a sweep, with its batched ``totals``: they are, by
+    ``float.hex``, the one-row ``_totals`` of its cell's levels under its
+    voter order, ``substream(seed, 1, culture, election, strategy, repeat)``,
+    its distance is their committee's, and its spend is the float of
+    ``_elicit``'s."""
+    m, n, k, seed = config.m, config.n, config.k, config.master_seed
     grid, strategies = config.budget_grid, config.strategies
-    elections = [
-        generate(spec.with_seed(derive_seed(seed, 0, spec.seed, e)), m, n, k)
+    elections = {
+        (spec.label(), e): (c, generate(spec.with_seed(derive_seed(seed, 0, spec.seed, e)), m, n, k))
+        for c, spec in enumerate(config.cultures)
         for e in range(config.elections_per_culture)
-    ]
+    }
     labels = [strategy_label(*strategy) for strategy in strategies]
     for row, batched in zip(rows, totals.tolist(), strict=True):
-        e = elections[row.election]
+        c, e = elections[row.culture, row.election]
         strategy_index = labels.index(row.strategy)
         kind, policy = strategies[strategy_index]
-        order = substream(seed, 1, 0, row.election, strategy_index, row.repeat).permutation(n)
+        order = substream(seed, 1, c, row.election, strategy_index, row.repeat).permutation(n)
         schedule = _schedule_of(kind, config.cost, m)
         runs, spent = _elicit(schedule, policy, n, grid[grid.index(row.budget)])
         table = _share_table(schedule, borda_vector(m))
@@ -945,6 +951,48 @@ def test_strategies_apart_that_share_a_schedule_share_its_table_block(monkeypatc
     rows = run_budget_sweep(config)
     assert len(rows) == 2 * 3 * 2 * len(grid)
     assert_rows_are_the_one_row_reference(config, rows, np.concatenate([t for _, t in batches]))
+
+
+def test_rows_of_several_cultures_are_the_one_row_reference(monkeypatch):
+    """A sweep over 2 cultures x 2 elections x 8 strategies x 2 repeats, its
+    voter orders seeded in one pass over all four indexes, under a master
+    seed of two words: every row is its cell's one-row reference, under the
+    order of its own culture and election, at ``jobs=1`` and ``jobs=2``."""
+    batches = recorded_totals(monkeypatch)
+    m, n, grid = 6, 5, [0, 20, 80, UNLIMITED]
+    config = ExperimentConfig(
+        cultures=[CultureSpec("Mallows", seed=2, params={"phi": 0.5}), CultureSpec("Urn", seed=3)],
+        m=m, n=n, k=2, elections_per_culture=2, budget_grid=grid, voter_order_repeats=2,
+        master_seed=2**40 + 5,
+    )
+    rows = run_budget_sweep(config)
+    assert len(rows) == 2 * 2 * 8 * 2 * len(grid)
+    assert [(row.culture, row.election) for row in rows[:: 8 * 2 * len(grid)]] == [
+        ("Mallows[phi=0.5]", 0), ("Mallows[phi=0.5]", 1), ("Urn", 0), ("Urn", 1)
+    ]
+    assert_rows_are_the_one_row_reference(config, rows, np.concatenate([t for _, t in batches]))
+    assert run_budget_sweep(config, jobs=2) == rows
+
+
+def test_workers_started_by_spawn_draw_the_orders_they_are_handed():
+    """Each worker of a ``jobs=2`` sweep draws its election's voter orders
+    from the state rows the parent seeded. A worker started by ``spawn``
+    (the default start method on macOS and Windows) inherits nothing from
+    the parent, and an Urn election seeds no stream of its own; its rows
+    are still those of ``jobs=1``."""
+    code = (
+        "import multiprocessing\n"
+        "from queryvote.experiments import ExperimentConfig, run_budget_sweep\n"
+        "if __name__ == '__main__':\n"
+        "    multiprocessing.set_start_method('spawn')\n"
+        "    config = ExperimentConfig(cultures=['Urn'], m=5, n=4, k=2, elections_per_culture=2,\n"
+        "                              budget_grid=[0, 30, 'unlimited'], voter_order_repeats=2)\n"
+        "    print(run_budget_sweep(config, jobs=2) == run_budget_sweep(config, jobs=1))\n"
+    )
+    src = Path(queryvote.experiments.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.stdout.split() == ["True"], result.stderr
 
 
 def test_gather_bound_groups_whole_blocks_or_splits_one():

@@ -44,12 +44,12 @@ def test_streams_match_their_substreams(seed, as_numpy, count):
         ((1,), (2, 3)),
         ((2**32,), (4,)),  # a prefix tag of two words
         ((1, 0), (5,)),
-        ((1, 2**40, 3), (2, 2)),  # the head fills the pool; the index words lie beyond it
-        ((1, 7, 9), (8, 5)),  # a sweep's voter orders: (tag, culture, election), (strategy, repeat)
+        ((1, 2**40, 3), (2, 2)),  # the head's words fill the pool; the index words are mixed in after it
+        ((1, 7, 9), (8, 5)),  # one election's block of a sweep's voter orders
         ((2**64 - 1, 2**33), (3, 1, 2)),
         ((), ()),  # one stream, no index words
         ((1, 2), (0, 3)),  # no streams
-        ((1, 0, 3), ()),  # one stream whose head fills the pool
+        ((1, 0, 3), ()),  # one stream, its head's words filling the pool
         ((1, 2**40, 3), ()),
     ],
 )
@@ -80,8 +80,8 @@ def test_streams_of_long_entropies_match_their_substreams():
 @pytest.mark.parametrize("head_words", range(7))
 def test_states_match_their_seed_sequences(head_words, tail_words, streams):
     """Each row of ``_states(head, tails)`` is the state of
-    ``SeedSequence(head + row)``, whether the pool is mixed over the rows or,
-    from a head of 4 words on, by one ``SeedSequence`` of the head."""
+    ``SeedSequence(head + row)``, for a head shorter than the pool, one that
+    fills it and one that runs beyond it, all mixed over the rows alike."""
     rng = substream(2026, 40, head_words, tail_words, streams)
     head = rng.integers(2**32, size=head_words, dtype=np.uint32).tolist()
     tails = rng.integers(2**32, size=(streams, tail_words), dtype=np.uint32)
